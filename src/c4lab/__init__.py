@@ -13,6 +13,7 @@ from .errors import (
     DomainError,
     ExtractionFailure,
     GenerationFailure,
+    InvariantError,
     KernelFailure,
     NotBiregularError,
     OracleLimitError,

@@ -46,7 +46,25 @@ from .subdivisions import (
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(f"DEGB_{name}")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise C4LabError(f"DEGB_{name} must be an integer, got {raw!r}") from None
+
+
+# least accepted value of each budget flag, wherever a subcommand has it
+_FLAG_MINIMUMS = (("retries", 0), ("attempts", 0), ("oracle_limit", 0), ("threads", 1))
+
+
+def _check_flag_minimums(args) -> None:
+    for name, least in _FLAG_MINIMUMS:
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise C4LabError(f"{flag} (DEGB_{name.upper()}) must be at least "
+                             f"{least}, got {value}")
 
 
 def _echo_seed(seed: int) -> None:
@@ -332,13 +350,13 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # building the parser reads the DEGB_* defaults, so it can fail too
+        args = build_parser().parse_args(argv)
+        _check_flag_minimums(args)
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    try:
-        return _HANDLERS[args.command](args)
     except (C4LabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

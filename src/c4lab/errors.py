@@ -48,5 +48,12 @@ class KernelFailure(C4LabError):
         self.best = best
 
 
+class InvariantError(C4LabError):
+    """A soundness check inside a construction failed: a defect, not bad input.
+
+    Raised explicitly rather than asserted, so the check survives `python -O`.
+    """
+
+
 class StaleCertificateError(C4LabError):
     """Certificate digest does not match the graph it is being verified against."""

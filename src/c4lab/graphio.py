@@ -13,9 +13,11 @@ import json
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import BipartiteGraph, Graph
+from .graphs import BipartiteGraph, Graph, bits
 
 _G6_HEADER = ">>graph6<<"
+_G6_BYTES = bytes(range(63, 127))
+_G6_SIX_BITS = {b: format(b - 63, "06b") for b in _G6_BYTES}
 _S6_HEADER = ">>sparse6<<"
 
 
@@ -80,24 +82,31 @@ def read_graph6(text: str) -> Graph:
     data = line.encode("ascii")
     n, off = _decode_n(data)
     body = data[off:]
-    for b in body:
-        if not 63 <= b <= 126:
-            raise DomainError(f"invalid graph6 byte {b}")
+    invalid = body.translate(None, _G6_BYTES)
+    if invalid:
+        raise DomainError(f"invalid graph6 byte {invalid[0]}")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise DomainError(f"graph6 body length {len(body)} != expected {need}")
-    bits_flat = []
-    for b in body:
-        v = b - 63
-        bits_flat.extend(((v >> k) & 1) for k in range(5, -1, -1))
-    edges = []
-    idx = 0
+    if n < 0:
+        raise DomainError("vertex_count must be nonnegative")
+    # the body lists the upper triangle column by column: column j is the
+    # run of bits for pairs (0,j)..(j-1,j), so the reversed run, read in
+    # base 2, is the mask of j's lower neighbours
+    stream = body.decode("ascii").translate(_G6_SIX_BITS)
+    nbr = [0] * n
+    m = 0
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits_flat[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+        col = int(stream[start:start + j][::-1], 2)
+        start += j
+        if col:
+            nbr[j] = col
+            m += col.bit_count()
+            bit_j = 1 << j
+            for i in bits(col):
+                nbr[i] |= bit_j
+    return Graph._from_masks(nbr, m)
 
 
 def write_sparse6(g: Graph) -> str:

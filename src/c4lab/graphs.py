@@ -89,6 +89,21 @@ class Graph:
                 raise DomainError("labels length must equal vertex_count")
         self.labels = labels
 
+    @classmethod
+    def _from_masks(cls, nbr: Sequence[int], m: int,
+                    labels: tuple[str, ...] | None = None) -> "Graph":
+        """Trusted constructor for callers that already hold valid masks.
+
+        `nbr` must be symmetric and loopless with m edges, and `labels`, when
+        given, a tuple of len(nbr) strings; nothing is re-checked.
+        """
+        g = cls.__new__(cls)
+        g.n = len(nbr)
+        g._nbr = tuple(nbr)
+        g._m = m
+        g.labels = labels
+        return g
+
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -273,14 +288,29 @@ def induced(g: Graph, s: Iterable[int]) -> Graph:
 
     The relabeling map rides along in `labels`: new vertex i carries the
     label of the i-th smallest original vertex, so witnesses lift back.
+    Only the kept vertices' masks are read: each is cut down to the kept set
+    and its bits are moved to their new positions.
     """
     keep = sorted(set(s))
     for v in keep:
         if not (0 <= v < g.n):
             raise DomainError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
-    return Graph(len(keep), edges, labels=[g.label(v) for v in keep])
+    labels = tuple(g.label(v) for v in keep)
+    if len(keep) == g.n:
+        return Graph._from_masks(g._nbr, g._m, labels)
+    keep_mask = 0
+    for v in keep:
+        keep_mask |= 1 << v
+    new_bit = {v: 1 << i for i, v in enumerate(keep)}
+    nbr = []
+    degree_sum = 0
+    for v in keep:
+        mask = 0
+        for w in bits(g._nbr[v] & keep_mask):
+            mask |= new_bit[w]
+        nbr.append(mask)
+        degree_sum += mask.bit_count()
+    return Graph._from_masks(nbr, degree_sum // 2, labels)
 
 
 def induced_bipartite(bg: BipartiteGraph, keep: Iterable[int]) -> BipartiteGraph:

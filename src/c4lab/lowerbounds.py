@@ -15,7 +15,7 @@ from math import comb, isqrt
 
 from .errors import DomainError, UnsupportedParameterError
 from .graphs import Graph, mix_seed
-from .oracles import DEFAULT_ORACLE_LIMIT, find_c4, max_independent_set
+from .oracles import DEFAULT_ORACLE_LIMIT, is_c4_free, max_independent_set
 
 _EXACT_X_SUBSET_BUDGET = 10 ** 6
 
@@ -370,7 +370,7 @@ def alpha_lb_check(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
     alpha >= n/(3+sqrt n)  iff  3 alpha + alpha sqrt(n) >= n
     iff  n - 3 alpha <= 0  or  alpha^2 n >= (n - 3 alpha)^2.
     """
-    if find_c4(g) is not None:
+    if not is_c4_free(g):
         raise DomainError("input must be C4-free")
     n = g.n
     if n == 0:

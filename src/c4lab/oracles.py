@@ -38,6 +38,8 @@ def find_c4(g: Graph) -> tuple[int, int, int, int] | None:
     A 4-cycle as a subgraph; chords are irrelevant.  Candidate tuples are
     enumerated in lexicographic order and the first hit is returned, so the
     witness is the globally least tuple representation of any 4-cycle.
+    It is kept for that witness: on a C4-free graph it has no early exit,
+    so checks that need only the boolean use the O(m) `is_c4_free`.
     """
     for a in range(g.n):
         mask_a = g.neighbor_mask(a)
@@ -51,15 +53,33 @@ def find_c4(g: Graph) -> tuple[int, int, int, int] | None:
 
 
 def is_c4_free(g: Graph) -> bool:
-    return find_c4(g) is None
+    """True iff g has no 4-cycle (as a subgraph), in O(m) big-int operations.
+
+    A 4-cycle u-w-x-w' is a vertex x != u sharing two neighbours w, w' with
+    u.  Taking u as the cycle's least vertex puts w, w' and x above u, so
+    for each u the masks of u's neighbours above u, cut to the vertices
+    above u, are OR-ed into `seen`; a mask that meets `seen` exposes x.
+    """
+    nbr = [g.neighbor_mask(v) for v in range(g.n)]
+    for u in range(g.n):
+        above = _above(u)
+        seen = 0
+        for w in bits(nbr[u] & above):
+            reach = nbr[w] & above
+            if seen & reach:
+                return False
+            seen |= reach
+    return True
 
 
 def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]] | None:
     """A (not necessarily induced) K_{s,s}: disjoint s-sets S,T with all cross edges.
 
-    s=2 runs the common-pair scan (every wedge u-w-v records the pair (u,v);
-    a pair seen from two centers closes a K_{2,2}).  General s enumerates
-    candidate S in degree-descending order with common-neighborhood pruning.
+    s=2 returns None at once when `is_c4_free` holds (K_{2,2} is C4);
+    otherwise the common-pair scan (every wedge u-w-v records the pair
+    (u,v); a pair seen from two centers closes a K_{2,2}) finds the
+    witness.  General s enumerates candidate S in degree-descending order
+    with common-neighborhood pruning.
     Exact; exponential only in s.  2s > n yields None, not an error.
     """
     if s < 1:
@@ -73,6 +93,8 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
                 return frozenset([u]), frozenset([next(bits(m))])
         return None
     if s == 2:
+        if is_c4_free(g):
+            return None
         seen: dict[tuple[int, int], int] = {}
         for w in range(g.n):
             nb = list(bits(g.neighbor_mask(w)))

@@ -34,7 +34,7 @@ from .graphs import (
     mix_seed,
 )
 from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel
-from .oracles import best_c4free_induced, contains_biclique, find_c4
+from .oracles import best_c4free_induced, contains_biclique, is_c4_free
 from .reductions import bipartite_regularize, extreme_split, sparsify_short_cycles
 
 MODES = ("trivial_already_c4free", "case1_near_regular", "case2_lopsided",
@@ -125,11 +125,8 @@ class ExtractionCertificate:
 
 
 def graph_digest(g: Graph) -> str:
-    h = hashlib.sha256()
-    h.update(f"{g.n}|{g.edge_count}|".encode())
-    for u, v in g.edges():
-        h.update(f"{u},{v};".encode())
-    return h.hexdigest()
+    payload = f"{g.n}|{g.edge_count}|" + "".join(f"{u},{v};" for u, v in g.edges())
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _flags_and_stats(g: Graph, witness, k: int, delta: float) -> tuple[dict, dict]:
@@ -143,7 +140,7 @@ def _flags_and_stats(g: Graph, witness, k: int, delta: float) -> tuple[dict, dic
     avg = average_degree(sub)
     mx = sub.max_degree()
     flags = {
-        "induced_c4free": find_c4(sub) is None,
+        "induced_c4free": is_c4_free(sub),
         "avg_degree_ok": avg >= k,
         "bipartite": sub.is_bipartite(),
         "max_degree_bound_ok": mx <= 1 or float(avg) >= mx ** (1 - delta),
@@ -380,7 +377,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         return _biclique_certificate(g, digest, wit[0], wit[1], pdict, seed,
                                      stage="scan")
 
-    if find_c4(g) is None and average_degree(g) >= k:
+    if is_c4_free(g) and average_degree(g) >= k:
         return _subgraph_certificate(g, digest, "trivial_already_c4free",
                                      range(g.n), pdict, seed, k, params.delta,
                                      stage="trivial")

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .errors import DomainError, ExtractionFailure, NotBiregularError
+from .errors import DomainError, ExtractionFailure, InvariantError, NotBiregularError
 from .graphs import (
     BipartiteGraph,
     Graph,
     average_degree,
+    bits,
     degeneracy,
     greedy_coloring,
     induced,
@@ -26,7 +27,7 @@ from .graphs import (
     min_degree_core,
     mix_seed,
 )
-from .oracles import contains_biclique, find_c3, find_c4
+from .oracles import contains_biclique, find_c3, is_c4_free
 
 DEFAULT_RETRIES = 100
 
@@ -115,24 +116,12 @@ def _short_cycle_vertices(g: Graph, inside: set[int]) -> set[int]:
         for v in members[i + 1:]:
             common = mu & g.neighbor_mask(v)
             cnt = common.bit_count()
-            if g.has_edge(u, v) and cnt >= 1:
-                # triangle u-v-w for every common w
+            # adjacent u, v close a triangle with every common w; any u, v
+            # are a diagonal of a 4-cycle through any two common w
+            if cnt >= 2 or (cnt and g.has_edge(u, v)):
                 bad.add(u)
                 bad.add(v)
-                m = common
-                while m:
-                    low = m & -m
-                    bad.add(low.bit_length() - 1)
-                    m ^= low
-            if cnt >= 2:
-                # u, v are a diagonal of a 4-cycle through any two common w
-                bad.add(u)
-                bad.add(v)
-                m = common
-                while m:
-                    low = m & -m
-                    bad.add(low.bit_length() - 1)
-                    m ^= low
+                bad.update(bits(common))
     return bad
 
 
@@ -175,8 +164,8 @@ def sparsify_short_cycles(g: Graph, s: int, delta: float, seed: int,
         if not survivors:
             continue
         sub = induced(g, survivors)
-        assert find_c3(sub) is None and find_c4(sub) is None, \
-            "construction must kill every short cycle"
+        if not (find_c3(sub) is None and is_c4_free(sub)):
+            raise InvariantError("sparsifier survivors contain a triangle or 4-cycle")
         dd = average_degree(sub)
         if target is not None and dd >= target:
             return survivors

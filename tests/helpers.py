@@ -82,3 +82,25 @@ def random_graph_stream(count: int, n_max: int, seed: int):
         n = 1 + rng.randrange(n_max)
         p = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.8])
         yield gen_gnp(n, p, seed=rng.randrange(2 ** 32)), (n, p, i)
+
+
+def pair_scan_biclique(g: Graph):
+    """The K_{2,2} common-pair scan with no C4-free fast reject: the witness
+    `contains_biclique(g, 2)` must keep returning."""
+    seen: dict[tuple[int, int], int] = {}
+    for w in range(g.n):
+        for u, v in combinations(list(g.neighbors(w)), 2):
+            prev = seen.get((u, v))
+            if prev is not None:
+                return frozenset([u, v]), frozenset([prev, w])
+            seen[(u, v)] = w
+    return None
+
+
+def induced_by_edge_walk(g: Graph, s) -> Graph:
+    """Induced subgraph built from every parent edge, through the checked
+    constructor: the reference for the mask-based `induced`."""
+    keep = sorted(set(s))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return Graph(len(keep), edges, labels=[g.label(v) for v in keep])

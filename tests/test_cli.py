@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from c4lab.cli import main
 from c4lab.graphio import write_graph6, write_hypergraph
 from c4lab.graphs import Graph
@@ -145,3 +147,48 @@ def test_env_precedence(tmp_path, capsys, monkeypatch):
     assert code == 0
     obj = json.loads(cert_path.read_text())
     assert obj["params"]["retries"] == 9
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_bad_env_integer_exits_1(tmp_path, capsys, monkeypatch):
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(heawood_graph()) + "\n")
+    monkeypatch.setenv("DEGB_RETRIES", "abc")
+    _assert_one_line_error(*run_cli(capsys, "extract", "--input", str(g6), "--s", "2",
+                                    "--k", "3", "--seed", "1"))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--retries", "-1"), ("--attempts", "-1"), ("--oracle-limit", "-1"),
+    ("--threads", "0"), ("--threads", "-2")])
+def test_out_of_range_budget_flags_exit_1(tmp_path, capsys, flag, value):
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(heawood_graph()) + "\n")
+    cert_path = tmp_path / "cert.json"
+    for command in ("extract", "subdivide"):
+        argv = [command, "--input", str(g6), "--s", "2", "--k", "3", "--seed", "1",
+                flag, value]
+        if command == "extract":
+            argv += ["--out", str(cert_path)]
+        code, out, err = run_cli(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert flag in err
+    assert not cert_path.exists()
+
+
+def test_zero_budgets_still_accepted(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DEGB_ATTEMPTS", "0")
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(heawood_graph()) + "\n")
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "extract", "--input", str(g6), "--s", "2", "--k", "3",
+                         "--seed", "1", "--retries", "0", "--oracle-limit", "0",
+                         "--threads", "1", "--out", str(cert_path))
+    assert code == 0
+    params = json.loads(cert_path.read_text())["params"]
+    assert (params["attempts"], params["retries"], params["oracle_limit"]) == (0, 0, 0)

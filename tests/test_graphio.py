@@ -91,6 +91,34 @@ def test_edgelist_roundtrip_and_comments():
     assert h.n == 5 and h.edge_count == 2
 
 
+def test_graph6_roundtrip_at_size_boundaries():
+    # n = 62/63 switch the size prefix; 63/64 and 200 cross word boundaries
+    for n in (0, 1, 2, 62, 63, 64, 200):
+        for i, p in enumerate((0.0, 0.1, 0.5, 1.0)):
+            g = gen_gnp(n, p, 1000 * n + i)
+            text = write_graph6(g)
+            for line in (text, ">>graph6<<" + text, text + "\n"):
+                h = read_graph6(line)
+                assert h == g and h.edge_count == g.edge_count and h.labels is None
+
+
+def test_graph6_error_messages():
+    cases = {
+        "C!": "invalid graph6 byte 33",
+        "D?!": "invalid graph6 byte 33",
+        "D!!!!": "invalid graph6 byte 33",      # bad bytes are reported before length
+        "D?": "graph6 body length 1 != expected 2",
+        "D???": "graph6 body length 3 != expected 2",
+        ">>graph6<<D?": "graph6 body length 1 != expected 2",
+        ">?": "vertex_count must be nonnegative",
+        "~?": "truncated graph6 size",
+    }
+    for text, message in cases.items():
+        with pytest.raises(DomainError) as info:
+            read_graph6(text)
+        assert str(info.value) == message
+
+
 def test_bad_inputs_raise():
     with pytest.raises(DomainError):
         read_graph6("B")          # truncated body

@@ -23,7 +23,7 @@ from c4lab.named import (
     petersen_graph,
     star_graph,
 )
-from helpers import girth
+from helpers import girth, induced_by_edge_walk
 
 
 def test_graph_basics():
@@ -143,6 +143,28 @@ def test_induced_examples():
     assert ring == cycle_graph(5)
     with pytest.raises(DomainError):
         induced(c4, [0, 9])
+
+
+def test_induced_matches_edge_walk():
+    plane = projective_plane_incidence(3).underlying
+    rng = random.Random(53)
+    graphs = [Graph(0), petersen_graph(), plane, Graph(5, [(0, 4)], labels="abcde")]
+    graphs += [gen_gnp(1 + rng.randrange(70), p, rng.randrange(2 ** 32))
+               for p in (0.05, 0.3, 0.8) for _ in range(10)]
+    for g in graphs:
+        # full, unsorted full, empty, with duplicates, random subsets
+        picks = [list(range(g.n)), list(range(g.n))[::-1], [],
+                 [rng.randrange(g.n) for _ in range(g.n)]]
+        picks += [rng.sample(range(g.n), rng.randrange(g.n + 1)) for _ in range(6)]
+        for keep in picks:
+            sub, ref = induced(g, keep), induced_by_edge_walk(g, keep)
+            assert sub == ref
+            assert sub.edge_count == ref.edge_count and sub.labels == ref.labels
+    # a relabelled parent passes its labels on; ids are still range-checked
+    assert induced(plane, [13, 0]).labels == (plane.label(0), plane.label(13))
+    for bad, vertex in (([0, 26], 26), ([-1, 3], -1), ([30, 40], 30)):
+        with pytest.raises(DomainError, match=f"vertex {vertex} out of range"):
+            induced(plane, bad)
 
 
 def test_gen_gnp_degenerate_and_determinism():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from c4lab.errors import OracleLimitError
-from c4lab.graphs import Graph, gen_gnp, induced
+from c4lab.graphs import Graph, gen_gnp, induced, projective_plane_incidence
 from c4lab.named import (
     complete_bipartite,
     complete_graph,
@@ -17,9 +17,10 @@ from c4lab.oracles import (
     contains_biclique,
     find_c3,
     find_c4,
+    is_c4_free,
     max_independent_set,
 )
-from helpers import brute_force_c4_exists, brute_force_mis_size
+from helpers import brute_force_c4_exists, brute_force_mis_size, pair_scan_biclique
 
 PETERSEN = petersen_graph()
 
@@ -57,6 +58,31 @@ def test_find_c4_returns_lex_least_tuple():
             if g.has_edge(t[0], t[1]) and g.has_edge(t[1], t[2])
             and g.has_edge(t[2], t[3]) and g.has_edge(t[3], t[0])]
         assert wit == (min(tuples) if tuples else None)
+
+
+def test_is_c4_free_agrees_with_find_c4():
+    named = [Graph(0), Graph(6), complete_graph(4), cycle_graph(4), heawood_graph(),
+             PETERSEN, complete_bipartite(2, 3).underlying]
+    named += [projective_plane_incidence(q).underlying for q in (2, 3, 5)]
+    for g in named:
+        assert is_c4_free(g) == (find_c4(g) is None)
+    assert not is_c4_free(complete_graph(4)) and is_c4_free(heawood_graph())
+    rng = random.Random(31)
+    for p in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
+        for _ in range(150):
+            g = gen_gnp(1 + rng.randrange(14), p, rng.randrange(2 ** 32))
+            assert is_c4_free(g) == (find_c4(g) is None)
+
+
+def test_contains_biclique_s2_witness_unchanged():
+    rng = random.Random(37)
+    with_c4 = 0
+    for _ in range(400):
+        n = 4 + rng.randrange(11)
+        g = gen_gnp(n, rng.choice([0.2, 0.4, 0.6, 0.9]), rng.randrange(2 ** 32))
+        with_c4 += find_c4(g) is not None
+        assert contains_biclique(g, 2) == pair_scan_biclique(g)
+    assert with_c4 > 200
 
 
 def test_find_c3_examples():

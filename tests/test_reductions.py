@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from c4lab.errors import DomainError, ExtractionFailure, NotBiregularError, ParameterError
+from c4lab import reductions
+from c4lab.errors import (
+    DomainError,
+    ExtractionFailure,
+    InvariantError,
+    NotBiregularError,
+    ParameterError,
+)
 from c4lab.graphs import (
     BipartiteGraph,
     Graph,
@@ -11,7 +18,13 @@ from c4lab.graphs import (
     induced,
     projective_plane_incidence,
 )
-from c4lab.named import complete_bipartite, cycle_graph, heawood_graph, petersen_graph
+from c4lab.named import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    heawood_graph,
+    petersen_graph,
+)
 from c4lab.oracles import find_c3, find_c4
 from c4lab.reductions import (
     almost_biregular_reduce,
@@ -107,6 +120,14 @@ def test_sparsify_on_plane_incidence():
     sub = induced(g, out)
     assert find_c3(sub) is None and find_c4(sub) is None
     assert average_degree(sub) >= 0
+
+
+def test_sparsify_girth_check_raises_without_assert(monkeypatch):
+    # with no short-cycle deletion the survivors of K_6 keep triangles; the
+    # explicit check must catch that, also under python -O
+    monkeypatch.setattr(reductions, "_short_cycle_vertices", lambda g, inside: set())
+    with pytest.raises(InvariantError):
+        sparsify_short_cycles(complete_graph(6), 2, 0.05, seed=1, check_biclique=False)
 
 
 def test_sparsify_rejects_biclique_input():
