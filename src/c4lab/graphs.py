@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -250,19 +251,35 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     Repeatedly removes a minimum-degree vertex (least id on ties); d is the
     largest degree seen at removal time.  Every nonempty subgraph of g then
     has a vertex of degree at most d.
+
+    The live vertices sit in a heap of (degree, vertex) entries with lazy
+    deletion: each degree drop pushes a fresh entry, and a popped entry is
+    skipped when its vertex is gone.  A stale entry needs no test of its
+    own: the fresher entry of its vertex is smaller, so it pops first and
+    removes the vertex.  The first entry that stands is the (degree, id)-least
+    live vertex, so the order is the one a full minimum scan gives, in
+    O((n + m) log n) time.  A bucket queue would save the log factor but
+    hands out an arbitrary vertex of least degree; keeping the least-id
+    tie-break, on which the order and every seeded caller depend, needs the
+    heap's ordering.
     """
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
+    nbr = g._nbr
+    deg = [mask.bit_count() for mask in nbr]
+    heap = [(dv, v) for v, dv in enumerate(deg)]
+    heapify(heap)
+    alive = (1 << g.n) - 1
     order: list[int] = []
     d = 0
-    for _ in range(g.n):
-        u = min((v for v in range(g.n) if alive[v]), key=lambda v: (deg[v], v))
-        d = max(d, deg[u])
-        alive[u] = False
+    while heap:
+        du, u = heappop(heap)
+        if not (alive >> u) & 1:
+            continue
+        d = max(d, du)
+        alive ^= 1 << u
         order.append(u)
-        for w in g.neighbors(u):
-            if alive[w]:
-                deg[w] -= 1
+        for w in bits(nbr[u] & alive):
+            deg[w] -= 1
+            heappush(heap, (deg[w], w))
     return d, tuple(order)
 
 

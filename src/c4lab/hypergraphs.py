@@ -14,10 +14,12 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
+    InvariantError,
     KernelFailure,
     OracleLimitError,
     UnsupportedParameterError,
@@ -149,10 +151,6 @@ def _color_sets(r: int, s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _slice_key(color_to_vertex: dict[int, int], e: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(color_to_vertex[c] for c in e)
-
-
 def verify_kernel(source: Hypergraph, kernel: PartiteKernel) -> KernelReport:
     """Replay rainbow-ness and the full dichotomy; failures become report rows."""
     r = kernel.rank
@@ -162,22 +160,26 @@ def verify_kernel(source: Hypergraph, kernel: PartiteKernel) -> KernelReport:
     if len(c) != source.vertex_count:
         raise DomainError("coloring length must match the source vertex count")
     rainbow_failures = []
-    maps: list[dict[int, int]] = []
+    vecs: list[list[int]] = []
     for idx in kernel.surviving_edges:
         if not 0 <= idx < len(source.edges):
             raise DomainError(f"surviving edge index {idx} out of range")
         e = source.edges[idx]
-        cv = {c[v]: v for v in e}
-        if len(e) != r or len(cv) != r:
+        vec = [-1] * r
+        for v in e:
+            if 0 <= c[v] < r:
+                vec[c[v]] = v
+        if len(e) != r or -1 in vec:
             rainbow_failures.append(idx)
-        maps.append(cv)
+        vecs.append(vec)
     trace_set = {tuple(sorted(e)) for e in kernel.trace.edges}
     status = []
     if not rainbow_failures:
         for e in _color_sets(r, s):
-            buckets: dict[tuple[int, ...], int] = {}
-            for cv in maps:
-                key = _slice_key(cv, e)
+            get = itemgetter(*e)
+            buckets: dict = {}
+            for vec in vecs:
+                key = get(vec)
                 buckets[key] = buckets.get(key, 0) + 1
             in_trace = e in trace_set
             if in_trace:
@@ -188,6 +190,16 @@ def verify_kernel(source: Hypergraph, kernel: PartiteKernel) -> KernelReport:
                 ok = witness <= 1
             status.append((e, in_trace, ok, witness))
     return KernelReport(rainbow_failures=rainbow_failures, element_status=status)
+
+
+def _check_step(kept: int, before: int, steps: int, t: int, big_t: int,
+                kind: str) -> None:
+    """Raise InvariantError unless a cleaning step kept at least a 1/(2tT^2)
+    fraction of its edges and the loop is within its T+1 step bound."""
+    if kept * 2 * t * big_t * big_t < before:
+        raise InvariantError(f"{kind} transition lost too many edges")
+    if steps > big_t + 1:
+        raise InvariantError("cleaning loop overran its step bound")
 
 
 def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
@@ -201,7 +213,7 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
     slices of multiplicity below t are peeled together with their edges and
     the loop stops; otherwise the color set with the most distinct slices is
     collapsed to one representative edge per slice, which removes it from
-    S_{i+1}.  Every transition is asserted to keep at least a 1/(2tT^2)
+    S_{i+1}.  Every transition is checked to keep at least a 1/(2tT^2)
     fraction of edges, and the loop runs at most T+1 steps.  The finished
     kernel is replayed through verify_kernel before it is returned; attempts
     that fail verification (or go extinct) burn a retry.
@@ -217,39 +229,47 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
         raise DomainError("input has no edges")
     big_t = sum(comb(r, j) for j in range(s + 1))
     edge_list = f.edges
-    candidates = _color_sets(r, s)
+    # one slice getter per candidate color set: get(vec) is the edge's slice
+    candidates = [(e, itemgetter(*e)) for e in _color_sets(r, s)]
     best_attempt: tuple[int, PartiteKernel | None] = (-1, None)
 
     for attempt in range(retries):
         rng = random.Random(mix_seed(seed, attempt))
         coloring = tuple(rand_below(rng, r) for _ in range(f.vertex_count))
+        # rainbow edges as color-indexed vertex lists: vec[c] is the vertex of color c
         cur: list[int] = []
-        maps: dict[int, dict[int, int]] = {}
+        vecs: dict[int, list[int]] = {}
         for idx, e in enumerate(edge_list):
-            cv = {coloring[v]: v for v in e}
-            if len(cv) == r:
+            vec = [-1] * r
+            for v in e:
+                vec[coloring[v]] = v
+            if -1 not in vec:
                 cur.append(idx)
-                maps[idx] = cv
+                vecs[idx] = vec
         if not cur:
             continue
         history = [len(cur)]
         steps = 0
         while True:
-            buckets: dict[tuple[int, ...], dict[tuple[int, ...], list[int]]] = {}
-            shared: list[tuple[int, ...]] = []
+            # a color set is shared when two edges agree on its slice,
+            # that is when its slices are fewer than the edges
+            buckets: dict[tuple[int, ...], dict] = {}
             b_size = 0
-            for e in candidates:
-                bk: dict[tuple[int, ...], list[int]] = {}
-                for idx in cur:
-                    bk.setdefault(_slice_key(maps[idx], e), []).append(idx)
-                if any(len(v) >= 2 for v in bk.values()):
-                    shared.append(e)
+            cur_vecs = [vecs[idx] for idx in cur]
+            for e, get in candidates:
+                bk: dict = {}
+                for key, idx in zip(map(get, cur_vecs), cur):
+                    if key in bk:
+                        bk[key].append(idx)
+                    else:
+                        bk[key] = [idx]
+                if len(bk) < len(cur):
                     buckets[e] = bk
                     b_size += len(bk)
             if 2 * t * big_t * b_size <= len(cur):
                 # terminal: peel slices of multiplicity below t
-                node_edges = {(e, key): list(idxs)
-                              for e in shared for key, idxs in buckets[e].items()}
+                node_edges = {(e, key): idxs
+                              for e, bk in buckets.items() for key, idxs in bk.items()}
                 edge_nodes: dict[int, list[tuple]] = {idx: [] for idx in cur}
                 for node, idxs in node_edges.items():
                     for idx in idxs:
@@ -275,18 +295,11 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
                 steps += 1
                 if not survivors:
                     break  # extinct attempt; burn a retry
-                assert len(survivors) * 2 * t * big_t * big_t >= len(cur), \
-                    "cleaning transition lost too many edges"
-                assert steps <= big_t + 1, "cleaning loop overran its step bound"
+                _check_step(len(survivors), len(cur), steps, t, big_t, "cleaning")
                 history.append(len(survivors))
-                trace_edges = []
-                for e in candidates:
-                    bk: dict[tuple[int, ...], int] = {}
-                    for idx in survivors:
-                        key = _slice_key(maps[idx], e)
-                        bk[key] = bk.get(key, 0) + 1
-                    if any(v >= 2 for v in bk.values()):
-                        trace_edges.append(frozenset(e))
+                survivor_vecs = [vecs[idx] for idx in survivors]
+                trace_edges = [frozenset(e) for e, get in candidates
+                               if len(set(map(get, survivor_vecs))) < len(survivors)]
                 kernel = PartiteKernel(
                     surviving_edges=tuple(survivors),
                     coloring=coloring,
@@ -299,12 +312,10 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
                     return kernel
                 break  # verification failure; burn a retry
             # non-terminal: collapse the color set with the most distinct slices
-            pick = max(shared, key=lambda e: (len(buckets[e]), [-x for x in e]))
+            pick = max(buckets, key=lambda e: (len(buckets[e]), [-x for x in e]))
             nxt = sorted(min(idxs) for idxs in buckets[pick].values())
-            assert len(nxt) * 2 * t * big_t * big_t >= len(cur), \
-                "pigeonhole transition lost too many edges"
             steps += 1
-            assert steps <= big_t + 1, "cleaning loop overran its step bound"
+            _check_step(len(nxt), len(cur), steps, t, big_t, "pigeonhole")
             history.append(len(nxt))
             cur = nxt
         if history[0] > best_attempt[0]:

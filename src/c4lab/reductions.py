@@ -104,24 +104,26 @@ def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
 
 # -- short-cycle sparsification ----------------------------------------------
 
-def _short_cycle_vertices(g: Graph, inside: set[int]) -> set[int]:
-    """All vertices of triangles or 4-cycles lying entirely in `inside`."""
-    mask = 0
-    for v in inside:
-        mask |= 1 << v
-    bad: set[int] = set()
-    members = sorted(inside)
-    for i, u in enumerate(members):
-        mu = g.neighbor_mask(u) & mask
-        for v in members[i + 1:]:
-            common = mu & g.neighbor_mask(v)
-            cnt = common.bit_count()
-            # adjacent u, v close a triangle with every common w; any u, v
-            # are a diagonal of a 4-cycle through any two common w
-            if cnt >= 2 or (cnt and g.has_edge(u, v)):
-                bad.add(u)
-                bad.add(v)
-                bad.update(bits(common))
+def _short_cycle_vertices(g: Graph, inside: int) -> int:
+    """Mask of the vertices of triangles or 4-cycles lying entirely in `inside`.
+
+    For each u in `inside`, the masks of u's neighbours in `inside`, less u,
+    are ORed into `once`; a bit that is hit a second time goes into `twice`.
+    u lies on a 4-cycle iff two of its neighbours share another neighbour,
+    that is iff `twice` is nonzero, and on a triangle iff a neighbour of a
+    neighbour is itself a neighbour, that is iff `once` meets N(u).  That is
+    O(m) big-integer operations over the edges inside the set.
+    """
+    nbr = {v: g.neighbor_mask(v) & inside for v in bits(inside)}
+    bad = 0
+    for u, nu in nbr.items():
+        once = twice = 0
+        for w in bits(nu):
+            x = nbr[w] ^ (1 << u)
+            twice |= once & x
+            once |= x
+        if twice or once & nu:
+            bad |= 1 << u
     return bad
 
 
@@ -153,14 +155,15 @@ def sparsify_short_cycles(g: Graph, s: int, delta: float, seed: int,
     best: tuple[Fraction, frozenset[int]] | None = None
     for attempt in range(retries):
         rng = random.Random(mix_seed(seed, attempt))
-        u = _bernoulli_subset(rng, range(g.n), p)
-        u_prime = _short_cycle_vertices(g, u)
-        u_star = set()
-        for v in u:
-            deg_in = sum(1 for w in g.neighbors(v) if w in u)
-            if deg_in >= 1 + 4 * p * g.degree(v):
-                u_star.add(v)
-        survivors = frozenset(u - u_prime - u_star)
+        u = 0
+        for v in range(g.n):
+            if rng.random() < p:
+                u |= 1 << v
+        dropped = _short_cycle_vertices(g, u)
+        for v in bits(u):
+            if (g.neighbor_mask(v) & u).bit_count() >= 1 + 4 * p * g.degree(v):
+                dropped |= 1 << v
+        survivors = frozenset(bits(u & ~dropped))
         if not survivors:
             continue
         sub = induced(g, survivors)
@@ -435,9 +438,15 @@ def bipartite_regularize(g: Graph, a0, b, s: int, r: int, seed: int,
 
 def _assert_regularized(g: Graph, a_out: frozenset[int], b_out: frozenset[int],
                         r: int) -> None:
+    """Raise InvariantError unless A' and B' are independent and every
+    A'-vertex has exactly r neighbours in B' (explicit, so it survives -O)."""
+    a_mask = sum(1 << v for v in a_out)
+    b_mask = sum(1 << v for v in b_out)
     for u in a_out:
-        assert not any(w in a_out for w in g.neighbors(u)), "A' must be independent"
-        assert sum(1 for w in g.neighbors(u) if w in b_out) == r, \
-            "A'-degrees into B' must equal r"
+        if g.neighbor_mask(u) & a_mask:
+            raise InvariantError("A' must be independent")
+        if (g.neighbor_mask(u) & b_mask).bit_count() != r:
+            raise InvariantError("A'-degrees into B' must equal r")
     for u in b_out:
-        assert not any(w in b_out for w in g.neighbors(u)), "B' must be independent"
+        if g.neighbor_mask(u) & b_mask:
+            raise InvariantError("B' must be independent")

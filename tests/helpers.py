@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
-from c4lab.graphs import Graph, gen_gnp
+from c4lab.graphs import Graph, bits, gen_gnp
 
 
 def girth(g: Graph) -> int | None:
@@ -104,3 +108,53 @@ def induced_by_edge_walk(g: Graph, s) -> Graph:
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
     return Graph(len(keep), edges, labels=[g.label(v) for v in keep])
+
+
+def degeneracy_by_min_scan(g: Graph):
+    """Degeneracy by scanning all live vertices for the (degree, id)-least one
+    at every removal, O(n^2): the reference for the heap-based `degeneracy`."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
+    order = []
+    d = 0
+    for _ in range(g.n):
+        u = min((v for v in range(g.n) if alive[v]), key=lambda v: (deg[v], v))
+        d = max(d, deg[u])
+        alive[u] = False
+        order.append(u)
+        for w in g.neighbors(u):
+            if alive[w]:
+                deg[w] -= 1
+    return d, tuple(order)
+
+
+def short_cycle_vertices_by_pair_scan(g: Graph, inside) -> set[int]:
+    """Vertices of triangles or 4-cycles inside `inside`, by a scan over every
+    pair of its members: the reference for `_short_cycle_vertices`."""
+    mask = 0
+    for v in inside:
+        mask |= 1 << v
+    bad: set[int] = set()
+    members = sorted(inside)
+    for i, u in enumerate(members):
+        mu = g.neighbor_mask(u) & mask
+        for v in members[i + 1:]:
+            common = mu & g.neighbor_mask(v)
+            cnt = common.bit_count()
+            # adjacent u, v close a triangle with every common w; any u, v
+            # are a diagonal of a 4-cycle through any two common w
+            if cnt >= 2 or (cnt and g.has_edge(u, v)):
+                bad.add(u)
+                bad.add(v)
+                bad.update(bits(common))
+    return bad
+
+
+def run_optimized(code: str) -> str:
+    """Run `code` under `python -O`, with asserts stripped, and return its
+    standard output; a nonzero exit fails the calling test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout

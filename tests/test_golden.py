@@ -61,3 +61,34 @@ def test_cli_golden_across_thread_counts(tmp_path, capsys):
         capsys.readouterr()
         assert code in (0, 2)
         assert out.read_bytes() == (GOLDEN / "gnp24_cert.json").read_bytes()
+
+
+# kernel inputs: the neighbourhood family of gen_lopsided(400, 150, 9, 3,
+# seed=1) on its B side, at the pipeline's shape r = 9, s = t = 3; and a
+# 150-petal sunflower on vertex 0 plus 30 random triples, whose kernel keeps
+# a nonempty trace and peels an edge in its terminal step
+KERNEL_SCENARIOS = [
+    ("lopsided_r9.hg", "lopsided_r9_kernel.json", ["--s", "3", "--t", "3", "--seed", "172"]),
+    ("sunflower_r3.hg", "sunflower_r3_kernel.json", ["--s", "1", "--t", "2", "--seed", "2"]),
+]
+
+
+def test_cli_kernel_reproduces_golden_output(capsys):
+    for hg_file, out_file, flags in KERNEL_SCENARIOS:
+        code = main(["kernel", "--input", str(GOLDEN / hg_file), *flags,
+                     "--retries", "100"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (GOLDEN / out_file).read_text()
+
+
+def test_kernel_golden_input_is_the_lopsided_family():
+    from c4lab.graphio import write_hypergraph
+    from c4lab.graphs import gen_lopsided
+
+    bg = gen_lopsided(400, 150, 9, 3, seed=1)
+    g, b_list = bg.underlying, bg.b_list()
+    b_index = {b: i for i, b in enumerate(b_list)}
+    hoods = {frozenset(b_index[w] for w in g.neighbors(a)) for a in bg.a_list()}
+    text = write_hypergraph(len(b_list), sorted(hoods, key=sorted))
+    assert text == (GOLDEN / "lopsided_r9.hg").read_text()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from c4lab import graphs
 from c4lab.errors import DomainError, GenerationFailure, UnsupportedParameterError
 from c4lab.graphs import (
     Graph,
@@ -10,6 +11,7 @@ from c4lab.graphs import (
     degeneracy,
     gen_gnp,
     gen_lopsided,
+    greedy_coloring,
     induced,
     min_degree_core,
     mix_seed,
@@ -23,7 +25,7 @@ from c4lab.named import (
     petersen_graph,
     star_graph,
 )
-from helpers import girth, induced_by_edge_walk
+from helpers import degeneracy_by_min_scan, girth, induced_by_edge_walk
 
 
 def test_graph_basics():
@@ -130,6 +132,45 @@ def test_degeneracy_ordering_witnesses_bound():
         # hence degeneracy >= d(g)/2 exactly
         if n:
             assert Fraction(d) >= average_degree(g) / 2
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(offset + u, offset + v) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+def assert_degeneracy_matches_min_scan(g: Graph):
+    assert degeneracy(g) == degeneracy_by_min_scan(g)
+    colors = greedy_coloring(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "degeneracy", degeneracy_by_min_scan)
+        assert colors == greedy_coloring(g)
+
+
+def test_degeneracy_matches_min_scan_on_gnp():
+    rng = random.Random(8)
+    for _ in range(600):
+        n = rng.randrange(41)
+        p = rng.choice([0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.95])
+        assert_degeneracy_matches_min_scan(gen_gnp(n, p, rng.randrange(2 ** 32)))
+
+
+def test_degeneracy_matches_min_scan_on_ties():
+    plane = [projective_plane_incidence(q).underlying for q in (2, 3, 5)]
+    cases = [Graph(0), Graph(1), Graph(9)]
+    cases += [complete_graph(n) for n in range(1, 9)]
+    cases += plane
+    cases += [cycle_graph(8), petersen_graph(), star_graph(6)]
+    cases += [disjoint_union(complete_graph(4), Graph(3), cycle_graph(5), plane[0]),
+              disjoint_union(plane[1], complete_graph(6), plane[0]),
+              disjoint_union(*(complete_graph(3) for _ in range(5)))]
+    for g in cases:
+        assert_degeneracy_matches_min_scan(g)
+    assert degeneracy(Graph(0)) == (0, ())
+    assert degeneracy(Graph(4)) == (0, (0, 1, 2, 3))
 
 
 def test_induced_examples():

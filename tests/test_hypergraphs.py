@@ -3,8 +3,10 @@ from math import comb
 
 import pytest
 
+from c4lab import hypergraphs
 from c4lab.errors import (
     DomainError,
+    InvariantError,
     KernelFailure,
     OracleLimitError,
     UnsupportedParameterError,
@@ -20,6 +22,7 @@ from c4lab.hypergraphs import (
     verify_induced_pair,
     verify_kernel,
 )
+from helpers import run_optimized
 
 
 def hg(n, *edges):
@@ -103,6 +106,35 @@ def test_kernel_cleaning_history_bound():
         assert len(hist) <= big_t + 2
         for a, b in zip(hist, hist[1:]):
             assert b * 2 * t * big_t * big_t >= a
+
+
+def test_kernel_step_check_raises_invariant_error(monkeypatch):
+    # with T = 0 no step can meet the 1/(2tT^2) bound, so the first
+    # transition must raise, not assert
+    monkeypatch.setattr(hypergraphs, "comb", lambda n, k: 0)
+    f = hg(41, *({0, i} for i in range(1, 41)))
+    with pytest.raises(InvariantError):
+        furedi_kernel(f, s=1, t=1, seed=5)
+
+
+def test_kernel_step_check_raises_under_optimize():
+    out = run_optimized(
+        "from c4lab import hypergraphs\n"
+        "from c4lab.errors import InvariantError\n"
+        "hypergraphs.comb = lambda n, k: 0\n"
+        "f = hypergraphs.Hypergraph(41, [{0, i} for i in range(1, 41)])\n"
+        "try:\n"
+        "    hypergraphs.furedi_kernel(f, s=1, t=1, seed=5)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised', exc)\n")
+    assert out == "raised cleaning transition lost too many edges\n"
+
+
+def test_verify_kernel_reports_out_of_range_colors():
+    f = hg(3, {0, 1, 2})
+    kern = PartiteKernel((0,), (0, 1, 5), Hypergraph(3, []), 1, 1)
+    rep = verify_kernel(f, kern)
+    assert rep.rainbow_failures == [0] and not rep.ok
 
 
 def test_verify_kernel_detects_tampering():

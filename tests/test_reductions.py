@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from c4lab.graphs import (
     BipartiteGraph,
     Graph,
     average_degree,
+    bits,
+    gen_gnp,
     gen_lopsided,
     induced,
     projective_plane_incidence,
@@ -33,7 +36,7 @@ from c4lab.reductions import (
     extreme_split,
     sparsify_short_cycles,
 )
-from helpers import girth
+from helpers import girth, run_optimized, short_cycle_vertices_by_pair_scan
 
 
 def heawood_bipartite():
@@ -122,12 +125,43 @@ def test_sparsify_on_plane_incidence():
     assert average_degree(sub) >= 0
 
 
+def test_short_cycle_vertices_matches_pair_scan():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randrange(1, 36)
+        g = gen_gnp(n, rng.choice([0.05, 0.1, 0.2, 0.35, 0.6]), rng.randrange(2 ** 32))
+        q = rng.choice([0.0, 0.3, 0.6, 0.9, 1.0])
+        inside = {v for v in range(n) if rng.random() < q}
+        mask = sum(1 << v for v in inside)
+        got = set(bits(reductions._short_cycle_vertices(g, mask)))
+        assert got == short_cycle_vertices_by_pair_scan(g, inside)
+    for g in (complete_graph(5), cycle_graph(4), cycle_graph(5), petersen_graph(),
+              projective_plane_incidence(3).underlying):
+        full = (1 << g.n) - 1
+        got = set(bits(reductions._short_cycle_vertices(g, full)))
+        assert got == short_cycle_vertices_by_pair_scan(g, range(g.n))
+
+
 def test_sparsify_girth_check_raises_without_assert(monkeypatch):
     # with no short-cycle deletion the survivors of K_6 keep triangles; the
     # explicit check must catch that, also under python -O
-    monkeypatch.setattr(reductions, "_short_cycle_vertices", lambda g, inside: set())
+    monkeypatch.setattr(reductions, "_short_cycle_vertices", lambda g, inside: 0)
     with pytest.raises(InvariantError):
         sparsify_short_cycles(complete_graph(6), 2, 0.05, seed=1, check_biclique=False)
+
+
+def test_sparsify_girth_check_raises_under_optimize():
+    out = run_optimized(
+        "from c4lab import reductions\n"
+        "from c4lab.errors import InvariantError\n"
+        "from c4lab.named import complete_graph\n"
+        "reductions._short_cycle_vertices = lambda g, inside: 0\n"
+        "try:\n"
+        "    reductions.sparsify_short_cycles(complete_graph(6), 2, 0.05, seed=1,"
+        " check_biclique=False)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised', exc)\n")
+    assert out == "raised sparsifier survivors contain a triangle or 4-cycle\n"
 
 
 def test_sparsify_rejects_biclique_input():
@@ -246,6 +280,29 @@ def test_regularize_r_too_large_is_parameter_error():
     g = Graph(6, edges)
     with pytest.raises(ParameterError):
         bipartite_regularize(g, range(3), [3, 4, 5], s=2, r=2, seed=1, density=4)
+
+
+def test_assert_regularized_raises_invariant_error():
+    # path 0 - 1 - 2: A' = {0, 1} is not independent, B' = {1, 2} is not
+    # either, and A' = {0} sees one vertex of B' = {1}, not two
+    g = Graph(3, [(0, 1), (1, 2)])
+    reductions._assert_regularized(g, frozenset({0}), frozenset({1}), 1)
+    for a_out, b_out, r in (({0, 1}, {2}, 1), ({0}, {1, 2}, 1), ({0}, {1}, 2)):
+        with pytest.raises(InvariantError):
+            reductions._assert_regularized(g, frozenset(a_out), frozenset(b_out), r)
+
+
+def test_assert_regularized_raises_under_optimize():
+    out = run_optimized(
+        "from c4lab.errors import InvariantError\n"
+        "from c4lab.graphs import Graph\n"
+        "from c4lab.reductions import _assert_regularized\n"
+        "try:\n"
+        "    _assert_regularized(Graph(3, [(0, 1), (1, 2)]), frozenset({0, 1}),"
+        " frozenset({2}), 1)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised', exc)\n")
+    assert out == "raised A' must be independent\n"
 
 
 def test_regularize_partition_checked():
