@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import DomainError, UnsupportedParameterError
-from .graphs import Graph, mix_seed
-from .oracles import DEFAULT_ORACLE_LIMIT, is_c4_free, max_independent_set
+from .graphs import Graph, mix_seed, sample_subset
+from .oracles import DEFAULT_ORACLE_LIMIT, closes_c4, is_c4_free, max_independent_set
 
 _EXACT_X_SUBSET_BUDGET = 10 ** 6
 
@@ -206,27 +206,21 @@ class ExperimentReport:
 
 
 def _count_c4free_subsets(g: Graph, size: int) -> int:
-    """Exact count of `size`-subsets inducing a C4-free subgraph."""
-    from itertools import combinations
+    """Exact count of `size`-subsets inducing a C4-free subgraph.
 
+    A prefix DFS in increasing vertex order that extends only C4-free
+    prefixes, one `closes_c4` test per extension.
+    """
     masks = [g.neighbor_mask(v) for v in range(g.n)]
-    count = 0
-    for sub in combinations(range(g.n), size):
-        smask = 0
-        for v in sub:
-            smask |= 1 << v
-        ok = True
-        for i, u in enumerate(sub):
-            mu = masks[u] & smask
-            for v in sub[i + 1:]:
-                if (mu & masks[v]).bit_count() >= 2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+
+    def extend(start: int, smask: int, need: int) -> int:
+        count = 0
+        for v in range(start, g.n - need + 1):
+            if not closes_c4(masks, v, smask):
+                count += 1 if need == 1 else extend(v + 1, smask | 1 << v, need - 1)
+        return count
+
+    return extend(0, 0, size) if size else 1
 
 
 def _count_biclique_pairs(g: Graph, s: int) -> int:
@@ -255,25 +249,15 @@ def exact_expected_bicliques(n: int, p: float, s: int) -> float:
 def _sample_c4free_subsets(g: Graph, size: int, samples: int,
                            rng: random.Random) -> int:
     """How many of `samples` uniform size-subsets induce a C4-free subgraph."""
-    from .graphs import sample_subset
-
     masks = [g.neighbor_mask(v) for v in range(g.n)]
     hits = 0
     for _ in range(samples):
-        sub = sample_subset(rng, range(g.n), size)
         smask = 0
-        for v in sub:
-            smask |= 1 << v
-        ok = True
-        for i, u in enumerate(sub):
-            mu = masks[u] & smask
-            for v in sub[i + 1:]:
-                if (mu & masks[v]).bit_count() >= 2:
-                    ok = False
-                    break
-            if not ok:
+        for v in sample_subset(rng, range(g.n), size):
+            if closes_c4(masks, v, smask):
                 break
-        if ok:
+            smask |= 1 << v
+        else:
             hits += 1
     return hits
 

@@ -8,6 +8,7 @@ routine's output is checked against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 
@@ -133,57 +134,69 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
     return extend([], 0, 0)
 
 
+def closes_c4(masks: Sequence[int], v: int, smask: int) -> bool:
+    """True iff v closes a 4-cycle with the vertex set `smask` (v not in it).
+
+    Every such cycle is v-w-x-w' with w, w' S-neighbours of v and x in S, so
+    it is the downward form of `is_c4_free`'s step: the S-masks of v's
+    S-neighbours are OR-ed into `seen`, and a mask that meets `seen` exposes
+    x.  Given g[S] C4-free, g[S + v] is C4-free iff this is False.
+    """
+    nbrs = masks[v] & smask
+    if nbrs.bit_count() < 2:   # a 4-cycle through v needs two of them
+        return False
+    seen = 0
+    for w in bits(nbrs):
+        reach = masks[w] & smask
+        if seen & reach:
+            return True
+        seen |= reach
+    return False
+
+
 def best_c4free_induced(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT
                         ) -> tuple[frozenset[int], Fraction]:
     """Exact optimum: vertex set S maximizing d(g[S]) with g[S] C4-free.
 
     Exhaustive over all 2^n - 1 nonempty subsets, incrementally: with v the
-    highest vertex of S, g[S] is C4-free iff g[S - v] is and no x in S - v
-    shares two common S-neighbors with v, and e(S) = e(S - v) + deg_S(v).
-    That keeps the per-subset work linear in |S|.  Ties break toward
-    smaller |S|, then lexicographically smaller sorted vertex tuple.
+    highest vertex of S, g[S] is C4-free iff g[S - v] is and `closes_c4`
+    finds no 4-cycle through v, which looks only at v's S-neighbours; and
+    e(S) = e(S - v) + deg_S(v).  Densities are compared as e * |S'| against
+    e' * |S| in integers, and one Fraction is built on return.  Ties break
+    toward smaller |S|, then lexicographically smaller sorted vertex tuple.
     """
     if g.n > limit:
         raise OracleLimitError(f"|g|={g.n} exceeds oracle limit {limit}")
     if g.n == 0:
         raise DomainError("graph must have at least one vertex")
     masks = tuple(g.neighbor_mask(v) for v in range(g.n))
-    total = 1 << g.n
-    c4free = bytearray(total)
-    edge_cnt = [0] * total
-    c4free[0] = 1
-    best_key: tuple | None = None
-    best_set: frozenset[int] = frozenset()
-    best_val = Fraction(0)
-    for subset in range(1, total):
+    # edge count of each C4-free subset, 0xFF for one with a C4: by Reiman a
+    # C4-free graph on n vertices has at most n/4 * (1 + sqrt(4n - 3))
+    # edges, which is under 255 for every n <= 61, far past any n whose
+    # 2^n-byte table could be allocated
+    edges = bytearray(b"\xff") * (1 << g.n)
+    edges[0] = edges[1] = 0
+    best, best_e, best_size = 1, 0, 1   # {0}: always C4-free, density 0
+    for subset in range(2, 1 << g.n):
         top = subset.bit_length() - 1
         prev = subset ^ (1 << top)
-        if not c4free[prev]:
+        e = edges[prev]
+        if e == 0xFF or closes_c4(masks, top, prev):
             continue
-        mt = masks[top] & subset
-        ok = True
-        rest = prev
-        while rest:
-            low = rest & -rest
-            x = low.bit_length() - 1
-            if (mt & masks[x] & subset).bit_count() >= 2:
-                ok = False
-                break
-            rest ^= low
-        if not ok:
-            continue
-        c4free[subset] = 1
-        e = edge_cnt[prev] + mt.bit_count()
-        edge_cnt[subset] = e
+        e += (masks[top] & prev).bit_count()
+        edges[subset] = e
         size = subset.bit_count()
-        val = Fraction(2 * e, size)
-        if best_key is not None and (-val, size) > best_key[:2]:
+        gain = e * best_size - best_e * size
+        if gain < 0 or (gain == 0 and size > best_size):
             continue
-        verts = tuple(bits(subset))
-        key = (-val, size, verts)
-        if best_key is None or key < best_key:
-            best_key, best_set, best_val = key, frozenset(verts), val
-    return best_set, best_val
+        if gain == 0 and size == best_size:
+            # equal-size sorted tuples first differ at the least vertex of
+            # the symmetric difference; the tuple holding it is the smaller
+            diff = subset ^ best
+            if not subset & diff & -diff:
+                continue
+        best, best_e, best_size = subset, e, size
+    return frozenset(bits(best)), Fraction(2 * best_e, best_size)
 
 
 def max_independent_set(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> frozenset[int]:

@@ -88,6 +88,15 @@ def random_graph_stream(count: int, n_max: int, seed: int):
         yield gen_gnp(n, p, seed=rng.randrange(2 ** 32)), (n, p, i)
 
 
+def disjoint_union(*parts: Graph) -> Graph:
+    """The parts side by side, each relabelled past the ones before it."""
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(offset + u, offset + v) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
 def pair_scan_biclique(g: Graph):
     """The K_{2,2} common-pair scan with no C4-free fast reject: the witness
     `contains_biclique(g, 2)` must keep returning."""
@@ -158,3 +167,87 @@ def run_optimized(code: str) -> str:
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     return proc.stdout
+
+
+def best_c4free_by_fraction_scan(g: Graph, limit: int = 22):
+    """The subset scan with one Fraction per subset and a pairwise C4 step:
+    the reference for `best_c4free_induced`, which must return an equal
+    (set, value)."""
+    from fractions import Fraction
+
+    from c4lab.errors import DomainError, OracleLimitError
+
+    if g.n > limit:
+        raise OracleLimitError(f"|g|={g.n} exceeds oracle limit {limit}")
+    if g.n == 0:
+        raise DomainError("graph must have at least one vertex")
+    masks = tuple(g.neighbor_mask(v) for v in range(g.n))
+    total = 1 << g.n
+    c4free = bytearray(total)
+    edge_cnt = [0] * total
+    c4free[0] = 1
+    best_key: tuple | None = None
+    best_set: frozenset[int] = frozenset()
+    best_val = Fraction(0)
+    for subset in range(1, total):
+        top = subset.bit_length() - 1
+        prev = subset ^ (1 << top)
+        if not c4free[prev]:
+            continue
+        mt = masks[top] & subset
+        ok = True
+        rest = prev
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            if (mt & masks[x] & subset).bit_count() >= 2:
+                ok = False
+                break
+            rest ^= low
+        if not ok:
+            continue
+        c4free[subset] = 1
+        e = edge_cnt[prev] + mt.bit_count()
+        edge_cnt[subset] = e
+        size = subset.bit_count()
+        val = Fraction(2 * e, size)
+        if best_key is not None and (-val, size) > best_key[:2]:
+            continue
+        verts = tuple(bits(subset))
+        key = (-val, size, verts)
+        if best_key is None or key < best_key:
+            best_key, best_set, best_val = key, frozenset(verts), val
+    return best_set, best_val
+
+
+def _c4free_by_pair_scan(masks, sub) -> bool:
+    """Whether the vertices `sub` induce no C4, by testing every pair for two
+    common neighbours inside `sub`."""
+    smask = 0
+    for v in sub:
+        smask |= 1 << v
+    for i, u in enumerate(sub):
+        mu = masks[u] & smask
+        for v in sub[i + 1:]:
+            if (mu & masks[v]).bit_count() >= 2:
+                return False
+    return True
+
+
+def count_c4free_by_combination_scan(g: Graph, size: int) -> int:
+    """Count of `size`-subsets inducing no C4, by a pair scan of every
+    combination: the reference for `lowerbounds._count_c4free_subsets`."""
+    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    return sum(_c4free_by_pair_scan(masks, sub)
+               for sub in combinations(range(g.n), size))
+
+
+def sample_c4free_by_pair_scan(g: Graph, size: int, samples: int, rng) -> int:
+    """How many of `samples` uniform size-subsets induce no C4, by a pair
+    scan of each: the reference for `lowerbounds._sample_c4free_subsets`,
+    with the same draws from `rng`."""
+    from c4lab.graphs import sample_subset
+
+    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    return sum(_c4free_by_pair_scan(masks, sample_subset(rng, range(g.n), size))
+               for _ in range(samples))

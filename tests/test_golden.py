@@ -13,6 +13,10 @@ SCENARIOS = [
     ("gnp24.g6", "gnp24_cert.json",
      ["--s", "2", "--k", "2", "--seed", "42", "--retries", "10",
       "--attempts", "4"]),
+    # a K_{3,3}-free G(15, 21) with no randomized attempt: the certificate
+    # is the exhaustive oracle's optimum, in mode oracle_fallback
+    ("gnm15.g6", "gnm15_fallback_cert.json",
+     ["--s", "3", "--k", "2", "--seed", "11", "--attempts", "0"]),
 ]
 
 
@@ -32,6 +36,24 @@ def test_cli_golden_certificates_verify(capsys):
                      "--cert", str(GOLDEN / cert_file)])
         out = capsys.readouterr().out
         assert code == 0 and "verified" in out
+
+
+# oracle inputs: the G(15, 21) above, and a 6-cycle through vertex 0 with
+# two 5-cycles under a seeded relabelling, where every union of whole cycles
+# ties at average degree 2, so the witness is set by the tie-break alone
+# (smaller set first, then the lexicographically smaller sorted tuple)
+ORACLE_SCENARIOS = [
+    ("gnm15.g6", "gnm15_oracle.json"),
+    ("cycles_6_5_5.g6", "cycles_6_5_5_oracle.json"),
+]
+
+
+def test_cli_oracle_reproduces_golden_output(capsys):
+    for graph_file, out_file in ORACLE_SCENARIOS:
+        code = main(["oracle", "--input", str(GOLDEN / graph_file), "--task", "c4free"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (GOLDEN / out_file).read_text()
 
 
 def test_cli_gen_reproduces_golden_graph(tmp_path, capsys):

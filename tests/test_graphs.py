@@ -25,7 +25,7 @@ from c4lab.named import (
     petersen_graph,
     star_graph,
 )
-from helpers import degeneracy_by_min_scan, girth, induced_by_edge_walk
+from helpers import degeneracy_by_min_scan, disjoint_union, girth, induced_by_edge_walk
 
 
 def test_graph_basics():
@@ -132,14 +132,6 @@ def test_degeneracy_ordering_witnesses_bound():
         # hence degeneracy >= d(g)/2 exactly
         if n:
             assert Fraction(d) >= average_degree(g) / 2
-
-
-def disjoint_union(*parts: Graph) -> Graph:
-    edges, offset = [], 0
-    for g in parts:
-        edges += [(offset + u, offset + v) for u, v in g.edges()]
-        offset += g.n
-    return Graph(offset, edges)
 
 
 def assert_degeneracy_matches_min_scan(g: Graph):

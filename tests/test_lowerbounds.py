@@ -10,6 +10,8 @@ from c4lab.errors import DomainError, UnsupportedParameterError
 from c4lab.graphs import Graph, gen_gnp
 from c4lab.named import heawood_graph, petersen_graph
 from c4lab.lowerbounds import (
+    _count_c4free_subsets,
+    _sample_c4free_subsets,
     alpha_lb_check,
     check_diagonal_conditions,
     check_lb_conditions,
@@ -20,7 +22,11 @@ from c4lab.lowerbounds import (
     reiman_holds,
     reiman_max_edges,
 )
-from helpers import repair_to_c4_free
+from helpers import (
+    count_c4free_by_combination_scan,
+    repair_to_c4_free,
+    sample_c4free_by_pair_scan,
+)
 
 
 def test_reiman_examples():
@@ -148,6 +154,28 @@ def test_lb_experiment_sampled_mode():
     # K exceeding n means no subsets at all, so X = 0 exactly
     rep3 = lb_experiment(8, 0.5, 2, 7, trials=3, seed=1)
     assert rep3.p_x_zero == 1.0 and rep3.x_exact
+
+
+def test_c4free_subset_count_matches_combination_scan():
+    rng = random.Random(53)
+    for p in (0.2, 0.4, 0.6, 0.8):
+        for _ in range(3):
+            g = gen_gnp(12, p, rng.randrange(2 ** 32))
+            for size in range(g.n + 2):
+                assert _count_c4free_subsets(g, size) == \
+                    count_c4free_by_combination_scan(g, size)
+
+
+def test_c4free_subset_sampler_matches_pair_scan():
+    rng = random.Random(59)
+    for p in (0.2, 0.4, 0.6, 0.8):
+        g = gen_gnp(12, p, rng.randrange(2 ** 32))
+        for size in range(g.n + 1):
+            seed = rng.randrange(2 ** 32)
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            assert _sample_c4free_subsets(g, size, 40, new_rng) == \
+                sample_c4free_by_pair_scan(g, size, 40, old_rng)
+            assert new_rng.getstate() == old_rng.getstate()
 
 
 def test_lb_experiment_determinism():

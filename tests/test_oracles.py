@@ -14,13 +14,20 @@ from c4lab.named import (
 )
 from c4lab.oracles import (
     best_c4free_induced,
+    closes_c4,
     contains_biclique,
     find_c3,
     find_c4,
     is_c4_free,
     max_independent_set,
 )
-from helpers import brute_force_c4_exists, brute_force_mis_size, pair_scan_biclique
+from helpers import (
+    best_c4free_by_fraction_scan,
+    brute_force_c4_exists,
+    brute_force_mis_size,
+    disjoint_union,
+    pair_scan_biclique,
+)
 
 PETERSEN = petersen_graph()
 
@@ -153,6 +160,62 @@ def test_best_c4free_induced_matches_naive_enumeration():
         n = 1 + rng.randrange(8)
         g = gen_gnp(n, rng.choice([0.2, 0.5, 0.8]), rng.randrange(2 ** 32))
         assert best_c4free_induced(g) == naive_best_c4free(g)
+
+
+def test_best_c4free_induced_matches_fraction_scan():
+    rng = random.Random(43)
+    for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        for _ in range(60):
+            g = gen_gnp(1 + rng.randrange(12), p, rng.randrange(2 ** 32))
+            assert best_c4free_induced(g) == best_c4free_by_fraction_scan(g)
+
+
+def test_best_c4free_induced_matches_fraction_scan_on_ties():
+    # inputs where many subsets share the optimal density, so the witness
+    # is chosen by the size and lexicographic tie-breaks
+    cases = [Graph(n) for n in range(1, 7)]
+    cases += [complete_graph(n) for n in range(1, 7)]
+    cases += [cycle_graph(n) for n in range(4, 9)]
+    cases += [disjoint_union(*(complete_graph(3) for _ in range(4))),
+              disjoint_union(*(complete_graph(4) for _ in range(3))),
+              disjoint_union(*(cycle_graph(5) for _ in range(3))),
+              disjoint_union(*(cycle_graph(4) for _ in range(3))),
+              disjoint_union(cycle_graph(6), cycle_graph(5), cycle_graph(5)),
+              PETERSEN, projective_plane_incidence(2).underlying]
+    for g in cases:
+        assert best_c4free_induced(g) == best_c4free_by_fraction_scan(g)
+
+
+def test_closes_c4_agrees_with_quadruple_scan():
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(600):
+        n = 2 + rng.randrange(9)
+        g = gen_gnp(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(2 ** 32))
+        v = rng.randrange(n)
+        s = [u for u in range(n) if u != v and rng.random() < 0.6]
+        if brute_force_c4_exists(induced(g, s)):
+            continue   # closes_c4 assumes g[S] is C4-free
+        smask = sum(1 << u for u in s)
+        masks = [g.neighbor_mask(u) for u in range(n)]
+        closes = closes_c4(masks, v, smask)
+        assert closes == brute_force_c4_exists(induced(g, s + [v]))
+        outcomes.add(closes)
+    assert outcomes == {False, True}
+
+
+def test_best_c4free_induced_table_is_one_byte_per_subset():
+    # one byte a subset is 256 KB here; a list of ints alone would take 2 MB
+    import tracemalloc
+
+    g = gen_gnp(18, 0.5, 5)
+    tracemalloc.start()
+    try:
+        best_c4free_induced(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
 
 
 def test_best_c4free_induced_on_c4():
