@@ -10,6 +10,7 @@ variables > built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,6 +53,13 @@ def _env_int(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise C4LabError(f"DEGB_{name} must be an integer, got {raw!r}") from None
+
+
+# the DEGB_* variable and built-in default behind each budget flag's dest;
+# they are read on every call, so a changed variable takes effect at once
+_ENV_DEFAULTS = (("retries", "RETRIES", 100), ("attempts", "ATTEMPTS", 8),
+                 ("oracle_limit", "ORACLE_LIMIT", 22), ("threads", "THREADS", 1),
+                 ("limit", "ORACLE_LIMIT", 22))
 
 
 # least accepted value of each budget flag, wherever a subcommand has it
@@ -123,14 +131,16 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--retries", type=int, default=_env_int("RETRIES", 100))
-    p.add_argument("--attempts", type=int, default=_env_int("ATTEMPTS", 8))
-    p.add_argument("--oracle-limit", type=int,
-                   default=_env_int("ORACLE_LIMIT", 22), dest="oracle_limit")
-    p.add_argument("--threads", type=int, default=_env_int("THREADS", 1))
+    # None stands for the DEGB_* default, filled in after parsing
+    p.add_argument("--retries", type=int)
+    p.add_argument("--attempts", type=int)
+    p.add_argument("--oracle-limit", type=int, dest="oracle_limit")
+    p.add_argument("--threads", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The c4lab parser.  Budget flags left unset parse to None; `main`
+    fills them from the DEGB_* variables or the built-in defaults."""
     top = argparse.ArgumentParser(prog="c4lab")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -160,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exhaustive small-instance baselines")
     _add_graph_input(o)
     o.add_argument("--task", default="c4free", choices=["c4free", "mis"])
-    o.add_argument("--limit", type=int, default=_env_int("ORACLE_LIMIT", 22))
+    o.add_argument("--limit", type=int)
 
     kcmd = sub.add_parser("kernel", help="partite kernel of a uniform hypergraph")
     kcmd.add_argument("--input", default="-")
     kcmd.add_argument("--s", type=int, required=True)
     kcmd.add_argument("--t", type=int, required=True)
     kcmd.add_argument("--seed", type=int)
-    kcmd.add_argument("--retries", type=int, default=_env_int("RETRIES", 100))
+    kcmd.add_argument("--retries", type=int)
 
     f = sub.add_parser("ftable", help="exhaustive pair-forcing threshold search")
     f.add_argument("--ell", type=int, required=True)
@@ -349,10 +359,21 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it takes about 2 ms, and it reads
+    nothing from the environment; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        # building the parser reads the DEGB_* defaults, so it can fail too
-        args = build_parser().parse_args(argv)
+        # a bad DEGB_* value fails every subcommand, before parsing
+        defaults = {dest: _env_int(name, value) for dest, name, value in _ENV_DEFAULTS}
+        args = _parser().parse_args(argv)
+        for dest, value in defaults.items():
+            if getattr(args, dest, value) is None:
+                setattr(args, dest, value)
         _check_flag_minimums(args)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:

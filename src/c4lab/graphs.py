@@ -61,6 +61,14 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_of(vertices: Iterable[int]) -> int:
+    """Bitmask with the bits of `vertices` set; the inverse of `bits`."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -315,9 +323,7 @@ def induced(g: Graph, s: Iterable[int]) -> Graph:
     labels = tuple(g.label(v) for v in keep)
     if len(keep) == g.n:
         return Graph._from_masks(g._nbr, g._m, labels)
-    keep_mask = 0
-    for v in keep:
-        keep_mask |= 1 << v
+    keep_mask = mask_of(keep)
     new_bit = {v: 1 << i for i, v in enumerate(keep)}
     nbr = []
     degree_sum = 0

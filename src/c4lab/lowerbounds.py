@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt
@@ -205,22 +206,36 @@ class ExperimentReport:
                   "mean_edges,mean_y,stderr_y,exact_ey")
 
 
-def _count_c4free_subsets(g: Graph, size: int) -> int:
-    """Exact count of `size`-subsets inducing a C4-free subgraph.
+def _c4free_subsets(g: Graph, size: int) -> Iterator[int]:
+    """Masks of the `size`-subsets inducing a C4-free subgraph, in
+    lexicographic order.
 
     A prefix DFS in increasing vertex order that extends only C4-free
-    prefixes, one `closes_c4` test per extension.
+    prefixes, one `closes_c4` test per extension; it runs only as far as
+    its consumer reads.
     """
     masks = [g.neighbor_mask(v) for v in range(g.n)]
 
-    def extend(start: int, smask: int, need: int) -> int:
-        count = 0
+    def extend(start: int, smask: int, need: int) -> Iterator[int]:
+        if not need:
+            yield smask
+            return
         for v in range(start, g.n - need + 1):
             if not closes_c4(masks, v, smask):
-                count += 1 if need == 1 else extend(v + 1, smask | 1 << v, need - 1)
-        return count
+                yield from extend(v + 1, smask | 1 << v, need - 1)
 
-    return extend(0, 0, size) if size else 1
+    return extend(0, 0, size)
+
+
+def _count_c4free_subsets(g: Graph, size: int) -> int:
+    """Exact count of `size`-subsets inducing a C4-free subgraph."""
+    return sum(1 for _ in _c4free_subsets(g, size))
+
+
+def _has_c4free_subset(g: Graph, size: int) -> bool:
+    """Whether some `size`-subset induces a C4-free subgraph; the search
+    stops at the first one."""
+    return next(_c4free_subsets(g, size), None) is not None
 
 
 def _count_biclique_pairs(g: Graph, s: int) -> int:
@@ -315,7 +330,7 @@ def lb_experiment(n: int, p: float, s: int, k: int, trials: int, seed: int,
             y_zero += 1
         if not trivial_k:
             if x_exact:
-                if _count_c4free_subsets(g, big_k) == 0:
+                if not _has_c4free_subset(g, big_k):
                     x_zero += 1
             elif big_k > n:
                 x_zero += 1  # no K-subsets exist at all

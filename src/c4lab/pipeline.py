@@ -35,7 +35,12 @@ from .graphs import (
 )
 from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel
 from .oracles import best_c4free_induced, contains_biclique, is_c4_free
-from .reductions import bipartite_regularize, extreme_split, sparsify_short_cycles
+from .reductions import (
+    bipartite_regularize,
+    sparsify_short_cycles,
+    split_from_prefix,
+    split_prefix,
+)
 
 MODES = ("trivial_already_c4free", "case1_near_regular", "case2_lopsided",
          "biclique_found", "oracle_fallback", "failure")
@@ -395,7 +400,15 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
             break
         core_ids = tuple(core_ids[v] for v in sorted(core))
         core_graph = induced(core_graph, core)
-    have_core = core_graph.n > 0 and core_graph.edge_count > 0
+
+    # the seed-free half of the split is shared by every attempt; when it
+    # raises, every attempt fails
+    prefix = None
+    if core_graph.n > 0 and core_graph.edge_count > 0 and params.attempts > 0:
+        try:
+            prefix = split_prefix(core_graph, params.resolve_split_delta(s))
+        except (DomainError, ExtractionFailure):
+            pass
 
     # diagnostics per attempt index; the final pick is by (avg degree,
     # lowest index) so the record is identical for any thread count
@@ -404,9 +417,8 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     def attempt(i: int) -> ExtractionCertificate | None:
         base_seed = mix_seed(seed, 7000 + i)
         try:
-            split = extreme_split(core_graph, params.resolve_split_delta(s),
-                                  base_seed, retries=params.retries)
-        except (DomainError, ExtractionFailure):
+            split = split_from_prefix(prefix, base_seed, retries=params.retries)
+        except ExtractionFailure:
             return None
         if split.kind == "near_regular":
             local = sorted(split.subgraph)
@@ -451,7 +463,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
             return cert
         return None
 
-    if have_core:
+    if prefix is not None:
         found = _first_success(attempt, params.attempts, params.threads)
         if found is not None:
             return found

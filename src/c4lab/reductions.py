@@ -24,10 +24,11 @@ from .graphs import (
     greedy_coloring,
     induced,
     induced_bipartite,
+    mask_of,
     min_degree_core,
     mix_seed,
 )
-from .oracles import contains_biclique, find_c3, is_c4_free
+from .oracles import contains_biclique
 
 DEFAULT_RETRIES = 100
 
@@ -44,9 +45,16 @@ def biregularity_factor(bg: BipartiteGraph) -> Fraction:
     if e == 0:
         return Fraction(0)
     g = bg.underlying
-    la = max(Fraction(g.degree(a) * len(bg.side_a), e) for a in bg.side_a)
-    lb = max(Fraction(g.degree(b) * len(bg.side_b), e) for b in bg.side_b)
+    la = Fraction(max(g.degree(a) for a in bg.side_a) * len(bg.side_a), e)
+    lb = Fraction(max(g.degree(b) for b in bg.side_b) * len(bg.side_b), e)
     return max(la, lb)
+
+
+def _float_above(q: Fraction) -> float:
+    """Least float not below q, so that `x < q` iff `x < _float_above(q)` for
+    every float x: no float lies strictly between q and the returned value."""
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
 def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
@@ -58,7 +66,11 @@ def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
     larger side with probability |small|/|large| and keeps a small-side
     vertex when its sampled degree stays within 1 + 2p(deg - 1); the attempt
     succeeds when 4 e' > (e/|large|)(|kept|) holds exactly, which forces
-    both postconditions.
+    both postconditions.  Both are still checked, and raise InvariantError.
+
+    The kept large side is a mask, each small vertex's sampled degree is
+    one popcount, and since every edge joins the two sides e' is the sum
+    of the kept small vertices' sampled degrees.
     """
     l_factor = Fraction(l_factor)
     if l_factor <= 0:
@@ -68,36 +80,46 @@ def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
     if e == 0:
         return gamma
     a_side, b_side = gamma.a_list(), gamma.b_list()
-    for v in a_side:
-        if g.degree(v) * len(a_side) > l_factor * e:
-            raise NotBiregularError(f"A-vertex {v} exceeds the L e/|A| bound")
-    for v in b_side:
-        if g.degree(v) * len(b_side) > l_factor * e:
-            raise NotBiregularError(f"B-vertex {v} exceeds the L e/|B| bound")
+    num, den = l_factor.numerator, l_factor.denominator
+    for side, name in ((a_side, "A"), (b_side, "B")):
+        for v in side:
+            if g.degree(v) * len(side) * den > num * e:
+                raise NotBiregularError(f"{name}-vertex {v} exceeds the L e/|{name}| bound")
 
     # orient so |small| <= |large|; the sampled side is the large one
     if len(a_side) <= len(b_side):
         small, large = a_side, b_side
     else:
         small, large = b_side, a_side
-    p = Fraction(len(small), len(large))
+    n_small, n_large = len(small), len(large)
+    p = _float_above(Fraction(n_small, n_large))
+    nbr = [g.neighbor_mask(v) for v in range(g.n)]
+    # sampled <= 1 + 2 p (deg - 1) with p = |small|/|large|, in integers
+    cap = [(v, (n_large + 2 * n_small * (nbr[v].bit_count() - 1)) // n_large)
+           for v in small]
 
     for attempt in range(retries):
-        rng = random.Random(mix_seed(seed, attempt))
-        kept_large = {v for v in large if rng.random() < p}
+        rand = random.Random(mix_seed(seed, attempt)).random
+        kept_large = 0
+        for v in large:
+            if rand() < p:
+                kept_large |= 1 << v
         kept_small = []
-        for v in small:
-            sampled = sum(1 for w in g.neighbors(v) if w in kept_large)
-            if sampled <= 1 + 2 * p * (g.degree(v) - 1):
+        e_sub = 0
+        for v, most in cap:
+            sampled = (nbr[v] & kept_large).bit_count()
+            if sampled <= most:
                 kept_small.append(v)
-        keep = set(kept_small) | kept_large
-        e_sub = sum(1 for u, w in g.edges() if u in keep and w in keep)
+                e_sub += sampled
+        kept = len(kept_small) + kept_large.bit_count()
         # success test, exact: 4 e' |large| > e |kept|
-        if 4 * e_sub * len(large) > e * len(keep):
-            out = induced_bipartite(gamma, keep)
+        if 4 * e_sub * n_large > e * kept:
+            out = induced_bipartite(gamma, kept_small + list(bits(kept_large)))
             dd = average_degree(out.underlying)
-            assert dd >= average_degree(g) / 4
-            assert out.underlying.max_degree() <= 24 * l_factor * dd
+            if dd < average_degree(g) / 4:
+                raise InvariantError("reduced average degree fell below d/4")
+            if out.underlying.max_degree() > 24 * l_factor * dd:
+                raise InvariantError("reduced max degree exceeds 24 L d")
             return out
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
 
@@ -117,6 +139,8 @@ def _short_cycle_vertices(g: Graph, inside: int) -> int:
     nbr = {v: g.neighbor_mask(v) & inside for v in bits(inside)}
     bad = 0
     for u, nu in nbr.items():
+        if not nu & (nu - 1):
+            continue  # fewer than two neighbours: on no cycle
         once = twice = 0
         for w in bits(nu):
             x = nbr[w] ^ (1 << u)
@@ -125,6 +149,31 @@ def _short_cycle_vertices(g: Graph, inside: int) -> int:
         if twice or once & nu:
             bad |= 1 << u
     return bad
+
+
+def _has_short_cycle(nbr, inside: int) -> bool:
+    """Whether the vertices of `inside` span a triangle or a 4-cycle.
+
+    An independent check of `_short_cycle_vertices`' work, by `is_c4_free`'s
+    upward scan: with u the least vertex of the cycle, every other vertex
+    lies above u.  For each u, each neighbour w above u reaches the masks
+    `reach` of its neighbours above u; one meeting N(u) closes a triangle
+    u-w-x, and one meeting an earlier neighbour's closes a 4-cycle u-w-x-w'.
+    A u with fewer than two neighbours above it is the least vertex of no
+    cycle.
+    """
+    for u in bits(inside):
+        above = inside & (-1 << (u + 1))
+        nu = nbr[u] & above
+        if not nu & (nu - 1):
+            continue
+        seen = 0
+        for w in bits(nu):
+            reach = nbr[w] & above
+            if reach & (seen | nu):
+                return True
+            seen |= reach
+    return False
 
 
 def sparsify_short_cycles(g: Graph, s: int, delta: float, seed: int,
@@ -136,13 +185,18 @@ def sparsify_short_cycles(g: Graph, s: int, delta: float, seed: int,
     p = d^{1/5s - 1}; delete every vertex lying on a triangle or 4-cycle
     inside U, and every sampled vertex whose sampled degree reaches
     1 + 4 p deg.  The survivors are girth >= 5 by construction
-    (unconditionally; the deletion removes every short cycle's vertices).
+    (unconditionally; the deletion removes every short cycle's vertices),
+    and every nonempty survivor set is checked again all the same.
 
     target semantics: a number keeps retrying until d(g[U'']) >= target and
     raises ExtractionFailure (best attempt attached) when the budget ends;
     None runs the whole budget and returns the densest nonempty survivor
     set.  The recipe's own density goal would be d^{(1/5 - 2 delta)/5s}; at
     desk scale callers choose the target explicitly.
+
+    Every attempt works on g's neighbour masks: U and the survivors are
+    masks, and 2e(g[U'']) is a sum of popcounts, so densities compare
+    exactly as integer cross-products and no Graph is built per attempt.
     """
     if s < 2:
         raise DomainError("s must be >= 2")
@@ -152,33 +206,36 @@ def sparsify_short_cycles(g: Graph, s: int, delta: float, seed: int,
         raise DomainError("input contains a biclique; precondition violated")
     d = g.max_degree()
     p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
-    best: tuple[Fraction, frozenset[int]] | None = None
+    nbr = [g.neighbor_mask(v) for v in range(g.n)]
+    limit = [1 + 4 * p * mask.bit_count() for mask in nbr]
+    # d(g[U'']) >= target  iff  2e * den >= num * |U''|
+    goal = None if target is None else Fraction(target)
+    # the densest survivor set so far, as (2e, size, mask)
+    best: tuple[int, int, int] | None = None
     for attempt in range(retries):
-        rng = random.Random(mix_seed(seed, attempt))
-        u = 0
-        for v in range(g.n):
-            if rng.random() < p:
-                u |= 1 << v
+        rand = random.Random(mix_seed(seed, attempt)).random
+        sampled = [v for v in range(g.n) if rand() < p]
+        u = mask_of(sampled)
         dropped = _short_cycle_vertices(g, u)
-        for v in bits(u):
-            if (g.neighbor_mask(v) & u).bit_count() >= 1 + 4 * p * g.degree(v):
+        for v in sampled:
+            if (nbr[v] & u).bit_count() >= limit[v]:
                 dropped |= 1 << v
-        survivors = frozenset(bits(u & ~dropped))
-        if not survivors:
+        kept = u & ~dropped
+        if not kept:
             continue
-        sub = induced(g, survivors)
-        if not (find_c3(sub) is None and is_c4_free(sub)):
+        if _has_short_cycle(nbr, kept):
             raise InvariantError("sparsifier survivors contain a triangle or 4-cycle")
-        dd = average_degree(sub)
-        if target is not None and dd >= target:
-            return survivors
-        if best is None or dd > best[0]:
-            best = (dd, survivors)
-    if target is None and best is not None:
-        return best[1]
+        two_e = sum((nbr[v] & kept).bit_count() for v in bits(kept))
+        size = kept.bit_count()
+        if goal is not None and two_e * goal.denominator >= goal.numerator * size:
+            return frozenset(bits(kept))
+        if best is None or two_e * best[1] > best[0] * size:
+            best = (two_e, size, kept)
+    survivors = None if best is None else frozenset(bits(best[2]))
+    if target is None and survivors is not None:
+        return survivors
     raise ExtractionFailure(
-        f"no sample reached the target in {retries} attempts",
-        best=None if best is None else best[1])
+        f"no sample reached the target in {retries} attempts", best=survivors)
 
 
 # -- extreme split -------------------------------------------------------------
@@ -194,6 +251,106 @@ class SplitOutcome:
     avg_degree: Fraction | None = None
     max_degree: int | None = None
     side_ratio: Fraction | None = None
+
+
+@dataclass(frozen=True)
+class SplitPrefix:
+    """The seed-free half of `extreme_split` on one graph.
+
+    Either the lopsided outcome, which no seed changes, or what every
+    near-regular attempt starts from: d(g) as a float, the neighbour masks
+    of the min-degree core h of g - R with each h-vertex's id in g, and the
+    dyadic degree bucket of h with the most incident edges.  It is read
+    only, so one prefix serves any number of seeds.
+    """
+
+    lopsided: SplitOutcome | None
+    d: float = 0.0
+    core_map: tuple[int, ...] = ()
+    nbr: tuple[int, ...] = ()
+    bucket: tuple[int, ...] = ()
+
+
+def split_prefix(g: Graph, delta: float) -> SplitPrefix:
+    """Everything `extreme_split` computes before its first random draw.
+
+    With d = d(g): vertices of degree above d 2^{d^delta} form R.  If the
+    cut (R, V-R) carries at least nd/4 = e/2 edges (exact), the prefix holds
+    the lopsided outcome (A = V-R, B = R).  Otherwise it holds the min-degree
+    core h of g - R and h's heaviest dyadic degree bucket.  Raises
+    DomainError on an empty graph or d < 2, and ExtractionFailure when
+    nothing remains outside R or the core is empty.
+    """
+    if g.n == 0:
+        raise DomainError("graph must be nonempty")
+    d = average_degree(g)
+    if d < 2:
+        raise DomainError("average degree must be at least 2")
+    r_thresh = float(d) * 2 ** (float(d) ** delta)
+    r_mask = mask_of(v for v in range(g.n) if g.degree(v) > r_thresh)
+    if r_mask:
+        # each cut edge is counted once, from its end in R
+        cut_edges = sum((g.neighbor_mask(v) & ~r_mask).bit_count() for v in bits(r_mask))
+        if 2 * cut_edges >= g.edge_count:
+            r_set = frozenset(bits(r_mask))
+            rest = frozenset(range(g.n)) - r_set
+            return SplitPrefix(SplitOutcome(
+                kind="lopsided", a_side=rest, b_side=r_set, avg_degree=d,
+                side_ratio=Fraction(len(rest), len(r_set))))
+
+    base_map = [v for v in range(g.n) if not (r_mask >> v) & 1]
+    base = induced(g, base_map)
+    if base.n == 0 or base.edge_count == 0:
+        raise ExtractionFailure("nothing remains outside the high-degree set")
+    core = min_degree_core(base, max(1, ceil(average_degree(base) / 2)))
+    if not core:
+        raise ExtractionFailure("min-degree core is empty")
+    core_ids = sorted(core)
+    h = induced(base, core_ids)
+    nbr = tuple(h.neighbor_mask(v) for v in range(h.n))
+
+    # dyadic degree buckets around d; a bucket's weight is its degree mass.
+    # Every core vertex has degree at least 1 in h, so some bucket exists.
+    df = float(d)
+    buckets: dict[int, list[int]] = {}
+    mass: dict[int, int] = {}
+    for v, mask in enumerate(nbr):
+        dv = mask.bit_count()
+        j = math.floor(math.log2(dv / df))
+        buckets.setdefault(j, []).append(v)
+        mass[j] = mass.get(j, 0) + dv
+    best_j = max(buckets, key=lambda j: (mass[j], -j))
+    return SplitPrefix(None, df, tuple(base_map[v] for v in core_ids), nbr,
+                       tuple(buckets[best_j]))
+
+
+def split_from_prefix(prefix: SplitPrefix, seed: int, thresholds=None,
+                      retries: int = DEFAULT_RETRIES,
+                      reduce_retries: int = DEFAULT_RETRIES) -> SplitOutcome:
+    """The seeded half of `extreme_split`: its retries, from a shared prefix."""
+    if prefix.lopsided is not None:
+        return prefix.lopsided
+    nbr = prefix.nbr
+    for attempt in range(retries):
+        sub_seed = mix_seed(seed, attempt)
+        local = _near_regular_attempt(prefix, random.Random(sub_seed),
+                                      reduce_retries, sub_seed)
+        if local is None:
+            continue
+        # g[chosen] is h[local]: its degrees are popcounts inside h.  It has
+        # an edge, since the reduction's success test forces e' > 0.
+        local_mask = mask_of(local)
+        degrees = [(nbr[v] & local_mask).bit_count() for v in local]
+        dd = Fraction(sum(degrees), len(degrees))
+        mx = max(degrees)
+        if thresholds is not None:
+            min_avg, max_max = thresholds
+            if dd < min_avg or mx > max_max:
+                continue
+        return SplitOutcome(kind="near_regular",
+                            subgraph=frozenset(prefix.core_map[v] for v in local),
+                            avg_degree=dd, max_degree=mx, side_ratio=None)
+    raise ExtractionFailure(f"near-regular extraction failed in {retries} attempts")
 
 
 def extreme_split(g: Graph, delta: float, seed: int, thresholds=None,
@@ -212,129 +369,65 @@ def extreme_split(g: Graph, delta: float, seed: int, thresholds=None,
     factor).  Success requires a nonempty vertex set whose induced average
     and maximum degree meet `thresholds` (a (min_avg, max_max) pair;
     None accepts any nonempty result with at least one edge).
+
+    Callers that split one graph under many seeds compute `split_prefix`
+    once and call `split_from_prefix` per seed; this is the two in one.
     """
-    if g.n == 0:
-        raise DomainError("graph must be nonempty")
-    d = average_degree(g)
-    if d < 2:
-        raise DomainError("average degree must be at least 2")
-    r_thresh = float(d) * 2 ** (float(d) ** delta)
-    r_set = frozenset(v for v in range(g.n) if g.degree(v) > r_thresh)
-    rest = frozenset(range(g.n)) - r_set
-    cut_edges = sum(1 for u, v in g.edges() if (u in r_set) != (v in r_set))
-    if 2 * cut_edges >= g.edge_count and r_set:
-        ratio = Fraction(len(rest), len(r_set))
-        return SplitOutcome(kind="lopsided", a_side=rest, b_side=r_set,
-                            avg_degree=d, side_ratio=ratio)
-
-    base = induced(g, rest)
-    base_map = sorted(rest)
-    if base.n == 0 or base.edge_count == 0:
-        raise ExtractionFailure("nothing remains outside the high-degree set")
-    core = min_degree_core(base, max(1, ceil(average_degree(base) / 2)))
-    if not core:
-        raise ExtractionFailure("min-degree core is empty")
-    core_map = [base_map[v] for v in sorted(core)]
-    h = induced(base, core)
-
-    df = float(d)
-    for attempt in range(retries):
-        rng = random.Random(mix_seed(seed, attempt))
-        outcome = _near_regular_attempt(h, df, rng, reduce_retries,
-                                        mix_seed(seed, attempt))
-        if outcome is None:
-            continue
-        local_set = outcome
-        chosen = frozenset(core_map[v] for v in local_set)
-        sub = induced(g, chosen)
-        if sub.edge_count == 0:
-            continue
-        dd = average_degree(sub)
-        mx = sub.max_degree()
-        if thresholds is not None:
-            min_avg, max_max = thresholds
-            if dd < min_avg or mx > max_max:
-                continue
-        return SplitOutcome(kind="near_regular", subgraph=chosen,
-                            avg_degree=dd, max_degree=mx,
-                            side_ratio=None)
-    raise ExtractionFailure(f"near-regular extraction failed in {retries} attempts")
+    return split_from_prefix(split_prefix(g, delta), seed, thresholds,
+                             retries, reduce_retries)
 
 
-def _near_regular_attempt(h: Graph, d: float, rng: random.Random,
+def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
                           reduce_retries: int, reduce_seed: int
-                          ) -> frozenset[int] | None:
-    """One randomized pass of the bucket/sample/strip recipe; h-local ids."""
-    if h.edge_count == 0:
-        return None
-    # dyadic degree buckets around d; E_j = incident degree mass
-    buckets: dict[int, list[int]] = {}
-    for v in range(h.n):
-        dv = h.degree(v)
-        if dv == 0:
-            continue
-        j = math.floor(math.log2(dv / d)) if d > 0 else 0
-        buckets.setdefault(j, []).append(v)
-    if not buckets:
-        return None
-    best_j = max(buckets, key=lambda j: (sum(h.degree(v) for v in buckets[j]), -j))
-    c_j = buckets[best_j]
-    c_prime = {v for v in c_j if rng.random() < 0.25}
-    c_second = {v for v in c_prime
-                if sum(1 for w in h.neighbors(v) if w in c_prime) <= h.degree(v) / 2}
-    if not c_second:
-        return None
-    r_prime = {v for v in c_second
-               if sum(1 for w in h.neighbors(v) if w in c_second) >= 4 * d}
-    c_third = c_second - r_prime
+                          ) -> list[int] | None:
+    """One randomized pass of the bucket/sample/strip recipe; h-local ids,
+    ascending.  Every neighbour count is a popcount against a mask."""
+    nbr, d = prefix.nbr, prefix.d
+    c_prime = mask_of(v for v in prefix.bucket if rng.random() < 0.25)
+    # keep the sampled vertices that sample at most half their neighbours,
+    # then drop those with 4d or more of the kept ones
+    c_second = mask_of(v for v in bits(c_prime)
+                       if 2 * (nbr[v] & c_prime).bit_count() <= nbr[v].bit_count())
+    c_third = mask_of(v for v in bits(c_second)
+                      if (nbr[v] & c_second).bit_count() < 4 * d)
     if not c_third:
         return None
     # re-bucket everything outside by its degree into c_third
+    reach = 0
+    for v in bits(c_third):
+        reach |= nbr[v]
     outside: dict[int, list[int]] = {}
-    for v in range(h.n):
-        if v in c_third:
-            continue
-        dv = sum(1 for w in h.neighbors(v) if w in c_third)
-        if dv == 0:
-            continue
-        j = math.floor(math.log2(dv / d)) if d > 0 else 0
+    mass: dict[int, int] = {}
+    for v in bits(reach & ~c_third):
+        dv = (nbr[v] & c_third).bit_count()
+        j = math.floor(math.log2(dv / d))
         outside.setdefault(j, []).append(v)
+        mass[j] = mass.get(j, 0) + dv
     if not outside:
         return None
-
-    def cut_mass(j: int) -> int:
-        return sum(sum(1 for w in h.neighbors(v) if w in c_third)
-                   for v in outside[j])
-
-    best_k = max(outside, key=lambda j: (cut_mass(j), -j))
-    c_k = outside[best_k]
-    r_star = {v for v in c_k if sum(1 for w in h.neighbors(v) if w in c_k) >= 4 * d}
-    c_kk = [v for v in c_k if v not in r_star]
-    if not c_kk:
+    c_k = outside[max(outside, key=lambda j: (mass[j], -j))]
+    k_mask = mask_of(c_k)
+    b_side = [v for v in c_k if (nbr[v] & k_mask).bit_count() < 4 * d]
+    if not b_side:
         return None
-    a_side = sorted(c_third)
-    b_side = sorted(c_kk)
-    b_set = set(b_side)
-    cross = [(u, v) for u in a_side for v in h.neighbors(u) if v in b_set]
-    if not cross:
-        return None
+    b_mask = mask_of(b_side)
+    a_side = list(bits(c_third))
     keep = a_side + b_side
     index = {v: i for i, v in enumerate(keep)}
-    gamma = BipartiteGraph(
-        Graph(len(keep), [(index[u], index[v]) for u, v in cross]),
-        [index[v] for v in a_side], [index[v] for v in b_side])
-    l_actual = biregularity_factor(gamma)
-    if l_actual <= 0:
+    cross = [(index[u], index[v]) for u in a_side for v in bits(nbr[u] & b_mask)]
+    if not cross:
         return None
+    gamma = BipartiteGraph(Graph(len(keep), cross),
+                           range(len(a_side)), range(len(a_side), len(keep)))
+    l_actual = biregularity_factor(gamma)
     try:
         reduced = almost_biregular_reduce(gamma, l_actual, reduce_seed,
                                           retries=reduce_retries)
     except ExtractionFailure:
         return None
     # lift: reduced labels are indices into keep
-    chosen = {keep[int(reduced.underlying.label(v))]
-              for v in range(reduced.underlying.n)}
-    return frozenset(chosen)
+    return sorted(keep[int(reduced.underlying.label(v))]
+                  for v in range(reduced.underlying.n))
 
 
 # -- bipartite regularization --------------------------------------------------
@@ -440,8 +533,8 @@ def _assert_regularized(g: Graph, a_out: frozenset[int], b_out: frozenset[int],
                         r: int) -> None:
     """Raise InvariantError unless A' and B' are independent and every
     A'-vertex has exactly r neighbours in B' (explicit, so it survives -O)."""
-    a_mask = sum(1 << v for v in a_out)
-    b_mask = sum(1 << v for v in b_out)
+    a_mask = mask_of(a_out)
+    b_mask = mask_of(b_out)
     for u in a_out:
         if g.neighbor_mask(u) & a_mask:
             raise InvariantError("A' must be independent")

@@ -251,3 +251,233 @@ def sample_c4free_by_pair_scan(g: Graph, size: int, samples: int, rng) -> int:
     masks = [g.neighbor_mask(v) for v in range(g.n)]
     return sum(_c4free_by_pair_scan(masks, sample_subset(rng, range(g.n), size))
                for _ in range(samples))
+
+
+# -- the near-regular route as it was before it ran on masks -------------------
+# `sparsify_by_graph_per_retry` and `extreme_split_by_set_scans` (with the
+# retry helpers they call) are the reductions that build a Graph per
+# sparsifier retry and count neighbours by generator sums, recomputing the
+# whole split for every seed.  The mask-based reductions must return equal
+# values and raise the same exception type and message, with the same .best.
+
+def almost_biregular_reduce_by_set_scans(gamma, l_factor, seed: int, retries: int = 100):
+    """The reference for `reductions.almost_biregular_reduce`."""
+    from fractions import Fraction
+
+    from c4lab.errors import DomainError, ExtractionFailure, NotBiregularError
+    from c4lab.graphs import average_degree, induced_bipartite, mix_seed
+
+    l_factor = Fraction(l_factor)
+    if l_factor <= 0:
+        raise DomainError("l_factor must be positive")
+    g = gamma.underlying
+    e = gamma.edge_count
+    if e == 0:
+        return gamma
+    a_side, b_side = gamma.a_list(), gamma.b_list()
+    for v in a_side:
+        if g.degree(v) * len(a_side) > l_factor * e:
+            raise NotBiregularError(f"A-vertex {v} exceeds the L e/|A| bound")
+    for v in b_side:
+        if g.degree(v) * len(b_side) > l_factor * e:
+            raise NotBiregularError(f"B-vertex {v} exceeds the L e/|B| bound")
+    if len(a_side) <= len(b_side):
+        small, large = a_side, b_side
+    else:
+        small, large = b_side, a_side
+    p = Fraction(len(small), len(large))
+    for attempt in range(retries):
+        rng = random.Random(mix_seed(seed, attempt))
+        kept_large = {v for v in large if rng.random() < p}
+        kept_small = []
+        for v in small:
+            sampled = sum(1 for w in g.neighbors(v) if w in kept_large)
+            if sampled <= 1 + 2 * p * (g.degree(v) - 1):
+                kept_small.append(v)
+        keep = set(kept_small) | kept_large
+        e_sub = sum(1 for u, w in g.edges() if u in keep and w in keep)
+        if 4 * e_sub * len(large) > e * len(keep):
+            out = induced_bipartite(gamma, keep)
+            dd = average_degree(out.underlying)
+            assert dd >= average_degree(g) / 4
+            assert out.underlying.max_degree() <= 24 * l_factor * dd
+            return out
+    raise ExtractionFailure(f"no verified sample in {retries} attempts")
+
+
+def sparsify_by_graph_per_retry(g: Graph, s: int, delta: float, seed: int,
+                                target=None, retries: int = 100,
+                                check_biclique: bool = True):
+    """The reference for `reductions.sparsify_short_cycles`."""
+    from fractions import Fraction
+
+    from c4lab.errors import DomainError, ExtractionFailure, InvariantError
+    from c4lab.graphs import average_degree, induced, mix_seed
+    from c4lab.oracles import contains_biclique, find_c3, is_c4_free
+    from c4lab.reductions import _short_cycle_vertices
+
+    if s < 2:
+        raise DomainError("s must be >= 2")
+    if not 0 < delta < 0.1:
+        raise DomainError("delta must lie in (0, 1/10)")
+    if check_biclique and contains_biclique(g, s) is not None:
+        raise DomainError("input contains a biclique; precondition violated")
+    d = g.max_degree()
+    p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
+    best: tuple[Fraction, frozenset[int]] | None = None
+    for attempt in range(retries):
+        rng = random.Random(mix_seed(seed, attempt))
+        u = 0
+        for v in range(g.n):
+            if rng.random() < p:
+                u |= 1 << v
+        dropped = _short_cycle_vertices(g, u)
+        for v in bits(u):
+            if (g.neighbor_mask(v) & u).bit_count() >= 1 + 4 * p * g.degree(v):
+                dropped |= 1 << v
+        survivors = frozenset(bits(u & ~dropped))
+        if not survivors:
+            continue
+        sub = induced(g, survivors)
+        if not (find_c3(sub) is None and is_c4_free(sub)):
+            raise InvariantError("sparsifier survivors contain a triangle or 4-cycle")
+        dd = average_degree(sub)
+        if target is not None and dd >= target:
+            return survivors
+        if best is None or dd > best[0]:
+            best = (dd, survivors)
+    if target is None and best is not None:
+        return best[1]
+    raise ExtractionFailure(
+        f"no sample reached the target in {retries} attempts",
+        best=None if best is None else best[1])
+
+
+def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, thresholds=None,
+                               retries: int = 100, reduce_retries: int = 100):
+    """The reference for `reductions.extreme_split`."""
+    from fractions import Fraction
+    from math import ceil
+
+    from c4lab.errors import DomainError, ExtractionFailure
+    from c4lab.graphs import average_degree, induced, min_degree_core, mix_seed
+    from c4lab.reductions import SplitOutcome
+
+    if g.n == 0:
+        raise DomainError("graph must be nonempty")
+    d = average_degree(g)
+    if d < 2:
+        raise DomainError("average degree must be at least 2")
+    r_thresh = float(d) * 2 ** (float(d) ** delta)
+    r_set = frozenset(v for v in range(g.n) if g.degree(v) > r_thresh)
+    rest = frozenset(range(g.n)) - r_set
+    cut_edges = sum(1 for u, v in g.edges() if (u in r_set) != (v in r_set))
+    if 2 * cut_edges >= g.edge_count and r_set:
+        ratio = Fraction(len(rest), len(r_set))
+        return SplitOutcome(kind="lopsided", a_side=rest, b_side=r_set,
+                            avg_degree=d, side_ratio=ratio)
+    base = induced(g, rest)
+    base_map = sorted(rest)
+    if base.n == 0 or base.edge_count == 0:
+        raise ExtractionFailure("nothing remains outside the high-degree set")
+    core = min_degree_core(base, max(1, ceil(average_degree(base) / 2)))
+    if not core:
+        raise ExtractionFailure("min-degree core is empty")
+    core_map = [base_map[v] for v in sorted(core)]
+    h = induced(base, core)
+    df = float(d)
+    for attempt in range(retries):
+        rng = random.Random(mix_seed(seed, attempt))
+        outcome = _near_regular_attempt_by_set_scans(h, df, rng, reduce_retries,
+                                                     mix_seed(seed, attempt))
+        if outcome is None:
+            continue
+        chosen = frozenset(core_map[v] for v in outcome)
+        sub = induced(g, chosen)
+        if sub.edge_count == 0:
+            continue
+        dd = average_degree(sub)
+        mx = sub.max_degree()
+        if thresholds is not None:
+            min_avg, max_max = thresholds
+            if dd < min_avg or mx > max_max:
+                continue
+        return SplitOutcome(kind="near_regular", subgraph=chosen,
+                            avg_degree=dd, max_degree=mx, side_ratio=None)
+    raise ExtractionFailure(f"near-regular extraction failed in {retries} attempts")
+
+
+def _near_regular_attempt_by_set_scans(h: Graph, d: float, rng, reduce_retries: int,
+                                       reduce_seed: int):
+    import math
+
+    from c4lab.errors import ExtractionFailure
+    from c4lab.graphs import BipartiteGraph
+    from c4lab.reductions import biregularity_factor
+
+    if h.edge_count == 0:
+        return None
+    buckets: dict[int, list[int]] = {}
+    for v in range(h.n):
+        dv = h.degree(v)
+        if dv == 0:
+            continue
+        j = math.floor(math.log2(dv / d)) if d > 0 else 0
+        buckets.setdefault(j, []).append(v)
+    if not buckets:
+        return None
+    best_j = max(buckets, key=lambda j: (sum(h.degree(v) for v in buckets[j]), -j))
+    c_j = buckets[best_j]
+    c_prime = {v for v in c_j if rng.random() < 0.25}
+    c_second = {v for v in c_prime
+                if sum(1 for w in h.neighbors(v) if w in c_prime) <= h.degree(v) / 2}
+    if not c_second:
+        return None
+    r_prime = {v for v in c_second
+               if sum(1 for w in h.neighbors(v) if w in c_second) >= 4 * d}
+    c_third = c_second - r_prime
+    if not c_third:
+        return None
+    outside: dict[int, list[int]] = {}
+    for v in range(h.n):
+        if v in c_third:
+            continue
+        dv = sum(1 for w in h.neighbors(v) if w in c_third)
+        if dv == 0:
+            continue
+        j = math.floor(math.log2(dv / d)) if d > 0 else 0
+        outside.setdefault(j, []).append(v)
+    if not outside:
+        return None
+
+    def cut_mass(j: int) -> int:
+        return sum(sum(1 for w in h.neighbors(v) if w in c_third)
+                   for v in outside[j])
+
+    best_k = max(outside, key=lambda j: (cut_mass(j), -j))
+    c_k = outside[best_k]
+    r_star = {v for v in c_k if sum(1 for w in h.neighbors(v) if w in c_k) >= 4 * d}
+    c_kk = [v for v in c_k if v not in r_star]
+    if not c_kk:
+        return None
+    a_side = sorted(c_third)
+    b_side = sorted(c_kk)
+    b_set = set(b_side)
+    cross = [(u, v) for u in a_side for v in h.neighbors(u) if v in b_set]
+    if not cross:
+        return None
+    keep = a_side + b_side
+    index = {v: i for i, v in enumerate(keep)}
+    gamma = BipartiteGraph(
+        Graph(len(keep), [(index[u], index[v]) for u, v in cross]),
+        [index[v] for v in a_side], [index[v] for v in b_side])
+    l_actual = biregularity_factor(gamma)
+    if l_actual <= 0:
+        return None
+    try:
+        reduced = almost_biregular_reduce_by_set_scans(gamma, l_actual, reduce_seed,
+                                                       retries=reduce_retries)
+    except ExtractionFailure:
+        return None
+    return frozenset(keep[int(reduced.underlying.label(v))]
+                     for v in range(reduced.underlying.n))

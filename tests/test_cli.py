@@ -192,3 +192,53 @@ def test_zero_budgets_still_accepted(tmp_path, capsys, monkeypatch):
     assert code == 0
     params = json.loads(cert_path.read_text())["params"]
     assert (params["attempts"], params["retries"], params["oracle_limit"]) == (0, 0, 0)
+
+
+def test_env_default_read_on_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; the DEGB_* defaults are not
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(heawood_graph()) + "\n")
+    retries = []
+    for value in ("3", "5"):
+        monkeypatch.setenv("DEGB_RETRIES", value)
+        cert_path = tmp_path / f"cert{value}.json"
+        code, _, _ = run_cli(capsys, "extract", "--input", str(g6), "--s", "2",
+                             "--k", "3", "--seed", "1", "--out", str(cert_path))
+        assert code == 0
+        retries.append(json.loads(cert_path.read_text())["params"]["retries"])
+    assert retries == [3, 5]
+    monkeypatch.delenv("DEGB_RETRIES")
+    code, _, _ = run_cli(capsys, "extract", "--input", str(g6), "--s", "2",
+                         "--k", "3", "--seed", "1", "--out", str(cert_path))
+    assert code == 0 and json.loads(cert_path.read_text())["params"]["retries"] == 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "gnp", "--n", "5", "--p", "0.5", "--seed", "1"],
+    ["oracle", "--task", "mis"],
+    ["kernel", "--s", "1", "--t", "2"],
+    ["ftable", "--ell", "2", "--k", "2", "--nmax", "4"],
+    ["lowerbound", "--n", "8", "--p", "0.5", "--s", "2", "--k", "4", "--check-only"],
+    ["subdivide", "--k", "3"],
+    ["verify", "--cert", "-"],
+    ["extract", "--s", "2", "--k", "3"],
+])
+def test_bad_env_integer_fails_every_subcommand(capsys, monkeypatch, argv):
+    for name in ("RETRIES", "ATTEMPTS", "ORACLE_LIMIT", "THREADS"):
+        monkeypatch.setenv(f"DEGB_{name}", "x")
+        _assert_one_line_error(*run_cli(capsys, *argv))
+        monkeypatch.delenv(f"DEGB_{name}")
+    # the same parser serves the next call with a good environment
+    code, _, _ = run_cli(capsys, "ftable", "--ell", "2", "--k", "2", "--nmax", "4")
+    assert code == 0
+
+
+def test_env_default_fills_oracle_and_kernel_budgets(tmp_path, capsys, monkeypatch):
+    g6 = tmp_path / "k33.g6"
+    g6.write_text(write_graph6(complete_bipartite(3, 3).underlying) + "\n")
+    monkeypatch.setenv("DEGB_ORACLE_LIMIT", "5")
+    code, _, err = run_cli(capsys, "oracle", "--input", str(g6), "--task", "mis")
+    assert code == 1 and "limit" in err
+    monkeypatch.setenv("DEGB_ORACLE_LIMIT", "6")
+    code, out, _ = run_cli(capsys, "oracle", "--input", str(g6), "--task", "mis")
+    assert code == 0 and json.loads(out)["value"] == 3

@@ -114,3 +114,38 @@ def test_kernel_golden_input_is_the_lopsided_family():
     hoods = {frozenset(b_index[w] for w in g.neighbors(a)) for a in bg.a_list()}
     text = write_hypergraph(len(b_list), sorted(hoods, key=sorted))
     assert text == (GOLDEN / "lopsided_r9.hg").read_text()
+
+
+# a K_{3,3}-free G(200, 6/199) (gen_gnp seed 2) on which every route fails at
+# the default budgets: the failure certificate keeps the best sparsifier
+# attempt's average degree and size as diagnostics
+FAILURE_SCENARIO = ("gnp200.g6", "gnp200_failure_cert.json",
+                    ["--s", "3", "--k", "2", "--seed", "2"])
+
+
+def test_cli_routes_exhausted_failure_golden(tmp_path, capsys):
+    import json
+
+    graph_file, cert_file, flags = FAILURE_SCENARIO
+    out = tmp_path / cert_file
+    code = main(["extract", "--input", str(GOLDEN / graph_file), *flags,
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 2
+    assert out.read_bytes() == (GOLDEN / cert_file).read_bytes()
+    stats = json.loads(out.read_text())["stats"]
+    assert stats["stage"] == "routes-exhausted"
+    assert (stats["best_avg_degree"], stats["best_size"]) == ("38/23", 23)
+    code = main(["verify", "--input", str(GOLDEN / graph_file),
+                 "--cert", str(GOLDEN / cert_file)])
+    assert code == 0 and capsys.readouterr().out == "verified\n"
+
+
+def test_failure_golden_input_is_the_gnp_draw():
+    from c4lab.graphio import write_graph6
+    from c4lab.graphs import gen_gnp
+    from c4lab.oracles import contains_biclique
+
+    g = gen_gnp(200, 6 / 199, 2)
+    assert contains_biclique(g, 3) is None
+    assert write_graph6(g) + "\n" == (GOLDEN / "gnp200.g6").read_text()

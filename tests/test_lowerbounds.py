@@ -11,6 +11,7 @@ from c4lab.graphs import Graph, gen_gnp
 from c4lab.named import heawood_graph, petersen_graph
 from c4lab.lowerbounds import (
     _count_c4free_subsets,
+    _has_c4free_subset,
     _sample_c4free_subsets,
     alpha_lb_check,
     check_diagonal_conditions,
@@ -198,3 +199,16 @@ def test_alpha_lb_check_on_repaired_random():
         n = 1 + rng.randrange(12)
         g = repair_to_c4_free(gen_gnp(n, 0.5, rng.randrange(2 ** 32)))
         assert alpha_lb_check(g)
+
+
+def test_c4free_subset_existence_matches_count():
+    rng = random.Random(41)
+    both = set()
+    for _ in range(60):
+        n = rng.randrange(0, 11)
+        g = gen_gnp(n, rng.choice([0.2, 0.5, 0.8, 1.0]), rng.randrange(2 ** 32))
+        for size in range(n + 2):
+            has = _has_c4free_subset(g, size)
+            assert has == (_count_c4free_subsets(g, size) > 0)
+            both.add(has)
+    assert both == {True, False}

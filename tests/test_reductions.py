@@ -5,6 +5,7 @@ import pytest
 
 from c4lab import reductions
 from c4lab.errors import (
+    C4LabError,
     DomainError,
     ExtractionFailure,
     InvariantError,
@@ -35,7 +36,10 @@ from c4lab.reductions import (
     bipartite_regularize,
     extreme_split,
     sparsify_short_cycles,
+    split_from_prefix,
+    split_prefix,
 )
+import helpers
 from helpers import girth, run_optimized, short_cycle_vertices_by_pair_scan
 
 
@@ -322,3 +326,175 @@ def test_sparsify_and_regularize_deterministic():
     out2 = bipartite_regularize(bg.underlying, bg.side_a, bg.side_b, s=2, r=2,
                                 seed=4, retries=400)
     assert out1 == out2
+
+
+# -- the mask-based near-regular route against the set-scan references ---------
+
+def _outcome(fn, *args, **kwargs):
+    """What a call returns, or the type, message and .best of what it raises."""
+    try:
+        return ("value", fn(*args, **kwargs))
+    except C4LabError as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "best", None))
+
+
+def _bipartite_outcome(fn, *args, **kwargs):
+    kind, *rest = _outcome(fn, *args, **kwargs)
+    if kind == "raised":
+        return (kind, *rest)
+    out = rest[0].underlying
+    return (kind, out, out.labels, rest[0].side_a, rest[0].side_b)
+
+
+def test_sparsify_matches_graph_per_retry_reference():
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(320):
+        n = rng.randrange(1, 61)
+        g = gen_gnp(n, rng.choice([0.05, 0.1, 0.2, 0.3, 0.5]), rng.randrange(2 ** 32))
+        s = rng.choice([2, 3])
+        delta = rng.choice([0.01, 0.04, 0.09])
+        seed = rng.randrange(2 ** 32)
+        kwargs = {"retries": rng.choice([0, 1, 6, 12]),
+                  "check_biclique": rng.random() < 0.3}
+        base = _outcome(helpers.sparsify_by_graph_per_retry, g, s, delta, seed, **kwargs)
+        assert _outcome(sparsify_short_cycles, g, s, delta, seed, **kwargs) == base
+        kinds.add(base[0])
+        if base[0] != "value":
+            continue
+        # the densest survivor set is reached exactly, then missed by a hair;
+        # both as a Fraction, as a float and, where whole, as an int
+        best = average_degree(induced(g, base[1]))
+        targets = [best, best + Fraction(1, 97), float(best), 100]
+        if best.denominator == 1:
+            targets.append(int(best))
+        for target in targets:
+            want = _outcome(helpers.sparsify_by_graph_per_retry, g, s, delta, seed,
+                            target=target, **kwargs)
+            assert _outcome(sparsify_short_cycles, g, s, delta, seed,
+                            target=target, **kwargs) == want
+            kinds.add((want[0], target == 100))
+    assert kinds >= {"value", "raised", ("value", False), ("raised", True)}
+
+
+def _hub_graph(rng: random.Random) -> Graph:
+    """Hubs over a sparse cycle of leaves: extreme_split takes the lopsided cut."""
+    hubs, per = rng.randrange(1, 4), rng.randrange(15, 40)
+    edges, nxt = [], hubs
+    for hub in range(hubs):
+        for _ in range(per):
+            edges.append((hub, nxt))
+            nxt += 1
+    leaves = list(range(hubs, nxt))
+    edges += [(leaves[i], leaves[(i + 1) % len(leaves)]) for i in range(len(leaves))]
+    return Graph(nxt, edges)
+
+
+def test_extreme_split_matches_set_scan_reference():
+    rng = random.Random(77)
+    kinds = set()
+    for i in range(330):
+        if i % 10 == 0:
+            g = _hub_graph(rng)
+        else:
+            n = rng.randrange(1, 71)
+            g = gen_gnp(n, rng.choice([0.03, 0.08, 0.15, 0.3, 0.5]), rng.randrange(2 ** 32))
+        delta = rng.choice([0.0016, 0.01, 0.1, 0.3])
+        thresholds = rng.choice([None, None, (Fraction(3, 2), 8), (2, 3), (Fraction(9), 2)])
+        kwargs = {"thresholds": thresholds, "retries": rng.choice([0, 1, 4, 8]),
+                  "reduce_retries": rng.choice([1, 5, 20])}
+        # one prefix serves every seed, as in the pipeline's attempts
+        prefix = _outcome(split_prefix, g, delta)
+        for seed in (rng.randrange(2 ** 63), rng.randrange(2 ** 63), rng.randrange(2 ** 63)):
+            want = _outcome(helpers.extreme_split_by_set_scans, g, delta, seed, **kwargs)
+            assert _outcome(extreme_split, g, delta, seed, **kwargs) == want
+            if prefix[0] == "value":
+                assert _outcome(split_from_prefix, prefix[1], seed, **kwargs) == want
+            else:
+                assert prefix == want
+            kinds.add(want[0] if want[0] == "raised" else want[1].kind)
+    assert kinds == {"raised", "near_regular", "lopsided"}
+
+
+def test_almost_biregular_reduce_matches_set_scan_reference():
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(300):
+        a, b = rng.randrange(1, 25), rng.randrange(1, 40)
+        p = rng.choice([0.05, 0.15, 0.3, 0.6])
+        edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < p]
+        gamma = BipartiteGraph(Graph(a + b, edges), range(a), range(a, a + b))
+        l_factor = rng.choice([biregularity_factor(gamma), 1, Fraction(3, 2), 4])
+        if l_factor == 0:
+            l_factor = 1
+        seed = rng.randrange(2 ** 32)
+        retries = rng.choice([0, 1, 3, 20])
+        want = _bipartite_outcome(helpers.almost_biregular_reduce_by_set_scans,
+                                  gamma, l_factor, seed, retries=retries)
+        assert _bipartite_outcome(almost_biregular_reduce, gamma, l_factor, seed,
+                                  retries=retries) == want
+        kinds.add(want[0] if want[0] == "value" else want[1])
+    assert kinds == {"value", ExtractionFailure, NotBiregularError}
+
+
+def _star_bipartite(leaves: int) -> BipartiteGraph:
+    return BipartiteGraph(Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)]),
+                          [0], range(1, leaves + 1))
+
+
+@pytest.mark.parametrize("fake, message", [
+    # no edges left: the average degree falls below d/4
+    (lambda: BipartiteGraph(Graph(2), [0], [1]), "reduced average degree fell below d/4"),
+    # a star of 60 leaves: average degree 120/61 >= 3/4, max degree 60 > 24 * 120/61
+    (lambda: _star_bipartite(60), "reduced max degree exceeds 24 L d"),
+])
+def test_reduce_postconditions_raise_invariant_error(monkeypatch, fake, message):
+    monkeypatch.setattr(reductions, "induced_bipartite", lambda gamma, keep: fake())
+    with pytest.raises(InvariantError, match=message):
+        almost_biregular_reduce(heawood_bipartite(), 1, seed=7)
+
+
+def test_reduce_postconditions_raise_under_optimize():
+    out = run_optimized(
+        "from c4lab import reductions\n"
+        "from c4lab.errors import InvariantError\n"
+        "from c4lab.graphs import BipartiteGraph, Graph, projective_plane_incidence\n"
+        "fakes = [BipartiteGraph(Graph(2), [0], [1]),\n"
+        "         BipartiteGraph(Graph(61, [(0, v) for v in range(1, 61)]), [0],"
+        " range(1, 61))]\n"
+        "for fake in fakes:\n"
+        "    reductions.induced_bipartite = lambda gamma, keep: fake\n"
+        "    try:\n"
+        "        reductions.almost_biregular_reduce(projective_plane_incidence(2), 1,"
+        " seed=7)\n"
+        "    except InvariantError as exc:\n"
+        "        print('raised', exc)\n")
+    assert out == ("raised reduced average degree fell below d/4\n"
+                   "raised reduced max degree exceeds 24 L d\n")
+
+
+def test_has_short_cycle_matches_detectors():
+    rng = random.Random(31)
+    found = set()
+    for _ in range(300):
+        n = rng.randrange(1, 30)
+        g = gen_gnp(n, rng.choice([0.05, 0.1, 0.2, 0.4]), rng.randrange(2 ** 32))
+        inside = {v for v in range(n) if rng.random() < rng.choice([0.3, 0.7, 1.0])}
+        sub = induced(g, inside)
+        want = find_c3(sub) is not None or find_c4(sub) is not None
+        nbr = [g.neighbor_mask(v) for v in range(n)]
+        assert reductions._has_short_cycle(nbr, sum(1 << v for v in inside)) == want
+        found.add((want, find_c3(sub) is None))
+    # triangle-free graphs with a 4-cycle, and graphs with a triangle, both occur
+    assert found >= {(False, True), (True, True), (True, False)}
+
+
+def test_float_above_is_the_least_float_not_below():
+    import math
+
+    rng = random.Random(3)
+    for _ in range(2000):
+        den = rng.randrange(1, 10 ** rng.randrange(1, 20))
+        q = Fraction(rng.randrange(0, den + 1), den)
+        t = reductions._float_above(q)
+        assert Fraction(t) >= q > Fraction(math.nextafter(t, -math.inf))
