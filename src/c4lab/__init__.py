@@ -10,6 +10,7 @@ clique-subdivision finders.
 
 from .errors import (
     C4LabError,
+    CertificateFormatError,
     DomainError,
     ExtractionFailure,
     GenerationFailure,

@@ -57,3 +57,7 @@ class InvariantError(C4LabError):
 
 class StaleCertificateError(C4LabError):
     """Certificate digest does not match the graph it is being verified against."""
+
+
+class CertificateFormatError(C4LabError, ValueError):
+    """Certificate JSON lacks a field, or a field has the wrong type."""

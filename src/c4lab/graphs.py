@@ -128,6 +128,11 @@ class Graph:
     def neighbor_mask(self, v: int) -> int:
         return self._nbr[v]
 
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """All neighbour masks, N(v) at index v; a tuple, so safe to share."""
+        return self._nbr
+
     def neighbors(self, v: int) -> Iterator[int]:
         return bits(self._nbr[v])
 

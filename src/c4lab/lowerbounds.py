@@ -214,7 +214,7 @@ def _c4free_subsets(g: Graph, size: int) -> Iterator[int]:
     prefixes, one `closes_c4` test per extension; it runs only as far as
     its consumer reads.
     """
-    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    masks = g.masks
 
     def extend(start: int, smask: int, need: int) -> Iterator[int]:
         if not need:
@@ -242,7 +242,7 @@ def _count_biclique_pairs(g: Graph, s: int) -> int:
     """Count unordered pairs {S,T} of disjoint s-sets with all s^2 cross edges."""
     from itertools import combinations
 
-    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    masks = g.masks
     total = 0
     for left in combinations(range(g.n), s):
         common = masks[left[0]]
@@ -264,7 +264,7 @@ def exact_expected_bicliques(n: int, p: float, s: int) -> float:
 def _sample_c4free_subsets(g: Graph, size: int, samples: int,
                            rng: random.Random) -> int:
     """How many of `samples` uniform size-subsets induce a C4-free subgraph."""
-    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    masks = g.masks
     hits = 0
     for _ in range(samples):
         smask = 0

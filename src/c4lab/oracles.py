@@ -8,7 +8,7 @@ routine's output is checked against.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
 
@@ -61,7 +61,7 @@ def is_c4_free(g: Graph) -> bool:
     for each u the masks of u's neighbours above u, cut to the vertices
     above u, are OR-ed into `seen`; a mask that meets `seen` exposes x.
     """
-    nbr = [g.neighbor_mask(v) for v in range(g.n)]
+    nbr = g.masks
     for u in range(g.n):
         above = _above(u)
         seen = 0
@@ -79,8 +79,10 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
     s=2 returns None at once when `is_c4_free` holds (K_{2,2} is C4);
     otherwise the common-pair scan (every wedge u-w-v records the pair
     (u,v); a pair seen from two centers closes a K_{2,2}) finds the
-    witness.  General s enumerates candidate S in degree-descending order
-    with common-neighborhood pruning.
+    witness.  General s likewise returns None at once unless
+    `_has_biclique` finds one; only then does it enumerate candidate S in
+    degree-descending order with common-neighborhood pruning, which fixes
+    the witness.
     Exact; exponential only in s.  2s > n yields None, not an error.
     """
     if s < 1:
@@ -106,6 +108,8 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
                 seen[(u, v)] = w
         return None
 
+    if not _has_biclique(g.masks, s):
+        return None
     order = [v for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v))
              if g.degree(v) >= s]
 
@@ -132,6 +136,64 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
         return None
 
     return extend([], 0, 0)
+
+
+def heavy_partners(masks: Sequence[int], s: int) -> Iterator[int]:
+    """For v = 0, 1, ... in turn, the mask of the u != v with |N(u) & N(v)| >= s.
+
+    An s-level saturating bit-sliced counter over the masks of v's
+    neighbours: bit u of `level[j]` is set once j + 1 of them hold u, so
+    `level[s-1]` is every u with codegree at least s.  That is O(s deg v)
+    big-integer operations per vertex, O(s m) in all; a vertex of degree
+    below s has codegree below s with everyone and gets 0 at once.  The
+    masks come one vertex at a time, so a caller that stops early pays only
+    for the vertices it read.
+    """
+    upper = range(s - 1, 0, -1)
+    for v, nv in enumerate(masks):
+        if nv.bit_count() < s:
+            yield 0
+            continue
+        level = [0] * s
+        for w in bits(nv):
+            m = masks[w]
+            for j in upper:
+                level[j] |= level[j - 1] & m
+            level[0] |= m
+        yield level[-1] & ~(1 << v)
+
+
+def _has_biclique(masks: Sequence[int], s: int) -> bool:
+    """Whether the graph with these neighbour masks contains a K_{s,s}.
+
+    Each side S of a K_{s,s} is an s-clique of the heavy graph (codegree
+    >= s, `heavy_partners`) whose common neighbourhood has at least s
+    vertices; conversely any such clique S has s common neighbours outside
+    S, as no vertex neighbours itself, so they close a K_{s,s}.  Vertices
+    are read in id order, and each clique is grown downward from its
+    largest vertex v, so it needs only the heavy partners below each vertex,
+    which are known by the time v is read.  The search prunes on the common
+    neighbourhood's popcount and stops at the first hit: on a graph with
+    many bicliques that comes after a few vertices.
+    """
+    below: list[int] = []   # heavy partners of u below u
+
+    def grow(cand: int, common: int, need: int) -> bool:
+        if not need:
+            return True
+        if cand.bit_count() < need:
+            return False
+        for u in bits(cand):
+            inter = common & masks[u]
+            if inter.bit_count() >= s and grow(cand & below[u], inter, need - 1):
+                return True
+        return False
+
+    for v, hv in enumerate(heavy_partners(masks, s)):
+        below.append(hv & ((1 << v) - 1))
+        if below[v] and grow(below[v], masks[v], s - 1):
+            return True
+    return False
 
 
 def closes_c4(masks: Sequence[int], v: int, smask: int) -> bool:
@@ -169,7 +231,7 @@ def best_c4free_induced(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT
         raise OracleLimitError(f"|g|={g.n} exceeds oracle limit {limit}")
     if g.n == 0:
         raise DomainError("graph must have at least one vertex")
-    masks = tuple(g.neighbor_mask(v) for v in range(g.n))
+    masks = g.masks
     # edge count of each C4-free subset, 0xFF for one with a C4: by Reiman a
     # C4-free graph on n vertices has at most n/4 * (1 + sqrt(4n - 3))
     # edges, which is under 255 for every n <= 61, far past any n whose
@@ -211,7 +273,7 @@ def max_independent_set(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> frozense
         raise OracleLimitError(f"|g|={g.n} exceeds oracle limit {limit}")
     if g.n == 0:
         return frozenset()
-    masks = tuple(g.neighbor_mask(v) for v in range(g.n))
+    masks = g.masks
     memo: dict[int, int] = {}
 
     def mis_size(avail: int) -> int:

@@ -18,8 +18,10 @@ from math import ceil
 from typing import Callable
 
 from .errors import (
+    CertificateFormatError,
     DomainError,
     ExtractionFailure,
+    InvariantError,
     KernelFailure,
     OracleLimitError,
     ParameterError,
@@ -82,6 +84,26 @@ class PipelineParams:
         }
 
 
+# the required certificate keys and their JSON types
+_CERT_FIELDS = (("digest", str), ("mode", str), ("params", dict), ("seed", int),
+                ("verified", dict), ("stats", dict))
+_JSON_TYPE = {str: "a string", dict: "an object", int: "an integer", float: "a number"}
+
+
+def _is_a(value, kind: type) -> bool:
+    """isinstance for JSON values: a bool is no number, and an int is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _vertex_list(value, name: str) -> tuple[int, ...]:
+    # JSON decodes a number without a fraction or exponent to exactly int
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise CertificateFormatError(f"{name} must be a list of vertex ids")
+    return tuple(value)
+
+
 @dataclass
 class ExtractionCertificate:
     """Replayable record of one extraction run."""
@@ -114,14 +136,31 @@ class ExtractionCertificate:
 
     @staticmethod
     def from_json(text: str) -> "ExtractionCertificate":
+        """Parse a certificate, checking the type of every field that
+        `verify_certificate` reads; a malformed one raises
+        CertificateFormatError."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise CertificateFormatError("certificate must be a JSON object")
+        for key, kind in _CERT_FIELDS:
+            if key not in obj:
+                raise CertificateFormatError(f"certificate lacks the key {key!r}")
+            if not _is_a(obj[key], kind):
+                raise CertificateFormatError(
+                    f"certificate key {key!r} must be {_JSON_TYPE[kind]}")
+        for key, kind in (("s", int), ("k", int), ("delta", float)):
+            if key in obj["params"] and not _is_a(obj["params"][key], kind):
+                raise CertificateFormatError(f"params {key!r} must be {_JSON_TYPE[kind]}")
+        if not _is_a(obj.get("version", CERT_VERSION), str):
+            raise CertificateFormatError("certificate key 'version' must be a string")
         wit = obj.get("witness")
         biclique = None
         witness = None
         if isinstance(wit, dict):
-            biclique = (tuple(sorted(wit["s_side"])), tuple(sorted(wit["t_side"])))
+            biclique = (tuple(sorted(_vertex_list(wit.get("s_side"), "s_side"))),
+                        tuple(sorted(_vertex_list(wit.get("t_side"), "t_side"))))
         elif wit is not None:
-            witness = tuple(wit)
+            witness = _vertex_list(wit, "witness")
         return ExtractionCertificate(
             input_digest=obj["digest"], mode=obj["mode"], witness=witness,
             biclique=biclique, params=obj["params"], seed=obj["seed"],
@@ -169,9 +208,10 @@ def _biclique_certificate(g: Graph, digest: str, s_side, t_side, params: dict,
                           seed: int, stage: str | None = None) -> ExtractionCertificate:
     s_side = tuple(sorted(s_side))
     t_side = tuple(sorted(t_side))
-    assert not set(s_side) & set(t_side)
-    assert all(g.has_edge(u, v) for u in s_side for v in t_side), \
-        "biclique witness must be fully joined"
+    if set(s_side) & set(t_side):
+        raise InvariantError("biclique witness sides must be disjoint")
+    if not all(g.has_edge(u, v) for u in s_side for v in t_side):
+        raise InvariantError("biclique witness must be fully joined")
     stats = {"avg_degree": "0", "max_degree": 0, "size": len(s_side) + len(t_side)}
     if stage:
         stats["stage"] = stage

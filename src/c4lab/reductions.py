@@ -93,7 +93,7 @@ def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
         small, large = b_side, a_side
     n_small, n_large = len(small), len(large)
     p = _float_above(Fraction(n_small, n_large))
-    nbr = [g.neighbor_mask(v) for v in range(g.n)]
+    nbr = g.masks
     # sampled <= 1 + 2 p (deg - 1) with p = |small|/|large|, in integers
     cap = [(v, (n_large + 2 * n_small * (nbr[v].bit_count() - 1)) // n_large)
            for v in small]
@@ -136,14 +136,16 @@ def _short_cycle_vertices(g: Graph, inside: int) -> int:
     neighbour is itself a neighbour, that is iff `once` meets N(u).  That is
     O(m) big-integer operations over the edges inside the set.
     """
-    nbr = {v: g.neighbor_mask(v) & inside for v in bits(inside)}
+    nbr = g.masks
     bad = 0
-    for u, nu in nbr.items():
+    for u in bits(inside):
+        nu = nbr[u] & inside
         if not nu & (nu - 1):
             continue  # fewer than two neighbours: on no cycle
+        rest = inside ^ (1 << u)
         once = twice = 0
         for w in bits(nu):
-            x = nbr[w] ^ (1 << u)
+            x = nbr[w] & rest
             twice |= once & x
             once |= x
         if twice or once & nu:
@@ -206,14 +208,17 @@ def sparsify_short_cycles(g: Graph, s: int, delta: float, seed: int,
         raise DomainError("input contains a biclique; precondition violated")
     d = g.max_degree()
     p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
-    nbr = [g.neighbor_mask(v) for v in range(g.n)]
+    nbr = g.masks
     limit = [1 + 4 * p * mask.bit_count() for mask in nbr]
     # d(g[U'']) >= target  iff  2e * den >= num * |U''|
     goal = None if target is None else Fraction(target)
     # the densest survivor set so far, as (2e, size, mask)
     best: tuple[int, int, int] | None = None
+    # reseeding one generator gives the stream of a fresh Random(sub-seed)
+    rng = random.Random()
+    rand = rng.random
     for attempt in range(retries):
-        rand = random.Random(mix_seed(seed, attempt)).random
+        rng.seed(mix_seed(seed, attempt))
         sampled = [v for v in range(g.n) if rand() < p]
         u = mask_of(sampled)
         dropped = _short_cycle_vertices(g, u)
@@ -307,7 +312,7 @@ def split_prefix(g: Graph, delta: float) -> SplitPrefix:
         raise ExtractionFailure("min-degree core is empty")
     core_ids = sorted(core)
     h = induced(base, core_ids)
-    nbr = tuple(h.neighbor_mask(v) for v in range(h.n))
+    nbr = h.masks
 
     # dyadic degree buckets around d; a bucket's weight is its degree mass.
     # Every core vertex has degree at least 1 in h, so some bucket exists.

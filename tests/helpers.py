@@ -110,6 +110,54 @@ def pair_scan_biclique(g: Graph):
     return None
 
 
+def degree_scan_biclique(g: Graph, s: int):
+    """The K_{s,s} scan over degree-ordered candidate sides with
+    common-neighbourhood pruning and no decision pass in front: the witness
+    `contains_biclique(g, s)` must keep returning for s >= 3."""
+    if 2 * s > g.n:
+        return None
+    order = [v for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+             if g.degree(v) >= s]
+
+    def extend(chosen: list[int], start: int, common: int
+               ) -> tuple[frozenset[int], frozenset[int]] | None:
+        if len(chosen) == s:
+            cset = common
+            for v in chosen:
+                cset &= ~(1 << v)
+            picks = []
+            for t in bits(cset):
+                picks.append(t)
+                if len(picks) == s:
+                    return frozenset(chosen), frozenset(picks)
+            return None
+        for i in range(start, len(order)):
+            v = order[i]
+            new_common = common & g.neighbor_mask(v) if chosen else g.neighbor_mask(v)
+            if new_common.bit_count() < s:
+                continue
+            res = extend(chosen + [v], i + 1, new_common)
+            if res is not None:
+                return res
+        return None
+
+    return extend([], 0, 0)
+
+
+def heavy_partners_by_wedge_count(g: Graph, s: int) -> list[set[int]]:
+    """For each v, the u != v with at least s common neighbours, counted one
+    wedge v-w-u at a time: the reference for `heavy_partners`."""
+    out = []
+    for v in range(g.n):
+        codeg: dict[int, int] = {}
+        for w in g.neighbors(v):
+            for u in g.neighbors(w):
+                if u != v:
+                    codeg[u] = codeg.get(u, 0) + 1
+        out.append({u for u, c in codeg.items() if c >= s})
+    return out
+
+
 def induced_by_edge_walk(g: Graph, s) -> Graph:
     """Induced subgraph built from every parent edge, through the checked
     constructor: the reference for the mask-based `induced`."""

@@ -242,3 +242,55 @@ def test_env_default_fills_oracle_and_kernel_budgets(tmp_path, capsys, monkeypat
     monkeypatch.setenv("DEGB_ORACLE_LIMIT", "6")
     code, out, _ = run_cli(capsys, "oracle", "--input", str(g6), "--task", "mis")
     assert code == 0 and json.loads(out)["value"] == 3
+
+
+def _heawood_cert(tmp_path, capsys):
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(heawood_graph()) + "\n")
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "extract", "--input", str(g6), "--s", "2",
+                         "--k", "3", "--seed", "1", "--out", str(cert_path))
+    assert code == 0
+    return g6, cert_path, json.loads(cert_path.read_text())
+
+
+def _verify_malformed(capsys, g6, cert_path, obj) -> str:
+    cert_path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify", "--input", str(g6),
+                             "--cert", str(cert_path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+def test_verify_certificate_without_mode_exits_1(tmp_path, capsys):
+    g6, cert_path, _ = _heawood_cert(tmp_path, capsys)
+    err = _verify_malformed(capsys, g6, cert_path, {"digest": "x"})
+    assert err == "error: certificate lacks the key 'mode'\n"
+
+
+def test_verify_string_witness_exits_1(tmp_path, capsys):
+    g6, cert_path, obj = _heawood_cert(tmp_path, capsys)
+    err = _verify_malformed(capsys, g6, cert_path, dict(obj, witness="0,1,2"))
+    assert err == "error: witness must be a list of vertex ids\n"
+
+
+def test_verify_null_params_exits_1(tmp_path, capsys):
+    g6, cert_path, obj = _heawood_cert(tmp_path, capsys)
+    err = _verify_malformed(capsys, g6, cert_path, dict(obj, params=None))
+    assert err == "error: certificate key 'params' must be an object\n"
+
+
+def test_verify_malformed_fields_exit_1(tmp_path, capsys):
+    g6, cert_path, obj = _heawood_cert(tmp_path, capsys)
+    cases = [
+        ([1, 2], "certificate must be a JSON object"),
+        (dict(obj, seed=True), "certificate key 'seed' must be an integer"),
+        (dict(obj, params=dict(obj["params"], k="3")), "params 'k' must be an integer"),
+        (dict(obj, params=dict(obj["params"], delta=None)), "params 'delta' must be a number"),
+        (dict(obj, version=1), "certificate key 'version' must be a string"),
+        (dict(obj, witness=[0, "1"]), "witness must be a list of vertex ids"),
+        (dict(obj, witness={"s_side": [0, 1]}), "t_side must be a list of vertex ids"),
+    ]
+    for bad, message in cases:
+        assert _verify_malformed(capsys, g6, cert_path, bad) == f"error: {message}\n"

@@ -149,3 +149,41 @@ def test_failure_golden_input_is_the_gnp_draw():
     g = gen_gnp(200, 6 / 199, 2)
     assert contains_biclique(g, 3) is None
     assert write_graph6(g) + "\n" == (GOLDEN / "gnp200.g6").read_text()
+
+
+# the G(200, 6/199) above with a K_{3,3} planted on the seeded 6-set
+# sample_subset(Random(0), range(200), 6), its sides alternating in sorted
+# order: extract at s = 3 stops at the hypothesis check, and the pinned
+# witness is the degree-ordered scan's first biclique
+BICLIQUE_SCENARIO = ("gnp200_k33.g6", "gnp200_k33_cert.json",
+                     ["--s", "3", "--k", "2", "--seed", "2"])
+
+
+def test_cli_s3_biclique_golden(tmp_path, capsys):
+    import json
+
+    graph_file, cert_file, flags = BICLIQUE_SCENARIO
+    out = tmp_path / cert_file
+    code = main(["extract", "--input", str(GOLDEN / graph_file), *flags,
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / cert_file).read_bytes()
+    obj = json.loads(out.read_text())
+    assert obj["mode"] == "biclique_found" and obj["stats"]["stage"] == "scan"
+    code = main(["verify", "--input", str(GOLDEN / graph_file),
+                 "--cert", str(GOLDEN / cert_file)])
+    assert code == 0 and capsys.readouterr().out == "verified\n"
+
+
+def test_biclique_golden_input_is_the_planted_draw():
+    import random
+
+    from c4lab.graphio import write_graph6
+    from c4lab.graphs import Graph, gen_gnp, sample_subset
+
+    g = gen_gnp(200, 6 / 199, 2)
+    picks = sample_subset(random.Random(0), range(200), 6)
+    planted = {(min(u, v), max(u, v)) for u in picks[0::2] for v in picks[1::2]}
+    h = Graph(200, sorted(set(g.edges()) | planted))
+    assert write_graph6(h) + "\n" == (GOLDEN / "gnp200_k33.g6").read_text()

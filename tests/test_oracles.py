@@ -1,10 +1,19 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from c4lab.errors import OracleLimitError
-from c4lab.graphs import Graph, gen_gnp, induced, projective_plane_incidence
+from c4lab.graphio import read_graph6
+from c4lab.graphs import (
+    Graph,
+    bits,
+    gen_gnp,
+    gen_lopsided,
+    induced,
+    projective_plane_incidence,
+)
 from c4lab.named import (
     complete_bipartite,
     complete_graph,
@@ -13,11 +22,13 @@ from c4lab.named import (
     petersen_graph,
 )
 from c4lab.oracles import (
+    _has_biclique,
     best_c4free_induced,
     closes_c4,
     contains_biclique,
     find_c3,
     find_c4,
+    heavy_partners,
     is_c4_free,
     max_independent_set,
 )
@@ -25,9 +36,13 @@ from helpers import (
     best_c4free_by_fraction_scan,
     brute_force_c4_exists,
     brute_force_mis_size,
+    degree_scan_biclique,
     disjoint_union,
+    heavy_partners_by_wedge_count,
     pair_scan_biclique,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 PETERSEN = petersen_graph()
 
@@ -122,6 +137,60 @@ def test_contains_biclique_s3_on_random():
             s_side, t_side = wit
             assert len(s_side) == len(t_side) == 3 and not (s_side & t_side)
             assert all(g.has_edge(u, v) for u in s_side for v in t_side)
+
+
+def test_contains_biclique_matches_degree_scan_on_gnp():
+    rng = random.Random(41)
+    found = 0
+    for i in range(1200):
+        s = 3 + i % 3
+        n = 2 * s + rng.randrange(41 - 2 * s)
+        p = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+        g = gen_gnp(n, p, rng.randrange(2 ** 32))
+        wit = degree_scan_biclique(g, s)
+        found += wit is not None
+        # the decision pass alone, since a false positive there would be
+        # hidden by the scan that follows it
+        assert _has_biclique(g.masks, s) == (wit is not None)
+        assert contains_biclique(g, s) == wit
+    assert found >= 200 and 1200 - found >= 200
+
+
+def test_contains_biclique_matches_degree_scan_on_planes_and_lopsided():
+    for q in (2, 3, 5):
+        g = projective_plane_incidence(q).underlying
+        for s in (3, 4):
+            assert contains_biclique(g, s) is None
+            assert degree_scan_biclique(g, s) is None
+    # K_{s,s}-free at the generator's s; at s - 1 >= 3 some hold a biclique
+    found = 0
+    for seed in range(6):
+        for a, b, r, s in ((60, 25, 5, 3), (80, 30, 6, 4), (40, 20, 8, 5)):
+            g = gen_lopsided(a, b, r, s, seed).underlying
+            for t in range(max(3, s - 1), s + 1):
+                wit = degree_scan_biclique(g, t)
+                found += wit is not None
+                assert contains_biclique(g, t) == wit
+    assert found >= 6
+
+
+def test_contains_biclique_matches_degree_scan_on_planted_golden():
+    g = read_graph6((GOLDEN / "gnp200_k33.g6").read_text())
+    wit = contains_biclique(g, 3)
+    assert wit is not None and wit == degree_scan_biclique(g, 3)
+    for s in (4, 5):
+        assert contains_biclique(g, s) == degree_scan_biclique(g, s)
+    assert contains_biclique(read_graph6((GOLDEN / "gnp200.g6").read_text()), 3) is None
+
+
+def test_heavy_partners_match_wedge_count():
+    rng = random.Random(43)
+    for i in range(300):
+        n = 1 + rng.randrange(30)
+        g = gen_gnp(n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), rng.randrange(2 ** 32))
+        s = 1 + i % 5
+        got = [set(bits(mask)) for mask in heavy_partners(g.masks, s)]
+        assert got == heavy_partners_by_wedge_count(g, s)
 
 
 def test_c4_iff_k22():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from c4lab.errors import DomainError, StaleCertificateError
+from c4lab import pipeline
+from c4lab.errors import DomainError, InvariantError, StaleCertificateError
 from c4lab.graphs import (
     BipartiteGraph,
     Graph,
@@ -22,6 +23,8 @@ from c4lab.pipeline import (
     model_lopsided,
     verify_certificate,
 )
+
+from helpers import run_optimized
 
 FAST = PipelineParams(retries=20, attempts=4)
 
@@ -210,3 +213,32 @@ def test_extract_deterministic_and_thread_invariant():
 def test_digest_changes_with_graph():
     assert graph_digest(heawood_graph()) != graph_digest(petersen_graph())
     assert graph_digest(heawood_graph()) == graph_digest(heawood_graph())
+
+
+# sides the scan could never return: overlapping, or not fully joined in
+# the Petersen graph
+BAD_WITNESSES = [
+    ((frozenset({0, 1, 2}), frozenset({2, 3, 4})), "biclique witness sides must be disjoint"),
+    ((frozenset({0, 1, 2}), frozenset({3, 4, 5})), "biclique witness must be fully joined"),
+]
+
+
+def test_biclique_certificate_rejects_bad_scan_witness(monkeypatch):
+    for wit, message in BAD_WITNESSES:
+        monkeypatch.setattr(pipeline, "contains_biclique", lambda g, s, wit=wit: wit)
+        with pytest.raises(InvariantError, match=message):
+            extract_induced_c4free(petersen_graph(), s=3, k=2, seed=1, params=FAST)
+
+
+def test_biclique_certificate_rejects_bad_scan_witness_under_optimize():
+    for wit, message in BAD_WITNESSES:
+        out = run_optimized(
+            "from c4lab import pipeline\n"
+            "from c4lab.errors import InvariantError\n"
+            "from c4lab.named import petersen_graph\n"
+            f"pipeline.contains_biclique = lambda g, s: {wit!r}\n"
+            "try:\n"
+            "    pipeline.extract_induced_c4free(petersen_graph(), s=3, k=2, seed=1)\n"
+            "except InvariantError as exc:\n"
+            "    print('raised', exc)\n")
+        assert out == f"raised {message}\n"
