@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import DomainError, OracleLimitError
@@ -216,48 +217,178 @@ def closes_c4(masks: Sequence[int], v: int, smask: int) -> bool:
     return False
 
 
+# The exact optimum scores the LANE_BITS lowest vertices on byte lanes: the
+# low subset L is byte L of a little-endian integer of 2^LANE_BITS bytes, so
+# one big-integer operation acts on every low subset at once.  Beside a high
+# part H, lane L holds e(H + L) + 1 <= e(H) + C(b, 2) + b |H| + 1, and H is
+# C4-free, so Reiman's bound e(H) <= |H|/4 (1 + sqrt(4|H| - 3)) applies.
+# With b = 10 that is 38 + 45 + 170 + 1 = 254 at |H| = 17 and 267 at
+# |H| = 18, so n = 27 is the largest n no lane can carry out of, and the
+# oracle refuses more whatever its limit says.  A lane whose H + L is
+# C4-free holds at most Reiman's bound on n + 1, 76 at n = 27, so its
+# top bit is free for the SWAR compare.
+LANE_BITS = 10
+LANE_MAX_N = 27
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
+
+
+@lru_cache(maxsize=None)
+def _lane_constants(b: int) -> tuple[int, tuple[int, ...], bytes]:
+    """For 2^b lanes: the integer with 1 in every lane, the indicator of each
+    low vertex l (1 in lane L iff l is in L), and |L| as one byte a lane."""
+    width = 1 << b
+    ones = int.from_bytes(b"\x01" * width, "little")
+    member = tuple(
+        int.from_bytes((b"\x00" * (1 << l) + b"\x01" * (1 << l)) * (width >> (l + 1)),
+                       "little")
+        for l in range(b))
+    sizes = b"\x00"
+    for _ in range(b):
+        sizes += sizes.translate(_PLUS_ONE)
+    return ones, member, sizes
+
+
 def best_c4free_induced(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT
                         ) -> tuple[frozenset[int], Fraction]:
     """Exact optimum: vertex set S maximizing d(g[S]) with g[S] C4-free.
 
-    Exhaustive over all 2^n - 1 nonempty subsets, incrementally: with v the
-    highest vertex of S, g[S] is C4-free iff g[S - v] is and `closes_c4`
-    finds no 4-cycle through v, which looks only at v's S-neighbours; and
-    e(S) = e(S - v) + deg_S(v).  Densities are compared as e * |S'| against
-    e' * |S| in integers, and one Fraction is built on return.  Ties break
-    toward smaller |S|, then lexicographically smaller sorted vertex tuple.
+    Exhaustive over all 2^n - 1 nonempty subsets S = H + L, where L holds
+    the b = min(LANE_BITS, n) lowest vertices of S and H the rest.  The high
+    parts H are grown one vertex v above max(H) at a time, depth first, and
+    H + v is dropped with every superset once `closes_c4` finds a 4-cycle
+    through v.  Each live H scores all 2^b sets L at once, one byte lane
+    each.  No 2^n table is kept: memory is a 2^b-byte integer per level of
+    the search and per high part (at most 3 vertices) of a 4-cycle.  For
+    each H:
+    - lane L holds e(H + L) + 1 = e(L) + 1 + sum over v in H of
+      (|N(v) & H_below_v| + |N(v) & L|), built by one addition per vertex
+      added to H;
+    - lane L is dead when H + L holds a 4-cycle: every such cycle has a
+      vertex set Q with Q - L inside H, so the lanes L containing the low
+      part of Q are OR-ed into H's dead mask when the top vertex of Q's
+      high part joins H;
+    - from the current best (e', |S'|) each size |S| gets the least lane
+      value that could compete (gain e |S'| - e' |S| >= 0, and > 0 for a
+      larger set), and one SWAR compare finds the live lanes at or above
+      it, so a block with no competitor costs a few big-integer operations.
+    A competing lane gets the exact test in integers: ties break toward
+    smaller |S|, then toward the lexicographically smaller sorted vertex
+    tuple, and one Fraction is built on return.  n > LANE_MAX_N raises
+    OracleLimitError whatever `limit` is.
     """
     if g.n > limit:
         raise OracleLimitError(f"|g|={g.n} exceeds oracle limit {limit}")
+    if g.n > LANE_MAX_N:
+        raise OracleLimitError(
+            f"|g|={g.n} exceeds the exact oracle's byte-lane cap {LANE_MAX_N}")
     if g.n == 0:
         raise DomainError("graph must have at least one vertex")
-    masks = g.masks
-    # edge count of each C4-free subset, 0xFF for one with a C4: by Reiman a
-    # C4-free graph on n vertices has at most n/4 * (1 + sqrt(4n - 3))
-    # edges, which is under 255 for every n <= 61, far past any n whose
-    # 2^n-byte table could be allocated
-    edges = bytearray(b"\xff") * (1 << g.n)
-    edges[0] = edges[1] = 0
+    n, masks = g.n, g.masks
+    b = min(LANE_BITS, n)
+    low = (1 << b) - 1
+    ones, member, sizes = _lane_constants(b)
+    sign = ones << 7
+    covers = [m * 0xFF for m in member]   # 0xFF in lane L iff l is in L
+
+    start = ones   # lane L: e(L) + 1
+    for i in range(b):
+        for j in bits(masks[i] & low & _above(i)):
+            start += member[i] & member[j]
+    # lane L gains |N(v) & L| when v joins H
+    cross = [sum(member[l] for l in bits(masks[v] & low)) if v >= b else 0
+             for v in range(n)]
+
+    # vertex sets of 4-cycles x-w-y-w', with x the least vertex
+    quads: set[int] = set()
+    for x in range(n - 3):
+        above = _above(x)
+        for y in range(x + 1, n):
+            common = masks[x] & masks[y] & above
+            if common.bit_count() >= 2:
+                xy = (1 << x) | (1 << y)
+                quads.update(xy | (1 << w) | (1 << u)
+                             for w, u in combinations(bits(common), 2))
+    # the lanes L holding the low part of a 4-cycle whose high part is `high`
+    by_high: dict[int, list[int]] = {}
+    for q in quads:
+        if q & low:
+            by_high.setdefault(q & ~low, []).append(q & low)
+    dead_at: dict[int, int] = {}
+    for high, parts in by_high.items():
+        dead = 0
+        for part in parts:
+            lanes = -1
+            for l in bits(part):
+                lanes &= covers[l]
+            dead |= lanes
+        dead_at[high] = dead
+    # for each high vertex v, the (rest of the high part, dead lanes) of the
+    # high parts whose top vertex is v
+    joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for high, dead in dead_at.items():
+        if high:
+            v = high.bit_length() - 1
+            joins[v].append((high ^ (1 << v), dead))
+
     best, best_e, best_size = 1, 0, 1   # {0}: always C4-free, density 0
-    for subset in range(2, 1 << g.n):
-        top = subset.bit_length() - 1
-        prev = subset ^ (1 << top)
-        e = edges[prev]
-        if e == 0xFF or closes_c4(masks, top, prev):
-            continue
-        e += (masks[top] & prev).bit_count()
-        edges[subset] = e
-        size = subset.bit_count()
-        gain = e * best_size - best_e * size
-        if gain < 0 or (gain == 0 and size > best_size):
-            continue
-        if gain == 0 and size == best_size:
-            # equal-size sorted tuples first differ at the least vertex of
-            # the symmetric difference; the tuple holding it is the smaller
-            diff = subset ^ best
-            if not subset & diff & -diff:
+    floors: dict[int, int] = {}   # |H| -> least competing value of each lane
+
+    def floor_of(h: int) -> int:
+        floor = floors.get(h)
+        if floor is None:
+            table = bytearray(b"\x80") * 256
+            for k in range(b + 1):
+                size = h + k
+                if size == 0:
+                    continue   # the empty set
+                if size <= best_size:   # gain >= 0
+                    least = -(-best_e * size // best_size)
+                else:   # gain > 0
+                    least = best_e * size // best_size + 1
+                table[k] = min(least + 1, 0x80)
+            floor = floors[h] = int.from_bytes(sizes.translate(table), "little")
+        return floor
+
+    def score(high: int, h: int, lanes: int, dead: int) -> None:
+        nonlocal best, best_e, best_size
+        live = lanes & ~dead
+        hits = ((live | sign) - floor_of(h)) & sign
+        while hits:
+            bit = hits & -hits
+            pos = bit.bit_length() - 8   # the lane's lowest bit
+            e = ((live >> pos) & 0xFF) - 1
+            subset = high | pos >> 3
+            size = h + sizes[pos >> 3]
+            gain = e * best_size - best_e * size
+            if gain < 0 or (gain == 0 and size > best_size):
+                hits ^= bit
                 continue
-        best, best_e, best_size = subset, e, size
+            if gain == 0 and size == best_size:
+                # equal-size sorted tuples first differ at the least vertex
+                # of the symmetric difference; the tuple holding it is the
+                # smaller
+                diff = subset ^ best
+                if not subset & diff & -diff:
+                    hits ^= bit
+                    continue
+            best, best_e, best_size = subset, e, size
+            floors.clear()
+            hits = ((live | sign) - floor_of(h)) & sign & -(bit << 1)
+
+    def grow(high: int, top: int, h: int, lanes: int, dead: int) -> None:
+        score(high, h, lanes, dead)
+        outside = ~high
+        for v in range(top + 1, n):
+            if closes_c4(masks, v, high):
+                continue
+            more = dead
+            for rest, lanes_v in joins[v]:
+                if not rest & outside:
+                    more |= lanes_v
+            grow(high | 1 << v, v, h + 1,
+                 lanes + cross[v] + (masks[v] & high).bit_count() * ones, more)
+
+    grow(0, b - 1, 0, start, dead_at.get(0, 0))
     return frozenset(bits(best)), Fraction(2 * best_e, best_size)
 
 

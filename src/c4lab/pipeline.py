@@ -151,6 +151,10 @@ class ExtractionCertificate:
         for key, kind in (("s", int), ("k", int), ("delta", float)):
             if key in obj["params"] and not _is_a(obj["params"][key], kind):
                 raise CertificateFormatError(f"params {key!r} must be {_JSON_TYPE[kind]}")
+        # compared, not converted: float() of a huge integer overflows, and a
+        # NaN fails every comparison
+        if "delta" in obj["params"] and not 0 <= obj["params"]["delta"] <= 1:
+            raise CertificateFormatError("params 'delta' must be a finite number in [0, 1]")
         if not _is_a(obj.get("version", CERT_VERSION), str):
             raise CertificateFormatError("certificate key 'version' must be a string")
         wit = obj.get("witness")
@@ -317,7 +321,8 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
             f0 = min(surviving, key=lambda e: sorted(e))
             slice_b = frozenset(v for v in f0 if coloring[v] in s_edge)
             partners = [e for e in surviving if slice_b <= e]
-            assert len(partners) >= s, "trace dichotomy promised >= t >= s partners"
+            if len(partners) < s:
+                raise InvariantError("trace dichotomy promised >= t >= s partners")
             a_side = sorted(phi[e] for e in partners)[:s]
             t_side = sorted(b_list[v] for v in slice_b)
             return _biclique_certificate(under, digest, a_side, t_side, pdict,
@@ -366,9 +371,13 @@ def _assert_model_degrees(g: Graph, a_set: set[int], b_set: set[int],
     if order != k:
         return
     for a in a_set:
-        assert sum(1 for w in g.neighbors(a) if w in b_set) == order
+        if sum(1 for w in g.neighbors(a) if w in b_set) != order:
+            raise InvariantError(f"A'-vertex {a} does not have exactly |Y| = {order} "
+                                 "neighbours in B'")
     for b in b_set:
-        assert sum(1 for w in g.neighbors(b) if w in a_set) >= min(t, k)
+        if sum(1 for w in g.neighbors(b) if w in a_set) < min(t, k):
+            raise InvariantError(f"B'-vertex {b} has fewer than {min(t, k)} "
+                                 "neighbours in A'")
 
 
 # -- the full driver ------------------------------------------------------------
@@ -491,8 +500,8 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         bg = BipartiteGraph(star, [index[v] for v in sorted(a_out)],
                             [index[v] for v in sorted(b_out)])
         model = model_lopsided(bg, s, k, mix_seed(base_seed, 3), params)
-        assert model.mode != "biclique_found", \
-            "a biclique inside a certified biclique-free graph"
+        if model.mode == "biclique_found":
+            raise InvariantError("a biclique inside a certified biclique-free graph")
         if model.mode != "case2_lopsided" or model.witness is None:
             return None
         wit_ids = [core_ids[keep[v]] for v in model.witness]

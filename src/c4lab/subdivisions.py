@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
 
-from .errors import DomainError
+from .errors import CertificateFormatError, DomainError
 from .graphs import (
     Graph,
     average_degree,
@@ -23,7 +24,7 @@ from .graphs import (
     min_degree_core,
     mix_seed,
 )
-from .pipeline import PipelineParams, extract_induced_c4free
+from .pipeline import PipelineParams, _vertex_list, extract_induced_c4free
 
 DEFAULT_EXHAUSTIVE_LIMIT = 12
 
@@ -58,12 +59,26 @@ class SubdivisionWitness:
 
     @staticmethod
     def from_json(text: str) -> "SubdivisionWitness":
+        """Parse a witness, checking the type of every field; a malformed one
+        raises CertificateFormatError."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise CertificateFormatError("subdivision witness must be a JSON object")
+        for key in ("branch", "paths", "induced"):
+            if key not in obj:
+                raise CertificateFormatError(f"subdivision witness lacks the key {key!r}")
+        branch = _vertex_list(obj["branch"], "branch")
+        if not isinstance(obj["paths"], dict):
+            raise CertificateFormatError("paths must be an object of 'u-v' keys")
         paths = {}
         for key, path in obj["paths"].items():
-            u, v = (int(x) for x in key.split("-"))
-            paths[(u, v)] = tuple(path)
-        return SubdivisionWitness(tuple(obj["branch"]), paths, obj["induced"])
+            ends = re.fullmatch(r"(\d+)-(\d+)", key, re.ASCII)
+            if ends is None:
+                raise CertificateFormatError(f"path key {key!r} must be 'u-v'")
+            paths[(int(ends[1]), int(ends[2]))] = _vertex_list(path, f"path {key!r}")
+        if not isinstance(obj["induced"], bool):
+            raise CertificateFormatError("induced must be true or false")
+        return SubdivisionWitness(branch, paths, obj["induced"])
 
 
 def verify_subdivision(g: Graph, w: SubdivisionWitness) -> bool:
@@ -78,6 +93,8 @@ def verify_subdivision(g: Graph, w: SubdivisionWitness) -> bool:
     seen_internal: set[int] = set()
     for (u, v), path in w.paths.items():
         if len(path) < 2 or path[0] != u or path[-1] != v:
+            return False
+        if any(not 0 <= x < g.n for x in path):
             return False
         if any(not g.has_edge(a, b) for a, b in zip(path, path[1:])):
             return False

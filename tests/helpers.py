@@ -268,6 +268,49 @@ def best_c4free_by_fraction_scan(g: Graph, limit: int = 22):
     return best_set, best_val
 
 
+def best_c4free_by_byte_table(g: Graph, limit: int = 22):
+    """The scalar subset scan over a 2^n-byte table of edge counts, one
+    `closes_c4` step per subset: the reference for the lane kernel of
+    `best_c4free_induced`, which must return an equal (set, value)."""
+    from fractions import Fraction
+
+    from c4lab.errors import DomainError, OracleLimitError
+    from c4lab.oracles import closes_c4
+
+    if g.n > limit:
+        raise OracleLimitError(f"|g|={g.n} exceeds oracle limit {limit}")
+    if g.n == 0:
+        raise DomainError("graph must have at least one vertex")
+    masks = g.masks
+    # edge count of each C4-free subset, 0xFF for one with a C4: by Reiman a
+    # C4-free graph on n vertices has at most n/4 * (1 + sqrt(4n - 3))
+    # edges, which is under 255 for every n <= 61, far past any n whose
+    # 2^n-byte table could be allocated
+    edges = bytearray(b"\xff") * (1 << g.n)
+    edges[0] = edges[1] = 0
+    best, best_e, best_size = 1, 0, 1   # {0}: always C4-free, density 0
+    for subset in range(2, 1 << g.n):
+        top = subset.bit_length() - 1
+        prev = subset ^ (1 << top)
+        e = edges[prev]
+        if e == 0xFF or closes_c4(masks, top, prev):
+            continue
+        e += (masks[top] & prev).bit_count()
+        edges[subset] = e
+        size = subset.bit_count()
+        gain = e * best_size - best_e * size
+        if gain < 0 or (gain == 0 and size > best_size):
+            continue
+        if gain == 0 and size == best_size:
+            # equal-size sorted tuples first differ at the least vertex of
+            # the symmetric difference; the tuple holding it is the smaller
+            diff = subset ^ best
+            if not subset & diff & -diff:
+                continue
+        best, best_e, best_size = subset, e, size
+    return frozenset(bits(best)), Fraction(2 * best_e, best_size)
+
+
 def _c4free_by_pair_scan(masks, sub) -> bool:
     """Whether the vertices `sub` induce no C4, by testing every pair for two
     common neighbours inside `sub`."""

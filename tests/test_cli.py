@@ -294,3 +294,52 @@ def test_verify_malformed_fields_exit_1(tmp_path, capsys):
     ]
     for bad, message in cases:
         assert _verify_malformed(capsys, g6, cert_path, bad) == f"error: {message}\n"
+
+
+def test_verify_out_of_range_delta_exits_1(tmp_path, capsys):
+    # a float pow on these would overflow, so they must not reach it
+    g6, cert_path, obj = _heawood_cert(tmp_path, capsys)
+    for delta in (10 ** 400, -1e308):
+        bad = dict(obj, params=dict(obj["params"], delta=delta))
+        err = _verify_malformed(capsys, g6, cert_path, bad)
+        assert err == "error: params 'delta' must be a finite number in [0, 1]\n"
+
+
+def _verify_subdivision_malformed(capsys, tmp_path, obj) -> str:
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(heawood_graph()) + "\n")
+    wit = tmp_path / "wit.json"
+    wit.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify", "--input", str(g6), "--cert", str(wit),
+                             "--subdivision")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+def test_verify_malformed_subdivision_exits_1(tmp_path, capsys):
+    good = {"branch": [0, 1], "paths": {"0-1": [0, 1]}, "induced": False}
+    cases = [
+        ({"branch": [0]}, "subdivision witness lacks the key 'paths'"),
+        (dict(good, paths=[]), "paths must be an object of 'u-v' keys"),
+        ([0, 1], "subdivision witness must be a JSON object"),
+        (dict(good, branch="0,1"), "branch must be a list of vertex ids"),
+        (dict(good, paths={"0_1": [0, 1]}), "path key '0_1' must be 'u-v'"),
+        (dict(good, paths={"0-1": [0, "1"]}), "path '0-1' must be a list of vertex ids"),
+        (dict(good, induced=1), "induced must be true or false"),
+    ]
+    for bad, message in cases:
+        err = _verify_subdivision_malformed(capsys, tmp_path, bad)
+        assert err == f"error: {message}\n"
+
+
+def test_verify_subdivision_with_path_ids_out_of_range_exits_2(tmp_path, capsys):
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(heawood_graph()) + "\n")
+    wit = tmp_path / "wit.json"
+    for internal in (-1, 14):
+        wit.write_text(json.dumps({"branch": [0, 1], "paths": {"0-1": [0, internal, 1]},
+                                   "induced": False}))
+        code, out, err = run_cli(capsys, "verify", "--input", str(g6), "--cert", str(wit),
+                                 "--subdivision")
+        assert (code, out, err) == (2, "REJECTED\n", "")

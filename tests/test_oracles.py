@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,8 @@ from c4lab.named import (
     petersen_graph,
 )
 from c4lab.oracles import (
+    LANE_BITS,
+    LANE_MAX_N,
     _has_biclique,
     best_c4free_induced,
     closes_c4,
@@ -33,6 +37,7 @@ from c4lab.oracles import (
     max_independent_set,
 )
 from helpers import (
+    best_c4free_by_byte_table,
     best_c4free_by_fraction_scan,
     brute_force_c4_exists,
     brute_force_mis_size,
@@ -253,6 +258,111 @@ def test_best_c4free_induced_matches_fraction_scan_on_ties():
               PETERSEN, projective_plane_incidence(2).underlying]
     for g in cases:
         assert best_c4free_induced(g) == best_c4free_by_fraction_scan(g)
+
+
+def test_best_c4free_induced_matches_fraction_scan_across_the_lane_split():
+    # n = 8 .. 16 puts 0 to 6 vertices above the LANE_BITS lane vertices
+    rng = random.Random(53)
+    for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        for n in range(8, 17):
+            g = gen_gnp(n, p, rng.randrange(2 ** 32))
+            assert best_c4free_induced(g) == best_c4free_by_fraction_scan(g)
+
+
+def test_best_c4free_induced_matches_fraction_scan_on_wide_ties():
+    # ties across many blocks of 2^LANE_BITS lanes: the witness comes from
+    # the size and lexicographic tie-breaks between blocks
+    cases = [Graph(n) for n in range(LANE_BITS + 1, 17)]
+    cases += [disjoint_union(*(complete_graph(3) for _ in range(5))),
+              disjoint_union(*(cycle_graph(5) for _ in range(3))),
+              disjoint_union(cycle_graph(6), cycle_graph(5), cycle_graph(5)),
+              disjoint_union(complete_graph(3), cycle_graph(5), complete_graph(3),
+                             cycle_graph(5)),
+              disjoint_union(*(complete_graph(4) for _ in range(4))),
+              disjoint_union(*(cycle_graph(4) for _ in range(4))),
+              cycle_graph(16), complete_graph(14),
+              complete_bipartite(7, 8).underlying, heawood_graph()]
+    assert all(g.n > LANE_BITS for g in cases)
+    for g in cases:
+        assert best_c4free_induced(g) == best_c4free_by_fraction_scan(g)
+
+
+def test_best_c4free_induced_rescans_the_next_lane_after_a_new_best():
+    # lane 87 = {0, 1, 2, 4, 6} (density 8/5) raises the best, and the next
+    # lane, 88 = {3, 4, 6}, is the optimum
+    g = Graph(8, [(0, 2), (0, 4), (0, 7), (1, 6), (3, 4), (3, 5), (3, 6),
+                  (4, 6), (5, 6)])
+    assert best_c4free_induced(g) == (frozenset({3, 4, 6}), 2)
+    assert best_c4free_by_fraction_scan(g) == (frozenset({3, 4, 6}), 2)
+
+
+def test_best_c4free_induced_matches_byte_table_scan_at_18_to_20():
+    rng = random.Random(59)
+    for n, p in ((18, 0.15), (18, 0.9), (19, 0.3), (19, 0.6), (20, 0.2), (20, 0.9)):
+        g = gen_gnp(n, p, rng.randrange(2 ** 32))
+        assert best_c4free_induced(g) == best_c4free_by_byte_table(g)
+    wide = disjoint_union(*(cycle_graph(5) for _ in range(4)))
+    assert best_c4free_induced(wide) == best_c4free_by_byte_table(wide)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.9])
+def test_best_c4free_induced_keeps_no_subset_table(p):
+    # the scalar scan's table alone is one byte a subset, 1 MB here
+    import tracemalloc
+
+    g = gen_gnp(20, p, 5)
+    tracemalloc.start()
+    try:
+        best_c4free_induced(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_lane_cap_is_the_largest_n_no_lane_carries_out_of():
+    def peak(n):
+        # Reiman's bound on e(H), |H| = n - LANE_BITS, in integers: the floor
+        # of h/4 (1 + sqrt(4h - 3)) is (h + floor(h sqrt(4h - 3))) // 4
+        h = n - LANE_BITS
+        reiman = (h + isqrt(h * h * (4 * h - 3))) // 4
+        return reiman + LANE_BITS * (LANE_BITS - 1) // 2 + LANE_BITS * h + 1
+    assert peak(LANE_MAX_N) <= 0xFF < peak(LANE_MAX_N + 1)
+
+
+def test_best_c4free_induced_refuses_more_than_the_lane_cap():
+    # no limit lifts the cap: a lane could carry past it
+    with pytest.raises(OracleLimitError, match="byte-lane cap"):
+        best_c4free_induced(Graph(LANE_MAX_N + 1), limit=30)
+    witness, value = best_c4free_induced(Graph(LANE_MAX_N), limit=30)
+    assert witness == frozenset({0}) and value == 0
+
+
+def test_best_c4free_induced_is_exact_at_the_lane_cap():
+    # a K_10 on the lanes joined to every vertex of a C4-free F on the other
+    # vertices puts the fullest lanes within a few of 255; a set that meets
+    # the clique is at most a K3 or a star over an induced matching, of
+    # density under 3, so the optimum is F's own, by the byte-table scan
+    h = LANE_MAX_N - LANE_BITS
+    pairs = list(combinations(range(h), 2))
+    random.Random(67).shuffle(pairs)
+    f_edges = []
+    for e in pairs:
+        if is_c4_free(Graph(h, f_edges + [e])):
+            f_edges.append(e)
+    f_witness, f_value = best_c4free_by_byte_table(Graph(h, f_edges))
+    assert f_value > 3 and len(f_edges) >= 30
+    edges = list(combinations(range(LANE_BITS), 2))
+    edges += [(l, LANE_BITS + v) for l in range(LANE_BITS) for v in range(h)]
+    edges += [(LANE_BITS + u, LANE_BITS + v) for u, v in f_edges]
+    g = Graph(LANE_MAX_N, edges)
+    witness, value = best_c4free_induced(g, limit=LANE_MAX_N)
+    assert witness == frozenset(LANE_BITS + v for v in f_witness) and value == f_value
+
+
+def test_best_c4free_induced_matches_byte_table_scan_above_the_default_limit():
+    g = gen_gnp(23, 0.9, 61)
+    assert best_c4free_induced(g, limit=23) == best_c4free_by_byte_table(g, limit=23)
 
 
 def test_closes_c4_agrees_with_quadruple_scan():

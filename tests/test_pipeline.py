@@ -242,3 +242,71 @@ def test_biclique_certificate_rejects_bad_scan_witness_under_optimize():
             "except InvariantError as exc:\n"
             "    print('raised', exc)\n")
         assert out == f"raised {message}\n"
+
+
+# each snippet patches `pipeline` so that one soundness check fails, runs
+# the call that reaches it, and prints the InvariantError it raises; the
+# checks are explicit raises, so they also fire under `python -O`
+TRACE_PARTNERS = (
+    "import dataclasses\n"
+    "from c4lab import pipeline\n"
+    "from c4lab.graphs import BipartiteGraph, Graph\n"
+    "from c4lab.pipeline import PipelineParams\n"
+    "real_kernel = pipeline.furedi_kernel\n"
+    "def one_edge_kernel(*args, **kwargs):\n"
+    "    kernel = real_kernel(*args, **kwargs)\n"
+    "    return dataclasses.replace(kernel,\n"
+    "                               surviving_edges=kernel.surviving_edges[:1])\n"
+    "pipeline.furedi_kernel = one_edge_kernel\n"
+    "a = 300\n"
+    "edges = [(i, w) for i in range(a) for w in (a, a + 1, a + 2 + i)]\n"
+    "bg = BipartiteGraph(Graph(2 * a + 2, edges), range(a), range(a, 2 * a + 2))\n"
+    "call = lambda: pipeline.model_lopsided(bg, s=2, k=2, seed=3,\n"
+    "                                       params=PipelineParams(retries=20))\n",
+    "trace dichotomy promised >= t >= s partners")
+MODEL_DEGREES = (
+    "from c4lab import pipeline\n"
+    "from c4lab.named import heawood_graph\n"
+    "call = lambda: pipeline._assert_model_degrees(\n"
+    "    heawood_graph(), {0}, {7, 8, 9, 10}, 3, 3, 3)\n",
+    "A'-vertex 0 does not have exactly |Y| = 3 neighbours in B'")
+MODEL_B_DEGREES = (
+    "from c4lab import pipeline\n"
+    "from c4lab.graphs import Graph\n"
+    "call = lambda: pipeline._assert_model_degrees(\n"
+    "    Graph(4, [(0, 2), (0, 3), (1, 2)]), {0}, {2, 3}, 2, 2, 2)\n",
+    "B'-vertex 2 has fewer than 2 neighbours in A'")
+LOPSIDED_BICLIQUE = (
+    "from types import SimpleNamespace\n"
+    "from c4lab import pipeline\n"
+    "from c4lab.named import heawood_graph\n"
+    "pipeline.split_prefix = lambda g, delta: 'prefix'\n"
+    "pipeline.split_from_prefix = lambda prefix, seed, retries: SimpleNamespace(\n"
+    "    kind='lopsided', a_side=range(7), b_side=range(7, 14))\n"
+    "pipeline.bipartite_regularize = lambda g, a, b, s, r, seed, retries: (\n"
+    "    frozenset(a), frozenset(b))\n"
+    "pipeline.model_lopsided = lambda *args: SimpleNamespace(mode='biclique_found')\n"
+    "call = lambda: pipeline.extract_induced_c4free(heawood_graph(), s=2, k=4, seed=1)\n",
+    "a biclique inside a certified biclique-free graph")
+FORCED_RAISES = [TRACE_PARTNERS, MODEL_DEGREES, MODEL_B_DEGREES, LOPSIDED_BICLIQUE]
+FORCED_IDS = ["trace-partners", "model-a-degrees", "model-b-degrees", "lopsided-biclique"]
+CATCH = ("from c4lab.errors import InvariantError\n"
+         "try:\n"
+         "    call()\n"
+         "except InvariantError as exc:\n"
+         "    print('raised', exc)\n")
+
+
+@pytest.mark.parametrize("snippet, message", FORCED_RAISES, ids=FORCED_IDS)
+def test_pipeline_soundness_checks_raise(snippet, message, capsys, monkeypatch):
+    # the snippet patches this process's `pipeline`; monkeypatch restores it
+    for name in ("furedi_kernel", "split_prefix", "split_from_prefix",
+                 "bipartite_regularize", "model_lopsided"):
+        monkeypatch.setattr(pipeline, name, getattr(pipeline, name))
+    exec(snippet + CATCH, {})
+    assert capsys.readouterr().out == f"raised {message}\n"
+
+
+@pytest.mark.parametrize("snippet, message", FORCED_RAISES, ids=FORCED_IDS)
+def test_pipeline_soundness_checks_raise_under_optimize(snippet, message):
+    assert run_optimized(snippet + CATCH) == f"raised {message}\n"

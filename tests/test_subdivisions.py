@@ -66,6 +66,13 @@ def test_verify_subdivision_rejects_shared_internals():
     assert not verify_subdivision(g, bad)  # vertex 1 reused (and 1-4 no edge)
 
 
+def test_verify_subdivision_rejects_path_vertices_out_of_range():
+    g = cycle_graph(6)
+    for internal in (-1, 6, 10 ** 20):
+        w = SubdivisionWitness((0, 2), {(0, 2): (0, internal, 2)}, induced_flag=False)
+        assert not verify_subdivision(g, w)
+
+
 def test_verify_subdivision_checks_induced_flag():
     g = complete_graph(4)
     w = SubdivisionWitness(
