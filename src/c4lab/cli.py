@@ -58,12 +58,11 @@ def _env_int(name: str, default: int) -> int:
 # the DEGB_* variable and built-in default behind each budget flag's dest;
 # they are read on every call, so a changed variable takes effect at once
 _ENV_DEFAULTS = (("retries", "RETRIES", 100), ("attempts", "ATTEMPTS", 8),
-                 ("oracle_limit", "ORACLE_LIMIT", 22), ("threads", "THREADS", 1),
-                 ("limit", "ORACLE_LIMIT", 22))
+                 ("oracle_limit", "ORACLE_LIMIT", 22), ("limit", "ORACLE_LIMIT", 22))
 
 
 # least accepted value of each budget flag, wherever a subcommand has it
-_FLAG_MINIMUMS = (("retries", 0), ("attempts", 0), ("oracle_limit", 0), ("threads", 1))
+_FLAG_MINIMUMS = (("retries", 0), ("attempts", 0), ("oracle_limit", 0))
 
 
 def _check_flag_minimums(args) -> None:
@@ -121,7 +120,7 @@ def _load_graph(path: str, fmt: str) -> Graph:
 def _params_from(args) -> PipelineParams:
     return PipelineParams(
         retries=args.retries, attempts=args.attempts,
-        oracle_limit=args.oracle_limit, threads=args.threads)
+        oracle_limit=args.oracle_limit)
 
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
@@ -135,7 +134,6 @@ def _add_pipeline_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retries", type=int)
     p.add_argument("--attempts", type=int)
     p.add_argument("--oracle-limit", type=int, dest="oracle_limit")
-    p.add_argument("--threads", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

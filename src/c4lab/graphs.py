@@ -8,8 +8,8 @@ from induced subgraphs can be traced back to the original input's naming.
 
 All randomized operations take an explicit integer seed and are pure
 functions of (input, seed).  Sub-streams (per retry, per trial) are derived
-with a splitmix-style counter mix so parallel evaluation cannot change
-results.
+with a splitmix-style counter mix, so each depends only on its seed and
+index.
 """
 
 from __future__ import annotations
@@ -256,6 +256,23 @@ def min_degree_core(g: Graph, t: int) -> frozenset[int]:
                 if deg[w] < t:
                     stack.append(w)
     return frozenset(v for v in range(g.n) if alive[v])
+
+
+def half_degree_core(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """One peel to the min-degree core at ceil(d/2), d = d(g): (core, ids).
+
+    `ids` lists the kept vertices of g ascending and the core is g[ids].  A
+    graph the peel leaves whole, or one with no edge, comes back as g
+    itself, so no subgraph is built.  A graph with an edge keeps a nonempty
+    core: it has a subgraph of minimum degree above d/2.
+    """
+    if g.edge_count == 0:
+        return g, tuple(range(g.n))
+    core = min_degree_core(g, -(-g.edge_count // g.n))  # ceil(d/2) = ceil(e/n)
+    if len(core) == g.n:
+        return g, tuple(range(g.n))
+    ids = tuple(sorted(core))
+    return induced(g, ids), ids
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -24,7 +24,7 @@ from .errors import (
     OracleLimitError,
     UnsupportedParameterError,
 )
-from .graphs import Graph, mix_seed, rand_below
+from .graphs import Graph, bits, mix_seed, rand_below
 
 DEFAULT_ALPHA_LIMIT = 12
 
@@ -374,7 +374,8 @@ def find_induced_pair(h: Hypergraph, k: int) -> InducedPair:
         return lifted if lifted.order > local.order else local
 
     pair = recurse(list(range(h.vertex_count)), list(h.edges))
-    assert verify_induced_pair(h, pair), "constructed pair failed its own invariants"
+    if not verify_induced_pair(h, pair):
+        raise InvariantError("constructed pair failed its own invariants")
     return pair
 
 
@@ -437,14 +438,10 @@ def _canonical_key(n: int, edges: Sequence[int]) -> tuple:
     deg = [0] * n
     sizes: list[list[int]] = [[] for _ in range(n)]
     for mask in edges:
-        m = mask
         size = mask.bit_count()
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
+        for v in bits(mask):
             deg[v] += 1
             sizes[v].append(size)
-            m ^= low
     invariant = [(deg[v], tuple(sorted(sizes[v]))) for v in range(n)]
     groups: dict[tuple, list[int]] = {}
     for v in range(n):
@@ -459,6 +456,7 @@ def _canonical_key(n: int, edges: Sequence[int]) -> tuple:
                 mapping[src] = dst
         remapped = []
         for mask in edges:
+            # inline, not bits(): this loop is the hottest code of f_search
             newmask = 0
             m = mask
             while m:
@@ -480,7 +478,8 @@ def _canonical_key(n: int, edges: Sequence[int]) -> tuple:
             rec(i + 1, parts + [perm])
 
     rec(0, [])
-    assert best is not None
+    if best is None:
+        raise InvariantError("no permutation reached the canonical key")
     return (n, tuple(sorted(invariant)), best)
 
 

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Callable
 
 from .errors import (
     CertificateFormatError,
@@ -31,8 +28,8 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     average_degree,
+    half_degree_core,
     induced,
-    min_degree_core,
     mix_seed,
 )
 from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel
@@ -62,7 +59,6 @@ class PipelineParams:
     retries: int = 100             # Las Vegas budget inside each stage
     attempts: int = 8              # driver-level seed-indexed attempts
     oracle_limit: int = 22         # exhaustive fallback cap
-    threads: int = 1               # parallel attempt evaluation
 
     def resolve_r(self, s: int, k: int) -> int:
         return self.r if self.r is not None else max(k * k, s + 1)
@@ -353,10 +349,9 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
                     _assert_model_degrees(under, a_set, set(b_prime),
                                           len(y_colors), t, k)
                     return cert
-                flags, stats = _flags_and_stats(under, witness, k, params.delta)
-                avg = Fraction(stats["avg_degree"])
+                avg = Fraction(cert.stats["avg_degree"])
                 if best is None or avg > best[0]:
-                    best = (avg, (flags, stats))
+                    best = (avg, (cert.verified, cert.stats))
         star = star_certificate()
         if star is not None:
             return star
@@ -382,24 +377,6 @@ def _assert_model_degrees(g: Graph, a_set: set[int], b_set: set[int],
 
 # -- the full driver ------------------------------------------------------------
 
-def _first_success(fn: Callable[[int], ExtractionCertificate | None],
-                   budget: int, threads: int) -> ExtractionCertificate | None:
-    """Lowest-index successful attempt, identical for any thread count."""
-    if threads <= 1:
-        for i in range(budget):
-            res = fn(i)
-            if res is not None:
-                return res
-        return None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for base in range(0, budget, threads):
-            chunk = list(range(base, min(base + threads, budget)))
-            for res in pool.map(fn, chunk):
-                if res is not None:
-                    return res
-    return None
-
-
 def extract_induced_c4free(g: Graph, s: int, k: int,
                            params: PipelineParams | None = None,
                            seed: int = 0) -> ExtractionCertificate:
@@ -407,13 +384,13 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
 
     Route: (0) an exhaustive biclique scan ends in biclique_found (the
     extraction hypothesis fails); (1) an input already C4-free with average
-    degree >= k is its own witness; (2) otherwise peel to a min-degree core
-    (iterated to a fixed point); (3) split into the near-regular or the
-    lopsided case and run short-cycle sparsification, or regularization
-    plus the kernel model; (4) on small inputs a failed pipeline falls back
-    to the exhaustive optimum (oracle_fallback), else an honest failure
-    certificate with diagnostics.  Every witness is re-verified from
-    scratch against the original graph.
+    degree >= k is its own witness; (2) otherwise peel to the min-degree
+    core at half the average degree, iterated to a fixed point; (3) split
+    into the near-regular or the lopsided case and run short-cycle
+    sparsification, or regularization plus the kernel model; (4) on small
+    inputs a failed pipeline falls back to the exhaustive optimum
+    (oracle_fallback), else an honest failure certificate with diagnostics.
+    Every witness is re-verified from scratch against the original graph.
     """
     if s < 2:
         raise DomainError("s must be >= 2")
@@ -437,38 +414,32 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
                                      stage="trivial")
 
     # peel to a fixed point
-    core_ids = tuple(range(g.n))
-    core_graph = g
-    while core_graph.n:
-        d = average_degree(core_graph)
-        if d <= 0:
+    core_graph, core_ids = g, tuple(range(g.n))
+    while True:
+        peeled, ids = half_degree_core(core_graph)
+        if peeled is core_graph:
             break
-        t_peel = max(1, ceil(d / 2))
-        core = min_degree_core(core_graph, t_peel)
-        if len(core) == core_graph.n:
-            break
-        core_ids = tuple(core_ids[v] for v in sorted(core))
-        core_graph = induced(core_graph, core)
+        core_graph, core_ids = peeled, tuple(core_ids[v] for v in ids)
 
     # the seed-free half of the split is shared by every attempt; when it
-    # raises, every attempt fails
-    prefix = None
-    if core_graph.n > 0 and core_graph.edge_count > 0 and params.attempts > 0:
+    # raises, every attempt would fail, so none runs
+    attempts = 0
+    if core_graph.edge_count > 0 and params.attempts > 0:
         try:
             prefix = split_prefix(core_graph, params.resolve_split_delta(s))
+            attempts = params.attempts
         except (DomainError, ExtractionFailure):
             pass
 
-    # diagnostics per attempt index; the final pick is by (avg degree,
-    # lowest index) so the record is identical for any thread count
-    diagnostics: dict[int, tuple[dict, dict]] = {}
-
-    def attempt(i: int) -> ExtractionCertificate | None:
+    # the lowest-index success wins; failed sparsifier runs feed a running
+    # best for the diagnostics, where a strict > keeps the lowest index
+    best: tuple[Fraction, tuple[dict, dict]] | None = None
+    for i in range(attempts):
         base_seed = mix_seed(seed, 7000 + i)
         try:
             split = split_from_prefix(prefix, base_seed, retries=params.retries)
         except ExtractionFailure:
-            return None
+            continue
         if split.kind == "near_regular":
             local = sorted(split.subgraph)
             sub = induced(core_graph, local)
@@ -479,8 +450,11 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
             except ExtractionFailure as exc:
                 if exc.best:
                     wit_ids = [core_ids[local[v]] for v in sorted(exc.best)]
-                    diagnostics[i] = _flags_and_stats(g, wit_ids, k, params.delta)
-                return None
+                    diag = _flags_and_stats(g, wit_ids, k, params.delta)
+                    avg = Fraction(diag[1]["avg_degree"])
+                    if best is None or avg > best[0]:
+                        best = (avg, diag)
+                continue
             wit_ids = [core_ids[local[v]] for v in sorted(keep)]
             return _subgraph_certificate(g, digest, "case1_near_regular", wit_ids,
                                          pdict, seed, k, params.delta,
@@ -493,7 +467,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
                 core_graph, a_side, b_side, s, params.resolve_r(s, k),
                 mix_seed(base_seed, 2), retries=params.retries)
         except (ParameterError, ExtractionFailure, DomainError):
-            return None
+            continue
         keep = sorted(a_out | b_out)
         index = {v: j for j, v in enumerate(keep)}
         star = induced(core_graph, keep)
@@ -503,19 +477,13 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         if model.mode == "biclique_found":
             raise InvariantError("a biclique inside a certified biclique-free graph")
         if model.mode != "case2_lopsided" or model.witness is None:
-            return None
+            continue
         wit_ids = [core_ids[keep[v]] for v in model.witness]
         cert = _subgraph_certificate(g, digest, "case2_lopsided", wit_ids, pdict,
                                      seed, k, params.delta,
                                      stage=f"attempt{i}:lopsided")
         if cert.verified["induced_c4free"] and cert.verified["avg_degree_ok"]:
             return cert
-        return None
-
-    if prefix is not None:
-        found = _first_success(attempt, params.attempts, params.threads)
-        if found is not None:
-            return found
 
     if g.n <= params.oracle_limit:
         try:
@@ -526,13 +494,8 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
             return _subgraph_certificate(g, digest, "oracle_fallback", witness,
                                          pdict, seed, k, params.delta,
                                          stage="oracle")
-    best_failure = None
-    if diagnostics:
-        pick = max(diagnostics,
-                   key=lambda i: (Fraction(diagnostics[i][1]["avg_degree"]), -i))
-        best_failure = diagnostics[pick]
     return _failure_certificate(digest, pdict, seed, "routes-exhausted",
-                                best=best_failure)
+                                best=None if best is None else best[1])
 
 
 def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:

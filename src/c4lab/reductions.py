@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 
 from .errors import DomainError, ExtractionFailure, InvariantError, NotBiregularError
 from .graphs import (
@@ -22,10 +21,10 @@ from .graphs import (
     bits,
     degeneracy,
     greedy_coloring,
+    half_degree_core,
     induced,
     induced_bipartite,
     mask_of,
-    min_degree_core,
     mix_seed,
 )
 from .oracles import contains_biclique
@@ -307,11 +306,9 @@ def split_prefix(g: Graph, delta: float) -> SplitPrefix:
     base = induced(g, base_map)
     if base.n == 0 or base.edge_count == 0:
         raise ExtractionFailure("nothing remains outside the high-degree set")
-    core = min_degree_core(base, max(1, ceil(average_degree(base) / 2)))
-    if not core:
+    h, core_ids = half_degree_core(base)
+    if not core_ids:
         raise ExtractionFailure("min-degree core is empty")
-    core_ids = sorted(core)
-    h = induced(base, core_ids)
     nbr = h.masks
 
     # dyadic degree buckets around d; a bucket's weight is its degree mass.

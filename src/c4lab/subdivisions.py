@@ -14,14 +14,15 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil
 
-from .errors import CertificateFormatError, DomainError
+from .errors import CertificateFormatError, DomainError, InvariantError
 from .graphs import (
     Graph,
     average_degree,
+    bits,
+    half_degree_core,
     induced,
-    min_degree_core,
+    mask_of,
     mix_seed,
 )
 from .pipeline import PipelineParams, _vertex_list, extract_induced_c4free
@@ -105,20 +106,19 @@ def verify_subdivision(g: Graph, w: SubdivisionWitness) -> bool:
             if x in branch or x in seen_internal:
                 return False
             seen_internal.add(x)
-    if w.induced_flag:
-        verts = sorted(w.all_vertices())
-        inside = set(verts)
-        actual = {(u, v) for u, v in g.edges() if u in inside and v in inside}
-        if actual != w.path_edges():
-            return False
-    return True
+    return not w.induced_flag or _is_induced(g, branch, w.paths)
 
 
-def _compute_induced_flag(g: Graph, branch, paths) -> bool:
-    w = SubdivisionWitness(tuple(branch), dict(paths), induced_flag=False)
-    verts = sorted(w.all_vertices())
-    inside = set(verts)
-    actual = {(u, v) for u, v in g.edges() if u in inside and v in inside}
+def _is_induced(g: Graph, branch, paths) -> bool:
+    """Whether g induces exactly the path edges on the witness vertices.
+
+    Only the witness vertices' neighbour masks are read, each cut down to
+    the witness; every vertex must be in range.
+    """
+    w = SubdivisionWitness(tuple(branch), paths)
+    inside = mask_of(w.all_vertices())
+    actual = {(u, v) for u in bits(inside)
+              for v in bits(g.neighbor_mask(u) & inside) if u < v}
     return actual == w.path_edges()
 
 
@@ -171,7 +171,7 @@ def _exhaustive_pack(g: Graph, k: int, require_induced: bool
 
         def route(i: int) -> bool:
             if i == len(pairs):
-                if require_induced and not _compute_induced_flag(g, branch, paths):
+                if require_induced and not _is_induced(g, branch, paths):
                     return False
                 return True
             u, v = pairs[i]
@@ -195,11 +195,17 @@ def _exhaustive_pack(g: Graph, k: int, require_induced: bool
             return dfs(u, [u])
 
         if route(0):
-            flag = _compute_induced_flag(g, branch, paths)
+            flag = _is_induced(g, branch, paths)
             if require_induced and not flag:
                 continue
             return SubdivisionWitness(tuple(branch), dict(paths), induced_flag=flag)
     return None
+
+
+def _checked(g: Graph, w: SubdivisionWitness) -> SubdivisionWitness:
+    if not verify_subdivision(g, w):
+        raise InvariantError("constructed subdivision failed its own replay")
+    return w
 
 
 def find_subdivision(g: Graph, k: int, seed: int, retries: int = 30,
@@ -232,31 +238,19 @@ def find_subdivision(g: Graph, k: int, seed: int, retries: int = 30,
         paths = _greedy_attempt(g, list(branch))
         if paths is None:
             continue
-        flag = _compute_induced_flag(g, branch, paths)
+        flag = _is_induced(g, branch, paths)
         if require_induced and not flag:
             continue
         w = SubdivisionWitness(tuple(sorted(branch)), paths, induced_flag=flag)
-        assert verify_subdivision(g, w)
-        return w
+        return _checked(g, w)
     if g.n <= exhaustive_limit:
         w = _exhaustive_pack(g, k, require_induced)
         if w is not None:
-            assert verify_subdivision(g, w)
-            return w
+            return _checked(g, w)
     return None
 
 
 # -- induced subdivisions via the extraction pipeline -------------------------
-
-def _peel_to_core(g: Graph) -> tuple[Graph, list[int]]:
-    """Min-degree core at half the average degree; returns (subgraph, id map)."""
-    if g.n == 0 or g.edge_count == 0:
-        return g, list(range(g.n))
-    t = max(1, ceil(average_degree(g) / 2))
-    core = min_degree_core(g, t)
-    ids = sorted(core)
-    return induced(g, ids), ids
-
 
 def _build_aux_graph(w_set: list[int], u_map: dict[int, tuple[int, int]]
                      ) -> tuple[Graph, dict[tuple[int, int], int]]:
@@ -269,7 +263,8 @@ def _build_aux_graph(w_set: list[int], u_map: dict[int, tuple[int, int]]
     edge_owner: dict[tuple[int, int], int] = {}
     for u, (w1, w2) in sorted(u_map.items()):
         key = (min(index[w1], index[w2]), max(index[w1], index[w2]))
-        assert key not in edge_owner, "two connectors share both endpoints: C4"
+        if key in edge_owner:
+            raise InvariantError("two connectors share both endpoints: a C4")
         edge_owner[key] = u
     j = Graph(len(w_set), list(edge_owner.keys()),
               labels=[str(w) for w in w_set])
@@ -307,7 +302,7 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
 
     if witness_set is not None:
         sub = induced(g, witness_set)
-        core, core_local = _peel_to_core(sub)
+        core, core_local = half_degree_core(sub)
         host_ids = [witness_set[v] for v in core_local]
         if core.edge_count:
             parts = core.bipartition()
@@ -329,7 +324,7 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
                     continue
                 host_connector = {key: host_ids[u] for key, u in edge_owner.items()}
                 branch, paths = _lift(host_ids, j, jw, host_connector)
-                flag = _compute_induced_flag(g, branch, paths)
+                flag = _is_induced(g, branch, paths)
                 if not flag:
                     continue
                 w = SubdivisionWitness(branch, paths, induced_flag=True)

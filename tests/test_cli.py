@@ -164,8 +164,7 @@ def test_bad_env_integer_exits_1(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--retries", "-1"), ("--attempts", "-1"), ("--oracle-limit", "-1"),
-    ("--threads", "0"), ("--threads", "-2")])
+    ("--retries", "-1"), ("--attempts", "-1"), ("--oracle-limit", "-1")])
 def test_out_of_range_budget_flags_exit_1(tmp_path, capsys, flag, value):
     g6 = tmp_path / "g.g6"
     g6.write_text(write_graph6(heawood_graph()) + "\n")
@@ -181,6 +180,17 @@ def test_out_of_range_budget_flags_exit_1(tmp_path, capsys, flag, value):
     assert not cert_path.exists()
 
 
+def test_threads_flag_is_gone(tmp_path, capsys):
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(heawood_graph()) + "\n")
+    cert_path = tmp_path / "cert.json"
+    code, out, err = run_cli(capsys, "extract", "--input", str(g6), "--s", "2",
+                             "--k", "3", "--seed", "1", "--threads", "1",
+                             "--out", str(cert_path))
+    assert code == 1 and out == "" and "--threads" in err
+    assert not cert_path.exists()
+
+
 def test_zero_budgets_still_accepted(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DEGB_ATTEMPTS", "0")
     g6 = tmp_path / "g.g6"
@@ -188,7 +198,7 @@ def test_zero_budgets_still_accepted(tmp_path, capsys, monkeypatch):
     cert_path = tmp_path / "cert.json"
     code, _, _ = run_cli(capsys, "extract", "--input", str(g6), "--s", "2", "--k", "3",
                          "--seed", "1", "--retries", "0", "--oracle-limit", "0",
-                         "--threads", "1", "--out", str(cert_path))
+                         "--out", str(cert_path))
     assert code == 0
     params = json.loads(cert_path.read_text())["params"]
     assert (params["attempts"], params["retries"], params["oracle_limit"]) == (0, 0, 0)
@@ -224,7 +234,7 @@ def test_env_default_read_on_every_call(tmp_path, capsys, monkeypatch):
     ["extract", "--s", "2", "--k", "3"],
 ])
 def test_bad_env_integer_fails_every_subcommand(capsys, monkeypatch, argv):
-    for name in ("RETRIES", "ATTEMPTS", "ORACLE_LIMIT", "THREADS"):
+    for name in ("RETRIES", "ATTEMPTS", "ORACLE_LIMIT"):
         monkeypatch.setenv(f"DEGB_{name}", "x")
         _assert_one_line_error(*run_cli(capsys, *argv))
         monkeypatch.delenv(f"DEGB_{name}")

@@ -73,13 +73,12 @@ def test_lb_experiment_reproduces_golden_row():
     assert rep.csv_row() == expected
 
 
-def test_cli_golden_across_thread_counts(tmp_path, capsys):
-    for threads in ("1", "8"):
-        out = tmp_path / f"cert_t{threads}.json"
+def test_cli_golden_on_repeated_runs(tmp_path, capsys):
+    for run in range(2):
+        out = tmp_path / f"cert_{run}.json"
         code = main(["extract", "--input", str(GOLDEN / "gnp24.g6"),
                      "--s", "2", "--k", "2", "--seed", "42", "--retries", "10",
-                     "--attempts", "4", "--threads", threads,
-                     "--out", str(out)])
+                     "--attempts", "4", "--out", str(out)])
         capsys.readouterr()
         assert code in (0, 2)
         assert out.read_bytes() == (GOLDEN / "gnp24_cert.json").read_bytes()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -12,6 +13,7 @@ from c4lab.graphs import (
     gen_gnp,
     gen_lopsided,
     greedy_coloring,
+    half_degree_core,
     induced,
     min_degree_core,
     mix_seed,
@@ -90,6 +92,25 @@ def test_min_degree_core_is_maximal_and_min_degree_holds():
         for v in sorted(set(range(g.n)) - core)[:5]:
             gs = induced(g, core | {v})
             assert gs.min_degree() < t
+
+
+def test_half_degree_core_is_one_peel_at_half_the_average_degree():
+    # nothing to peel: the graph itself comes back, with no subgraph built
+    for g in (Graph(5, []), Graph(0, []), petersen_graph(), cycle_graph(6)):
+        core, ids = half_degree_core(g)
+        assert core is g and ids == tuple(range(g.n))
+    rng = random.Random(5)
+    for _ in range(200):
+        n = 1 + rng.randrange(14)
+        g = gen_gnp(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(2 ** 32))
+        core, ids = half_degree_core(g)
+        if g.edge_count == 0:
+            assert core is g
+            continue
+        expected = min_degree_core(g, max(1, ceil(average_degree(g) / 2)))
+        assert ids == tuple(sorted(expected)) and ids
+        assert core.masks == induced(g, ids).masks
+        assert (core is g) == (len(ids) == g.n)
 
 
 def test_peeling_lemma_nonempty_core():

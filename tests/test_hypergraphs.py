@@ -117,6 +117,18 @@ def test_kernel_step_check_raises_invariant_error(monkeypatch):
         furedi_kernel(f, s=1, t=1, seed=5)
 
 
+def test_find_induced_pair_raises_when_its_pair_fails_replay(monkeypatch):
+    monkeypatch.setattr(hypergraphs, "verify_induced_pair", lambda h, pair: False)
+    with pytest.raises(InvariantError, match="constructed pair failed"):
+        find_induced_pair(hg(3, {0, 1}, {1, 2}), 1)
+
+
+def test_canonical_key_raises_when_no_permutation_runs(monkeypatch):
+    monkeypatch.setattr(hypergraphs, "permutations", lambda verts: iter(()))
+    with pytest.raises(InvariantError, match="no permutation"):
+        hypergraphs._canonical_key(2, [0b11])
+
+
 def test_kernel_step_check_raises_under_optimize():
     out = run_optimized(
         "from c4lab import hypergraphs\n"

@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from c4lab import pipeline
-from c4lab.errors import DomainError, InvariantError, StaleCertificateError
+from c4lab.errors import (
+    DomainError,
+    ExtractionFailure,
+    InvariantError,
+    StaleCertificateError,
+)
 from c4lab.graphs import (
     BipartiteGraph,
     Graph,
@@ -201,13 +207,33 @@ def test_certificate_json_roundtrip_and_tamper():
         verify_certificate(petersen_graph(), back)
 
 
-def test_extract_deterministic_and_thread_invariant():
+def test_extract_deterministic_on_repeated_runs():
     g = gen_gnp(24, 0.25, seed=123)
-    p1 = PipelineParams(retries=10, attempts=4, threads=1)
-    p8 = PipelineParams(retries=10, attempts=4, threads=8)
-    certs = [extract_induced_c4free(g, 2, 2, p, seed=42).to_json()
-             for p in (p1, p1, p8)]
+    params = PipelineParams(retries=10, attempts=4)
+    certs = [extract_induced_c4free(g, 2, 2, params, seed=42).to_json()
+             for _ in range(3)]
     assert certs[0] == certs[1] == certs[2]
+
+
+def test_failure_diagnostics_keep_the_lowest_attempt_on_ties(monkeypatch):
+    # the sparsifier's best in attempts 0 and 1 ties at average degree 1:
+    # one edge, then two non-adjacent edges; the record keeps attempt 0's
+    g = heawood_graph()
+    u, v = next(iter(g.edges()))
+    x, y = next((a, b) for a, b in g.edges()
+                if len({u, v, a, b}) == 4 and induced(g, {u, v, a, b}).edge_count == 2)
+    bests = iter([{u, v}, {u, v, x, y}])
+
+    def sparsify_fails(*args, **kwargs):
+        raise ExtractionFailure("below target", best=next(bests))
+
+    monkeypatch.setattr(pipeline, "split_prefix", lambda g, delta: "prefix")
+    monkeypatch.setattr(pipeline, "split_from_prefix", lambda prefix, seed, retries:
+                        SimpleNamespace(kind="near_regular", subgraph=range(g.n)))
+    monkeypatch.setattr(pipeline, "sparsify_short_cycles", sparsify_fails)
+    cert = extract_induced_c4free(g, 2, 4, PipelineParams(attempts=2, oracle_limit=0))
+    assert cert.mode == "failure"
+    assert (cert.stats["best_avg_degree"], cert.stats["best_size"]) == ("1", 2)
 
 
 def test_digest_changes_with_graph():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from c4lab.errors import DomainError
+from c4lab import subdivisions
+from c4lab.errors import DomainError, InvariantError
 from c4lab.graphs import Graph, gen_gnp, induced
 from c4lab.named import (
     complete_bipartite,
@@ -83,6 +84,37 @@ def test_verify_subdivision_checks_induced_flag():
     assert not verify_subdivision(g, w)
     w2 = SubdivisionWitness(w.branch_vertices, w.paths, induced_flag=False)
     assert verify_subdivision(g, w2)
+
+
+def test_induced_flag_matches_an_edge_scan():
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(60):
+        g = gen_gnp(9, rng.choice([0.3, 0.5, 0.7]), rng.randrange(2 ** 32))
+        w = find_subdivision(g, 3, seed=rng.randrange(100))
+        if w is None:
+            continue
+        inside = w.all_vertices()
+        actual = {(u, v) for u, v in g.edges() if u in inside and v in inside}
+        assert w.induced_flag == (actual == w.path_edges())
+        checked += 1
+    assert checked > 30
+
+
+def test_find_subdivision_raises_when_its_witness_fails_replay(monkeypatch):
+    monkeypatch.setattr(subdivisions, "verify_subdivision", lambda g, w: False)
+    with pytest.raises(InvariantError, match="failed its own replay"):
+        find_subdivision(complete_graph(4), 3, seed=1)
+    # with the greedy routing failing, the exhaustive packing's witness
+    # is replayed as well
+    monkeypatch.setattr(subdivisions, "_greedy_attempt", lambda g, branch: None)
+    with pytest.raises(InvariantError, match="failed its own replay"):
+        find_subdivision(complete_graph(4), 3, seed=1)
+
+
+def test_aux_graph_rejects_connectors_sharing_both_endpoints():
+    with pytest.raises(InvariantError, match="share both endpoints"):
+        subdivisions._build_aux_graph([0, 1], {5: (0, 1), 6: (0, 1)})
 
 
 def test_witness_json_roundtrip():
