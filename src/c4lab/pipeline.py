@@ -1,10 +1,11 @@
 """Certificate-producing extraction of induced C4-free subgraphs.
 
-The driver wires the cleaning reductions and the hypergraph kernel into a
-single extraction with a replayable, self-verifying certificate: every
-returned witness is re-verified from scratch against the original graph,
-and failed routes degrade to an exhaustive oracle on small inputs or to an
-honest failure record.
+The driver wires the cleaning reductions into a single extraction with a
+replayable, self-verifying certificate: every returned witness is
+re-verified from scratch against the original graph, and failed routes
+degrade to an exhaustive oracle on small inputs or to an honest failure
+record.  The lopsided case's kernel model, `model_lopsided`, is a separate
+entry point on a left-regular bipartite graph.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     InvariantError,
     KernelFailure,
     OracleLimitError,
-    ParameterError,
     StaleCertificateError,
 )
 from .graphs import (
@@ -34,17 +34,21 @@ from .graphs import (
 )
 from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel
 from .oracles import best_c4free_induced, contains_biclique, is_c4_free
-from .reductions import (
-    bipartite_regularize,
-    sparsify_short_cycles,
-    split_from_prefix,
-    split_prefix,
-)
+from .reductions import sparsify_short_cycles, split_from_prefix, split_prefix
 
 MODES = ("trivial_already_c4free", "case1_near_regular", "case2_lopsided",
          "biclique_found", "oracle_fallback", "failure")
 
 CERT_VERSION = "1"
+
+# the flags each subgraph mode promises; verify_certificate rejects a
+# certificate of that mode whose honest flags break the promise
+_MODE_CLAIMS = {
+    "trivial_already_c4free": ("induced_c4free", "avg_degree_ok"),
+    "case1_near_regular": ("induced_c4free", "avg_degree_ok"),
+    "case2_lopsided": ("induced_c4free", "avg_degree_ok"),
+    "oracle_fallback": ("induced_c4free",),
+}
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,10 @@ class PipelineParams:
     delta: float = 0.01            # two-outcome exponent (max-degree bound)
     split_delta: float | None = None  # near-regular/lopsided split; None = 1/(200 s)
     sparsify_delta: float = 0.04   # short-cycle deletion exponent
-    r: int | None = None           # regularized left degree; None = max(k^2, s+1)
     t: int | None = None           # kernel multiplicity; None = max(k, s)
     retries: int = 100             # Las Vegas budget inside each stage
     attempts: int = 8              # driver-level seed-indexed attempts
     oracle_limit: int = 22         # exhaustive fallback cap
-
-    def resolve_r(self, s: int, k: int) -> int:
-        return self.r if self.r is not None else max(k * k, s + 1)
 
     def resolve_t(self, s: int, k: int) -> int:
         return self.t if self.t is not None else max(k, s)
@@ -74,7 +74,8 @@ class PipelineParams:
             "s": s, "k": k, "delta": self.delta,
             "split_delta": self.resolve_split_delta(s),
             "sparsify_delta": self.sparsify_delta,
-            "r": self.resolve_r(s, k), "t": self.resolve_t(s, k),
+            # pinned by the certificate format; dropping "r" waits for a version bump
+            "r": max(k * k, s + 1), "t": self.resolve_t(s, k),
             "retries": self.retries, "attempts": self.attempts,
             "oracle_limit": self.oracle_limit,
         }
@@ -387,7 +388,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     degree >= k is its own witness; (2) otherwise peel to the min-degree
     core at half the average degree, iterated to a fixed point; (3) split
     into the near-regular or the lopsided case and run short-cycle
-    sparsification, or regularization plus the kernel model; (4) on small
+    sparsification; a lopsided cut ends the attempts; (4) on small
     inputs a failed pipeline falls back to the exhaustive optimum
     (oracle_fallback), else an honest failure certificate with diagnostics.
     Every witness is re-verified from scratch against the original graph.
@@ -440,50 +441,28 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
             split = split_from_prefix(prefix, base_seed, retries=params.retries)
         except ExtractionFailure:
             continue
-        if split.kind == "near_regular":
-            local = sorted(split.subgraph)
-            sub = induced(core_graph, local)
-            try:
-                keep = sparsify_short_cycles(
-                    sub, s, params.sparsify_delta, mix_seed(base_seed, 1),
-                    target=k, retries=params.retries, check_biclique=False)
-            except ExtractionFailure as exc:
-                if exc.best:
-                    wit_ids = [core_ids[local[v]] for v in sorted(exc.best)]
-                    diag = _flags_and_stats(g, wit_ids, k, params.delta)
-                    avg = Fraction(diag[1]["avg_degree"])
-                    if best is None or avg > best[0]:
-                        best = (avg, diag)
-                continue
-            wit_ids = [core_ids[local[v]] for v in sorted(keep)]
-            return _subgraph_certificate(g, digest, "case1_near_regular", wit_ids,
-                                         pdict, seed, k, params.delta,
-                                         stage=f"attempt{i}:near-regular")
-        # lopsided: regularize then run the model
-        a_side = sorted(split.a_side)
-        b_side = sorted(split.b_side)
+        if split.kind == "lopsided":
+            # the prefix certified the cut before any random draw, so no
+            # seed changes it; only the oracle or the failure record remain
+            break
+        local = sorted(split.subgraph)
+        sub = induced(core_graph, local)
         try:
-            a_out, b_out = bipartite_regularize(
-                core_graph, a_side, b_side, s, params.resolve_r(s, k),
-                mix_seed(base_seed, 2), retries=params.retries)
-        except (ParameterError, ExtractionFailure, DomainError):
+            keep = sparsify_short_cycles(
+                sub, s, params.sparsify_delta, mix_seed(base_seed, 1),
+                target=k, retries=params.retries, check_biclique=False)
+        except ExtractionFailure as exc:
+            if exc.best:
+                wit_ids = [core_ids[local[v]] for v in sorted(exc.best)]
+                diag = _flags_and_stats(g, wit_ids, k, params.delta)
+                avg = Fraction(diag[1]["avg_degree"])
+                if best is None or avg > best[0]:
+                    best = (avg, diag)
             continue
-        keep = sorted(a_out | b_out)
-        index = {v: j for j, v in enumerate(keep)}
-        star = induced(core_graph, keep)
-        bg = BipartiteGraph(star, [index[v] for v in sorted(a_out)],
-                            [index[v] for v in sorted(b_out)])
-        model = model_lopsided(bg, s, k, mix_seed(base_seed, 3), params)
-        if model.mode == "biclique_found":
-            raise InvariantError("a biclique inside a certified biclique-free graph")
-        if model.mode != "case2_lopsided" or model.witness is None:
-            continue
-        wit_ids = [core_ids[keep[v]] for v in model.witness]
-        cert = _subgraph_certificate(g, digest, "case2_lopsided", wit_ids, pdict,
-                                     seed, k, params.delta,
-                                     stage=f"attempt{i}:lopsided")
-        if cert.verified["induced_c4free"] and cert.verified["avg_degree_ok"]:
-            return cert
+        wit_ids = [core_ids[local[v]] for v in sorted(keep)]
+        return _subgraph_certificate(g, digest, "case1_near_regular", wit_ids,
+                                     pdict, seed, k, params.delta,
+                                     stage=f"attempt{i}:near-regular")
 
     if g.n <= params.oracle_limit:
         try:
@@ -499,7 +478,9 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
 
 
 def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
-    """Recompute every claimed flag (and the stats) from the witness."""
+    """Recompute every claimed flag (and the stats) from the witness, then
+    hold the mode to its promise: a trivial witness is the whole vertex set,
+    and each subgraph mode claims the flags in `_MODE_CLAIMS`."""
     if graph_digest(g) != cert.input_digest:
         raise StaleCertificateError("certificate does not match this graph")
     if cert.mode not in MODES:
@@ -526,4 +507,6 @@ def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
     for key in ("avg_degree", "max_degree", "size"):
         if stats[key] != cert.stats.get(key):
             return False
-    return True
+    if cert.mode == "trivial_already_c4free" and sorted(witness) != list(range(g.n)):
+        return False
+    return all(flags[claim] for claim in _MODE_CLAIMS.get(cert.mode, ()))

@@ -315,6 +315,42 @@ def test_verify_out_of_range_delta_exits_1(tmp_path, capsys):
         assert err == "error: params 'delta' must be a finite number in [0, 1]\n"
 
 
+# certificates whose flags and stats recompute honestly but whose mode
+# promises more: each breaks one per-mode rule of verify_certificate
+K33 = complete_bipartite(3, 3).underlying
+FORGED = [
+    # a trivial witness is the whole vertex set
+    ("trivial-not-whole", heawood_graph(), "trivial_already_c4free", range(13), 2),
+    # trivial, case1 and case2 claim induced_c4free and avg_degree_ok
+    ("trivial-with-c4", K33, "trivial_already_c4free", range(6), 3),
+    ("trivial-low-degree", heawood_graph(), "trivial_already_c4free", range(14), 4),
+    ("case1-with-c4", K33, "case1_near_regular", (0, 1, 3, 4), 2),
+    ("case1-low-degree", heawood_graph(), "case1_near_regular", range(14), 4),
+    ("case2-with-c4", K33, "case2_lopsided", (0, 1, 3, 4), 2),
+    ("case2-low-degree", heawood_graph(), "case2_lopsided", range(14), 4),
+    # an oracle_fallback claims induced_c4free
+    ("oracle-with-c4", K33, "oracle_fallback", (0, 1, 3, 4), 1),
+]
+
+
+@pytest.mark.parametrize("graph, mode, witness, k", [f[1:] for f in FORGED],
+                         ids=[f[0] for f in FORGED])
+def test_verify_rejects_a_mode_that_overclaims(tmp_path, capsys, graph, mode, witness, k):
+    from c4lab.pipeline import ExtractionCertificate, _flags_and_stats, graph_digest
+
+    flags, stats = _flags_and_stats(graph, witness, k, 0.01)
+    cert = ExtractionCertificate(
+        input_digest=graph_digest(graph), mode=mode, witness=tuple(witness),
+        biclique=None, params={"s": 2, "k": k, "delta": 0.01}, seed=0,
+        verified=flags, stats=stats)
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(graph) + "\n")
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(cert.to_json())
+    code, out, _ = run_cli(capsys, "verify", "--input", str(g6), "--cert", str(cert_path))
+    assert (code, out) == (2, "REJECTED\n")
+
+
 def _verify_subdivision_malformed(capsys, tmp_path, obj) -> str:
     g6 = tmp_path / "g.g6"
     g6.write_text(write_graph6(heawood_graph()) + "\n")

@@ -186,3 +186,59 @@ def test_biclique_golden_input_is_the_planted_draw():
     planted = {(min(u, v), max(u, v)) for u in picks[0::2] for v in picks[1::2]}
     h = Graph(200, sorted(set(g.edges()) | planted))
     assert write_graph6(h) + "\n" == (GOLDEN / "gnp200_k33.g6").read_text()
+
+
+# gen_lopsided(200, 25, 3, 3, seed=1): the split certifies a lopsided cut,
+# which ends the attempts, and n = 225 is above the oracle limit, so the
+# certificate is the routes-exhausted failure record
+LOPSIDED_SCENARIO = ("lopsided200.g6", "lopsided200_failure_cert.json",
+                     ["--s", "3", "--k", "3", "--seed", "1"])
+
+
+def _extract_lopsided_golden(tmp_path, capsys) -> bytes:
+    graph_file, cert_file, flags = LOPSIDED_SCENARIO
+    out = tmp_path / cert_file
+    code = main(["extract", "--input", str(GOLDEN / graph_file), *flags,
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 2
+    return out.read_bytes()
+
+
+def test_cli_lopsided_cut_golden(tmp_path, capsys):
+    graph_file, cert_file, _ = LOPSIDED_SCENARIO
+    assert _extract_lopsided_golden(tmp_path, capsys) == (GOLDEN / cert_file).read_bytes()
+    code = main(["verify", "--input", str(GOLDEN / graph_file),
+                 "--cert", str(GOLDEN / cert_file)])
+    assert code == 0 and capsys.readouterr().out == "verified\n"
+
+
+def test_lopsided_cut_runs_neither_regularize_nor_model(tmp_path, capsys, monkeypatch):
+    from c4lab import pipeline, reductions
+
+    def never(*args, **kwargs):
+        raise AssertionError("extract must not run the lopsided model route")
+
+    monkeypatch.setattr(reductions, "bipartite_regularize", never)
+    monkeypatch.setattr(pipeline, "model_lopsided", never)
+    kinds = []
+    real_split = pipeline.split_from_prefix
+
+    def recording_split(*args, **kwargs):
+        split = real_split(*args, **kwargs)
+        kinds.append(split.kind)
+        return split
+
+    monkeypatch.setattr(pipeline, "split_from_prefix", recording_split)
+    got = _extract_lopsided_golden(tmp_path, capsys)
+    assert got == (GOLDEN / LOPSIDED_SCENARIO[1]).read_bytes()
+    # the cut is taken once, and it ends the attempt loop
+    assert kinds == ["lopsided"]
+
+
+def test_lopsided_golden_input_is_the_generator_draw():
+    from c4lab.graphio import write_graph6
+    from c4lab.graphs import gen_lopsided
+
+    g = gen_lopsided(200, 25, 3, 3, seed=1).underlying
+    assert write_graph6(g) + "\n" == (GOLDEN / "lopsided200.g6").read_text()

@@ -302,20 +302,8 @@ MODEL_B_DEGREES = (
     "call = lambda: pipeline._assert_model_degrees(\n"
     "    Graph(4, [(0, 2), (0, 3), (1, 2)]), {0}, {2, 3}, 2, 2, 2)\n",
     "B'-vertex 2 has fewer than 2 neighbours in A'")
-LOPSIDED_BICLIQUE = (
-    "from types import SimpleNamespace\n"
-    "from c4lab import pipeline\n"
-    "from c4lab.named import heawood_graph\n"
-    "pipeline.split_prefix = lambda g, delta: 'prefix'\n"
-    "pipeline.split_from_prefix = lambda prefix, seed, retries: SimpleNamespace(\n"
-    "    kind='lopsided', a_side=range(7), b_side=range(7, 14))\n"
-    "pipeline.bipartite_regularize = lambda g, a, b, s, r, seed, retries: (\n"
-    "    frozenset(a), frozenset(b))\n"
-    "pipeline.model_lopsided = lambda *args: SimpleNamespace(mode='biclique_found')\n"
-    "call = lambda: pipeline.extract_induced_c4free(heawood_graph(), s=2, k=4, seed=1)\n",
-    "a biclique inside a certified biclique-free graph")
-FORCED_RAISES = [TRACE_PARTNERS, MODEL_DEGREES, MODEL_B_DEGREES, LOPSIDED_BICLIQUE]
-FORCED_IDS = ["trace-partners", "model-a-degrees", "model-b-degrees", "lopsided-biclique"]
+FORCED_RAISES = [TRACE_PARTNERS, MODEL_DEGREES, MODEL_B_DEGREES]
+FORCED_IDS = ["trace-partners", "model-a-degrees", "model-b-degrees"]
 CATCH = ("from c4lab.errors import InvariantError\n"
          "try:\n"
          "    call()\n"
@@ -327,7 +315,7 @@ CATCH = ("from c4lab.errors import InvariantError\n"
 def test_pipeline_soundness_checks_raise(snippet, message, capsys, monkeypatch):
     # the snippet patches this process's `pipeline`; monkeypatch restores it
     for name in ("furedi_kernel", "split_prefix", "split_from_prefix",
-                 "bipartite_regularize", "model_lopsided"):
+                 "model_lopsided"):
         monkeypatch.setattr(pipeline, name, getattr(pipeline, name))
     exec(snippet + CATCH, {})
     assert capsys.readouterr().out == f"raised {message}\n"
