@@ -30,7 +30,7 @@ from .graphio import (
 from .graphs import Graph, gen_gnp, gen_lopsided, projective_plane_incidence
 from .hypergraphs import Hypergraph, f_search, furedi_kernel, verify_kernel
 from .lowerbounds import check_lb_conditions, lb_experiment
-from .oracles import best_c4free_induced, max_independent_set
+from .oracles import DEFAULT_ORACLE_LIMIT, best_c4free_induced, max_independent_set
 from .pipeline import (
     ExtractionCertificate,
     PipelineParams,
@@ -57,8 +57,11 @@ def _env_int(name: str, default: int) -> int:
 
 # the DEGB_* variable and built-in default behind each budget flag's dest;
 # they are read on every call, so a changed variable takes effect at once
-_ENV_DEFAULTS = (("retries", "RETRIES", 100), ("attempts", "ATTEMPTS", 8),
-                 ("oracle_limit", "ORACLE_LIMIT", 22), ("limit", "ORACLE_LIMIT", 22))
+_BUDGETS = PipelineParams()
+_ENV_DEFAULTS = (("retries", "RETRIES", _BUDGETS.retries),
+                 ("attempts", "ATTEMPTS", _BUDGETS.attempts),
+                 ("oracle_limit", "ORACLE_LIMIT", _BUDGETS.oracle_limit),
+                 ("limit", "ORACLE_LIMIT", DEFAULT_ORACLE_LIMIT))
 
 
 # least accepted value of each budget flag, wherever a subcommand has it

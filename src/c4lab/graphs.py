@@ -428,12 +428,12 @@ def projective_plane_incidence(q: int) -> BipartiteGraph:
     return BipartiteGraph(g, range(m), range(m, 2 * m))
 
 
-def gen_lopsided(a_count: int, b_count: int, r: int, s: int, seed: int,
-                 retries: int = 200) -> BipartiteGraph:
+def gen_lopsided(a_count: int, b_count: int, r: int, s: int, seed: int
+                 ) -> BipartiteGraph:
     """Random bipartite graph, every A-vertex of degree exactly r, K_{s,s}-free.
 
-    Each A-vertex draws a uniform r-subset of B, resampled (up to `retries`
-    times per vertex) while it would complete a K_{s,s} with the vertices
+    Each A-vertex draws a uniform r-subset of B, resampled (up to 200 times
+    per vertex) while it would complete a K_{s,s} with the vertices
     placed so far.  The finished graph is re-certified K_{s,s}-free by the
     exhaustive biclique oracle; a failed certification raises rather than
     returning a bad graph.
@@ -475,7 +475,7 @@ def gen_lopsided(a_count: int, b_count: int, r: int, s: int, seed: int,
 
     for idx in range(a_count):
         placed = False
-        for _ in range(retries):
+        for _ in range(200):
             cand = sample_subset(rng, b_pool, r)
             if not closes_kss(cand):
                 neighborhoods.append(tuple(cand))
@@ -485,7 +485,7 @@ def gen_lopsided(a_count: int, b_count: int, r: int, s: int, seed: int,
                 break
         if not placed:
             raise GenerationFailure(
-                f"could not place A-vertex {idx} within {retries} resamples; "
+                f"could not place A-vertex {idx} within 200 resamples; "
                 f"parameters too dense")
 
     edges = [(a, a_count + b) for a, nb in enumerate(neighborhoods) for b in nb]

@@ -33,8 +33,10 @@ from .graphs import (
     mix_seed,
 )
 from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel
-from .oracles import best_c4free_induced, contains_biclique, is_c4_free
-from .reductions import sparsify_short_cycles, split_from_prefix, split_prefix
+from .oracles import (DEFAULT_ORACLE_LIMIT, best_c4free_induced, contains_biclique,
+                      is_c4_free)
+from .reductions import (DEFAULT_RETRIES, sparsify_short_cycles, split_from_prefix,
+                         split_prefix)
 
 MODES = ("trivial_already_c4free", "case1_near_regular", "case2_lopsided",
          "biclique_found", "oracle_fallback", "failure")
@@ -51,31 +53,28 @@ _MODE_CLAIMS = {
 }
 
 
+# the paper's exponents, fixed and recorded in every certificate's params:
+# delta in the two-outcome bound and the short-cycle deletion exponent
+DELTA = 0.01
+SPARSIFY_DELTA = 0.04
+
+
 @dataclass(frozen=True)
 class PipelineParams:
-    """Tunable exponents and budgets; defaults follow the desk-scale cascade."""
+    """The settable budgets; the exponents are fixed (see `as_dict`)."""
 
-    delta: float = 0.01            # two-outcome exponent (max-degree bound)
-    split_delta: float | None = None  # near-regular/lopsided split; None = 1/(200 s)
-    sparsify_delta: float = 0.04   # short-cycle deletion exponent
-    t: int | None = None           # kernel multiplicity; None = max(k, s)
-    retries: int = 100             # Las Vegas budget inside each stage
-    attempts: int = 8              # driver-level seed-indexed attempts
-    oracle_limit: int = 22         # exhaustive fallback cap
-
-    def resolve_t(self, s: int, k: int) -> int:
-        return self.t if self.t is not None else max(k, s)
-
-    def resolve_split_delta(self, s: int) -> float:
-        return self.split_delta if self.split_delta is not None else 1 / (200 * s)
+    retries: int = DEFAULT_RETRIES             # Las Vegas budget inside each stage
+    attempts: int = 8                          # driver-level seed-indexed attempts
+    oracle_limit: int = DEFAULT_ORACLE_LIMIT   # exhaustive fallback cap
 
     def as_dict(self, s: int, k: int) -> dict:
+        """The certificate's params: the budgets, the fixed exponents, the
+        split exponent 1/(200 s) and the kernel multiplicity t = max(k, s)."""
         return {
-            "s": s, "k": k, "delta": self.delta,
-            "split_delta": self.resolve_split_delta(s),
-            "sparsify_delta": self.sparsify_delta,
+            "s": s, "k": k, "delta": DELTA, "split_delta": 1 / (200 * s),
+            "sparsify_delta": SPARSIFY_DELTA,
             # pinned by the certificate format; dropping "r" waits for a version bump
-            "r": max(k * k, s + 1), "t": self.resolve_t(s, k),
+            "r": max(k * k, s + 1), "t": max(k, s),
             "retries": self.retries, "attempts": self.attempts,
             "oracle_limit": self.oracle_limit,
         }
@@ -92,6 +91,15 @@ def _is_a(value, kind: type) -> bool:
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _load_json(text: str, name: str):
+    # the decoder recurses once per nesting level, so a deep enough array
+    # passes the interpreter's recursion limit
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise CertificateFormatError(f"{name} nests too deeply") from None
 
 
 def _vertex_list(value, name: str) -> tuple[int, ...]:
@@ -136,7 +144,7 @@ class ExtractionCertificate:
         """Parse a certificate, checking the type of every field that
         `verify_certificate` reads; a malformed one raises
         CertificateFormatError."""
-        obj = json.loads(text)
+        obj = _load_json(text, "certificate")
         if not isinstance(obj, dict):
             raise CertificateFormatError("certificate must be a JSON object")
         for key, kind in _CERT_FIELDS:
@@ -174,13 +182,16 @@ def graph_digest(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# the flags of a certificate that claims nothing; each one gets a copy
+_NO_FLAGS = {"induced_c4free": False, "avg_degree_ok": False,
+             "bipartite": False, "max_degree_bound_ok": False}
+
+
 def _flags_and_stats(g: Graph, witness, k: int, delta: float) -> tuple[dict, dict]:
     """Recompute the verified flags and stats for a witness vertex set."""
     witness = tuple(sorted(witness))
     if not witness:
-        return ({"induced_c4free": False, "avg_degree_ok": False,
-                 "bipartite": False, "max_degree_bound_ok": False},
-                {"avg_degree": "0", "max_degree": 0, "size": 0})
+        return dict(_NO_FLAGS), {"avg_degree": "0", "max_degree": 0, "size": 0}
     sub = induced(g, witness)
     avg = average_degree(sub)
     mx = sub.max_degree()
@@ -195,33 +206,28 @@ def _flags_and_stats(g: Graph, witness, k: int, delta: float) -> tuple[dict, dic
 
 
 def _subgraph_certificate(g: Graph, digest: str, mode: str, witness, params: dict,
-                          seed: int, k: int, delta: float,
-                          stage: str | None = None) -> ExtractionCertificate:
-    flags, stats = _flags_and_stats(g, witness, k, delta)
-    if stage:
-        stats["stage"] = stage
+                          seed: int, k: int, stage: str) -> ExtractionCertificate:
+    flags, stats = _flags_and_stats(g, witness, k, DELTA)
+    stats["stage"] = stage
     return ExtractionCertificate(
         input_digest=digest, mode=mode, witness=tuple(sorted(witness)),
         biclique=None, params=params, seed=seed, verified=flags, stats=stats)
 
 
 def _biclique_certificate(g: Graph, digest: str, s_side, t_side, params: dict,
-                          seed: int, stage: str | None = None) -> ExtractionCertificate:
+                          seed: int, stage: str) -> ExtractionCertificate:
     s_side = tuple(sorted(s_side))
     t_side = tuple(sorted(t_side))
     if set(s_side) & set(t_side):
         raise InvariantError("biclique witness sides must be disjoint")
     if not all(g.has_edge(u, v) for u in s_side for v in t_side):
         raise InvariantError("biclique witness must be fully joined")
-    stats = {"avg_degree": "0", "max_degree": 0, "size": len(s_side) + len(t_side)}
-    if stage:
-        stats["stage"] = stage
+    stats = {"avg_degree": "0", "max_degree": 0, "size": len(s_side) + len(t_side),
+             "stage": stage}
     return ExtractionCertificate(
         input_digest=digest, mode="biclique_found", witness=None,
         biclique=(s_side, t_side), params=params, seed=seed,
-        verified={"induced_c4free": False, "avg_degree_ok": False,
-                  "bipartite": False, "max_degree_bound_ok": False},
-        stats=stats)
+        verified=dict(_NO_FLAGS), stats=stats)
 
 
 def _failure_certificate(digest: str, params: dict, seed: int, stage: str,
@@ -229,8 +235,6 @@ def _failure_certificate(digest: str, params: dict, seed: int, stage: str,
                          ) -> ExtractionCertificate:
     # failure records claim nothing: flags stay False and the best attempt
     # only informs the diagnostics, so verify_certificate stays replayable
-    flags = {"induced_c4free": False, "avg_degree_ok": False,
-             "bipartite": False, "max_degree_bound_ok": False}
     stats = {"avg_degree": "0", "max_degree": 0, "size": 0, "stage": stage}
     if best is not None:
         _, best_stats = best
@@ -238,7 +242,7 @@ def _failure_certificate(digest: str, params: dict, seed: int, stage: str,
         stats["best_size"] = best_stats.get("size", 0)
     return ExtractionCertificate(
         input_digest=digest, mode="failure", witness=None, biclique=None,
-        params=params, seed=seed, verified=flags, stats=stats)
+        params=params, seed=seed, verified=dict(_NO_FLAGS), stats=stats)
 
 
 # -- the model case -----------------------------------------------------------
@@ -261,8 +265,8 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
         params = PipelineParams()
     under = g.underlying
     digest = graph_digest(under)
-    t = params.resolve_t(s, k)
     pdict = params.as_dict(s, k)
+    t = pdict["t"]
     a_list = g.a_list()
     b_list = g.b_list()
     if not a_list or not b_list:
@@ -296,7 +300,7 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
         a0 = a_list[0]
         witness = [a0] + sorted(under.neighbors(a0))
         cert = _subgraph_certificate(under, digest, "case2_lopsided", witness,
-                                     pdict, seed, k, params.delta, stage="model:star")
+                                     pdict, seed, k, stage="model:star")
         return cert if cert.verified["avg_degree_ok"] else None
 
     best: tuple[Fraction, tuple[dict, dict]] | None = None
@@ -344,7 +348,7 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
                     if coloring[v] in y_colors)
                 witness = sorted(set(a_prime) | set(b_prime))
                 cert = _subgraph_certificate(under, digest, "case2_lopsided",
-                                             witness, pdict, seed, k, params.delta,
+                                             witness, pdict, seed, k,
                                              stage="model:pair")
                 if cert.verified["induced_c4free"] and cert.verified["avg_degree_ok"]:
                     _assert_model_degrees(under, a_set, set(b_prime),
@@ -411,8 +415,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
 
     if is_c4_free(g) and average_degree(g) >= k:
         return _subgraph_certificate(g, digest, "trivial_already_c4free",
-                                     range(g.n), pdict, seed, k, params.delta,
-                                     stage="trivial")
+                                     range(g.n), pdict, seed, k, stage="trivial")
 
     # peel to a fixed point
     core_graph, core_ids = g, tuple(range(g.n))
@@ -427,7 +430,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     attempts = 0
     if core_graph.edge_count > 0 and params.attempts > 0:
         try:
-            prefix = split_prefix(core_graph, params.resolve_split_delta(s))
+            prefix = split_prefix(core_graph, pdict["split_delta"])
             attempts = params.attempts
         except (DomainError, ExtractionFailure):
             pass
@@ -449,20 +452,19 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         sub = induced(core_graph, local)
         try:
             keep = sparsify_short_cycles(
-                sub, s, params.sparsify_delta, mix_seed(base_seed, 1),
-                target=k, retries=params.retries, check_biclique=False)
+                sub, s, mix_seed(base_seed, 1), target=k, retries=params.retries,
+                check_biclique=False)
         except ExtractionFailure as exc:
             if exc.best:
                 wit_ids = [core_ids[local[v]] for v in sorted(exc.best)]
-                diag = _flags_and_stats(g, wit_ids, k, params.delta)
+                diag = _flags_and_stats(g, wit_ids, k, DELTA)
                 avg = Fraction(diag[1]["avg_degree"])
                 if best is None or avg > best[0]:
                     best = (avg, diag)
             continue
         wit_ids = [core_ids[local[v]] for v in sorted(keep)]
         return _subgraph_certificate(g, digest, "case1_near_regular", wit_ids,
-                                     pdict, seed, k, params.delta,
-                                     stage=f"attempt{i}:near-regular")
+                                     pdict, seed, k, stage=f"attempt{i}:near-regular")
 
     if g.n <= params.oracle_limit:
         try:
@@ -471,8 +473,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
             witness = None
         if witness:
             return _subgraph_certificate(g, digest, "oracle_fallback", witness,
-                                         pdict, seed, k, params.delta,
-                                         stage="oracle")
+                                         pdict, seed, k, stage="oracle")
     return _failure_certificate(digest, pdict, seed, "routes-exhausted",
                                 best=None if best is None else best[1])
 
@@ -500,7 +501,7 @@ def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
     if any(not 0 <= v < g.n for v in witness):
         return False
     k = cert.params.get("k", 1)
-    delta = cert.params.get("delta", 0.01)
+    delta = cert.params.get("delta", DELTA)
     flags, stats = _flags_and_stats(g, witness, k, delta)
     if flags != cert.verified:
         return False

@@ -177,7 +177,7 @@ def _has_short_cycle(nbr, inside: int) -> bool:
     return False
 
 
-def sparsify_short_cycles(g: Graph, s: int, delta: float, seed: int,
+def sparsify_short_cycles(g: Graph, s: int, seed: int,
                           target=None, retries: int = DEFAULT_RETRIES,
                           check_biclique: bool = True) -> frozenset[int]:
     """Vertex set U'' with g[U''] free of triangles and 4-cycles.
@@ -192,8 +192,9 @@ def sparsify_short_cycles(g: Graph, s: int, delta: float, seed: int,
     target semantics: a number keeps retrying until d(g[U'']) >= target and
     raises ExtractionFailure (best attempt attached) when the budget ends;
     None runs the whole budget and returns the densest nonempty survivor
-    set.  The recipe's own density goal would be d^{(1/5 - 2 delta)/5s}; at
-    desk scale callers choose the target explicitly.
+    set.  The recipe's own density goal would be d^{(1/5 - 2 delta)/5s}, with
+    the paper's delta recorded as a certificate's `sparsify_delta`; p does
+    not depend on it, and at desk scale callers choose the target explicitly.
 
     Every attempt works on g's neighbour masks: U and the survivors are
     masks, and 2e(g[U'']) is a sum of popcounts, so densities compare
@@ -201,8 +202,6 @@ def sparsify_short_cycles(g: Graph, s: int, delta: float, seed: int,
     """
     if s < 2:
         raise DomainError("s must be >= 2")
-    if not 0 < delta < 0.1:
-        raise DomainError("delta must lie in (0, 1/10)")
     if check_biclique and contains_biclique(g, s) is not None:
         raise DomainError("input contains a biclique; precondition violated")
     d = g.max_degree()
@@ -435,8 +434,7 @@ def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
 # -- bipartite regularization --------------------------------------------------
 
 def bipartite_regularize(g: Graph, a0, b, s: int, r: int, seed: int,
-                         density: int | None = None, ratio=1,
-                         retries: int = DEFAULT_RETRIES
+                         density: int | None = None, retries: int = DEFAULT_RETRIES
                          ) -> tuple[frozenset[int], frozenset[int]]:
     """Independent sides (A', B') with every A'-vertex seeing exactly r of B'.
 
@@ -448,7 +446,7 @@ def bipartite_regularize(g: Graph, a0, b, s: int, r: int, seed: int,
     Each a in A greedily fixes an independent r-subset I of its
     neighborhood (min-degree-first; a neighborhood with no such subset is a
     ParameterError) and joins A' when its sampled neighborhood is exactly I.
-    Retries until A' is nonempty and |A'| >= ratio |B'|.
+    Retries until A' is nonempty and |A'| >= |B'|.
 
     The biclique-freeness of g is the caller's responsibility; it only
     affects success probability, never the verified postconditions.
@@ -520,9 +518,7 @@ def bipartite_regularize(g: Graph, a0, b, s: int, r: int, seed: int,
             sampled = {w for w in g.neighbors(a) if w in b0}
             if sampled == fixed_i[a] and fixed_i[a] <= b_prime:
                 a_prime.append(a)
-        if not a_prime:
-            continue
-        if len(a_prime) < ratio * len(b_prime):
+        if not a_prime or len(a_prime) < len(b_prime):
             continue
         a_out = frozenset(a_prime)
         b_out = frozenset(b_prime)

@@ -25,7 +25,7 @@ from .graphs import (
     mask_of,
     mix_seed,
 )
-from .pipeline import PipelineParams, _vertex_list, extract_induced_c4free
+from .pipeline import PipelineParams, _load_json, _vertex_list, extract_induced_c4free
 
 DEFAULT_EXHAUSTIVE_LIMIT = 12
 
@@ -62,7 +62,7 @@ class SubdivisionWitness:
     def from_json(text: str) -> "SubdivisionWitness":
         """Parse a witness, checking the type of every field; a malformed one
         raises CertificateFormatError."""
-        obj = json.loads(text)
+        obj = _load_json(text, "subdivision witness")
         if not isinstance(obj, dict):
             raise CertificateFormatError("subdivision witness must be a JSON object")
         for key in ("branch", "paths", "induced"):
@@ -209,9 +209,7 @@ def _checked(g: Graph, w: SubdivisionWitness) -> SubdivisionWitness:
 
 
 def find_subdivision(g: Graph, k: int, seed: int, retries: int = 30,
-                     require_induced: bool = False,
-                     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-                     ) -> SubdivisionWitness | None:
+                     require_induced: bool = False) -> SubdivisionWitness | None:
     """A K_k subdivision witness, or None when the search fails.
 
     First greedy: branch vertices start as the top-k by degree, then rotate
@@ -243,7 +241,7 @@ def find_subdivision(g: Graph, k: int, seed: int, retries: int = 30,
             continue
         w = SubdivisionWitness(tuple(sorted(branch)), paths, induced_flag=flag)
         return _checked(g, w)
-    if g.n <= exhaustive_limit:
+    if g.n <= DEFAULT_EXHAUSTIVE_LIMIT:
         w = _exhaustive_pack(g, k, require_induced)
         if w is not None:
             return _checked(g, w)
@@ -273,9 +271,7 @@ def _build_aux_graph(w_set: list[int], u_map: dict[int, tuple[int, int]]
 
 def induced_subdivision(g: Graph, s: int, k: int, seed: int,
                         params: PipelineParams | None = None,
-                        retries: int = 400,
-                        exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-                        ) -> SubdivisionWitness | None:
+                        retries: int = 400) -> SubdivisionWitness | None:
     """An induced K_k subdivision, or None when every route fails.
 
     Route: extract an induced C4-free subgraph of average degree >= k; peel
@@ -331,10 +327,9 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
                 if verify_subdivision(g, w):
                     return w
 
-    if g.n <= exhaustive_limit:
+    if g.n <= DEFAULT_EXHAUSTIVE_LIMIT:
         return find_subdivision(g, k, seed=mix_seed(seed, 9), retries=10,
-                                require_induced=True,
-                                exhaustive_limit=exhaustive_limit)
+                                require_induced=True)
     return None
 
 

@@ -396,7 +396,7 @@ def almost_biregular_reduce_by_set_scans(gamma, l_factor, seed: int, retries: in
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
 
 
-def sparsify_by_graph_per_retry(g: Graph, s: int, delta: float, seed: int,
+def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int,
                                 target=None, retries: int = 100,
                                 check_biclique: bool = True):
     """The reference for `reductions.sparsify_short_cycles`."""
@@ -409,8 +409,6 @@ def sparsify_by_graph_per_retry(g: Graph, s: int, delta: float, seed: int,
 
     if s < 2:
         raise DomainError("s must be >= 2")
-    if not 0 < delta < 0.1:
-        raise DomainError("delta must lie in (0, 1/10)")
     if check_biclique and contains_biclique(g, s) is not None:
         raise DomainError("input contains a biclique; precondition violated")
     d = g.max_degree()

@@ -1,4 +1,7 @@
+import copy
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -389,3 +392,83 @@ def test_verify_subdivision_with_path_ids_out_of_range_exits_2(tmp_path, capsys)
         code, out, err = run_cli(capsys, "verify", "--input", str(g6), "--cert", str(wit),
                                  "--subdivision")
         assert (code, out, err) == (2, "REJECTED\n", "")
+
+
+@pytest.mark.parametrize("flags, name", [([], "certificate"),
+                                         (["--subdivision"], "subdivision witness")],
+                         ids=["certificate", "subdivision"])
+def test_verify_deeply_nested_json_exits_1(tmp_path, capsys, flags, name):
+    # the JSON decoder recurses per nesting level; past the interpreter's
+    # limit that must still be a malformed file, not a RecursionError
+    g6 = tmp_path / "g.g6"
+    g6.write_text(write_graph6(heawood_graph()) + "\n")
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "verify", "--input", str(g6), "--cert", str(cert),
+                             *flags)
+    assert (code, out, err) == (1, "", f"error: {name} nests too deeply\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# each golden extraction certificate with the graph it was written for
+GOLDEN_CERTS = [("gnm15.g6", "gnm15_fallback_cert.json"),
+                ("gnp200.g6", "gnp200_failure_cert.json"),
+                ("gnp200_k33.g6", "gnp200_k33_cert.json"),
+                ("gnp24.g6", "gnp24_cert.json"),
+                ("heawood.g6", "heawood_cert.json"),
+                ("lopsided200.g6", "lopsided200_failure_cert.json")]
+# stand-ins of the wrong JSON type or out of range for any certificate value
+WRONG_VALUES = (None, True, False, -1, 0, 2, 10 ** 400, -1e308, 0.5, float("nan"),
+                float("inf"), "", "x", [], [-1], [0, 0], [10 ** 6], [[0]], {},
+                {"s_side": [0]}, {"s_side": [0, 1], "t_side": [1, 2]})
+
+
+def _value_paths(value, path=()):
+    """The key path of every value nested inside a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+def _mutated(rng: random.Random, text: str) -> bytes:
+    """One mutation of a certificate: a key or list entry deleted, a value
+    swapped for a wrong one, or a few bits flipped in the raw bytes."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        data = bytearray(text.encode())
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return bytes(data)
+    obj = json.loads(text)
+    *parents, key = rng.choice(list(_value_paths(obj)))
+    holder = obj
+    for step in parents:
+        holder = holder[step]
+    if kind == 0:
+        del holder[key]
+    else:
+        holder[key] = copy.deepcopy(rng.choice(WRONG_VALUES))
+    return json.dumps(obj).encode()
+
+
+def test_verify_mutated_golden_certificates_never_escape(tmp_path, capsys):
+    # a seeded fuzz: whatever the mutation, verify answers with an exit code
+    # (0 verified, 2 rejected, 1 malformed) and no exception escapes main
+    rng = random.Random(20261018)
+    cert = tmp_path / "cert.json"
+    codes = set()
+    for graph_file, cert_file in GOLDEN_CERTS:
+        text = (GOLDEN / cert_file).read_text()
+        for _ in range(100):
+            cert.write_bytes(_mutated(rng, text))
+            code, _, _ = run_cli(capsys, "verify", "--input", str(GOLDEN / graph_file),
+                                 "--cert", str(cert))
+            assert code in (0, 1, 2)
+            codes.add(code)
+    assert codes == {0, 1, 2}

@@ -101,7 +101,7 @@ def test_reduce_deterministic():
 def test_sparsify_output_always_short_cycle_free():
     g = petersen_graph()
     for seed in range(20):
-        out = sparsify_short_cycles(g, 2, 0.05, seed, target=0)
+        out = sparsify_short_cycles(g, 2, seed, target=0)
         sub = induced(g, out)
         assert find_c3(sub) is None and find_c4(sub) is None
         gg = girth(sub)
@@ -114,7 +114,7 @@ def test_sparsify_c4_never_keeps_whole_cycle():
     g = cycle_graph(4)
     for seed in range(30):
         try:
-            out = sparsify_short_cycles(g, 2, 0.05, seed, target=0, retries=20,
+            out = sparsify_short_cycles(g, 2, seed, target=0, retries=20,
                                         check_biclique=False)
         except ExtractionFailure:
             continue
@@ -123,7 +123,7 @@ def test_sparsify_c4_never_keeps_whole_cycle():
 
 def test_sparsify_on_plane_incidence():
     g = projective_plane_incidence(5).underlying
-    out = sparsify_short_cycles(g, 2, 0.05, seed=13, retries=100)
+    out = sparsify_short_cycles(g, 2, seed=13, retries=100)
     sub = induced(g, out)
     assert find_c3(sub) is None and find_c4(sub) is None
     assert average_degree(sub) >= 0
@@ -151,7 +151,7 @@ def test_sparsify_girth_check_raises_without_assert(monkeypatch):
     # explicit check must catch that, also under python -O
     monkeypatch.setattr(reductions, "_short_cycle_vertices", lambda g, inside: 0)
     with pytest.raises(InvariantError):
-        sparsify_short_cycles(complete_graph(6), 2, 0.05, seed=1, check_biclique=False)
+        sparsify_short_cycles(complete_graph(6), 2, seed=1, check_biclique=False)
 
 
 def test_sparsify_girth_check_raises_under_optimize():
@@ -161,7 +161,7 @@ def test_sparsify_girth_check_raises_under_optimize():
         "from c4lab.named import complete_graph\n"
         "reductions._short_cycle_vertices = lambda g, inside: 0\n"
         "try:\n"
-        "    reductions.sparsify_short_cycles(complete_graph(6), 2, 0.05, seed=1,"
+        "    reductions.sparsify_short_cycles(complete_graph(6), 2, seed=1,"
         " check_biclique=False)\n"
         "except InvariantError as exc:\n"
         "    print('raised', exc)\n")
@@ -170,13 +170,13 @@ def test_sparsify_girth_check_raises_under_optimize():
 
 def test_sparsify_rejects_biclique_input():
     with pytest.raises(DomainError):
-        sparsify_short_cycles(complete_bipartite(3, 3).underlying, 2, 0.05, 1)
+        sparsify_short_cycles(complete_bipartite(3, 3).underlying, 2, 1)
 
 
 def test_sparsify_target_failure_carries_best():
     g = petersen_graph()
     with pytest.raises(ExtractionFailure) as exc:
-        sparsify_short_cycles(g, 2, 0.05, seed=1, target=100, retries=10)
+        sparsify_short_cycles(g, 2, seed=1, target=100, retries=10)
     assert exc.value.best is None or len(exc.value.best) > 0
 
 
@@ -317,8 +317,8 @@ def test_regularize_partition_checked():
 
 def test_sparsify_and_regularize_deterministic():
     g = projective_plane_incidence(3).underlying
-    s1 = sparsify_short_cycles(g, 2, 0.05, seed=31, target=0)
-    s2 = sparsify_short_cycles(g, 2, 0.05, seed=31, target=0)
+    s1 = sparsify_short_cycles(g, 2, seed=31, target=0)
+    s2 = sparsify_short_cycles(g, 2, seed=31, target=0)
     assert s1 == s2
     bg = gen_lopsided(300, 40, 2, 2, seed=21)
     out1 = bipartite_regularize(bg.underlying, bg.side_a, bg.side_b, s=2, r=2,
@@ -353,12 +353,11 @@ def test_sparsify_matches_graph_per_retry_reference():
         n = rng.randrange(1, 61)
         g = gen_gnp(n, rng.choice([0.05, 0.1, 0.2, 0.3, 0.5]), rng.randrange(2 ** 32))
         s = rng.choice([2, 3])
-        delta = rng.choice([0.01, 0.04, 0.09])
         seed = rng.randrange(2 ** 32)
         kwargs = {"retries": rng.choice([0, 1, 6, 12]),
                   "check_biclique": rng.random() < 0.3}
-        base = _outcome(helpers.sparsify_by_graph_per_retry, g, s, delta, seed, **kwargs)
-        assert _outcome(sparsify_short_cycles, g, s, delta, seed, **kwargs) == base
+        base = _outcome(helpers.sparsify_by_graph_per_retry, g, s, seed, **kwargs)
+        assert _outcome(sparsify_short_cycles, g, s, seed, **kwargs) == base
         kinds.add(base[0])
         if base[0] != "value":
             continue
@@ -369,9 +368,9 @@ def test_sparsify_matches_graph_per_retry_reference():
         if best.denominator == 1:
             targets.append(int(best))
         for target in targets:
-            want = _outcome(helpers.sparsify_by_graph_per_retry, g, s, delta, seed,
+            want = _outcome(helpers.sparsify_by_graph_per_retry, g, s, seed,
                             target=target, **kwargs)
-            assert _outcome(sparsify_short_cycles, g, s, delta, seed,
+            assert _outcome(sparsify_short_cycles, g, s, seed,
                             target=target, **kwargs) == want
             kinds.add((want[0], target == 100))
     assert kinds >= {"value", "raised", ("value", False), ("raised", True)}

@@ -35,3 +35,19 @@ def test_package_imports_only_what_it_uses():
                     if bound not in read:
                         unused.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_every_pipeline_param_has_a_flag():
+    # a PipelineParams field that no flag and no DEGB_* variable sets is a
+    # knob nobody turns, so it belongs in the code as a constant
+    from dataclasses import fields
+
+    from c4lab.cli import _ENV_DEFAULTS, _params_from, build_parser
+    from c4lab.pipeline import PipelineParams
+
+    names = [f.name for f in fields(PipelineParams)]
+    assert [name for name in names if name not in {dest for dest, _, _ in _ENV_DEFAULTS}] == []
+    for name in names:
+        args = build_parser().parse_args(
+            ["extract", "--s", "2", "--k", "1", "--" + name.replace("_", "-"), "7"])
+        assert getattr(_params_from(args), name) == 7
