@@ -3,8 +3,8 @@
 Graphs are finite, simple, and loopless.  Vertices are the dense integers
 0..n-1; adjacency is stored as one bitmask per vertex so membership tests,
 common-neighbourhood intersections, and degree counts are cheap word
-operations.  Optional string labels ride along so that witnesses extracted
-from induced subgraphs can be traced back to the original input's naming.
+operations.  A subgraph's vertices are renumbered densely too; the caller
+keeps the id tuple that maps them back to the parent.
 
 All randomized operations take an explicit integer seed and are pure
 functions of (input, seed).  Sub-streams (per retry, per trial) are derived
@@ -72,10 +72,9 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_nbr", "_m", "labels")
+    __slots__ = ("n", "_nbr", "_m")
 
-    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: Sequence[str] | None = None):
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
             raise DomainError("vertex_count must be nonnegative")
         self.n = vertex_count
@@ -92,25 +91,18 @@ class Graph:
                 m += 1
         self._nbr = tuple(nbr)
         self._m = m
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != vertex_count:
-                raise DomainError("labels length must equal vertex_count")
-        self.labels = labels
 
     @classmethod
-    def _from_masks(cls, nbr: Sequence[int], m: int,
-                    labels: tuple[str, ...] | None = None) -> "Graph":
+    def _from_masks(cls, nbr: Sequence[int], m: int) -> "Graph":
         """Trusted constructor for callers that already hold valid masks.
 
-        `nbr` must be symmetric and loopless with m edges, and `labels`, when
-        given, a tuple of len(nbr) strings; nothing is re-checked.
+        `nbr` must be symmetric and loopless with m edges; nothing is
+        re-checked.
         """
         g = cls.__new__(cls)
         g.n = len(nbr)
         g._nbr = tuple(nbr)
         g._m = m
-        g.labels = labels
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -144,9 +136,6 @@ class Graph:
             rest = self._nbr[u] >> (u + 1)
             for w in bits(rest):
                 yield (u, u + 1 + w)
-
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
 
     def max_degree(self) -> int:
         return max((m.bit_count() for m in self._nbr), default=0)
@@ -263,15 +252,13 @@ def half_degree_core(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
     `ids` lists the kept vertices of g ascending and the core is g[ids].  A
     graph the peel leaves whole, or one with no edge, comes back as g
-    itself, so no subgraph is built.  A graph with an edge keeps a nonempty
+    itself, as `induced` returns it.  A graph with an edge keeps a nonempty
     core: it has a subgraph of minimum degree above d/2.
     """
     if g.edge_count == 0:
         return g, tuple(range(g.n))
-    core = min_degree_core(g, -(-g.edge_count // g.n))  # ceil(d/2) = ceil(e/n)
-    if len(core) == g.n:
-        return g, tuple(range(g.n))
-    ids = tuple(sorted(core))
+    t = -(-g.edge_count // g.n)  # ceil(d/2) = ceil(e/n)
+    ids = tuple(sorted(min_degree_core(g, t)))
     return induced(g, ids), ids
 
 
@@ -331,20 +318,18 @@ def greedy_coloring(g: Graph) -> list[int]:
 
 
 def induced(g: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph on s, vertices relabeled 0..|s|-1 in ascending order.
+    """Induced subgraph on s: vertex i is the i-th smallest vertex of s.
 
-    The relabeling map rides along in `labels`: new vertex i carries the
-    label of the i-th smallest original vertex, so witnesses lift back.
-    Only the kept vertices' masks are read: each is cut down to the kept set
-    and its bits are moved to their new positions.
+    A set that keeps every vertex returns g itself.  Otherwise only the kept
+    vertices' masks are read: each is cut down to the kept set and its bits
+    are moved to their new positions.
     """
     keep = sorted(set(s))
     for v in keep:
         if not (0 <= v < g.n):
             raise DomainError(f"vertex {v} out of range")
-    labels = tuple(g.label(v) for v in keep)
     if len(keep) == g.n:
-        return Graph._from_masks(g._nbr, g._m, labels)
+        return g
     keep_mask = mask_of(keep)
     new_bit = {v: 1 << i for i, v in enumerate(keep)}
     nbr = []
@@ -355,11 +340,11 @@ def induced(g: Graph, s: Iterable[int]) -> Graph:
             mask |= new_bit[w]
         nbr.append(mask)
         degree_sum += mask.bit_count()
-    return Graph._from_masks(nbr, degree_sum // 2, labels)
+    return Graph._from_masks(nbr, degree_sum // 2)
 
 
 def induced_bipartite(bg: BipartiteGraph, keep: Iterable[int]) -> BipartiteGraph:
-    """Induced bipartite subgraph keeping the side assignment and labels."""
+    """Induced bipartite subgraph keeping the side assignment."""
     keep = sorted(set(keep))
     sub = induced(bg.underlying, keep)
     index = {v: i for i, v in enumerate(keep)}
@@ -423,8 +408,7 @@ def projective_plane_incidence(q: int) -> BipartiteGraph:
         for pi, pt in enumerate(points):
             if (line[0] * pt[0] + line[1] * pt[1] + line[2] * pt[2]) % q == 0:
                 edges.append((pi, m + li))
-    labels = [f"p{p}" for p in points] + [f"l{p}" for p in points]
-    g = Graph(2 * m, edges, labels=labels)
+    g = Graph(2 * m, edges)
     return BipartiteGraph(g, range(m), range(m, 2 * m))
 
 

@@ -83,6 +83,8 @@ class PipelineParams:
 # the required certificate keys and their JSON types
 _CERT_FIELDS = (("digest", str), ("mode", str), ("params", dict), ("seed", int),
                 ("verified", dict), ("stats", dict))
+_STATS_TYPES = (("avg_degree", str), ("max_degree", int), ("size", int),
+                ("stage", str), ("best_avg_degree", str), ("best_size", int))
 _JSON_TYPE = {str: "a string", dict: "an object", int: "an integer", float: "a number"}
 
 
@@ -160,8 +162,19 @@ class ExtractionCertificate:
         # NaN fails every comparison
         if "delta" in obj["params"] and not 0 <= obj["params"]["delta"] <= 1:
             raise CertificateFormatError("params 'delta' must be a finite number in [0, 1]")
-        if not _is_a(obj.get("version", CERT_VERSION), str):
+        version = obj.get("version", CERT_VERSION)
+        if not _is_a(version, str):
             raise CertificateFormatError("certificate key 'version' must be a string")
+        if version != CERT_VERSION:
+            raise CertificateFormatError(f"certificate version {version!r} is not "
+                                         f"supported (only {CERT_VERSION!r})")
+        # exact types, so that 1 does not pass for true nor 14.0 for 14
+        for key, value in obj["verified"].items():
+            if type(value) is not bool:
+                raise CertificateFormatError(f"verified {key!r} must be a boolean")
+        for key, kind in _STATS_TYPES:
+            if key in obj["stats"] and type(obj["stats"][key]) is not kind:
+                raise CertificateFormatError(f"stats {key!r} must be {_JSON_TYPE[kind]}")
         wit = obj.get("witness")
         biclique = None
         witness = None

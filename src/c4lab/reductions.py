@@ -57,8 +57,12 @@ def _float_above(q: Fraction) -> float:
 
 
 def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
-                            retries: int = DEFAULT_RETRIES) -> BipartiteGraph:
+                            retries: int = DEFAULT_RETRIES
+                            ) -> tuple[BipartiteGraph, tuple[int, ...]]:
     """Induced subgraph with d >= d(gamma)/4 and max degree <= 24 L d.
+
+    Returns (reduced, ids): `ids` lists the kept vertices of gamma ascending
+    and reduced is gamma[ids], as `half_degree_core` returns its core.
 
     Precondition: every A-degree is at most L e/|A| and every B-degree at
     most L e/|B| (rejected otherwise).  One attempt keeps each vertex of the
@@ -77,7 +81,7 @@ def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
     g = gamma.underlying
     e = gamma.edge_count
     if e == 0:
-        return gamma
+        return gamma, tuple(range(gamma.n))
     a_side, b_side = gamma.a_list(), gamma.b_list()
     num, den = l_factor.numerator, l_factor.denominator
     for side, name in ((a_side, "A"), (b_side, "B")):
@@ -113,13 +117,14 @@ def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
         kept = len(kept_small) + kept_large.bit_count()
         # success test, exact: 4 e' |large| > e |kept|
         if 4 * e_sub * n_large > e * kept:
-            out = induced_bipartite(gamma, kept_small + list(bits(kept_large)))
+            ids = tuple(sorted(kept_small + list(bits(kept_large))))
+            out = induced_bipartite(gamma, ids)
             dd = average_degree(out.underlying)
             if dd < average_degree(g) / 4:
                 raise InvariantError("reduced average degree fell below d/4")
             if out.underlying.max_degree() > 24 * l_factor * dd:
                 raise InvariantError("reduced max degree exceeds 24 L d")
-            return out
+            return out, ids
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
 
 
@@ -248,12 +253,7 @@ class SplitOutcome:
     """Either a near-regular induced vertex set or a lopsided edge-rich cut."""
 
     kind: str  # "near_regular" | "lopsided"
-    subgraph: frozenset[int] | None = None
-    a_side: frozenset[int] | None = None
-    b_side: frozenset[int] | None = None
-    avg_degree: Fraction | None = None
-    max_degree: int | None = None
-    side_ratio: Fraction | None = None
+    subgraph: frozenset[int] | None = None  # the near-regular vertex set
 
 
 @dataclass(frozen=True)
@@ -279,10 +279,10 @@ def split_prefix(g: Graph, delta: float) -> SplitPrefix:
 
     With d = d(g): vertices of degree above d 2^{d^delta} form R.  If the
     cut (R, V-R) carries at least nd/4 = e/2 edges (exact), the prefix holds
-    the lopsided outcome (A = V-R, B = R).  Otherwise it holds the min-degree
-    core h of g - R and h's heaviest dyadic degree bucket.  Raises
-    DomainError on an empty graph or d < 2, and ExtractionFailure when
-    nothing remains outside R or the core is empty.
+    the lopsided outcome, which records only its kind.  Otherwise it holds
+    the min-degree core h of g - R and h's heaviest dyadic degree bucket.
+    Raises DomainError on an empty graph or d < 2, and ExtractionFailure
+    when nothing remains outside R or the core is empty.
     """
     if g.n == 0:
         raise DomainError("graph must be nonempty")
@@ -295,11 +295,7 @@ def split_prefix(g: Graph, delta: float) -> SplitPrefix:
         # each cut edge is counted once, from its end in R
         cut_edges = sum((g.neighbor_mask(v) & ~r_mask).bit_count() for v in bits(r_mask))
         if 2 * cut_edges >= g.edge_count:
-            r_set = frozenset(bits(r_mask))
-            rest = frozenset(range(g.n)) - r_set
-            return SplitPrefix(SplitOutcome(
-                kind="lopsided", a_side=rest, b_side=r_set, avg_degree=d,
-                side_ratio=Fraction(len(rest), len(r_set))))
+            return SplitPrefix(SplitOutcome(kind="lopsided"))
 
     base_map = [v for v in range(g.n) if not (r_mask >> v) & 1]
     base = induced(g, base_map)
@@ -325,62 +321,43 @@ def split_prefix(g: Graph, delta: float) -> SplitPrefix:
                        tuple(buckets[best_j]))
 
 
-def split_from_prefix(prefix: SplitPrefix, seed: int, thresholds=None,
-                      retries: int = DEFAULT_RETRIES,
-                      reduce_retries: int = DEFAULT_RETRIES) -> SplitOutcome:
+def split_from_prefix(prefix: SplitPrefix, seed: int,
+                      retries: int = DEFAULT_RETRIES) -> SplitOutcome:
     """The seeded half of `extreme_split`: its retries, from a shared prefix."""
     if prefix.lopsided is not None:
         return prefix.lopsided
-    nbr = prefix.nbr
     for attempt in range(retries):
         sub_seed = mix_seed(seed, attempt)
-        local = _near_regular_attempt(prefix, random.Random(sub_seed),
-                                      reduce_retries, sub_seed)
-        if local is None:
-            continue
-        # g[chosen] is h[local]: its degrees are popcounts inside h.  It has
-        # an edge, since the reduction's success test forces e' > 0.
-        local_mask = mask_of(local)
-        degrees = [(nbr[v] & local_mask).bit_count() for v in local]
-        dd = Fraction(sum(degrees), len(degrees))
-        mx = max(degrees)
-        if thresholds is not None:
-            min_avg, max_max = thresholds
-            if dd < min_avg or mx > max_max:
-                continue
-        return SplitOutcome(kind="near_regular",
-                            subgraph=frozenset(prefix.core_map[v] for v in local),
-                            avg_degree=dd, max_degree=mx, side_ratio=None)
+        local = _near_regular_attempt(prefix, random.Random(sub_seed), sub_seed)
+        if local is not None:
+            return SplitOutcome(kind="near_regular",
+                                subgraph=frozenset(prefix.core_map[v] for v in local))
     raise ExtractionFailure(f"near-regular extraction failed in {retries} attempts")
 
 
-def extreme_split(g: Graph, delta: float, seed: int, thresholds=None,
-                  retries: int = DEFAULT_RETRIES,
-                  reduce_retries: int = DEFAULT_RETRIES) -> SplitOutcome:
+def extreme_split(g: Graph, delta: float, seed: int,
+                  retries: int = DEFAULT_RETRIES) -> SplitOutcome:
     """Find a near-regular induced subgraph or certify a lopsided cut.
 
     With d = d(g): vertices of degree above d 2^{d^delta} form R.  If the
     cut (R, V-R) carries at least nd/4 = e/2 edges (exact), the lopsided
-    outcome (A = V-R, B = R) is returned.  Otherwise the recipe works inside
-    the min-degree core of g - R: bucket degrees dyadically, keep the bucket
+    outcome is returned.  Otherwise the recipe works inside the min-degree
+    core of g - R: bucket degrees dyadically, keep the bucket
     with the most incident edges, quarter-sample it, drop vertices sampling
     more than half their neighbors, strip internal degrees >= 4d, re-bucket
     the outside by degree into the survivor set, strip again, and reduce the
     resulting almost-biregular bipartite graph (with its exact measured
-    factor).  Success requires a nonempty vertex set whose induced average
-    and maximum degree meet `thresholds` (a (min_avg, max_max) pair;
-    None accepts any nonempty result with at least one edge).
+    factor).  The first attempt whose reduction succeeds gives the vertex
+    set; it spans an edge, since the reduction's success test forces e' > 0.
 
     Callers that split one graph under many seeds compute `split_prefix`
     once and call `split_from_prefix` per seed; this is the two in one.
     """
-    return split_from_prefix(split_prefix(g, delta), seed, thresholds,
-                             retries, reduce_retries)
+    return split_from_prefix(split_prefix(g, delta), seed, retries)
 
 
 def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
-                          reduce_retries: int, reduce_seed: int
-                          ) -> list[int] | None:
+                          reduce_seed: int) -> list[int] | None:
     """One randomized pass of the bucket/sample/strip recipe; h-local ids,
     ascending.  Every neighbour count is a popcount against a mask."""
     nbr, d = prefix.nbr, prefix.d
@@ -422,13 +399,11 @@ def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
                            range(len(a_side)), range(len(a_side), len(keep)))
     l_actual = biregularity_factor(gamma)
     try:
-        reduced = almost_biregular_reduce(gamma, l_actual, reduce_seed,
-                                          retries=reduce_retries)
+        _, ids = almost_biregular_reduce(gamma, l_actual, reduce_seed)
     except ExtractionFailure:
         return None
-    # lift: reduced labels are indices into keep
-    return sorted(keep[int(reduced.underlying.label(v))]
-                  for v in range(reduced.underlying.n))
+    # lift: the reduction's ids index keep
+    return sorted(keep[i] for i in ids)
 
 
 # -- bipartite regularization --------------------------------------------------

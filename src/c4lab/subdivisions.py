@@ -252,7 +252,8 @@ def find_subdivision(g: Graph, k: int, seed: int, retries: int = 30,
 
 def _build_aux_graph(w_set: list[int], u_map: dict[int, tuple[int, int]]
                      ) -> tuple[Graph, dict[tuple[int, int], int]]:
-    """Auxiliary graph on w_set with an edge per degree-2 connector vertex.
+    """Auxiliary graph J, vertex i standing for w_set[i], with an edge per
+    degree-2 connector vertex.
 
     u_map sends each connector to its (w1, w2) pair; duplicate pairs would
     be a 4-cycle in the host, which the pipeline certified away.
@@ -264,9 +265,7 @@ def _build_aux_graph(w_set: list[int], u_map: dict[int, tuple[int, int]]
         if key in edge_owner:
             raise InvariantError("two connectors share both endpoints: a C4")
         edge_owner[key] = u
-    j = Graph(len(w_set), list(edge_owner.keys()),
-              labels=[str(w) for w in w_set])
-    return j, edge_owner
+    return Graph(len(w_set), list(edge_owner.keys())), edge_owner
 
 
 def induced_subdivision(g: Graph, s: int, k: int, seed: int,
@@ -319,7 +318,7 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
                 if jw is None:
                     continue
                 host_connector = {key: host_ids[u] for key, u in edge_owner.items()}
-                branch, paths = _lift(host_ids, j, jw, host_connector)
+                branch, paths = _lift(host_ids, w_set, jw, host_connector)
                 flag = _is_induced(g, branch, paths)
                 if not flag:
                     continue
@@ -333,10 +332,11 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
     return None
 
 
-def _lift(host_ids: list[int], j: Graph, jw: SubdivisionWitness,
+def _lift(host_ids: list[int], w_set: list[int], jw: SubdivisionWitness,
           host_connector: dict[tuple[int, int], int]
           ) -> tuple[tuple[int, ...], dict[tuple[int, int], tuple[int, ...]]]:
-    host_of = {v: host_ids[int(j.label(v))] for v in range(j.n)}
+    # vertex i of J is the core vertex w_set[i]
+    host_of = [host_ids[w] for w in w_set]
     branch = tuple(sorted(host_of[v] for v in jw.branch_vertices))
     lifted: dict[tuple[int, int], tuple[int, ...]] = {}
     for (a, b), jpath in jw.paths.items():

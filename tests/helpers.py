@@ -164,7 +164,7 @@ def induced_by_edge_walk(g: Graph, s) -> Graph:
     keep = sorted(set(s))
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
-    return Graph(len(keep), edges, labels=[g.label(v) for v in keep])
+    return Graph(len(keep), edges)
 
 
 def degeneracy_by_min_scan(g: Graph):
@@ -352,7 +352,7 @@ def sample_c4free_by_pair_scan(g: Graph, size: int, samples: int, rng) -> int:
 # values and raise the same exception type and message, with the same .best.
 
 def almost_biregular_reduce_by_set_scans(gamma, l_factor, seed: int, retries: int = 100):
-    """The reference for `reductions.almost_biregular_reduce`."""
+    """The reference for `reductions.almost_biregular_reduce`: (reduced, ids)."""
     from fractions import Fraction
 
     from c4lab.errors import DomainError, ExtractionFailure, NotBiregularError
@@ -364,7 +364,7 @@ def almost_biregular_reduce_by_set_scans(gamma, l_factor, seed: int, retries: in
     g = gamma.underlying
     e = gamma.edge_count
     if e == 0:
-        return gamma
+        return gamma, tuple(range(gamma.n))
     a_side, b_side = gamma.a_list(), gamma.b_list()
     for v in a_side:
         if g.degree(v) * len(a_side) > l_factor * e:
@@ -392,7 +392,7 @@ def almost_biregular_reduce_by_set_scans(gamma, l_factor, seed: int, retries: in
             dd = average_degree(out.underlying)
             assert dd >= average_degree(g) / 4
             assert out.underlying.max_degree() <= 24 * l_factor * dd
-            return out
+            return out, tuple(sorted(keep))
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
 
 
@@ -442,10 +442,8 @@ def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int,
         best=None if best is None else best[1])
 
 
-def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, thresholds=None,
-                               retries: int = 100, reduce_retries: int = 100):
+def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, retries: int = 100):
     """The reference for `reductions.extreme_split`."""
-    from fractions import Fraction
     from math import ceil
 
     from c4lab.errors import DomainError, ExtractionFailure
@@ -462,9 +460,7 @@ def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, thresholds=Non
     rest = frozenset(range(g.n)) - r_set
     cut_edges = sum(1 for u, v in g.edges() if (u in r_set) != (v in r_set))
     if 2 * cut_edges >= g.edge_count and r_set:
-        ratio = Fraction(len(rest), len(r_set))
-        return SplitOutcome(kind="lopsided", a_side=rest, b_side=r_set,
-                            avg_degree=d, side_ratio=ratio)
+        return SplitOutcome(kind="lopsided")
     base = induced(g, rest)
     base_map = sorted(rest)
     if base.n == 0 or base.edge_count == 0:
@@ -477,27 +473,17 @@ def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, thresholds=Non
     df = float(d)
     for attempt in range(retries):
         rng = random.Random(mix_seed(seed, attempt))
-        outcome = _near_regular_attempt_by_set_scans(h, df, rng, reduce_retries,
-                                                     mix_seed(seed, attempt))
+        outcome = _near_regular_attempt_by_set_scans(h, df, rng, mix_seed(seed, attempt))
         if outcome is None:
             continue
         chosen = frozenset(core_map[v] for v in outcome)
-        sub = induced(g, chosen)
-        if sub.edge_count == 0:
+        if induced(g, chosen).edge_count == 0:
             continue
-        dd = average_degree(sub)
-        mx = sub.max_degree()
-        if thresholds is not None:
-            min_avg, max_max = thresholds
-            if dd < min_avg or mx > max_max:
-                continue
-        return SplitOutcome(kind="near_regular", subgraph=chosen,
-                            avg_degree=dd, max_degree=mx, side_ratio=None)
+        return SplitOutcome(kind="near_regular", subgraph=chosen)
     raise ExtractionFailure(f"near-regular extraction failed in {retries} attempts")
 
 
-def _near_regular_attempt_by_set_scans(h: Graph, d: float, rng, reduce_retries: int,
-                                       reduce_seed: int):
+def _near_regular_attempt_by_set_scans(h: Graph, d: float, rng, reduce_seed: int):
     import math
 
     from c4lab.errors import ExtractionFailure
@@ -564,9 +550,7 @@ def _near_regular_attempt_by_set_scans(h: Graph, d: float, rng, reduce_retries: 
     if l_actual <= 0:
         return None
     try:
-        reduced = almost_biregular_reduce_by_set_scans(gamma, l_actual, reduce_seed,
-                                                       retries=reduce_retries)
+        _, ids = almost_biregular_reduce_by_set_scans(gamma, l_actual, reduce_seed)
     except ExtractionFailure:
         return None
-    return frozenset(keep[int(reduced.underlying.label(v))]
-                     for v in range(reduced.underlying.n))
+    return frozenset(keep[i] for i in ids)

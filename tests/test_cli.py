@@ -417,6 +417,48 @@ GOLDEN_CERTS = [("gnm15.g6", "gnm15_fallback_cert.json"),
                 ("gnp24.g6", "gnp24_cert.json"),
                 ("heawood.g6", "heawood_cert.json"),
                 ("lopsided200.g6", "lopsided200_failure_cert.json")]
+def _golden_cert(name: str) -> dict:
+    return json.loads((GOLDEN / name).read_text())
+
+
+def test_verify_unknown_version_exits_1(tmp_path, capsys):
+    # a certificate of another format must not be judged by this one's rules
+    g6, cert_path = GOLDEN / "heawood.g6", tmp_path / "cert.json"
+    obj = _golden_cert("heawood_cert.json")
+    cert_path.write_text(json.dumps(obj))
+    assert run_cli(capsys, "verify", "--input", str(g6), "--cert", str(cert_path))[0] == 0
+    for version in ("999", "2", "", "1.0"):
+        err = _verify_malformed(capsys, g6, cert_path, dict(obj, version=version))
+        assert err == f"error: certificate version {version!r} is not supported (only '1')\n"
+
+
+@pytest.mark.parametrize("cert_file, section, values, message", [
+    # every flag written as an int, and one as an int
+    ("heawood_cert.json", "verified",
+     {"avg_degree_ok": 1, "bipartite": 1, "induced_c4free": 1, "max_degree_bound_ok": 1},
+     "verified 'avg_degree_ok' must be a boolean"),
+    ("gnp200_failure_cert.json", "verified", {"bipartite": 0},
+     "verified 'bipartite' must be a boolean"),
+    # whole numbers written as floats or flags, strings written as numbers
+    ("heawood_cert.json", "stats", {"size": 14.0}, "stats 'size' must be an integer"),
+    ("heawood_cert.json", "stats", {"max_degree": True}, "stats 'max_degree' must be an integer"),
+    ("heawood_cert.json", "stats", {"avg_degree": 3}, "stats 'avg_degree' must be a string"),
+    ("heawood_cert.json", "stats", {"stage": None}, "stats 'stage' must be a string"),
+    ("gnp200_failure_cert.json", "stats", {"best_size": 23.0},
+     "stats 'best_size' must be an integer"),
+], ids=["int-flags", "int-false", "float-size", "bool-max-degree", "int-avg-degree",
+        "null-stage", "float-best-size"])
+def test_verify_inexact_value_types_exit_1(tmp_path, capsys, cert_file, section, values,
+                                           message):
+    # each value has the wrong JSON type; the ints, floats and bools equal the
+    # values they replace under ==, so only an exact type check sees them
+    obj = _golden_cert(cert_file)
+    graph = GOLDEN / {c: g for g, c in GOLDEN_CERTS}[cert_file]
+    bad = dict(obj, **{section: dict(obj[section], **values)})
+    err = _verify_malformed(capsys, graph, tmp_path / "cert.json", bad)
+    assert err == f"error: {message}\n"
+
+
 # stand-ins of the wrong JSON type or out of range for any certificate value
 WRONG_VALUES = (None, True, False, -1, 0, 2, 10 ** 400, -1e308, 0.5, float("nan"),
                 float("inf"), "", "x", [], [-1], [0, 0], [10 ** 6], [[0]], {},
