@@ -16,7 +16,6 @@ from .errors import (
     GenerationFailure,
     InvariantError,
     KernelFailure,
-    NotBiregularError,
     OracleLimitError,
     ParameterError,
     StaleCertificateError,

@@ -21,10 +21,6 @@ class OracleLimitError(C4LabError):
     """Instance exceeds the exhaustive-oracle size limit."""
 
 
-class NotBiregularError(C4LabError, ValueError):
-    """Bipartite input fails the declared almost-biregularity factor."""
-
-
 class GenerationFailure(C4LabError):
     """Randomized generator exhausted its retry budget (parameters too dense)."""
 
@@ -41,11 +37,8 @@ class ExtractionFailure(C4LabError):
 
 
 class KernelFailure(C4LabError):
-    """Kernel extraction exhausted its retry budget; `best` holds diagnostics."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Kernel extraction exhausted its retry budget; the message gives the
+    largest rainbow family any coloring found."""
 
 
 class InvariantError(C4LabError):

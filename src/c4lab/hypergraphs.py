@@ -59,9 +59,6 @@ class Hypergraph:
     def is_bounded(self, bound: int) -> bool:
         return all(len(e) <= bound for e in self.edges)
 
-    def max_edge_size(self) -> int:
-        return max((len(e) for e in self.edges), default=0)
-
     def uniform_rank(self) -> int | None:
         sizes = {len(e) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
@@ -231,7 +228,7 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
     edge_list = f.edges
     # one slice getter per candidate color set: get(vec) is the edge's slice
     candidates = [(e, itemgetter(*e)) for e in _color_sets(r, s)]
-    best_attempt: tuple[int, PartiteKernel | None] = (-1, None)
+    best_rainbow = 0  # the largest rainbow family of any coloring
 
     for attempt in range(retries):
         rng = random.Random(mix_seed(seed, attempt))
@@ -318,12 +315,11 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
             _check_step(len(nxt), len(cur), steps, t, big_t, "pigeonhole")
             history.append(len(nxt))
             cur = nxt
-        if history[0] > best_attempt[0]:
-            best_attempt = (history[0], None)
+        best_rainbow = max(best_rainbow, history[0])
 
     raise KernelFailure(
         f"no verified kernel within {retries} colorings (best rainbow family: "
-        f"{max(best_attempt[0], 0)} edges)", best=best_attempt[1])
+        f"{best_rainbow} edges)")
 
 
 def find_induced_pair(h: Hypergraph, k: int) -> InducedPair:

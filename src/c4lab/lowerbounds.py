@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt
 
-from .errors import DomainError, UnsupportedParameterError
+from .errors import DomainError
 from .graphs import Graph, mix_seed, sample_subset
 from .oracles import DEFAULT_ORACLE_LIMIT, closes_c4, is_c4_free, max_independent_set
 
+# X is counted exactly while C(n, K) <= this budget, else sampled
 _EXACT_X_SUBSET_BUDGET = 10 ** 6
+# the uniform K-subsets drawn per trial when X is sampled
+_X_SAMPLES = 2000
 
 
 def reiman_max_edges(n: int) -> Fraction:
@@ -277,32 +280,24 @@ def _sample_c4free_subsets(g: Graph, size: int, samples: int,
     return hits
 
 
-def lb_experiment(n: int, p: float, s: int, k: int, trials: int, seed: int,
-                  x_mode: str = "auto", x_samples: int = 2000
+def lb_experiment(n: int, p: float, s: int, k: int, trials: int, seed: int
                   ) -> ExperimentReport:
     """Sample `trials` graphs from G(n,p) and estimate the construction's events.
 
     X counts C4-free K-subsets with K = k^2 - 3k: exact while C(n, K) fits
-    the subset budget, otherwise estimated from `x_samples` uniform
-    K-subsets per trial and flagged (x_exact=False; the zero-count
-    probability is then only a proxy).  x_mode "exact" insists on the exact
-    count and raises beyond the budget; "sampled" forces estimation.
-    Y counts K_{s,s} pairs, compared against the exact expectation.
+    the subset budget of 10^6 (so K > n, with no K-subsets at all, is
+    exact), otherwise estimated from 2000 uniform K-subsets per trial and
+    flagged (x_exact=False; the zero-count probability is then only a
+    proxy).  Y counts K_{s,s} pairs, compared against the exact expectation.
     k in {2,3} short-circuits the X statistic (K <= 0 is degenerate).
     """
     if s < 2 or k < 2:
         raise DomainError("s and k must be >= 2")
     if trials < 1:
         raise DomainError("trials must be positive")
-    if x_mode not in ("auto", "exact", "sampled"):
-        raise DomainError("x_mode must be auto, exact, or sampled")
     big_k = k * k - 3 * k
     trivial_k = big_k <= 0
-    exact_fits = trivial_k or comb(n, big_k) <= _EXACT_X_SUBSET_BUDGET
-    if x_mode == "exact" and not exact_fits:
-        raise UnsupportedParameterError(
-            f"C({n},{big_k}) exceeds the exact-subset budget {_EXACT_X_SUBSET_BUDGET}")
-    x_exact = exact_fits if x_mode == "auto" else x_mode == "exact"
+    x_exact = trivial_k or comb(n, big_k) <= _EXACT_X_SUBSET_BUDGET
 
     x_zero = 0
     y_zero = 0
@@ -332,11 +327,8 @@ def lb_experiment(n: int, p: float, s: int, k: int, trials: int, seed: int,
             if x_exact:
                 if not _has_c4free_subset(g, big_k):
                     x_zero += 1
-            elif big_k > n:
-                x_zero += 1  # no K-subsets exist at all
-            else:
-                if _sample_c4free_subsets(g, big_k, x_samples, rng) == 0:
-                    x_zero += 1
+            elif _sample_c4free_subsets(g, big_k, _X_SAMPLES, rng) == 0:
+                x_zero += 1
 
     mean_y = y_sum / trials
     var_y = max(0.0, y_sq_sum / trials - mean_y * mean_y)
@@ -357,7 +349,7 @@ def lb_experiment(n: int, p: float, s: int, k: int, trials: int, seed: int,
         stderr_p_x_zero=None if trivial_k else bern_se(x_zero / trials),
         stderr_p_y_zero=bern_se(p_y_zero),
         trivial_k=trivial_k,
-        x_exact=x_exact or trivial_k,
+        x_exact=x_exact,
         conditions=check_lb_conditions(n, p, s, k).as_dict(),
     )
     return report

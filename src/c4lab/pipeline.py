@@ -195,6 +195,11 @@ def graph_digest(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _keeps_promise(cert: ExtractionCertificate) -> bool:
+    """Whether the certificate's flags hold every claim of its mode."""
+    return all(cert.verified[claim] for claim in _MODE_CLAIMS.get(cert.mode, ()))
+
+
 # the flags of a certificate that claims nothing; each one gets a copy
 _NO_FLAGS = {"induced_c4free": False, "avg_degree_ok": False,
              "bipartite": False, "max_degree_bound_ok": False}
@@ -314,7 +319,7 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
         witness = [a0] + sorted(under.neighbors(a0))
         cert = _subgraph_certificate(under, digest, "case2_lopsided", witness,
                                      pdict, seed, k, stage="model:star")
-        return cert if cert.verified["avg_degree_ok"] else None
+        return cert if _keeps_promise(cert) else None
 
     best: tuple[Fraction, tuple[dict, dict]] | None = None
     for attempt in range(params.retries):
@@ -363,7 +368,7 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
                 cert = _subgraph_certificate(under, digest, "case2_lopsided",
                                              witness, pdict, seed, k,
                                              stage="model:pair")
-                if cert.verified["induced_c4free"] and cert.verified["avg_degree_ok"]:
+                if _keeps_promise(cert):
                     _assert_model_degrees(under, a_set, set(b_prime),
                                           len(y_colors), t, k)
                     return cert
@@ -401,13 +406,15 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     """Full extraction driver with a verified certificate for every outcome.
 
     Route: (0) an exhaustive biclique scan ends in biclique_found (the
-    extraction hypothesis fails); (1) an input already C4-free with average
-    degree >= k is its own witness; (2) otherwise peel to the min-degree
-    core at half the average degree, iterated to a fixed point; (3) split
-    into the near-regular or the lopsided case and run short-cycle
-    sparsification; a lopsided cut ends the attempts; (4) on small
-    inputs a failed pipeline falls back to the exhaustive optimum
-    (oracle_fallback), else an honest failure certificate with diagnostics.
+    extraction hypothesis fails); (1) the whole vertex set is its own
+    witness when that certificate's flags keep the trivial mode's promise
+    (C4-free, average degree >= k), by the rule `verify_certificate`
+    applies; (2) otherwise peel to the min-degree core at half the average
+    degree, iterated to a fixed point; (3) split into the near-regular or
+    the lopsided case and run short-cycle sparsification; a lopsided cut
+    ends the attempts; (4) a failed pipeline falls back to the exhaustive
+    optimum (oracle_fallback) unless the oracle refuses the input's size,
+    else an honest failure certificate with diagnostics.
     Every witness is re-verified from scratch against the original graph.
     """
     if s < 2:
@@ -426,9 +433,10 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         return _biclique_certificate(g, digest, wit[0], wit[1], pdict, seed,
                                      stage="scan")
 
-    if is_c4_free(g) and average_degree(g) >= k:
-        return _subgraph_certificate(g, digest, "trivial_already_c4free",
-                                     range(g.n), pdict, seed, k, stage="trivial")
+    trivial = _subgraph_certificate(g, digest, "trivial_already_c4free", range(g.n),
+                                    pdict, seed, k, stage="trivial")
+    if _keeps_promise(trivial):
+        return trivial
 
     # peel to a fixed point
     core_graph, core_ids = g, tuple(range(g.n))
@@ -465,8 +473,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         sub = induced(core_graph, local)
         try:
             keep = sparsify_short_cycles(
-                sub, s, mix_seed(base_seed, 1), target=k, retries=params.retries,
-                check_biclique=False)
+                sub, s, mix_seed(base_seed, 1), target=k, retries=params.retries)
         except ExtractionFailure as exc:
             if exc.best:
                 wit_ids = [core_ids[local[v]] for v in sorted(exc.best)]
@@ -479,14 +486,13 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         return _subgraph_certificate(g, digest, "case1_near_regular", wit_ids,
                                      pdict, seed, k, stage=f"attempt{i}:near-regular")
 
-    if g.n <= params.oracle_limit:
-        try:
-            witness, _ = best_c4free_induced(g, limit=params.oracle_limit)
-        except OracleLimitError:
-            witness = None
-        if witness:
-            return _subgraph_certificate(g, digest, "oracle_fallback", witness,
-                                         pdict, seed, k, stage="oracle")
+    try:
+        witness, _ = best_c4free_induced(g, limit=params.oracle_limit)
+    except OracleLimitError:
+        pass
+    else:
+        return _subgraph_certificate(g, digest, "oracle_fallback", witness,
+                                     pdict, seed, k, stage="oracle")
     return _failure_certificate(digest, pdict, seed, "routes-exhausted",
                                 best=None if best is None else best[1])
 
@@ -523,4 +529,4 @@ def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
             return False
     if cert.mode == "trivial_already_c4free" and sorted(witness) != list(range(g.n)):
         return False
-    return all(flags[claim] for claim in _MODE_CLAIMS.get(cert.mode, ()))
+    return _keeps_promise(cert)

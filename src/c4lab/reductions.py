@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ExtractionFailure, InvariantError, NotBiregularError
+from .errors import DomainError, ExtractionFailure, InvariantError
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -27,7 +27,6 @@ from .graphs import (
     mask_of,
     mix_seed,
 )
-from .oracles import contains_biclique
 
 DEFAULT_RETRIES = 100
 
@@ -56,7 +55,7 @@ def _float_above(q: Fraction) -> float:
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
-def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
+def almost_biregular_reduce(gamma: BipartiteGraph, seed: int,
                             retries: int = DEFAULT_RETRIES
                             ) -> tuple[BipartiteGraph, tuple[int, ...]]:
     """Induced subgraph with d >= d(gamma)/4 and max degree <= 24 L d.
@@ -64,30 +63,24 @@ def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
     Returns (reduced, ids): `ids` lists the kept vertices of gamma ascending
     and reduced is gamma[ids], as `half_degree_core` returns its core.
 
-    Precondition: every A-degree is at most L e/|A| and every B-degree at
-    most L e/|B| (rejected otherwise).  One attempt keeps each vertex of the
-    larger side with probability |small|/|large| and keeps a small-side
-    vertex when its sampled degree stays within 1 + 2p(deg - 1); the attempt
-    succeeds when 4 e' > (e/|large|)(|kept|) holds exactly, which forces
-    both postconditions.  Both are still checked, and raise InvariantError.
+    L is gamma's own `biregularity_factor`, so every A-degree is at most
+    L e/|A| and every B-degree at most L e/|B|.  One attempt keeps each
+    vertex of the larger side with probability |small|/|large| and keeps a
+    small-side vertex when its sampled degree stays within 1 + 2p(deg - 1);
+    the attempt succeeds when 4 e' > (e/|large|)(|kept|) holds exactly,
+    which forces both postconditions.  Both are still checked, and raise
+    InvariantError.
 
     The kept large side is a mask, each small vertex's sampled degree is
     one popcount, and since every edge joins the two sides e' is the sum
     of the kept small vertices' sampled degrees.
     """
-    l_factor = Fraction(l_factor)
-    if l_factor <= 0:
-        raise DomainError("l_factor must be positive")
     g = gamma.underlying
     e = gamma.edge_count
     if e == 0:
         return gamma, tuple(range(gamma.n))
+    big_l = biregularity_factor(gamma)
     a_side, b_side = gamma.a_list(), gamma.b_list()
-    num, den = l_factor.numerator, l_factor.denominator
-    for side, name in ((a_side, "A"), (b_side, "B")):
-        for v in side:
-            if g.degree(v) * len(side) * den > num * e:
-                raise NotBiregularError(f"{name}-vertex {v} exceeds the L e/|{name}| bound")
 
     # orient so |small| <= |large|; the sampled side is the large one
     if len(a_side) <= len(b_side):
@@ -122,7 +115,7 @@ def almost_biregular_reduce(gamma: BipartiteGraph, l_factor, seed: int,
             dd = average_degree(out.underlying)
             if dd < average_degree(g) / 4:
                 raise InvariantError("reduced average degree fell below d/4")
-            if out.underlying.max_degree() > 24 * l_factor * dd:
+            if out.underlying.max_degree() > 24 * big_l * dd:
                 raise InvariantError("reduced max degree exceeds 24 L d")
             return out, ids
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
@@ -182,10 +175,10 @@ def _has_short_cycle(nbr, inside: int) -> bool:
     return False
 
 
-def sparsify_short_cycles(g: Graph, s: int, seed: int,
-                          target=None, retries: int = DEFAULT_RETRIES,
-                          check_biclique: bool = True) -> frozenset[int]:
-    """Vertex set U'' with g[U''] free of triangles and 4-cycles.
+def sparsify_short_cycles(g: Graph, s: int, seed: int, target,
+                          retries: int = DEFAULT_RETRIES) -> frozenset[int]:
+    """Vertex set U'' with g[U''] free of triangles and 4-cycles and
+    d(g[U'']) >= target.
 
     Recipe per attempt, with d = max degree: sample U at vertex probability
     p = d^{1/5s - 1}; delete every vertex lying on a triangle or 4-cycle
@@ -194,12 +187,13 @@ def sparsify_short_cycles(g: Graph, s: int, seed: int,
     (unconditionally; the deletion removes every short cycle's vertices),
     and every nonempty survivor set is checked again all the same.
 
-    target semantics: a number keeps retrying until d(g[U'']) >= target and
-    raises ExtractionFailure (best attempt attached) when the budget ends;
-    None runs the whole budget and returns the densest nonempty survivor
-    set.  The recipe's own density goal would be d^{(1/5 - 2 delta)/5s}, with
-    the paper's delta recorded as a certificate's `sparsify_delta`; p does
-    not depend on it, and at desk scale callers choose the target explicitly.
+    Attempts run until one reaches the target; when the budget ends,
+    ExtractionFailure carries the densest nonempty survivor set as `best`.
+    The recipe's own density goal would be d^{(1/5 - 2 delta)/5s}, with the
+    paper's delta recorded as a certificate's `sparsify_delta`; p does not
+    depend on it, and at desk scale the caller chooses the target.  The
+    paper's K_{s,s}-free hypothesis bears only on the density reached, not
+    on the girth guarantee, so the input is not scanned for a biclique.
 
     Every attempt works on g's neighbour masks: U and the survivors are
     masks, and 2e(g[U'']) is a sum of popcounts, so densities compare
@@ -207,14 +201,12 @@ def sparsify_short_cycles(g: Graph, s: int, seed: int,
     """
     if s < 2:
         raise DomainError("s must be >= 2")
-    if check_biclique and contains_biclique(g, s) is not None:
-        raise DomainError("input contains a biclique; precondition violated")
     d = g.max_degree()
     p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
     nbr = g.masks
     limit = [1 + 4 * p * mask.bit_count() for mask in nbr]
     # d(g[U'']) >= target  iff  2e * den >= num * |U''|
-    goal = None if target is None else Fraction(target)
+    goal = Fraction(target)
     # the densest survivor set so far, as (2e, size, mask)
     best: tuple[int, int, int] | None = None
     # reseeding one generator gives the stream of a fresh Random(sub-seed)
@@ -235,15 +227,13 @@ def sparsify_short_cycles(g: Graph, s: int, seed: int,
             raise InvariantError("sparsifier survivors contain a triangle or 4-cycle")
         two_e = sum((nbr[v] & kept).bit_count() for v in bits(kept))
         size = kept.bit_count()
-        if goal is not None and two_e * goal.denominator >= goal.numerator * size:
+        if two_e * goal.denominator >= goal.numerator * size:
             return frozenset(bits(kept))
         if best is None or two_e * best[1] > best[0] * size:
             best = (two_e, size, kept)
-    survivors = None if best is None else frozenset(bits(best[2]))
-    if target is None and survivors is not None:
-        return survivors
     raise ExtractionFailure(
-        f"no sample reached the target in {retries} attempts", best=survivors)
+        f"no sample reached the target in {retries} attempts",
+        best=None if best is None else frozenset(bits(best[2])))
 
 
 # -- extreme split -------------------------------------------------------------
@@ -397,9 +387,8 @@ def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
         return None
     gamma = BipartiteGraph(Graph(len(keep), cross),
                            range(len(a_side)), range(len(a_side), len(keep)))
-    l_actual = biregularity_factor(gamma)
     try:
-        _, ids = almost_biregular_reduce(gamma, l_actual, reduce_seed)
+        _, ids = almost_biregular_reduce(gamma, reduce_seed)
     except ExtractionFailure:
         return None
     # lift: the reduction's ids index keep
@@ -409,11 +398,11 @@ def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
 # -- bipartite regularization --------------------------------------------------
 
 def bipartite_regularize(g: Graph, a0, b, s: int, r: int, seed: int,
-                         density: int | None = None, retries: int = DEFAULT_RETRIES
+                         retries: int = DEFAULT_RETRIES
                          ) -> tuple[frozenset[int], frozenset[int]]:
     """Independent sides (A', B') with every A'-vertex seeing exactly r of B'.
 
-    With d the degeneracy-based density parameter: A-vertices of degree
+    With d the degeneracy of g (at least 1): A-vertices of degree
     >= 10d or < sqrt(d) are dropped; a proper-coloring class of the rest
     gives an independent A.  Edges inside B are oriented with out-degree
     <= d along the elimination order; a p = 1/d^2 sample B0' keeps only
@@ -434,8 +423,7 @@ def bipartite_regularize(g: Graph, a0, b, s: int, r: int, seed: int,
         raise DomainError("a0 and b must partition the vertex set")
     if r < 1:
         raise DomainError("r must be >= 1")
-    d = degeneracy(g)[0] if density is None else density
-    d = max(1, d)
+    d = max(1, degeneracy(g)[0])
 
     # degree filters: keep sqrt(d) <= deg < 10d (exact integer comparisons)
     a1 = [v for v in sorted(a0)

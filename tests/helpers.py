@@ -351,27 +351,20 @@ def sample_c4free_by_pair_scan(g: Graph, size: int, samples: int, rng) -> int:
 # whole split for every seed.  The mask-based reductions must return equal
 # values and raise the same exception type and message, with the same .best.
 
-def almost_biregular_reduce_by_set_scans(gamma, l_factor, seed: int, retries: int = 100):
+def almost_biregular_reduce_by_set_scans(gamma, seed: int, retries: int = 100):
     """The reference for `reductions.almost_biregular_reduce`: (reduced, ids)."""
     from fractions import Fraction
 
-    from c4lab.errors import DomainError, ExtractionFailure, NotBiregularError
+    from c4lab.errors import ExtractionFailure
     from c4lab.graphs import average_degree, induced_bipartite, mix_seed
+    from c4lab.reductions import biregularity_factor
 
-    l_factor = Fraction(l_factor)
-    if l_factor <= 0:
-        raise DomainError("l_factor must be positive")
     g = gamma.underlying
     e = gamma.edge_count
     if e == 0:
         return gamma, tuple(range(gamma.n))
+    big_l = biregularity_factor(gamma)
     a_side, b_side = gamma.a_list(), gamma.b_list()
-    for v in a_side:
-        if g.degree(v) * len(a_side) > l_factor * e:
-            raise NotBiregularError(f"A-vertex {v} exceeds the L e/|A| bound")
-    for v in b_side:
-        if g.degree(v) * len(b_side) > l_factor * e:
-            raise NotBiregularError(f"B-vertex {v} exceeds the L e/|B| bound")
     if len(a_side) <= len(b_side):
         small, large = a_side, b_side
     else:
@@ -391,26 +384,23 @@ def almost_biregular_reduce_by_set_scans(gamma, l_factor, seed: int, retries: in
             out = induced_bipartite(gamma, keep)
             dd = average_degree(out.underlying)
             assert dd >= average_degree(g) / 4
-            assert out.underlying.max_degree() <= 24 * l_factor * dd
+            assert out.underlying.max_degree() <= 24 * big_l * dd
             return out, tuple(sorted(keep))
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
 
 
-def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int,
-                                target=None, retries: int = 100,
-                                check_biclique: bool = True):
+def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int, target,
+                                retries: int = 100):
     """The reference for `reductions.sparsify_short_cycles`."""
     from fractions import Fraction
 
     from c4lab.errors import DomainError, ExtractionFailure, InvariantError
     from c4lab.graphs import average_degree, induced, mix_seed
-    from c4lab.oracles import contains_biclique, find_c3, is_c4_free
+    from c4lab.oracles import find_c3, is_c4_free
     from c4lab.reductions import _short_cycle_vertices
 
     if s < 2:
         raise DomainError("s must be >= 2")
-    if check_biclique and contains_biclique(g, s) is not None:
-        raise DomainError("input contains a biclique; precondition violated")
     d = g.max_degree()
     p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
     best: tuple[Fraction, frozenset[int]] | None = None
@@ -431,12 +421,10 @@ def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int,
         if not (find_c3(sub) is None and is_c4_free(sub)):
             raise InvariantError("sparsifier survivors contain a triangle or 4-cycle")
         dd = average_degree(sub)
-        if target is not None and dd >= target:
+        if dd >= target:
             return survivors
         if best is None or dd > best[0]:
             best = (dd, survivors)
-    if target is None and best is not None:
-        return best[1]
     raise ExtractionFailure(
         f"no sample reached the target in {retries} attempts",
         best=None if best is None else best[1])
@@ -488,7 +476,6 @@ def _near_regular_attempt_by_set_scans(h: Graph, d: float, rng, reduce_seed: int
 
     from c4lab.errors import ExtractionFailure
     from c4lab.graphs import BipartiteGraph
-    from c4lab.reductions import biregularity_factor
 
     if h.edge_count == 0:
         return None
@@ -546,11 +533,8 @@ def _near_regular_attempt_by_set_scans(h: Graph, d: float, rng, reduce_seed: int
     gamma = BipartiteGraph(
         Graph(len(keep), [(index[u], index[v]) for u, v in cross]),
         [index[v] for v in a_side], [index[v] for v in b_side])
-    l_actual = biregularity_factor(gamma)
-    if l_actual <= 0:
-        return None
     try:
-        _, ids = almost_biregular_reduce_by_set_scans(gamma, l_actual, reduce_seed)
+        _, ids = almost_biregular_reduce_by_set_scans(gamma, reduce_seed)
     except ExtractionFailure:
         return None
     return frozenset(keep[i] for i in ids)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from c4lab.errors import DomainError, UnsupportedParameterError
+from c4lab.errors import DomainError
 from c4lab.graphs import Graph, gen_gnp
 from c4lab.named import heawood_graph, petersen_graph
 from c4lab.lowerbounds import (
@@ -138,19 +138,12 @@ def test_lb_experiment_trivial_k():
     assert rep.trivial_k and rep.p_x_zero is None
 
 
-def test_lb_experiment_scale_guard():
-    with pytest.raises(UnsupportedParameterError):
-        # C(40,28) is huge and exact mode refuses it
-        lb_experiment(40, 0.5, 2, 7, trials=1, seed=1, x_mode="exact")
-
-
 def test_lb_experiment_sampled_mode():
-    # auto falls back to sampling beyond the exact budget and flags it
-    rep = lb_experiment(40, 0.9, 2, 7, trials=2, seed=1, x_samples=50)
+    # beyond the exact budget (C(40,28) > 10^6) X is sampled and flagged
+    rep = lb_experiment(40, 0.9, 2, 7, trials=2, seed=1)
     assert not rep.x_exact
     assert rep.p_x_zero == 1.0  # dense graph: no C4-free 28-subset sampled
-    rep2 = lb_experiment(40, 0.0, 2, 7, trials=2, seed=1, x_mode="sampled",
-                         x_samples=20)
+    rep2 = lb_experiment(40, 0.0, 2, 7, trials=2, seed=1)
     assert not rep2.x_exact and rep2.p_x_zero == 0.0
     # K exceeding n means no subsets at all, so X = 0 exactly
     rep3 = lb_experiment(8, 0.5, 2, 7, trials=3, seed=1)

@@ -9,7 +9,6 @@ from c4lab.errors import (
     DomainError,
     ExtractionFailure,
     InvariantError,
-    NotBiregularError,
     ParameterError,
 )
 from c4lab.graphs import (
@@ -23,7 +22,6 @@ from c4lab.graphs import (
     projective_plane_incidence,
 )
 from c4lab.named import (
-    complete_bipartite,
     complete_graph,
     cycle_graph,
     heawood_graph,
@@ -57,15 +55,16 @@ def matching_bipartite(k: int) -> BipartiteGraph:
 
 def test_reduce_empty_edge_set_returns_input():
     bg = BipartiteGraph(Graph(5), range(3), range(3, 5))
-    assert almost_biregular_reduce(bg, 1, seed=1) == (bg, (0, 1, 2, 3, 4))
+    assert almost_biregular_reduce(bg, seed=1) == (bg, (0, 1, 2, 3, 4))
 
 
 def test_reduce_heawood():
     bg = heawood_bipartite()
-    out, ids = almost_biregular_reduce(bg, 1, seed=7)
+    out, ids = almost_biregular_reduce(bg, seed=7)
     d_in = average_degree(bg.underlying)
     d_out = average_degree(out.underlying)
     assert d_out >= d_in / 4
+    assert biregularity_factor(bg) == 1
     assert out.underlying.max_degree() <= 24 * 1 * d_out
     # output vertex i is ids[i], and the output sides sit inside the input sides
     assert out.underlying == induced(bg.underlying, ids)
@@ -75,24 +74,23 @@ def test_reduce_heawood():
 
 def test_reduce_perfect_matching():
     bg = matching_bipartite(8)
-    out, _ = almost_biregular_reduce(bg, 1, seed=3)
+    out, _ = almost_biregular_reduce(bg, seed=3)
     assert average_degree(out.underlying) >= Fraction(1, 4)
 
 
-def test_reduce_rejects_non_biregular():
-    # one heavy A-vertex: degree 4, |A|=4, e=7: 4*4 > 1*7
+def test_reduce_measures_its_own_factor():
+    # one heavy A-vertex: degree 4, |A|=4, e=7, so L = 16/7 > 1
     g = Graph(8, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (2, 5), (3, 6)])
     bg = BipartiteGraph(g, range(4), range(4, 8))
-    with pytest.raises(NotBiregularError):
-        almost_biregular_reduce(bg, 1, seed=1)
-    out, _ = almost_biregular_reduce(bg, biregularity_factor(bg), seed=1)
+    assert biregularity_factor(bg) == Fraction(16, 7)
+    out, _ = almost_biregular_reduce(bg, seed=1)
     assert out.edge_count >= 1
 
 
 def test_reduce_deterministic():
     bg = heawood_bipartite()
-    a, a_ids = almost_biregular_reduce(bg, 2, seed=11)
-    b, b_ids = almost_biregular_reduce(bg, 2, seed=11)
+    a, a_ids = almost_biregular_reduce(bg, seed=11)
+    b, b_ids = almost_biregular_reduce(bg, seed=11)
     assert list(a.underlying.edges()) == list(b.underlying.edges())
     assert a.side_a == b.side_a and a_ids == b_ids
 
@@ -110,13 +108,11 @@ def test_sparsify_output_always_short_cycle_free():
 
 
 def test_sparsify_c4_never_keeps_whole_cycle():
-    # the 4-cycle is itself a K_{2,2}, so the precondition check must be
-    # bypassed to exercise the cleaning behavior on it
+    # the 4-cycle is itself a K_{2,2}: the sparsifier still cleans it
     g = cycle_graph(4)
     for seed in range(30):
         try:
-            out = sparsify_short_cycles(g, 2, seed, target=0, retries=20,
-                                        check_biclique=False)
+            out = sparsify_short_cycles(g, 2, seed, target=0, retries=20)
         except ExtractionFailure:
             continue
         assert len(out) < 4
@@ -124,7 +120,7 @@ def test_sparsify_c4_never_keeps_whole_cycle():
 
 def test_sparsify_on_plane_incidence():
     g = projective_plane_incidence(5).underlying
-    out = sparsify_short_cycles(g, 2, seed=13, retries=100)
+    out = sparsify_short_cycles(g, 2, seed=13, target=0, retries=100)
     sub = induced(g, out)
     assert find_c3(sub) is None and find_c4(sub) is None
     assert average_degree(sub) >= 0
@@ -149,10 +145,11 @@ def test_short_cycle_vertices_matches_pair_scan():
 
 def test_sparsify_girth_check_raises_without_assert(monkeypatch):
     # with no short-cycle deletion the survivors of K_6 keep triangles; the
-    # explicit check must catch that, also under python -O
+    # explicit check must catch that, also under python -O.  No subgraph of
+    # K_6 reaches average degree 6, so the attempts run until a triangle
     monkeypatch.setattr(reductions, "_short_cycle_vertices", lambda g, inside: 0)
     with pytest.raises(InvariantError):
-        sparsify_short_cycles(complete_graph(6), 2, seed=1, check_biclique=False)
+        sparsify_short_cycles(complete_graph(6), 2, seed=1, target=6)
 
 
 def test_sparsify_girth_check_raises_under_optimize():
@@ -162,16 +159,10 @@ def test_sparsify_girth_check_raises_under_optimize():
         "from c4lab.named import complete_graph\n"
         "reductions._short_cycle_vertices = lambda g, inside: 0\n"
         "try:\n"
-        "    reductions.sparsify_short_cycles(complete_graph(6), 2, seed=1,"
-        " check_biclique=False)\n"
+        "    reductions.sparsify_short_cycles(complete_graph(6), 2, seed=1, target=6)\n"
         "except InvariantError as exc:\n"
         "    print('raised', exc)\n")
     assert out == "raised sparsifier survivors contain a triangle or 4-cycle\n"
-
-
-def test_sparsify_rejects_biclique_input():
-    with pytest.raises(DomainError):
-        sparsify_short_cycles(complete_bipartite(3, 3).underlying, 2, 1)
 
 
 def test_sparsify_target_failure_carries_best():
@@ -282,7 +273,7 @@ def test_regularize_r_too_large_is_parameter_error():
     edges += [(3, 4), (4, 5), (3, 5)]
     g = Graph(6, edges)
     with pytest.raises(ParameterError):
-        bipartite_regularize(g, range(3), [3, 4, 5], s=2, r=2, seed=1, density=4)
+        bipartite_regularize(g, range(3), [3, 4, 5], s=2, r=2, seed=1)
 
 
 def test_assert_regularized_raises_invariant_error():
@@ -353,26 +344,31 @@ def test_sparsify_matches_graph_per_retry_reference():
         g = gen_gnp(n, rng.choice([0.05, 0.1, 0.2, 0.3, 0.5]), rng.randrange(2 ** 32))
         s = rng.choice([2, 3])
         seed = rng.randrange(2 ** 32)
-        kwargs = {"retries": rng.choice([0, 1, 6, 12]),
-                  "check_biclique": rng.random() < 0.3}
-        base = _outcome(helpers.sparsify_by_graph_per_retry, g, s, seed, **kwargs)
-        assert _outcome(sparsify_short_cycles, g, s, seed, **kwargs) == base
-        kinds.add(base[0])
-        if base[0] != "value":
+        retries = rng.choice([0, 1, 6, 12])
+        # no graph on fewer than 61 vertices reaches average degree 100, so
+        # the failure carries the densest survivor set of the whole budget
+        base = _outcome(helpers.sparsify_by_graph_per_retry, g, s, seed, 100,
+                        retries=retries)
+        assert _outcome(sparsify_short_cycles, g, s, seed, 100, retries=retries) == base
+        assert base[0] == "raised"
+        densest = base[3]
+        if densest is None:
+            kinds.add("no survivors")
             continue
         # the densest survivor set is reached exactly, then missed by a hair;
         # both as a Fraction, as a float and, where whole, as an int
-        best = average_degree(induced(g, base[1]))
-        targets = [best, best + Fraction(1, 97), float(best), 100]
+        best = average_degree(induced(g, densest))
+        targets = [best, best + Fraction(1, 97), float(best)]
         if best.denominator == 1:
             targets.append(int(best))
         for target in targets:
-            want = _outcome(helpers.sparsify_by_graph_per_retry, g, s, seed,
-                            target=target, **kwargs)
-            assert _outcome(sparsify_short_cycles, g, s, seed,
-                            target=target, **kwargs) == want
-            kinds.add((want[0], target == 100))
-    assert kinds >= {"value", "raised", ("value", False), ("raised", True)}
+            want = _outcome(helpers.sparsify_by_graph_per_retry, g, s, seed, target,
+                            retries=retries)
+            assert _outcome(sparsify_short_cycles, g, s, seed, target,
+                            retries=retries) == want
+            assert want[0] == ("value" if target <= best else "raised")
+            kinds.add(want[0])
+    assert kinds == {"no survivors", "value", "raised"}
 
 
 def _hub_graph(rng: random.Random) -> Graph:
@@ -420,21 +416,17 @@ def test_almost_biregular_reduce_matches_set_scan_reference():
         p = rng.choice([0.05, 0.15, 0.3, 0.6])
         edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < p]
         gamma = BipartiteGraph(Graph(a + b, edges), range(a), range(a, a + b))
-        l_factor = rng.choice([biregularity_factor(gamma), 1, Fraction(3, 2), 4])
-        if l_factor == 0:
-            l_factor = 1
         seed = rng.randrange(2 ** 32)
         retries = rng.choice([0, 1, 3, 20])
         want = _bipartite_outcome(helpers.almost_biregular_reduce_by_set_scans,
-                                  gamma, l_factor, seed, retries=retries)
-        got = _bipartite_outcome(almost_biregular_reduce, gamma, l_factor, seed,
-                                 retries=retries)
+                                  gamma, seed, retries=retries)
+        got = _bipartite_outcome(almost_biregular_reduce, gamma, seed, retries=retries)
         assert got == want
         if got[0] == "value":
             # vertex i of the reduced graph is ids[i]
             assert got[1] == induced(gamma.underlying, got[2])
         kinds.add(want[0] if want[0] == "value" else want[1])
-    assert kinds == {"value", ExtractionFailure, NotBiregularError}
+    assert kinds == {"value", ExtractionFailure}
 
 
 def _star_bipartite(leaves: int) -> BipartiteGraph:
@@ -451,7 +443,7 @@ def _star_bipartite(leaves: int) -> BipartiteGraph:
 def test_reduce_postconditions_raise_invariant_error(monkeypatch, fake, message):
     monkeypatch.setattr(reductions, "induced_bipartite", lambda gamma, keep: fake())
     with pytest.raises(InvariantError, match=message):
-        almost_biregular_reduce(heawood_bipartite(), 1, seed=7)
+        almost_biregular_reduce(heawood_bipartite(), seed=7)
 
 
 def test_reduce_postconditions_raise_under_optimize():
@@ -465,8 +457,7 @@ def test_reduce_postconditions_raise_under_optimize():
         "for fake in fakes:\n"
         "    reductions.induced_bipartite = lambda gamma, keep: fake\n"
         "    try:\n"
-        "        reductions.almost_biregular_reduce(projective_plane_incidence(2), 1,"
-        " seed=7)\n"
+        "        reductions.almost_biregular_reduce(projective_plane_incidence(2), seed=7)\n"
         "    except InvariantError as exc:\n"
         "        print('raised', exc)\n")
     assert out == ("raised reduced average degree fell below d/4\n"

@@ -51,3 +51,19 @@ def test_every_pipeline_param_has_a_flag():
         args = build_parser().parse_args(
             ["extract", "--s", "2", "--k", "1", "--" + name.replace("_", "-"), "7"])
         assert getattr(_params_from(args), name) == 7
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is dead taxonomy: its handlers and
+    # exports promise an outcome the package never produces
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes
+    raised = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(classes - raised) == []
