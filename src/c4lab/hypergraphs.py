@@ -56,9 +56,6 @@ class Hypergraph:
             seen |= e
         return len(seen) == self.vertex_count
 
-    def is_bounded(self, bound: int) -> bool:
-        return all(len(e) <= bound for e in self.edges)
-
     def uniform_rank(self) -> int | None:
         sizes = {len(e) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
@@ -430,7 +427,13 @@ class FSearchResult:
 
 
 def _canonical_key(n: int, edges: Sequence[int]) -> tuple:
-    """Isomorphism-invariant key: minimal edge list over degree-respecting perms."""
+    """Canonical form: equal keys iff the edge sets are isomorphic.
+
+    Vertices are split into classes by (degree, sorted incident edge sizes),
+    and the i-th class in sorted invariant order always takes the i-th run
+    of labels, so only within-class orders vary; the key is the least
+    relabelled, sorted edge tuple over those orders.
+    """
     deg = [0] * n
     sizes: list[list[int]] = [[] for _ in range(n)]
     for mask in edges:
@@ -438,18 +441,17 @@ def _canonical_key(n: int, edges: Sequence[int]) -> tuple:
         for v in bits(mask):
             deg[v] += 1
             sizes[v].append(size)
-    invariant = [(deg[v], tuple(sorted(sizes[v]))) for v in range(n)]
     groups: dict[tuple, list[int]] = {}
     for v in range(n):
-        groups.setdefault(invariant[v], []).append(v)
-    group_items = sorted(groups.items())
+        groups.setdefault((deg[v], tuple(sorted(sizes[v]))), []).append(v)
+    classes = [verts for _, verts in sorted(groups.items())]
     best: tuple | None = None
-    # permute only within invariant classes
+
     def assemble(perm_parts: list[tuple[int, ...]]) -> tuple:
         mapping = {}
-        for (inv, verts), perm in zip(group_items, perm_parts):
-            for src, dst in zip(verts, perm):
-                mapping[src] = dst
+        for perm in perm_parts:
+            for src in perm:
+                mapping[src] = len(mapping)
         remapped = []
         for mask in edges:
             # inline, not bits(): this loop is the hottest code of f_search
@@ -464,19 +466,18 @@ def _canonical_key(n: int, edges: Sequence[int]) -> tuple:
 
     def rec(i: int, parts: list[tuple[int, ...]]):
         nonlocal best
-        if i == len(group_items):
+        if i == len(classes):
             key = assemble(parts)
             if best is None or key < best:
                 best = key
             return
-        verts = group_items[i][1]
-        for perm in permutations(verts):
+        for perm in permutations(classes[i]):
             rec(i + 1, parts + [perm])
 
     rec(0, [])
     if best is None:
         raise InvariantError("no permutation reached the canonical key")
-    return (n, tuple(sorted(invariant)), best)
+    return (n, best)
 
 
 def f_search(ell: int, k: int, n_max: int) -> FSearchResult:
@@ -484,10 +485,11 @@ def f_search(ell: int, k: int, n_max: int) -> FSearchResult:
 
     For each n up to n_max, enumerates covering antichains of nonempty edges
     of size <= ell (maximal edges suffice: the pair conditions only see
-    them), rejecting isomorphic duplicates by canonical form, and asks the
-    exact alpha oracle for a counterexample with alpha < k.  `lower` is one
-    more than the largest n admitting a counterexample; `upper` matches it
-    when that n+1 was itself scanned exhaustively, else None.
+    them), skipping every antichain whose canonical form was already seen,
+    so the exact alpha oracle runs once per isomorphism class, looking for
+    a counterexample with alpha < k.  `lower` is one more than the largest
+    n admitting a counterexample; `upper` matches it when that n+1 was
+    itself scanned exhaustively, else None.
     """
     if not 1 <= ell <= 3:
         raise UnsupportedParameterError("ell must be in 1..3")

@@ -12,6 +12,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb, isqrt
 
 from .errors import DomainError
@@ -242,17 +243,16 @@ def _has_c4free_subset(g: Graph, size: int) -> bool:
 
 
 def _count_biclique_pairs(g: Graph, s: int) -> int:
-    """Count unordered pairs {S,T} of disjoint s-sets with all s^2 cross edges."""
-    from itertools import combinations
+    """Count unordered pairs {S,T} of disjoint s-sets with all s^2 cross edges.
 
+    Graphs are loopless, so no common neighbour of `left` lies in `left`.
+    """
     masks = g.masks
     total = 0
     for left in combinations(range(g.n), s):
         common = masks[left[0]]
         for v in left[1:]:
             common &= masks[v]
-        for v in left:
-            common &= ~(1 << v)
         c = common.bit_count()
         if c >= s:
             total += comb(c, s)

@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 from c4lab.graphs import Graph, bits, gen_gnp
@@ -538,3 +538,10 @@ def _near_regular_attempt_by_set_scans(h: Graph, d: float, rng, reduce_seed: int
     except ExtractionFailure:
         return None
     return frozenset(keep[i] for i in ids)
+
+
+def canonical_key_by_all_permutations(n: int, edges) -> tuple:
+    """Least sorted relabelled edge-mask tuple over all n! relabellings."""
+    return min(
+        tuple(sorted(sum(1 << perm[v] for v in bits(mask)) for mask in edges))
+        for perm in permutations(range(n)))

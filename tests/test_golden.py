@@ -73,6 +73,16 @@ def test_lb_experiment_reproduces_golden_row():
     assert rep.csv_row() == expected
 
 
+def test_f_search_reproduces_golden_rows():
+    # the exhaustive F(l, k) search for every k, scanned up to n = 5 (l = 2)
+    # and n = 4 (l = 3)
+    from c4lab.hypergraphs import f_search
+
+    rows = [f_search(ell, k, n_max).to_json() + "\n"
+            for ell, n_max in ((2, 5), (3, 4)) for k in range(1, 6)]
+    assert "".join(rows) == (GOLDEN / "f_search_rows.jsonl").read_text()
+
+
 def test_cli_golden_on_repeated_runs(tmp_path, capsys):
     for run in range(2):
         out = tmp_path / f"cert_{run}.json"

