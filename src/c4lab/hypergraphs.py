@@ -33,22 +33,31 @@ _F_SEARCH_N_CAP = {1: 8, 2: 6, 3: 5}
 
 
 class Hypergraph:
-    """Vertex set 0..n-1 plus a list of vertex subsets (duplicates allowed)."""
+    """Vertex set 0..n-1 plus a list of vertex subsets (duplicates allowed).
 
-    __slots__ = ("vertex_count", "edges")
+    `incidence[v]` is the mask of the indices of the edges holding v, so an
+    OR of incidences is the set of edges meeting a vertex set; the kernel
+    finds its rainbow edges with one such OR per color class.
+    """
+
+    __slots__ = ("vertex_count", "edges", "incidence")
 
     def __init__(self, vertex_count: int, edges: Iterable[Iterable[int]] = ()):
         if vertex_count < 0:
             raise DomainError("vertex_count must be nonnegative")
         self.vertex_count = vertex_count
         es = []
-        for e in edges:
+        incidence = [0] * vertex_count
+        for idx, e in enumerate(edges):
             fs = frozenset(e)
+            bit = 1 << idx
             for v in fs:
                 if not 0 <= v < vertex_count:
                     raise DomainError(f"edge vertex {v} out of range")
+                incidence[v] |= bit
             es.append(fs)
         self.edges = tuple(es)
+        self.incidence = tuple(incidence)
 
     def is_covered(self) -> bool:
         seen: set[int] = set()
@@ -57,7 +66,7 @@ class Hypergraph:
         return len(seen) == self.vertex_count
 
     def uniform_rank(self) -> int | None:
-        sizes = {len(e) for e in self.edges}
+        sizes = set(map(len, self.edges))
         return sizes.pop() if len(sizes) == 1 else None
 
     def __eq__(self, other) -> bool:
@@ -201,16 +210,21 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
     """Extract a rainbow sub-family whose traces obey the t-fold dichotomy.
 
     One attempt: color vertices uniformly at random with r colors, keep the
-    rainbow edges E0, then clean iteratively.  At each step the shared color
-    sets S_i are found by bucketing edges on their color-set slices; if the
-    slice side is small (|B| <= |E_i| / 2tT with T = sum_{j<=s} C(r,j)),
-    slices of multiplicity below t are peeled together with their edges and
-    the loop stops; otherwise the color set with the most distinct slices is
-    collapsed to one representative edge per slice, which removes it from
-    S_{i+1}.  Every transition is checked to keep at least a 1/(2tT^2)
-    fraction of edges, and the loop runs at most T+1 steps.  The finished
-    kernel is replayed through verify_kernel before it is returned; attempts
-    that fail verification (or go extinct) burn a retry.
+    rainbow edges E0, then clean iteratively.  An r-edge is rainbow iff it
+    meets all r color classes, so E0 is the AND over the colors of the OR of
+    the class's incidence masks, and only its edges get color-indexed
+    vectors.  At each step the shared color sets S_i are those with fewer
+    distinct slices than edges; if the slice side is small (|B| <= |E_i| /
+    2tT with T = sum_{j<=s} C(r,j)), slices of multiplicity below t are
+    peeled together with their edges and the loop stops; otherwise the color
+    set with the most distinct slices is collapsed to one representative
+    edge (the least index) per slice, which removes it from S_{i+1}.  Every
+    step only shrinks the family, so a color set whose slices are all
+    distinct stays so and leaves the scan for the rest of the attempt.
+    Every transition is checked to keep at least a 1/(2tT^2) fraction of
+    edges, and the loop runs at most T+1 steps.  The finished kernel is
+    replayed through verify_kernel before it is returned; attempts that fail
+    verification (or go extinct) burn a retry.
     """
     r = f.uniform_rank()
     if r is None or r < 1:
@@ -223,6 +237,7 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
         raise DomainError("input has no edges")
     big_t = sum(comb(r, j) for j in range(s + 1))
     edge_list = f.edges
+    incidence = f.incidence
     # one slice getter per candidate color set: get(vec) is the edge's slice
     candidates = [(e, itemgetter(*e)) for e in _color_sets(r, s)]
     best_rainbow = 0  # the largest rainbow family of any coloring
@@ -230,40 +245,46 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
     for attempt in range(retries):
         rng = random.Random(mix_seed(seed, attempt))
         coloring = tuple(rand_below(rng, r) for _ in range(f.vertex_count))
-        # rainbow edges as color-indexed vertex lists: vec[c] is the vertex of color c
-        cur: list[int] = []
-        vecs: dict[int, list[int]] = {}
-        for idx, e in enumerate(edge_list):
-            vec = [-1] * r
-            for v in e:
-                vec[coloring[v]] = v
-            if -1 not in vec:
-                cur.append(idx)
-                vecs[idx] = vec
+        met = [0] * r  # met[c]: the edges meeting color class c
+        for v, c in enumerate(coloring):
+            met[c] |= incidence[v]
+        rainbow = met[0]
+        for mask in met[1:]:
+            rainbow &= mask
+        cur = list(bits(rainbow))
         if not cur:
             continue
+        # rainbow edges as color-indexed vertex lists: vec[c] is the vertex of color c
+        vecs: dict[int, list[int]] = {}
+        for idx in cur:
+            vec = [-1] * r
+            for v in edge_list[idx]:
+                vec[coloring[v]] = v
+            vecs[idx] = vec
         history = [len(cur)]
         steps = 0
+        live = candidates  # color sets not yet seen with all slices distinct
         while True:
             # a color set is shared when two edges agree on its slice,
             # that is when its slices are fewer than the edges
-            buckets: dict[tuple[int, ...], dict] = {}
-            b_size = 0
             cur_vecs = [vecs[idx] for idx in cur]
-            for e, get in candidates:
-                bk: dict = {}
-                for key, idx in zip(map(get, cur_vecs), cur):
-                    if key in bk:
-                        bk[key].append(idx)
-                    else:
-                        bk[key] = [idx]
-                if len(bk) < len(cur):
-                    buckets[e] = bk
-                    b_size += len(bk)
+            shared = []  # (distinct slice count, color set, getter)
+            for e, get in live:
+                count = len(set(map(get, cur_vecs)))
+                if count < len(cur):
+                    shared.append((count, e, get))
+            live = [(e, get) for _, e, get in shared]
+            b_size = sum(count for count, _, _ in shared)
             if 2 * t * big_t * b_size <= len(cur):
                 # terminal: peel slices of multiplicity below t
-                node_edges = {(e, key): idxs
-                              for e, bk in buckets.items() for key, idxs in bk.items()}
+                node_edges: dict[tuple, list[int]] = {}
+                for e, get in live:
+                    for key, idx in zip(map(get, cur_vecs), cur):
+                        node = (e, key)
+                        if node in node_edges:
+                            node_edges[node].append(idx)
+                        else:
+                            node_edges[node] = [idx]
                 edge_nodes: dict[int, list[tuple]] = {idx: [] for idx in cur}
                 for node, idxs in node_edges.items():
                     for idx in idxs:
@@ -292,7 +313,7 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
                 _check_step(len(survivors), len(cur), steps, t, big_t, "cleaning")
                 history.append(len(survivors))
                 survivor_vecs = [vecs[idx] for idx in survivors]
-                trace_edges = [frozenset(e) for e, get in candidates
+                trace_edges = [frozenset(e) for e, get in live
                                if len(set(map(get, survivor_vecs))) < len(survivors)]
                 kernel = PartiteKernel(
                     surviving_edges=tuple(survivors),
@@ -305,9 +326,11 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
                 if verify_kernel(f, kernel).ok:
                     return kernel
                 break  # verification failure; burn a retry
-            # non-terminal: collapse the color set with the most distinct slices
-            pick = max(buckets, key=lambda e: (len(buckets[e]), [-x for x in e]))
-            nxt = sorted(min(idxs) for idxs in buckets[pick].values())
+            # non-terminal: collapse the color set with the most distinct
+            # slices; cur ascends, so the reversed dict keeps each slice's
+            # least edge index
+            _, _, get = max(shared, key=lambda sh: (sh[0], [-x for x in sh[1]]))
+            nxt = sorted(dict(zip(map(get, reversed(cur_vecs)), reversed(cur))).values())
             steps += 1
             _check_step(len(nxt), len(cur), steps, t, big_t, "pigeonhole")
             history.append(len(nxt))

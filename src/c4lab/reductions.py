@@ -397,7 +397,7 @@ def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
 
 # -- bipartite regularization --------------------------------------------------
 
-def bipartite_regularize(g: Graph, a0, b, s: int, r: int, seed: int,
+def bipartite_regularize(g: Graph, a0, b, r: int, seed: int,
                          retries: int = DEFAULT_RETRIES
                          ) -> tuple[frozenset[int], frozenset[int]]:
     """Independent sides (A', B') with every A'-vertex seeing exactly r of B'.

@@ -545,3 +545,145 @@ def canonical_key_by_all_permutations(n: int, edges) -> tuple:
     return min(
         tuple(sorted(sum(1 << perm[v] for v in bits(mask)) for mask in edges))
         for perm in permutations(range(n)))
+
+
+def furedi_kernel_by_buckets(f, s: int, t: int, seed: int,
+                              retries: int = 100):
+    """`hypergraphs.furedi_kernel` as it was before rainbow edges came from
+    incidence masks: a color vector for every edge, and every candidate
+    color set bucketed at every step.  The reference that the kernel must
+    match, `history` included, or raise the same exception and message.
+
+    Extract a rainbow sub-family whose traces obey the t-fold dichotomy.
+
+    One attempt: color vertices uniformly at random with r colors, keep the
+    rainbow edges E0, then clean iteratively.  At each step the shared color
+    sets S_i are found by bucketing edges on their color-set slices; if the
+    slice side is small (|B| <= |E_i| / 2tT with T = sum_{j<=s} C(r,j)),
+    slices of multiplicity below t are peeled together with their edges and
+    the loop stops; otherwise the color set with the most distinct slices is
+    collapsed to one representative edge per slice, which removes it from
+    S_{i+1}.  Every transition is checked to keep at least a 1/(2tT^2)
+    fraction of edges, and the loop runs at most T+1 steps.  The finished
+    kernel is replayed through verify_kernel before it is returned; attempts
+    that fail verification (or go extinct) burn a retry.
+    """
+    import random
+    from math import comb
+    from operator import itemgetter
+
+    from c4lab.errors import DomainError, KernelFailure
+    from c4lab.graphs import mix_seed, rand_below
+    from c4lab.hypergraphs import (
+        Hypergraph,
+        PartiteKernel,
+        _check_step,
+        _color_sets,
+        verify_kernel,
+    )
+
+    r = f.uniform_rank()
+    if r is None or r < 1:
+        raise DomainError("input must be r-uniform with r >= 1")
+    if s > r:
+        raise DomainError(f"s={s} must not exceed r={r}")
+    if s < 1 or t < 1:
+        raise DomainError("s and t must be >= 1")
+    if not f.edges:
+        raise DomainError("input has no edges")
+    big_t = sum(comb(r, j) for j in range(s + 1))
+    edge_list = f.edges
+    # one slice getter per candidate color set: get(vec) is the edge's slice
+    candidates = [(e, itemgetter(*e)) for e in _color_sets(r, s)]
+    best_rainbow = 0  # the largest rainbow family of any coloring
+
+    for attempt in range(retries):
+        rng = random.Random(mix_seed(seed, attempt))
+        coloring = tuple(rand_below(rng, r) for _ in range(f.vertex_count))
+        # rainbow edges as color-indexed vertex lists: vec[c] is the vertex of color c
+        cur: list[int] = []
+        vecs: dict[int, list[int]] = {}
+        for idx, e in enumerate(edge_list):
+            vec = [-1] * r
+            for v in e:
+                vec[coloring[v]] = v
+            if -1 not in vec:
+                cur.append(idx)
+                vecs[idx] = vec
+        if not cur:
+            continue
+        history = [len(cur)]
+        steps = 0
+        while True:
+            # a color set is shared when two edges agree on its slice,
+            # that is when its slices are fewer than the edges
+            buckets: dict[tuple[int, ...], dict] = {}
+            b_size = 0
+            cur_vecs = [vecs[idx] for idx in cur]
+            for e, get in candidates:
+                bk: dict = {}
+                for key, idx in zip(map(get, cur_vecs), cur):
+                    if key in bk:
+                        bk[key].append(idx)
+                    else:
+                        bk[key] = [idx]
+                if len(bk) < len(cur):
+                    buckets[e] = bk
+                    b_size += len(bk)
+            if 2 * t * big_t * b_size <= len(cur):
+                # terminal: peel slices of multiplicity below t
+                node_edges = {(e, key): idxs
+                              for e, bk in buckets.items() for key, idxs in bk.items()}
+                edge_nodes: dict[int, list[tuple]] = {idx: [] for idx in cur}
+                for node, idxs in node_edges.items():
+                    for idx in idxs:
+                        edge_nodes[idx].append(node)
+                alive_edge = {idx: True for idx in cur}
+                deg = {node: len(idxs) for node, idxs in node_edges.items()}
+                queue = [node for node, d_ in deg.items() if d_ < t]
+                dead_nodes: set[tuple] = set()
+                while queue:
+                    node = queue.pop()
+                    if node in dead_nodes:
+                        continue
+                    dead_nodes.add(node)
+                    for idx in node_edges[node]:
+                        if alive_edge[idx]:
+                            alive_edge[idx] = False
+                            for other in edge_nodes[idx]:
+                                if other not in dead_nodes:
+                                    deg[other] -= 1
+                                    if deg[other] < t:
+                                        queue.append(other)
+                survivors = [idx for idx in cur if alive_edge[idx]]
+                steps += 1
+                if not survivors:
+                    break  # extinct attempt; burn a retry
+                _check_step(len(survivors), len(cur), steps, t, big_t, "cleaning")
+                history.append(len(survivors))
+                survivor_vecs = [vecs[idx] for idx in survivors]
+                trace_edges = [frozenset(e) for e, get in candidates
+                               if len(set(map(get, survivor_vecs))) < len(survivors)]
+                kernel = PartiteKernel(
+                    surviving_edges=tuple(survivors),
+                    coloring=coloring,
+                    trace=Hypergraph(r, trace_edges),
+                    multiplicity=t,
+                    s_bound=s,
+                    history=tuple(history),
+                )
+                if verify_kernel(f, kernel).ok:
+                    return kernel
+                break  # verification failure; burn a retry
+            # non-terminal: collapse the color set with the most distinct slices
+            pick = max(buckets, key=lambda e: (len(buckets[e]), [-x for x in e]))
+            nxt = sorted(min(idxs) for idxs in buckets[pick].values())
+            steps += 1
+            _check_step(len(nxt), len(cur), steps, t, big_t, "pigeonhole")
+            history.append(len(nxt))
+            cur = nxt
+        best_rainbow = max(best_rainbow, history[0])
+
+    raise KernelFailure(
+        f"no verified kernel within {retries} colorings (best rainbow family: "
+        f"{best_rainbow} edges)")

@@ -23,7 +23,11 @@ from c4lab.hypergraphs import (
     verify_induced_pair,
     verify_kernel,
 )
-from helpers import canonical_key_by_all_permutations, run_optimized
+from helpers import (
+    canonical_key_by_all_permutations,
+    furedi_kernel_by_buckets,
+    run_optimized,
+)
 
 
 def hg(n, *edges):
@@ -52,6 +56,26 @@ def test_hypergraph_basics():
     assert hg(3, {0, 1}, {1, 2}).uniform_rank() == 2
     with pytest.raises(DomainError):
         hg(2, {0, 5})
+
+
+def test_hypergraph_incidence_masks():
+    # bit i of incidence[v] is set exactly when v lies in edges[i]
+    rng = random.Random(83)
+    cases = [hg(3), hg(4, {0, 1}, {0, 1}, {2}, {0, 1}), hg(2, set(), {1})]
+    for _ in range(40):
+        n = 1 + rng.randrange(7)
+        edges = [rng.sample(range(n), 1 + rng.randrange(n)) for _ in range(rng.randrange(9))]
+        edges += edges[:rng.randrange(3)]  # duplicates
+        cases.append(Hypergraph(n, edges))
+    for h in cases:
+        assert len(h.incidence) == h.vertex_count
+        for v in range(h.vertex_count):
+            assert [(h.incidence[v] >> i) & 1 for i in range(len(h.edges))] == [
+                int(v in e) for e in h.edges]
+            assert h.incidence[v] >> len(h.edges) == 0
+    for bad in (3, -1):
+        with pytest.raises(DomainError, match="out of range"):
+            hg(3, {0, 1}, {bad})
 
 
 # -- kernel ------------------------------------------------------------------
@@ -107,6 +131,37 @@ def test_kernel_cleaning_history_bound():
         assert len(hist) <= big_t + 2
         for a, b in zip(hist, hist[1:]):
             assert b * 2 * t * big_t * big_t >= a
+
+
+def test_kernel_matches_bucket_reference():
+    # the mask-based kernel returns the reference's kernel, history included
+    # (PartiteKernel equality skips it), or raises the same error
+    rng = random.Random(89)
+    outcomes = {"kernel": 0, "collapsed": 0, "error": 0}
+    for trial in range(320):
+        r = 1 + rng.randrange(4)
+        n = r + rng.randrange(7)
+        edges = [rng.sample(range(n), r) for _ in range(rng.randrange(45))]
+        edges += [rng.choice(edges) for _ in range(rng.randrange(4))] if edges else []
+        f = Hypergraph(n, edges)
+        s = 1 + rng.randrange(r)
+        t = 1 + rng.randrange(3)
+        retries = 1 + rng.randrange(5)
+        seed = rng.randrange(2 ** 32)
+        try:
+            want = furedi_kernel_by_buckets(f, s, t, seed, retries)
+        except (DomainError, KernelFailure) as exc:
+            with pytest.raises(type(exc)) as got:
+                furedi_kernel(f, s, t, seed, retries)
+            assert str(got.value) == str(exc)
+            outcomes["error"] += 1
+            continue
+        got = furedi_kernel(f, s, t, seed, retries)
+        assert got == want and got.history == want.history, trial
+        outcomes["kernel"] += 1
+        outcomes["collapsed"] += len(got.history) > 2
+    # every branch ran: kernels after pigeonhole collapses, and raises
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_kernel_step_check_raises_invariant_error(monkeypatch):

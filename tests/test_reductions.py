@@ -231,7 +231,7 @@ def test_extreme_split_deterministic():
 def test_regularize_perfect_matching():
     bg = matching_bipartite(8)
     a_out, b_out = bipartite_regularize(bg.underlying, bg.side_a, bg.side_b,
-                                        s=2, r=1, seed=3)
+                                        r=1, seed=3)
     assert a_out
     g = bg.underlying
     for a in a_out:
@@ -244,7 +244,7 @@ def test_regularize_low_degree_vertices_never_enter():
     edges += [(5, 6)]  # push the degeneracy to 2
     g = Graph(7, edges)
     try:
-        a_out, _ = bipartite_regularize(g, range(5), [5, 6], s=2, r=1, seed=1,
+        a_out, _ = bipartite_regularize(g, range(5), [5, 6], r=1, seed=1,
                                         retries=50)
         assert 0 not in a_out and 4 not in a_out
     except ExtractionFailure:
@@ -254,7 +254,7 @@ def test_regularize_low_degree_vertices_never_enter():
 def test_regularize_exact_degree_r_on_lopsided():
     bg = gen_lopsided(300, 40, 2, 2, seed=21)
     g = bg.underlying
-    a_out, b_out = bipartite_regularize(g, bg.side_a, bg.side_b, s=2, r=2,
+    a_out, b_out = bipartite_regularize(g, bg.side_a, bg.side_b, r=2,
                                         seed=4, retries=400)
     assert a_out and b_out
     assert len(a_out) >= len(b_out)
@@ -273,7 +273,7 @@ def test_regularize_r_too_large_is_parameter_error():
     edges += [(3, 4), (4, 5), (3, 5)]
     g = Graph(6, edges)
     with pytest.raises(ParameterError):
-        bipartite_regularize(g, range(3), [3, 4, 5], s=2, r=2, seed=1)
+        bipartite_regularize(g, range(3), [3, 4, 5], r=2, seed=1)
 
 
 def test_assert_regularized_raises_invariant_error():
@@ -302,7 +302,7 @@ def test_assert_regularized_raises_under_optimize():
 def test_regularize_partition_checked():
     g = Graph(4, [(0, 2), (1, 3)])
     with pytest.raises(DomainError):
-        bipartite_regularize(g, [0, 1], [1, 2, 3], s=2, r=1, seed=1)
+        bipartite_regularize(g, [0, 1], [1, 2, 3], r=1, seed=1)
 
 
 def test_sparsify_and_regularize_deterministic():
@@ -311,9 +311,9 @@ def test_sparsify_and_regularize_deterministic():
     s2 = sparsify_short_cycles(g, 2, seed=31, target=0)
     assert s1 == s2
     bg = gen_lopsided(300, 40, 2, 2, seed=21)
-    out1 = bipartite_regularize(bg.underlying, bg.side_a, bg.side_b, s=2, r=2,
+    out1 = bipartite_regularize(bg.underlying, bg.side_a, bg.side_b, r=2,
                                 seed=4, retries=400)
-    out2 = bipartite_regularize(bg.underlying, bg.side_a, bg.side_b, s=2, r=2,
+    out2 = bipartite_regularize(bg.underlying, bg.side_a, bg.side_b, r=2,
                                 seed=4, retries=400)
     assert out1 == out2
 

@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "c4lab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "c4lab"
 
 
 def test_package_has_no_assert_statements():
@@ -67,3 +68,18 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(classes - raised) == []
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer wraps each (module, func) by getattr, so a
+    # rename or deletion in the package must not leave a name behind there
+    import importlib
+
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(tgt, "id", None) == "TRACED" for tgt in node.targets))
+    assert traced
+    missing = [f"{module}.{func}" for module, func in traced
+               if not hasattr(importlib.import_module(f"c4lab.{module}"), func)]
+    assert missing == []
