@@ -231,11 +231,6 @@ def _c4free_subsets(g: Graph, size: int) -> Iterator[int]:
     return extend(0, 0, size)
 
 
-def _count_c4free_subsets(g: Graph, size: int) -> int:
-    """Exact count of `size`-subsets inducing a C4-free subgraph."""
-    return sum(1 for _ in _c4free_subsets(g, size))
-
-
 def _has_c4free_subset(g: Graph, size: int) -> bool:
     """Whether some `size`-subset induces a C4-free subgraph; the search
     stops at the first one."""

@@ -123,55 +123,61 @@ def almost_biregular_reduce(gamma: BipartiteGraph, seed: int,
 
 # -- short-cycle sparsification ----------------------------------------------
 
-def _short_cycle_vertices(g: Graph, inside: int) -> int:
-    """Mask of the vertices of triangles or 4-cycles lying entirely in `inside`.
+def _survivors(nbr, u: int, sampled: list[int], cap: list[int]) -> list[int]:
+    """The members of `sampled` (ascending, with mask `u`) that the sparsifier
+    keeps, ascending, in one pass.
 
-    For each u in `inside`, the masks of u's neighbours in `inside`, less u,
-    are ORed into `once`; a bit that is hit a second time goes into `twice`.
-    u lies on a 4-cycle iff two of its neighbours share another neighbour,
-    that is iff `twice` is nonzero, and on a triangle iff a neighbour of a
-    neighbour is itself a neighbour, that is iff `once` meets N(u).  That is
-    O(m) big-integer operations over the edges inside the set.
+    Each v is measured against all of U, never against a half-pruned set:
+    with nu = N(v) & U, v is dropped when |nu| reaches `cap[v]`, or when it
+    lies on a triangle or 4-cycle inside U.  For the latter, the masks of v's
+    neighbours in U, less v, are ORed into `once`; a bit that is hit a second
+    time goes into `twice`.  v lies on a 4-cycle iff two of its neighbours
+    share another neighbour, that is iff `twice` is nonzero, and on a
+    triangle iff a neighbour of a neighbour is itself a neighbour, that is
+    iff `once` meets nu.  That is O(m) big-integer operations over the edges
+    inside U.
     """
-    nbr = g.masks
-    bad = 0
-    for u in bits(inside):
-        nu = nbr[u] & inside
-        if not nu & (nu - 1):
-            continue  # fewer than two neighbours: on no cycle
-        rest = inside ^ (1 << u)
-        once = twice = 0
-        for w in bits(nu):
-            x = nbr[w] & rest
-            twice |= once & x
-            once |= x
-        if twice or once & nu:
-            bad |= 1 << u
-    return bad
-
-
-def _has_short_cycle(nbr, inside: int) -> bool:
-    """Whether the vertices of `inside` span a triangle or a 4-cycle.
-
-    An independent check of `_short_cycle_vertices`' work, by `is_c4_free`'s
-    upward scan: with u the least vertex of the cycle, every other vertex
-    lies above u.  For each u, each neighbour w above u reaches the masks
-    `reach` of its neighbours above u; one meeting N(u) closes a triangle
-    u-w-x, and one meeting an earlier neighbour's closes a 4-cycle u-w-x-w'.
-    A u with fewer than two neighbours above it is the least vertex of no
-    cycle.
-    """
-    for u in bits(inside):
-        above = inside & (-1 << (u + 1))
-        nu = nbr[u] & above
-        if not nu & (nu - 1):
+    live = []
+    for v in sampled:
+        nu = nbr[v] & u
+        if nu.bit_count() >= cap[v]:
             continue
-        seen = 0
-        for w in bits(nu):
-            reach = nbr[w] & above
-            if reach & (seen | nu):
-                return True
-            seen |= reach
+        if nu & (nu - 1):  # a cycle through v needs two neighbours in U
+            rest = u ^ (1 << v)
+            once = twice = 0
+            for w in bits(nu):
+                x = nbr[w] & rest
+                twice |= once & x
+                once |= x
+            if twice or once & nu:
+                continue
+        live.append(v)
+    return live
+
+
+def _has_short_cycle(nbr, members: list[int]) -> bool:
+    """Whether the ascending vertex list `members` spans a triangle or a
+    4-cycle.
+
+    An independent check of `_survivors`' work, by `is_c4_free`'s scan: with
+    u the least vertex of the cycle, every other vertex lies above u.  The
+    members are taken from the top down, so `above` holds exactly the members
+    above u.  Each neighbour w of u in `above` reaches the masks `reach` of
+    its neighbours in `above`; one meeting N(u) closes a triangle u-w-x, and
+    one meeting an earlier neighbour's closes a 4-cycle u-w-x-w'.  A u with
+    fewer than two neighbours above it is the least vertex of no cycle.
+    """
+    above = 0
+    for u in reversed(members):
+        nu = nbr[u] & above
+        if nu & (nu - 1):
+            seen = 0
+            for w in bits(nu):
+                reach = nbr[w] & above
+                if reach & (seen | nu):
+                    return True
+                seen |= reach
+        above |= 1 << u
     return False
 
 
@@ -195,20 +201,24 @@ def sparsify_short_cycles(g: Graph, s: int, seed: int, target,
     paper's K_{s,s}-free hypothesis bears only on the density reached, not
     on the girth guarantee, so the input is not scanned for a biclique.
 
-    Every attempt works on g's neighbour masks: U and the survivors are
-    masks, and 2e(g[U'']) is a sum of popcounts, so densities compare
-    exactly as integer cross-products and no Graph is built per attempt.
+    Every attempt works on g's neighbour masks and makes one pass over the
+    sampled vertices (`_survivors`); the check, 2e(g[U'']) and the densest
+    set so far then go over the ascending survivor list.  2e(g[U'']) is a
+    sum of popcounts, so densities compare exactly as integer cross-products
+    and no Graph is built per attempt.
     """
     if s < 2:
         raise DomainError("s must be >= 2")
     d = g.max_degree()
     p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
     nbr = g.masks
-    limit = [1 + 4 * p * mask.bit_count() for mask in nbr]
+    # an integer degree reaches 1 + 4 p deg iff it reaches the ceiling
+    cap = [math.ceil(1 + 4 * p * mask.bit_count()) for mask in nbr]
     # d(g[U'']) >= target  iff  2e * den >= num * |U''|
     goal = Fraction(target)
-    # the densest survivor set so far, as (2e, size, mask)
-    best: tuple[int, int, int] | None = None
+    num, den = goal.numerator, goal.denominator
+    # the densest survivor set so far, as (2e, size, ascending members)
+    best: tuple[int, int, list[int]] | None = None
     # reseeding one generator gives the stream of a fresh Random(sub-seed)
     rng = random.Random()
     rand = rng.random
@@ -216,24 +226,24 @@ def sparsify_short_cycles(g: Graph, s: int, seed: int, target,
         rng.seed(mix_seed(seed, attempt))
         sampled = [v for v in range(g.n) if rand() < p]
         u = mask_of(sampled)
-        dropped = _short_cycle_vertices(g, u)
-        for v in sampled:
-            if (nbr[v] & u).bit_count() >= limit[v]:
-                dropped |= 1 << v
-        kept = u & ~dropped
-        if not kept:
+        live = _survivors(nbr, u, sampled, cap)
+        if not live:
             continue
-        if _has_short_cycle(nbr, kept):
+        if _has_short_cycle(nbr, live):
             raise InvariantError("sparsifier survivors contain a triangle or 4-cycle")
-        two_e = sum((nbr[v] & kept).bit_count() for v in bits(kept))
-        size = kept.bit_count()
-        if two_e * goal.denominator >= goal.numerator * size:
-            return frozenset(bits(kept))
+        # most attempts drop no vertex, and then U'' is U
+        size = len(live)
+        kept = u if size == len(sampled) else mask_of(live)
+        two_e = 0
+        for v in live:
+            two_e += (nbr[v] & kept).bit_count()
+        if two_e * den >= num * size:
+            return frozenset(live)
         if best is None or two_e * best[1] > best[0] * size:
-            best = (two_e, size, kept)
+            best = (two_e, size, live)
     raise ExtractionFailure(
         f"no sample reached the target in {retries} attempts",
-        best=None if best is None else frozenset(bits(best[2])))
+        best=None if best is None else frozenset(best[2]))
 
 
 # -- extreme split -------------------------------------------------------------

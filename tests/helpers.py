@@ -187,7 +187,8 @@ def degeneracy_by_min_scan(g: Graph):
 
 def short_cycle_vertices_by_pair_scan(g: Graph, inside) -> set[int]:
     """Vertices of triangles or 4-cycles inside `inside`, by a scan over every
-    pair of its members: the reference for `_short_cycle_vertices`."""
+    pair of its members: the reference for the short-cycle deletion in
+    `reductions._survivors`."""
     mask = 0
     for v in inside:
         mask |= 1 << v
@@ -327,7 +328,7 @@ def _c4free_by_pair_scan(masks, sub) -> bool:
 
 def count_c4free_by_combination_scan(g: Graph, size: int) -> int:
     """Count of `size`-subsets inducing no C4, by a pair scan of every
-    combination: the reference for `lowerbounds._count_c4free_subsets`."""
+    combination: the reference for counting `lowerbounds._c4free_subsets`."""
     masks = [g.neighbor_mask(v) for v in range(g.n)]
     return sum(_c4free_by_pair_scan(masks, sub)
                for sub in combinations(range(g.n), size))
@@ -397,7 +398,6 @@ def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int, target,
     from c4lab.errors import DomainError, ExtractionFailure, InvariantError
     from c4lab.graphs import average_degree, induced, mix_seed
     from c4lab.oracles import find_c3, is_c4_free
-    from c4lab.reductions import _short_cycle_vertices
 
     if s < 2:
         raise DomainError("s must be >= 2")
@@ -410,7 +410,7 @@ def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int, target,
         for v in range(g.n):
             if rng.random() < p:
                 u |= 1 << v
-        dropped = _short_cycle_vertices(g, u)
+        dropped = sum(1 << v for v in short_cycle_vertices_by_pair_scan(g, list(bits(u))))
         for v in bits(u):
             if (g.neighbor_mask(v) & u).bit_count() >= 1 + 4 * p * g.degree(v):
                 dropped |= 1 << v

@@ -160,6 +160,71 @@ def test_failure_golden_input_is_the_gnp_draw():
     assert write_graph6(g) + "\n" == (GOLDEN / "gnp200.g6").read_text()
 
 
+# a K_{3,3}-free G(100, 6/99) (gen_gnp seed 7) where the seventh attempt's
+# sparsifier run reaches k = 2: the only golden that pins the near-regular
+# route's success, a witness of 8 vertices at average degree 9/4
+CASE1_SCENARIO = ("gnp100.g6", "gnp100_case1_cert.json",
+                  ["--s", "3", "--k", "2", "--seed", "2"])
+
+
+def test_cli_near_regular_success_golden(tmp_path, capsys):
+    import json
+
+    graph_file, cert_file, flags = CASE1_SCENARIO
+    out = tmp_path / cert_file
+    code = main(["extract", "--input", str(GOLDEN / graph_file), *flags,
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / cert_file).read_bytes()
+    obj = json.loads(out.read_text())
+    assert obj["mode"] == "case1_near_regular"
+    assert obj["stats"]["stage"] == "attempt6:near-regular"
+    code = main(["verify", "--input", str(GOLDEN / graph_file),
+                 "--cert", str(GOLDEN / cert_file)])
+    assert code == 0 and capsys.readouterr().out == "verified\n"
+
+
+def test_near_regular_golden_input_is_the_gnp_draw():
+    from c4lab.graphio import write_graph6
+    from c4lab.graphs import gen_gnp
+    from c4lab.oracles import contains_biclique
+
+    g = gen_gnp(100, 6 / 99, 7)
+    assert contains_biclique(g, 3) is None
+    assert write_graph6(g) + "\n" == (GOLDEN / "gnp100.g6").read_text()
+
+
+def test_sparsify_reproduces_golden_outcomes():
+    # every sparsify_short_cycles call that extract makes at s = 3 on
+    # K_{3,3}-free G(n, 6/(n-1)) draws: (n, gen_gnp seed, k, extract seed)
+    # in (100, 7, 2, 2), (100, 2, 3, 1), (200, 0, 2, 0), (200, 1, 3, 1),
+    # (100, 29, 2, 0), (200, 3, 2, 2) and (100, 4, 3, 3).  Each line holds
+    # the call's input, the split's vertex set as graph6, and its outcome:
+    # the returned set, or the failure message and the sorted `best`
+    import json
+
+    from c4lab.errors import ExtractionFailure
+    from c4lab.graphio import read_graph6
+    from c4lab.reductions import sparsify_short_cycles
+
+    lines = (GOLDEN / "sparsify_outcomes.jsonl").read_text().splitlines()
+    kinds = set()
+    for line in lines:
+        call = json.loads(line)
+        got = {key: call[key] for key in ("graph6", "s", "seed", "target", "retries")}
+        try:
+            got["kept"] = sorted(sparsify_short_cycles(
+                read_graph6(call["graph6"]), call["s"], call["seed"], call["target"],
+                retries=call["retries"]))
+        except ExtractionFailure as exc:
+            got["error"] = str(exc)
+            got["best"] = None if exc.best is None else sorted(exc.best)
+        assert json.dumps(got, sort_keys=True, separators=(",", ":")) == line
+        kinds.add("kept" in got)
+    assert len(lines) == 50 and kinds == {True, False}
+
+
 # the G(200, 6/199) above with a K_{3,3} planted on the seeded 6-set
 # sample_subset(Random(0), range(200), 6), its sides alternating in sorted
 # order: extract at s = 3 stops at the hypothesis check, and the pinned

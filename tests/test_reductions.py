@@ -15,7 +15,6 @@ from c4lab.graphs import (
     BipartiteGraph,
     Graph,
     average_degree,
-    bits,
     gen_gnp,
     gen_lopsided,
     induced,
@@ -127,27 +126,35 @@ def test_sparsify_on_plane_incidence():
 
 
 def test_short_cycle_vertices_matches_pair_scan():
+    # `_survivors` drops the short-cycle vertices of the pair scan, and the
+    # vertices whose degree into the sampled set reaches their cap; a cap of
+    # n + 1 is never reached, so then only the short-cycle vertices go
     rng = random.Random(17)
     for _ in range(300):
         n = rng.randrange(1, 36)
         g = gen_gnp(n, rng.choice([0.05, 0.1, 0.2, 0.35, 0.6]), rng.randrange(2 ** 32))
         q = rng.choice([0.0, 0.3, 0.6, 0.9, 1.0])
-        inside = {v for v in range(n) if rng.random() < q}
-        mask = sum(1 << v for v in inside)
-        got = set(bits(reductions._short_cycle_vertices(g, mask)))
-        assert got == short_cycle_vertices_by_pair_scan(g, inside)
+        sampled = [v for v in range(n) if rng.random() < q]
+        mask = sum(1 << v for v in sampled)
+        cap = [rng.choice([1, 2, 3, n + 1]) for _ in range(n)]
+        bad = short_cycle_vertices_by_pair_scan(g, sampled)
+        want = [v for v in sampled if v not in bad
+                and (g.neighbor_mask(v) & mask).bit_count() < cap[v]]
+        assert reductions._survivors(g.masks, mask, sampled, cap) == want
+        got = reductions._survivors(g.masks, mask, sampled, [n + 1] * n)
+        assert set(sampled) - set(got) == bad
     for g in (complete_graph(5), cycle_graph(4), cycle_graph(5), petersen_graph(),
               projective_plane_incidence(3).underlying):
-        full = (1 << g.n) - 1
-        got = set(bits(reductions._short_cycle_vertices(g, full)))
-        assert got == short_cycle_vertices_by_pair_scan(g, range(g.n))
+        full = list(range(g.n))
+        got = reductions._survivors(g.masks, (1 << g.n) - 1, full, [g.n + 1] * g.n)
+        assert set(full) - set(got) == short_cycle_vertices_by_pair_scan(g, full)
 
 
 def test_sparsify_girth_check_raises_without_assert(monkeypatch):
-    # with no short-cycle deletion the survivors of K_6 keep triangles; the
+    # with no deletion at all the survivors of K_6 keep triangles; the
     # explicit check must catch that, also under python -O.  No subgraph of
     # K_6 reaches average degree 6, so the attempts run until a triangle
-    monkeypatch.setattr(reductions, "_short_cycle_vertices", lambda g, inside: 0)
+    monkeypatch.setattr(reductions, "_survivors", lambda nbr, u, sampled, cap: sampled)
     with pytest.raises(InvariantError):
         sparsify_short_cycles(complete_graph(6), 2, seed=1, target=6)
 
@@ -157,7 +164,7 @@ def test_sparsify_girth_check_raises_under_optimize():
         "from c4lab import reductions\n"
         "from c4lab.errors import InvariantError\n"
         "from c4lab.named import complete_graph\n"
-        "reductions._short_cycle_vertices = lambda g, inside: 0\n"
+        "reductions._survivors = lambda nbr, u, sampled, cap: sampled\n"
         "try:\n"
         "    reductions.sparsify_short_cycles(complete_graph(6), 2, seed=1, target=6)\n"
         "except InvariantError as exc:\n"
@@ -474,7 +481,7 @@ def test_has_short_cycle_matches_detectors():
         sub = induced(g, inside)
         want = find_c3(sub) is not None or find_c4(sub) is not None
         nbr = [g.neighbor_mask(v) for v in range(n)]
-        assert reductions._has_short_cycle(nbr, sum(1 << v for v in inside)) == want
+        assert reductions._has_short_cycle(nbr, sorted(inside)) == want
         found.add((want, find_c3(sub) is None))
     # triangle-free graphs with a 4-cycle, and graphs with a triangle, both occur
     assert found >= {(False, True), (True, True), (True, False)}

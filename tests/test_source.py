@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,3 +84,24 @@ def test_benchmark_traced_names_resolve():
     missing = [f"{module}.{func}" for module, func in traced
                if not hasattr(importlib.import_module(f"c4lab.{module}"), func)]
     assert missing == []
+
+
+def _names_read(node) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_helper_has_a_caller():
+    # a private function or class that nothing else in the package reads is
+    # dead code, even when tests still call it: they then test what never
+    # runs.  A helper's reads of its own name (recursion) do not count
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert trees
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    dead = [f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and read[node.name] == _names_read(node)[node.name]]
+    assert dead == []
