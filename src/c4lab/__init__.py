@@ -63,14 +63,9 @@ from .hypergraphs import (
 from .lowerbounds import (
     ConditionReport,
     ExperimentReport,
-    alpha_lb_check,
-    check_diagonal_conditions,
     check_lb_conditions,
     exact_expected_bicliques,
     lb_experiment,
-    q_upper,
-    ramsey_upper,
-    reiman_holds,
     reiman_max_edges,
 )
 from .oracles import (

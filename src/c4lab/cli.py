@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .errors import C4LabError, KernelFailure
 from .graphio import (
@@ -308,7 +309,7 @@ def _cmd_ftable(args) -> int:
 def _cmd_lowerbound(args) -> int:
     if args.check_only:
         rep = check_lb_conditions(args.n, args.p, args.s, args.k)
-        print(json.dumps(rep.as_dict(), sort_keys=True))
+        print(json.dumps(asdict(rep), sort_keys=True))
         return 0
     seed = _resolve_seed(args.seed)
     _echo_seed(seed)

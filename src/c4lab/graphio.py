@@ -38,20 +38,23 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     if not data:
         raise DomainError("empty graph6 data")
     if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise DomainError("truncated graph6 size")
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | (b - 63)
-        return n, 4
-    if len(data) < 8:
+        start, end = 0, 1
+    elif len(data) >= 2 and data[1] != 126:
+        start, end = 1, 4
+    else:
+        start, end = 2, 8
+    if len(data) < end:
         raise DomainError("truncated graph6 size")
+    size = data[start:end]
+    # each size byte holds one 6-bit group; a byte above 126 would carry
+    # into the group before it
+    invalid = size.translate(None, _G6_BYTES)
+    if invalid:
+        raise DomainError(f"invalid graph6 size byte {invalid[0]}")
     n = 0
-    for b in data[2:8]:
+    for b in size:
         n = (n << 6) | (b - 63)
-    return n, 8
+    return n, end
 
 
 def _pack_bits(bit_list: list[int], pad_bit: int = 0) -> bytes:
@@ -88,8 +91,6 @@ def read_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise DomainError(f"graph6 body length {len(body)} != expected {need}")
-    if n < 0:
-        raise DomainError("vertex_count must be nonnegative")
     # the body lists the upper triangle column by column: column j is the
     # run of bits for pairs (0,j)..(j-1,j), so the reversed run, read in
     # base 2, is the mask of j's lower neighbours

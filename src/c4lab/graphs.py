@@ -140,9 +140,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((m.bit_count() for m in self._nbr), default=0)
 
-    def min_degree(self) -> int:
-        return min((m.bit_count() for m in self._nbr), default=0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._nbr == other._nbr
 

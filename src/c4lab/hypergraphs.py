@@ -142,9 +142,6 @@ class KernelReport:
     def ok(self) -> bool:
         return not self.rainbow_failures and all(st[2] for st in self.element_status)
 
-    def failures(self) -> list[tuple[tuple[int, ...], bool, bool, int]]:
-        return [st for st in self.element_status if not st[2]]
-
 
 def _color_sets(r: int, s: int) -> list[tuple[int, ...]]:
     """Nonempty subsets of [r] with at most s elements, lexicographic."""
@@ -395,15 +392,16 @@ def find_induced_pair(h: Hypergraph, k: int) -> InducedPair:
     return pair
 
 
-def alpha_exact(h: Hypergraph, limit: int = DEFAULT_ALPHA_LIMIT) -> int:
+def alpha_exact(h: Hypergraph) -> int:
     """Exact maximum induced-pair order by exhaustive A-enumeration.
 
     Candidate A sets are the subsets of single edges plus the empty set (an
     A inside no edge admits no b at all); for each A the optimum B is a
     maximum independent set of the conflict graph on the eligible vertices.
     """
-    if h.vertex_count > limit:
-        raise OracleLimitError(f"|V|={h.vertex_count} exceeds alpha limit {limit}")
+    if h.vertex_count > DEFAULT_ALPHA_LIMIT:
+        raise OracleLimitError(
+            f"|V|={h.vertex_count} exceeds alpha limit {DEFAULT_ALPHA_LIMIT}")
     from .oracles import max_independent_set
 
     candidates: set[frozenset[int]] = {frozenset()}

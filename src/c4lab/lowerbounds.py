@@ -1,8 +1,9 @@
-"""Closed-form extremal bounds and the random-graph lower-bound laboratory.
+"""Reiman's edge bound and the random-graph lower-bound laboratory.
 
-The closed forms are evaluated exactly (integer square roots, Fractions)
-wherever a test compares against them; Monte-Carlo experiments report
-estimates with standard errors and are checked against exact expectations.
+Reiman's bound is evaluated exactly (integer square roots, Fractions).
+`check_lb_conditions` evaluates the construction's three conditions in
+floats; Monte-Carlo experiments report estimates with standard errors and
+are checked against exact expectations.
 """
 
 from __future__ import annotations
@@ -10,14 +11,14 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
 
 from .errors import DomainError
 from .graphs import Graph, mix_seed, sample_subset
-from .oracles import DEFAULT_ORACLE_LIMIT, closes_c4, is_c4_free, max_independent_set
+from .oracles import closes_c4
 
 # X is counted exactly while C(n, K) <= this budget, else sampled
 _EXACT_X_SUBSET_BUDGET = 10 ** 6
@@ -39,34 +40,12 @@ def reiman_max_edges(n: int) -> Fraction:
     return half_root + Fraction(n, 4) + 1
 
 
-def reiman_holds(n: int, e: int) -> bool:
-    """Exact test of e <= n^{3/2}/2 + n/4 + 1 for a C4-free graph's counts.
-
-    Rearranged to (4e - n - 4)^2 <= 4 n^3 so only integers are compared.
-    """
-    lhs = 4 * e - n - 4
-    if lhs <= 0:
-        return True
-    return lhs * lhs <= 4 * n ** 3
-
-
-def q_upper(big_k: int, p) -> float | Fraction:
-    """(1 - p^4)^C(floor(K/2), 2): an upper bound on P(G(K,p) is C4-free).
-
-    Fraction p gives an exact Fraction back; float p gives a float.
-    K <= 3 has an empty exponent, so the bound is 1.
-    """
-    if big_k < 0:
-        raise DomainError("K must be nonnegative")
-    expo = comb(big_k // 2, 2)
-    return (1 - p ** 4) ** expo
-
-
-def ramsey_upper(a: int, b: int) -> int:
-    """Erdos-Szekeres closed form: R(K_a, K_b) <= C(a+b-2, b-1)."""
-    if a < 1 or b < 1:
-        raise DomainError("a, b must be positive")
-    return comb(a + b - 2, b - 1)
+def _check_domain(p: float, s: int, k: int) -> None:
+    # a p outside [0, 1] (or nan) makes the conditions complex or negative
+    if not 0 <= p <= 1:
+        raise DomainError("p must lie in [0,1]")
+    if s < 2 or k < 2:
+        raise DomainError("s and k must be >= 2")
 
 
 @dataclass
@@ -82,18 +61,7 @@ class ConditionReport:
     q_sparse: float        # exp(-C(n,2) p / 4)
     satisfied: bool
     min_avg_degree: float  # guaranteed (n-1)p/2 when satisfied
-    claim: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "s": self.s, "k": self.k,
-            "q_biclique": self.q_biclique,
-            "q_c4free_sets": self.q_c4free_sets,
-            "q_sparse": self.q_sparse,
-            "satisfied": self.satisfied,
-            "min_avg_degree": self.min_avg_degree,
-            "claim": self.claim,
-        }
+    claim: str
 
 
 def check_lb_conditions(n: int, p: float, s: int, k: int) -> ConditionReport:
@@ -103,8 +71,7 @@ def check_lb_conditions(n: int, p: float, s: int, k: int) -> ConditionReport:
     degree >= (n-1)p/2 has no C4-free induced subgraph of average degree k
     (existence-level guarantee of the construction).
     """
-    if k < 2 or s < 2:
-        raise DomainError("k and s must be >= 2")
+    _check_domain(p, s, k)
     q1 = float(n) ** 2 * float(p) ** s
     q2 = float(n) * (1.0 - float(p) ** 4) ** ((k * k - 3 * k - 2) / 4.0)
     q3 = math.exp(-comb(n, 2) * float(p) / 4.0)
@@ -117,42 +84,6 @@ def check_lb_conditions(n: int, p: float, s: int, k: int) -> ConditionReport:
     return ConditionReport(n=n, p=p, s=s, k=k, q_biclique=q1, q_c4free_sets=q2,
                            q_sparse=q3, satisfied=ok,
                            min_avg_degree=(n - 1) * p / 2, claim=claim)
-
-
-def check_diagonal_conditions(k: int) -> ConditionReport:
-    """Symbolic diagonal check at n = k^{k/20}, p = k^{-1/5}, s = k.
-
-    n is astronomically large for interesting k, so each condition is
-    evaluated in log space; the reported quantities are log-domain stand-ins
-    clamped into floats (0 when the log is very negative).
-    """
-    if k < 2:
-        raise DomainError("k must be >= 2")
-    log_n = (k / 20.0) * math.log(k)
-    log_p = -math.log(k) / 5.0
-    # condition 1: 2 log n + s log p
-    log_q1 = 2 * log_n + k * log_p
-    # condition 2: log n + ((k^2-3k-2)/4) log(1 - p^4)
-    p4 = math.exp(4 * log_p)
-    log_q2 = log_n + ((k * k - 3 * k - 2) / 4.0) * math.log1p(-p4)
-    # condition 3: q3 <= 1/2  iff  C(n,2) p / 4 >= ln 2, compared in logs
-    log_choose = 2 * log_n + math.log1p(-math.exp(-log_n)) - math.log(2)
-    log_rate = log_choose + log_p - math.log(4)
-    q3_ok = log_rate >= math.log(math.log(2))
-    log_half = math.log(0.5)
-    ok = log_q1 <= log_half and log_q2 <= log_half and q3_ok
-
-    def clamp(lq: float) -> float:
-        return math.exp(lq) if lq < 50 else math.inf
-
-    report = ConditionReport(
-        n=-1, p=math.exp(log_p), s=k, k=k,
-        q_biclique=clamp(log_q1), q_c4free_sets=clamp(log_q2),
-        q_sparse=0.0 if q3_ok else 1.0, satisfied=ok,
-        min_avg_degree=math.inf if ok else 0.0)
-    if ok:
-        report.claim = f"diagonal parameters verify at k={k}"
-    return report
 
 
 @dataclass
@@ -286,8 +217,7 @@ def lb_experiment(n: int, p: float, s: int, k: int, trials: int, seed: int
     proxy).  Y counts K_{s,s} pairs, compared against the exact expectation.
     k in {2,3} short-circuits the X statistic (K <= 0 is degenerate).
     """
-    if s < 2 or k < 2:
-        raise DomainError("s and k must be >= 2")
+    _check_domain(p, s, k)
     if trials < 1:
         raise DomainError("trials must be positive")
     big_k = k * k - 3 * k
@@ -345,22 +275,7 @@ def lb_experiment(n: int, p: float, s: int, k: int, trials: int, seed: int
         stderr_p_y_zero=bern_se(p_y_zero),
         trivial_k=trivial_k,
         x_exact=x_exact,
-        conditions=check_lb_conditions(n, p, s, k).as_dict(),
+        conditions=asdict(check_lb_conditions(n, p, s, k)),
     )
     return report
 
-
-def alpha_lb_check(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
-    """Assert alpha(g) >= n/(3 + sqrt(n)) for a C4-free graph; exact comparison.
-
-    alpha >= n/(3+sqrt n)  iff  3 alpha + alpha sqrt(n) >= n
-    iff  n - 3 alpha <= 0  or  alpha^2 n >= (n - 3 alpha)^2.
-    """
-    if not is_c4_free(g):
-        raise DomainError("input must be C4-free")
-    n = g.n
-    if n == 0:
-        return True
-    alpha = len(max_independent_set(g, limit=limit))
-    rem = n - 3 * alpha
-    return rem <= 0 or alpha * alpha * n >= rem * rem

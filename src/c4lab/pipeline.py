@@ -249,15 +249,15 @@ def _biclique_certificate(g: Graph, digest: str, s_side, t_side, params: dict,
 
 
 def _failure_certificate(digest: str, params: dict, seed: int, stage: str,
-                         best: tuple[dict, dict] | None = None
+                         best: tuple[Fraction, int] | None = None
                          ) -> ExtractionCertificate:
-    # failure records claim nothing: flags stay False and the best attempt
-    # only informs the diagnostics, so verify_certificate stays replayable
+    # failure records claim nothing: flags stay False and the best attempt's
+    # (average degree, size) only informs the diagnostics, so
+    # verify_certificate stays replayable
     stats = {"avg_degree": "0", "max_degree": 0, "size": 0, "stage": stage}
     if best is not None:
-        _, best_stats = best
-        stats["best_avg_degree"] = best_stats.get("avg_degree", "0")
-        stats["best_size"] = best_stats.get("size", 0)
+        stats["best_avg_degree"] = str(best[0])
+        stats["best_size"] = best[1]
     return ExtractionCertificate(
         input_digest=digest, mode="failure", witness=None, biclique=None,
         params=params, seed=seed, verified=dict(_NO_FLAGS), stats=stats)
@@ -321,7 +321,7 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
                                      pdict, seed, k, stage="model:star")
         return cert if _keeps_promise(cert) else None
 
-    best: tuple[Fraction, tuple[dict, dict]] | None = None
+    best: tuple[Fraction, int] | None = None
     for attempt in range(params.retries):
         sub_seed = mix_seed(seed, attempt)
         try:
@@ -374,12 +374,11 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
                     return cert
                 avg = Fraction(cert.stats["avg_degree"])
                 if best is None or avg > best[0]:
-                    best = (avg, (cert.verified, cert.stats))
+                    best = (avg, cert.stats["size"])
         star = star_certificate()
         if star is not None:
             return star
-    return _failure_certificate(digest, pdict, seed, "model:budget-exhausted",
-                                best=None if best is None else best[1])
+    return _failure_certificate(digest, pdict, seed, "model:budget-exhausted", best)
 
 
 def _assert_model_degrees(g: Graph, a_set: set[int], b_set: set[int],
@@ -458,7 +457,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
 
     # the lowest-index success wins; failed sparsifier runs feed a running
     # best for the diagnostics, where a strict > keeps the lowest index
-    best: tuple[Fraction, tuple[dict, dict]] | None = None
+    best: tuple[Fraction, int] | None = None
     for i in range(attempts):
         base_seed = mix_seed(seed, 7000 + i)
         try:
@@ -476,11 +475,12 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
                 sub, s, mix_seed(base_seed, 1), target=k, retries=params.retries)
         except ExtractionFailure as exc:
             if exc.best:
-                wit_ids = [core_ids[local[v]] for v in sorted(exc.best)]
-                diag = _flags_and_stats(g, wit_ids, k, DELTA)
-                avg = Fraction(diag[1]["avg_degree"])
+                # sub is an induced subgraph of g, so the densest set's
+                # average degree and size need no lift to g's ids
+                densest = induced(sub, exc.best)
+                avg = average_degree(densest)
                 if best is None or avg > best[0]:
-                    best = (avg, diag)
+                    best = (avg, densest.n)
             continue
         wit_ids = [core_ids[local[v]] for v in sorted(keep)]
         return _subgraph_certificate(g, digest, "case1_near_regular", wit_ids,
@@ -493,8 +493,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     else:
         return _subgraph_certificate(g, digest, "oracle_fallback", witness,
                                      pdict, seed, k, stage="oracle")
-    return _failure_certificate(digest, pdict, seed, "routes-exhausted",
-                                best=None if best is None else best[1])
+    return _failure_certificate(digest, pdict, seed, "routes-exhausted", best)
 
 
 def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:

@@ -274,6 +274,21 @@ class SplitPrefix:
     bucket: tuple[int, ...] = ()
 
 
+def _heaviest_dyadic_bucket(degrees, d: float) -> list[int]:
+    """Bucket the (vertex, degree >= 1) pairs by floor(log2(degree / d)) and
+    return the vertices of the bucket with the greatest degree mass, in
+    input order; ties go to the lower bucket, and no pairs give []."""
+    buckets: dict[int, list[int]] = {}
+    mass: dict[int, int] = {}
+    for v, dv in degrees:
+        j = math.floor(math.log2(dv / d))
+        buckets.setdefault(j, []).append(v)
+        mass[j] = mass.get(j, 0) + dv
+    if not buckets:
+        return []
+    return buckets[max(buckets, key=lambda j: (mass[j], -j))]
+
+
 def split_prefix(g: Graph, delta: float) -> SplitPrefix:
     """Everything `extreme_split` computes before its first random draw.
 
@@ -306,19 +321,12 @@ def split_prefix(g: Graph, delta: float) -> SplitPrefix:
         raise ExtractionFailure("min-degree core is empty")
     nbr = h.masks
 
-    # dyadic degree buckets around d; a bucket's weight is its degree mass.
-    # Every core vertex has degree at least 1 in h, so some bucket exists.
+    # every core vertex has degree at least 1 in h, so some bucket exists
     df = float(d)
-    buckets: dict[int, list[int]] = {}
-    mass: dict[int, int] = {}
-    for v, mask in enumerate(nbr):
-        dv = mask.bit_count()
-        j = math.floor(math.log2(dv / df))
-        buckets.setdefault(j, []).append(v)
-        mass[j] = mass.get(j, 0) + dv
-    best_j = max(buckets, key=lambda j: (mass[j], -j))
+    bucket = _heaviest_dyadic_bucket(
+        ((v, mask.bit_count()) for v, mask in enumerate(nbr)), df)
     return SplitPrefix(None, df, tuple(base_map[v] for v in core_ids), nbr,
-                       tuple(buckets[best_j]))
+                       tuple(bucket))
 
 
 def split_from_prefix(prefix: SplitPrefix, seed: int,
@@ -374,16 +382,10 @@ def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
     reach = 0
     for v in bits(c_third):
         reach |= nbr[v]
-    outside: dict[int, list[int]] = {}
-    mass: dict[int, int] = {}
-    for v in bits(reach & ~c_third):
-        dv = (nbr[v] & c_third).bit_count()
-        j = math.floor(math.log2(dv / d))
-        outside.setdefault(j, []).append(v)
-        mass[j] = mass.get(j, 0) + dv
-    if not outside:
+    c_k = _heaviest_dyadic_bucket(
+        ((v, (nbr[v] & c_third).bit_count()) for v in bits(reach & ~c_third)), d)
+    if not c_k:
         return None
-    c_k = outside[max(outside, key=lambda j: (mass[j], -j))]
     k_mask = mask_of(c_k)
     b_side = [v for v in c_k if (nbr[v] & k_mask).bit_count() < 4 * d]
     if not b_side:

@@ -73,6 +73,18 @@ def repair_to_c4_free(g: Graph) -> Graph:
         cur = Graph(g.n, sorted(edges))
 
 
+def reiman_holds(n: int, e: int) -> bool:
+    """Exact test of Reiman's bound e <= n^{3/2}/2 + n/4 + 1, which every
+    C4-free graph's counts satisfy.
+
+    Rearranged to (4e - n - 4)^2 <= 4 n^3 so only integers are compared.
+    """
+    lhs = 4 * e - n - 4
+    if lhs <= 0:
+        return True
+    return lhs * lhs <= 4 * n ** 3
+
+
 def random_near_regular_c4_repaired(n: int, d: int, seed: int) -> Graph:
     """Roughly d-regular random graph with all 4-cycles repaired away."""
     p = min(1.0, d / max(1, n - 1))

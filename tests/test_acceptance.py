@@ -25,7 +25,7 @@ from c4lab.hypergraphs import (
     verify_induced_pair,
     verify_kernel,
 )
-from c4lab.lowerbounds import lb_experiment, reiman_holds
+from c4lab.lowerbounds import lb_experiment
 from c4lab.named import heawood_graph, petersen_graph
 from c4lab.oracles import best_c4free_induced, find_c3, find_c4
 from c4lab.pipeline import (
@@ -36,7 +36,7 @@ from c4lab.pipeline import (
 )
 from c4lab.reductions import sparsify_short_cycles
 from c4lab.subdivisions import find_subdivision, induced_subdivision, verify_subdivision
-from helpers import repair_to_c4_free
+from helpers import reiman_holds, repair_to_c4_free
 
 SUBGRAPH_MODES = ("trivial_already_c4free", "case1_near_regular",
                   "case2_lopsided", "oracle_fallback")

@@ -107,6 +107,19 @@ def test_lowerbound_experiment_csv(capsys):
     assert lines[1].startswith("8,0.0,2,4,5,3")
 
 
+@pytest.mark.parametrize("p", ["2", "-0.5", "nan"])
+@pytest.mark.parametrize("tail", [["--check-only"], ["--trials", "3", "--seed", "1"]],
+                         ids=["check-only", "trials"])
+def test_lowerbound_rejects_p_outside_unit_interval(capsys, p, tail):
+    # p = 2 would make a condition complex and p = -0.5 a negative degree;
+    # both paths refuse such a p, and nan, before any trial
+    code, out, err = run_cli(capsys, "lowerbound", "--n", "10", "--p", p,
+                             "--s", "2", "--k", "5", *tail)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: p must lie in [0,1]"
+    assert "Traceback" not in err
+
+
 def test_subdivide_plain_and_missing(tmp_path, capsys):
     k4 = tmp_path / "k4.g6"
     k4.write_text(write_graph6(Graph(4, [(i, j) for i in range(4)

@@ -110,13 +110,30 @@ def test_graph6_error_messages():
         "D?": "graph6 body length 1 != expected 2",
         "D???": "graph6 body length 3 != expected 2",
         ">>graph6<<D?": "graph6 body length 1 != expected 2",
-        ">?": "vertex_count must be nonnegative",
+        ">?": "invalid graph6 size byte 62",
         "~?": "truncated graph6 size",
     }
     for text, message in cases.items():
         with pytest.raises(DomainError) as info:
             read_graph6(text)
         assert str(info.value) == message
+
+
+def test_size_bytes_outside_the_6_bit_range_are_rejected():
+    # 127 is no graph6 byte: read as a group it gives n = 64 in the short
+    # form, and in the long forms it carries into the group before it
+    cases = {
+        chr(127): 127,
+        chr(127) + "?" * 336: 127,
+        "~?" + chr(127) + "?": 127,
+        "~~?" + chr(127) + "????": 127,
+        "~~?????" + chr(127): 127,
+    }
+    for text, byte in cases.items():
+        for read, prefix in ((read_graph6, ""), (read_sparse6, ":")):
+            with pytest.raises(DomainError) as info:
+                read(prefix + text)
+            assert str(info.value) == f"invalid graph6 size byte {byte}"
 
 
 def test_bad_inputs_raise():

@@ -1,30 +1,25 @@
 import math
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from c4lab.errors import DomainError
-from c4lab.graphs import Graph, gen_gnp
-from c4lab.named import heawood_graph, petersen_graph
+from c4lab.graphs import gen_gnp
+from c4lab.named import heawood_graph
 from c4lab.lowerbounds import (
     _c4free_subsets,
     _has_c4free_subset,
     _sample_c4free_subsets,
-    alpha_lb_check,
-    check_diagonal_conditions,
     check_lb_conditions,
     exact_expected_bicliques,
     lb_experiment,
-    q_upper,
-    ramsey_upper,
-    reiman_holds,
     reiman_max_edges,
 )
 from helpers import (
     count_c4free_by_combination_scan,
+    reiman_holds,
     repair_to_c4_free,
     sample_c4free_by_pair_scan,
 )
@@ -59,29 +54,6 @@ def test_reiman_never_violated_by_c4free_graphs():
     assert reiman_holds(h.n, h.edge_count)
 
 
-def test_q_upper_examples():
-    assert q_upper(4, 1) == 0
-    assert q_upper(3, 0.77) == 1
-    assert q_upper(0, 0.3) == 1
-    assert q_upper(4, 0.5) == 0.9375
-    assert q_upper(4, Fraction(1, 2)) == Fraction(15, 16)
-
-
-def test_q_upper_monotone():
-    ps = [i / 20 for i in range(21)]
-    for big_k in (4, 6, 8, 12):
-        vals = [q_upper(big_k, p) for p in ps]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-    for p in (0.1, 0.5, 0.9):
-        vals = [q_upper(big_k, p) for big_k in range(4, 16)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_ramsey_upper():
-    assert ramsey_upper(3, 3) == comb(4, 2) == 6
-    assert ramsey_upper(2, 5) == comb(5, 4) == 5
-
-
 def test_check_lb_conditions_examples():
     rep = check_lb_conditions(10, 0.5, 2, 4)
     assert not rep.satisfied
@@ -91,13 +63,6 @@ def test_check_lb_conditions_examples():
     assert rep0.q_sparse == 1.0
     with pytest.raises(DomainError):
         check_lb_conditions(10, 0.5, 1, 4)
-
-
-def test_check_diagonal_conditions_threshold():
-    # the diagonal parameterization verifies for all large k and fails small
-    assert not check_diagonal_conditions(5).satisfied
-    assert check_diagonal_conditions(100).satisfied
-    assert check_diagonal_conditions(10 ** 4).satisfied
 
 
 def test_exact_ey_matches_brute_force_enumeration():
@@ -176,22 +141,6 @@ def test_lb_experiment_determinism():
     a = lb_experiment(9, 0.4, 2, 4, trials=50, seed=21).as_dict()
     b = lb_experiment(9, 0.4, 2, 4, trials=50, seed=21).as_dict()
     assert a == b
-
-
-def test_alpha_lb_check_examples():
-    assert alpha_lb_check(petersen_graph())
-    assert alpha_lb_check(Graph(1))
-    assert alpha_lb_check(heawood_graph())
-    with pytest.raises(DomainError):
-        alpha_lb_check(gen_gnp(8, 1.0, 1))  # K8 has C4s
-
-
-def test_alpha_lb_check_on_repaired_random():
-    rng = random.Random(37)
-    for _ in range(40):
-        n = 1 + rng.randrange(12)
-        g = repair_to_c4_free(gen_gnp(n, 0.5, rng.randrange(2 ** 32)))
-        assert alpha_lb_check(g)
 
 
 def test_c4free_subset_existence_matches_count():

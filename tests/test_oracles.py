@@ -441,7 +441,7 @@ def test_best_c4free_induced_independent_set_bound():
 
 
 def test_best_c4free_witness_obeys_reiman_bound():
-    from c4lab.lowerbounds import reiman_holds
+    from helpers import reiman_holds
 
     rng = random.Random(23)
     for _ in range(100):

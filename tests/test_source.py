@@ -91,17 +91,73 @@ def _names_read(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def test_every_private_helper_has_a_caller():
-    # a private function or class that nothing else in the package reads is
-    # dead code, even when tests still call it: they then test what never
-    # runs.  A helper's reads of its own name (recursion) do not count
+def _package_trees() -> dict:
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert trees
+    return trees
+
+
+def _unread(trees: dict, named) -> list[str]:
+    # the functions and classes (methods included) selected by `named` whose
+    # name no tree reads outside their own bodies; a definition's reads of
+    # its own name (recursion) do not count
     read = sum((_names_read(tree) for tree in trees.values()), Counter())
-    dead = [f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+    return [f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
             for path, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.endswith("__")
+            and named(node.name)
             and read[node.name] == _names_read(node)[node.name]]
+
+
+def test_every_private_helper_has_a_caller():
+    # a private function or class that nothing else in the package reads is
+    # dead code, even when tests still call it: they then test what never runs
+    dead = _unread(_package_trees(),
+                   lambda name: name.startswith("_") and not name.endswith("__"))
     assert dead == []
+
+
+# public names that no package module reads, each with the reason it stays
+_ENTRY_POINTS = {
+    "find_c3": "the benchmark's tracer wraps it until ROADMAP item 4",
+    "extreme_split": "the benchmark's tracer wraps it until ROADMAP item 4",
+    "bipartite_regularize": "the benchmark's tracer wraps it until ROADMAP item 4",
+    "find_c4": "the benchmark calls it",
+    "model_lopsided": "the benchmark calls it",
+    "apply_sidecar": "the library half of the sidecar format the CLI writes",
+    "write_hypergraph": "the library half of the hypergraph format the CLI reads",
+    "reiman_max_edges": "ROADMAP item 2's branch and bound bounds by it",
+}
+
+
+def test_every_public_name_has_a_reader():
+    # a public function, class or method that no package module reads is
+    # surface nothing reaches, even when tests still call it.  The
+    # re-exports in __init__.py and the test fixtures in named.py are no
+    # readers; the fixtures are not checked either
+    trees = {path: tree for path, tree in _package_trees().items()
+             if path.name not in ("__init__.py", "named.py")}
+    unread = _unread(trees,
+                     lambda name: not name.startswith("_") and name not in _ENTRY_POINTS)
+    assert unread == []
+    # an entry that names nothing any more would let its name come back unread
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert sorted(set(_ENTRY_POINTS) - defined) == []
+
+
+def test_sources_parse_as_python_3_10():
+    # CI runs tier-1 on Python 3.10 too; this checks syntax only, so a
+    # stdlib API that 3.10 lacks still goes unnoticed here
+    paths = sorted(path for folder in ("src", "tests", "perfbench")
+                   for path in (ROOT / folder).rglob("*.py"))
+    assert paths
+    failed = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                      feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append(f"{path.relative_to(ROOT)}:{exc.lineno} {exc.msg}")
+    assert failed == []
