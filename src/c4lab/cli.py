@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--p", type=float, required=True)
     lb.add_argument("--s", type=int, required=True)
     lb.add_argument("--k", type=int, required=True)
-    lb.add_argument("--trials", type=int, default=100)
+    lb.add_argument("--trials", type=int, help="default 100")
     lb.add_argument("--seed", type=int)
     lb.add_argument("--check-only", action="store_true", dest="check_only")
     lb.add_argument("--csv", action="store_true")
@@ -308,12 +308,20 @@ def _cmd_ftable(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     if args.check_only:
+        # --check-only runs no trials, so a trial flag would go unread
+        given = [flag for flag, passed in (("--csv", args.csv),
+                                           ("--trials", args.trials is not None),
+                                           ("--seed", args.seed is not None))
+                 if passed]
+        if given:
+            raise C4LabError(f"--check-only takes no {', '.join(given)}")
         rep = check_lb_conditions(args.n, args.p, args.s, args.k)
         print(json.dumps(asdict(rep), sort_keys=True))
         return 0
     seed = _resolve_seed(args.seed)
     _echo_seed(seed)
-    rep = lb_experiment(args.n, args.p, args.s, args.k, args.trials, seed)
+    trials = 100 if args.trials is None else args.trials
+    rep = lb_experiment(args.n, args.p, args.s, args.k, trials, seed)
     if args.csv:
         print(rep.CSV_HEADER)
         print(rep.csv_row())

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from functools import cache
+from itertools import combinations
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     DomainError,
@@ -447,58 +448,35 @@ class FSearchResult:
                           sort_keys=True)
 
 
-def _canonical_key(n: int, edges: Sequence[int]) -> tuple:
-    """Canonical form: equal keys iff the edge sets are isomorphic.
+@cache
+def _swap_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each i < n - 1, every mask on [n] with bits i and i+1 swapped.
 
-    Vertices are split into classes by (degree, sorted incident edge sizes),
-    and the i-th class in sorted invariant order always takes the i-th run
-    of labels, so only within-class orders vary; the key is the least
-    relabelled, sorted edge tuple over those orders.
+    f_search caps n at 8, so the cache holds at most eight small entries.
     """
-    deg = [0] * n
-    sizes: list[list[int]] = [[] for _ in range(n)]
-    for mask in edges:
-        size = mask.bit_count()
-        for v in bits(mask):
-            deg[v] += 1
-            sizes[v].append(size)
-    groups: dict[tuple, list[int]] = {}
-    for v in range(n):
-        groups.setdefault((deg[v], tuple(sorted(sizes[v]))), []).append(v)
-    classes = [verts for _, verts in sorted(groups.items())]
-    best: tuple | None = None
+    return tuple(
+        tuple(m ^ 3 << i if (m >> i ^ m >> i + 1) & 1 else m
+              for m in range(1 << n))
+        for i in range(n - 1))
 
-    def assemble(perm_parts: list[tuple[int, ...]]) -> tuple:
-        mapping = {}
-        for perm in perm_parts:
-            for src in perm:
-                mapping[src] = len(mapping)
-        remapped = []
-        for mask in edges:
-            # inline, not bits(): this loop is the hottest code of f_search
-            newmask = 0
-            m = mask
-            while m:
-                low = m & -m
-                newmask |= 1 << mapping[low.bit_length() - 1]
-                m ^= low
-            remapped.append(newmask)
-        return tuple(sorted(remapped))
 
-    def rec(i: int, parts: list[tuple[int, ...]]):
-        nonlocal best
-        if i == len(classes):
-            key = assemble(parts)
-            if best is None or key < best:
-                best = key
-            return
-        for perm in permutations(classes[i]):
-            rec(i + 1, parts + [perm])
+def _orbit(n: int, key: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Every relabelling of the sorted edge-mask tuple `key` on [n], sorted.
 
-    rec(0, [])
-    if best is None:
-        raise InvariantError("no permutation reached the canonical key")
-    return (n, best)
+    The closure under the adjacent transpositions (i, i+1), which generate
+    the symmetric group, so it is the whole isomorphism class.
+    """
+    swaps = _swap_tables(n)
+    orbit = {key}
+    todo = [key]
+    while todo:
+        cur = todo.pop()
+        for swap in swaps:
+            image = tuple(sorted(map(swap.__getitem__, cur)))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def f_search(ell: int, k: int, n_max: int) -> FSearchResult:
@@ -506,7 +484,7 @@ def f_search(ell: int, k: int, n_max: int) -> FSearchResult:
 
     For each n up to n_max, enumerates covering antichains of nonempty edges
     of size <= ell (maximal edges suffice: the pair conditions only see
-    them), skipping every antichain whose canonical form was already seen,
+    them), skipping every antichain that relabels a class already checked,
     so the exact alpha oracle runs once per isomorphism class, looking for
     a counterexample with alpha < k.  `lower` is one more than the largest
     n admitting a counterexample; `upper` matches it when that n+1 was
@@ -558,14 +536,16 @@ def _find_counterexample(n: int, ell: int, k: int
         if i == len(masks):
             if cover != full or not chosen:
                 return False
-            key = _canonical_key(n, chosen)
+            key = tuple(sorted(chosen))
             if key in seen:
                 return False
-            seen.add(key)
             edges = [frozenset(v for v in range(n) if (m >> v) & 1) for m in chosen]
             if alpha_exact(Hypergraph(n, edges)) < k:
                 result = tuple(edges)
                 return True
+            # a new class that passed: skip its later relabellings (a
+            # counterexample ends the scan, so it needs no orbit)
+            seen.update(_orbit(n, key))
             return False
         if cover | suffix_union[i] != full:
             return False

@@ -552,11 +552,10 @@ def _near_regular_attempt_by_set_scans(h: Graph, d: float, rng, reduce_seed: int
     return frozenset(keep[i] for i in ids)
 
 
-def canonical_key_by_all_permutations(n: int, edges) -> tuple:
-    """Least sorted relabelled edge-mask tuple over all n! relabellings."""
-    return min(
-        tuple(sorted(sum(1 << perm[v] for v in bits(mask)) for mask in edges))
-        for perm in permutations(range(n)))
+def relabellings_by_all_permutations(n: int, edges) -> set[tuple[int, ...]]:
+    """Every sorted relabelled edge-mask tuple over all n! relabellings."""
+    return {tuple(sorted(sum(1 << perm[v] for v in bits(mask)) for mask in edges))
+            for perm in permutations(range(n))}
 
 
 def furedi_kernel_by_buckets(f, s: int, t: int, seed: int,

@@ -120,6 +120,16 @@ def test_lowerbound_rejects_p_outside_unit_interval(capsys, p, tail):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", [["--csv"], ["--trials", "0"], ["--seed", "0"]],
+                         ids=["csv", "trials", "seed"])
+def test_lowerbound_check_only_refuses_trial_flags(capsys, flag):
+    # --check-only runs no trials, so each of these would go unread
+    code, out, err = run_cli(capsys, "lowerbound", "--n", "10", "--p", "0.5",
+                             "--s", "2", "--k", "4", "--check-only", *flag)
+    _assert_one_line_error(code, out, err)
+    assert err == f"error: --check-only takes no {flag[0]}\n"
+
+
 def test_subdivide_plain_and_missing(tmp_path, capsys):
     k4 = tmp_path / "k4.g6"
     k4.write_text(write_graph6(Graph(4, [(i, j) for i in range(4)

@@ -83,6 +83,17 @@ def test_f_search_reproduces_golden_rows():
     assert "".join(rows) == (GOLDEN / "f_search_rows.jsonl").read_text()
 
 
+def test_f_search_reproduces_golden_rows_at_the_caps():
+    # rows at each l's exhaustive cap (n = 8, 6, 5): they pin the DFS
+    # order, and so the first counterexample found, at the largest n
+    from c4lab.hypergraphs import f_search
+
+    cases = ([(1, k, 8) for k in range(1, 6)] + [(2, k, 6) for k in (3, 4, 5)]
+             + [(3, k, 5) for k in (2, 3, 4, 5)])
+    rows = [f_search(ell, k, n_max).to_json() + "\n" for ell, k, n_max in cases]
+    assert "".join(rows) == (GOLDEN / "f_search_rows_caps.jsonl").read_text()
+
+
 def test_cli_golden_on_repeated_runs(tmp_path, capsys):
     for run in range(2):
         out = tmp_path / f"cert_{run}.json"

@@ -24,8 +24,8 @@ from c4lab.hypergraphs import (
     verify_kernel,
 )
 from helpers import (
-    canonical_key_by_all_permutations,
     furedi_kernel_by_buckets,
+    relabellings_by_all_permutations,
     run_optimized,
 )
 
@@ -177,12 +177,6 @@ def test_find_induced_pair_raises_when_its_pair_fails_replay(monkeypatch):
     monkeypatch.setattr(hypergraphs, "verify_induced_pair", lambda h, pair: False)
     with pytest.raises(InvariantError, match="constructed pair failed"):
         find_induced_pair(hg(3, {0, 1}, {1, 2}), 1)
-
-
-def test_canonical_key_raises_when_no_permutation_runs(monkeypatch):
-    monkeypatch.setattr(hypergraphs, "permutations", lambda verts: iter(()))
-    with pytest.raises(InvariantError, match="no permutation"):
-        hypergraphs._canonical_key(2, [0b11])
 
 
 def test_kernel_step_check_raises_under_optimize():
@@ -353,14 +347,12 @@ def covering_antichains(n, ell):
 
 
 @pytest.mark.parametrize("ell, n_max", [(2, 5), (3, 4)])
-def test_canonical_key_is_a_canonical_form(ell, n_max):
-    # keys agree exactly when the all-permutations reference agrees
+def test_orbit_is_the_isomorphism_class(ell, n_max):
+    # the closure under adjacent transpositions is every relabelling
     for n in range(1, n_max + 1):
-        pairs = {(hypergraphs._canonical_key(n, chosen),
-                  canonical_key_by_all_permutations(n, chosen))
-                 for chosen in covering_antichains(n, ell)}
-        assert len({key for key, _ in pairs}) == len(pairs)
-        assert len({ref for _, ref in pairs}) == len(pairs)
+        for chosen in covering_antichains(n, ell):
+            assert (hypergraphs._orbit(n, tuple(sorted(chosen)))
+                    == relabellings_by_all_permutations(n, chosen))
 
 
 def test_find_counterexample_runs_alpha_once_per_class(monkeypatch):
