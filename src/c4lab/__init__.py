@@ -51,7 +51,6 @@ from .hypergraphs import (
     FSearchResult,
     Hypergraph,
     InducedPair,
-    KernelReport,
     PartiteKernel,
     alpha_exact,
     f_search,

@@ -281,9 +281,9 @@ def _cmd_kernel(args) -> int:
     except KernelFailure as exc:
         print(json.dumps({"ok": False, "error": str(exc)}))
         return 2
-    report = verify_kernel(h, kern)
+    ok = verify_kernel(h, kern)
     payload = {
-        "ok": report.ok,
+        "ok": ok,
         "surviving_edges": list(kern.surviving_edges),
         "coloring": list(kern.coloring),
         "trace": sorted(sorted(e) for e in kern.trace.edges),
@@ -292,7 +292,7 @@ def _cmd_kernel(args) -> int:
         "s_bound": kern.s_bound,
     }
     print(json.dumps(payload, sort_keys=True))
-    return 0 if report.ok else 2
+    return 0 if ok else 2
 
 
 def _cmd_ftable(args) -> int:

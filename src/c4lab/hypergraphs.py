@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from operator import itemgetter
 from typing import Iterable
@@ -26,6 +27,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .graphs import Graph, bits, mix_seed, rand_below
+from .oracles import max_independent_set
 
 DEFAULT_ALPHA_LIMIT = 12
 
@@ -130,20 +132,6 @@ class PartiteKernel:
         return self.trace.vertex_count
 
 
-@dataclass
-class KernelReport:
-    """Per-element replay of the kernel's claimed properties."""
-
-    rainbow_failures: list[int]
-    element_status: list[tuple[tuple[int, ...], bool, bool, int]]
-    # (color set, in_trace, ok, witness count: min extensions if in trace,
-    #  max slice multiplicity otherwise)
-
-    @property
-    def ok(self) -> bool:
-        return not self.rainbow_failures and all(st[2] for st in self.element_status)
-
-
 def _color_sets(r: int, s: int) -> list[tuple[int, ...]]:
     """Nonempty subsets of [r] with at most s elements, lexicographic."""
     out: list[tuple[int, ...]] = []
@@ -152,15 +140,14 @@ def _color_sets(r: int, s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def verify_kernel(source: Hypergraph, kernel: PartiteKernel) -> KernelReport:
-    """Replay rainbow-ness and the full dichotomy; failures become report rows."""
+def verify_kernel(source: Hypergraph, kernel: PartiteKernel) -> bool:
+    """Replay rainbow-ness and the full dichotomy from the source edges."""
     r = kernel.rank
     t = kernel.multiplicity
-    s = kernel.s_bound
     c = kernel.coloring
     if len(c) != source.vertex_count:
         raise DomainError("coloring length must match the source vertex count")
-    rainbow_failures = []
+    rainbow = True
     vecs: list[list[int]] = []
     for idx in kernel.surviving_edges:
         if not 0 <= idx < len(source.edges):
@@ -170,27 +157,20 @@ def verify_kernel(source: Hypergraph, kernel: PartiteKernel) -> KernelReport:
         for v in e:
             if 0 <= c[v] < r:
                 vec[c[v]] = v
-        if len(e) != r or -1 in vec:
-            rainbow_failures.append(idx)
+        rainbow = rainbow and len(e) == r and -1 not in vec
         vecs.append(vec)
+    if not rainbow:
+        return False
     trace_set = {tuple(sorted(e)) for e in kernel.trace.edges}
-    status = []
-    if not rainbow_failures:
-        for e in _color_sets(r, s):
-            get = itemgetter(*e)
-            buckets: dict = {}
-            for vec in vecs:
-                key = get(vec)
-                buckets[key] = buckets.get(key, 0) + 1
-            in_trace = e in trace_set
-            if in_trace:
-                witness = min(buckets.values(), default=0)
-                ok = witness >= t and bool(buckets)
-            else:
-                witness = max(buckets.values(), default=0)
-                ok = witness <= 1
-            status.append((e, in_trace, ok, witness))
-    return KernelReport(rainbow_failures=rainbow_failures, element_status=status)
+    for e in _color_sets(r, kernel.s_bound):
+        slices = list(map(itemgetter(*e), vecs))
+        if e in trace_set:
+            # every slice extends to at least t surviving edges
+            if not slices or min(Counter(slices).values()) < t:
+                return False
+        elif len(set(slices)) < len(slices):
+            return False  # two surviving edges share a non-trace slice
+    return True
 
 
 def _check_step(kept: int, before: int, steps: int, t: int, big_t: int,
@@ -213,16 +193,16 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
     the class's incidence masks, and only its edges get color-indexed
     vectors.  At each step the shared color sets S_i are those with fewer
     distinct slices than edges; if the slice side is small (|B| <= |E_i| /
-    2tT with T = sum_{j<=s} C(r,j)), slices of multiplicity below t are
-    peeled together with their edges and the loop stops; otherwise the color
-    set with the most distinct slices is collapsed to one representative
-    edge (the least index) per slice, which removes it from S_{i+1}.  Every
-    step only shrinks the family, so a color set whose slices are all
-    distinct stays so and leaves the scan for the rest of the attempt.
-    Every transition is checked to keep at least a 1/(2tT^2) fraction of
-    edges, and the loop runs at most T+1 steps.  The finished kernel is
-    replayed through verify_kernel before it is returned; attempts that fail
-    verification (or go extinct) burn a retry.
+    2tT with T = sum_{j<=s} C(r,j)), the edges with a shared slice of
+    multiplicity below t are filtered out, recounting until none drops, and
+    the loop stops; otherwise the color set with the most distinct slices is
+    collapsed to one representative edge (the least index) per slice, which
+    removes it from S_{i+1}.  Every step only shrinks the family, so a color
+    set whose slices are all distinct stays so and leaves the scan for the
+    rest of the attempt.  Every transition is checked to keep at least a
+    1/(2tT^2) fraction of edges, and the loop runs at most T+1 steps.  The
+    finished kernel is replayed through verify_kernel before it is returned;
+    attempts that fail verification (or go extinct) burn a retry.
     """
     r = f.uniform_rank()
     if r is None or r < 1:
@@ -274,45 +254,27 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
             live = [(e, get) for _, e, get in shared]
             b_size = sum(count for count, _, _ in shared)
             if 2 * t * big_t * b_size <= len(cur):
-                # terminal: peel slices of multiplicity below t
-                node_edges: dict[tuple, list[int]] = {}
-                for e, get in live:
-                    for key, idx in zip(map(get, cur_vecs), cur):
-                        node = (e, key)
-                        if node in node_edges:
-                            node_edges[node].append(idx)
-                        else:
-                            node_edges[node] = [idx]
-                edge_nodes: dict[int, list[tuple]] = {idx: [] for idx in cur}
-                for node, idxs in node_edges.items():
-                    for idx in idxs:
-                        edge_nodes[idx].append(node)
-                alive_edge = {idx: True for idx in cur}
-                deg = {node: len(idxs) for node, idxs in node_edges.items()}
-                queue = [node for node, d_ in deg.items() if d_ < t]
-                dead_nodes: set[tuple] = set()
-                while queue:
-                    node = queue.pop()
-                    if node in dead_nodes:
-                        continue
-                    dead_nodes.add(node)
-                    for idx in node_edges[node]:
-                        if alive_edge[idx]:
-                            alive_edge[idx] = False
-                            for other in edge_nodes[idx]:
-                                if other not in dead_nodes:
-                                    deg[other] -= 1
-                                    if deg[other] < t:
-                                        queue.append(other)
-                survivors = [idx for idx in cur if alive_edge[idx]]
+                # terminal: drop the edges with a shared-set slice of
+                # multiplicity below t, recounting until none drops (the
+                # greatest such sub-family; the filter keeps cur's order)
+                survivors = cur
+                while True:
+                    counts = [Counter(map(get, cur_vecs)) for _, get in live]
+                    keep = [all(cnt[get(vec)] >= t for (_, get), cnt in zip(live, counts))
+                            for vec in cur_vecs]
+                    if all(keep):
+                        break
+                    survivors = list(compress(survivors, keep))
+                    cur_vecs = list(compress(cur_vecs, keep))
                 steps += 1
                 if not survivors:
                     break  # extinct attempt; burn a retry
                 _check_step(len(survivors), len(cur), steps, t, big_t, "cleaning")
                 history.append(len(survivors))
-                survivor_vecs = [vecs[idx] for idx in survivors]
-                trace_edges = [frozenset(e) for e, get in live
-                               if len(set(map(get, survivor_vecs))) < len(survivors)]
+                # the last count is over the survivors: a shared set's
+                # slices fewer than the survivors make it a trace edge
+                trace_edges = [frozenset(e) for (e, _), cnt in zip(live, counts)
+                               if len(cnt) < len(survivors)]
                 kernel = PartiteKernel(
                     surviving_edges=tuple(survivors),
                     coloring=coloring,
@@ -321,7 +283,7 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
                     s_bound=s,
                     history=tuple(history),
                 )
-                if verify_kernel(f, kernel).ok:
+                if verify_kernel(f, kernel):
                     return kernel
                 break  # verification failure; burn a retry
             # non-terminal: collapse the color set with the most distinct
@@ -403,8 +365,6 @@ def alpha_exact(h: Hypergraph) -> int:
     if h.vertex_count > DEFAULT_ALPHA_LIMIT:
         raise OracleLimitError(
             f"|V|={h.vertex_count} exceeds alpha limit {DEFAULT_ALPHA_LIMIT}")
-    from .oracles import max_independent_set
-
     candidates: set[frozenset[int]] = {frozenset()}
     for e in h.edges:
         members = sorted(e)

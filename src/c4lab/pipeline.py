@@ -508,7 +508,8 @@ def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
         if cert.biclique is None:
             return False
         s_side, t_side = cert.biclique
-        if set(s_side) & set(t_side) or len(s_side) != len(t_side):
+        ids = s_side + t_side  # disjoint sides of equal size, no id repeated
+        if len(set(ids)) != len(ids) or len(s_side) != len(t_side):
             return False
         if len(s_side) != cert.params.get("s"):
             return False
@@ -516,7 +517,7 @@ def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
             return False
         return all(g.has_edge(u, v) for u in s_side for v in t_side)
     witness = cert.witness or ()
-    if any(not 0 <= v < g.n for v in witness):
+    if len(set(witness)) != len(witness) or any(not 0 <= v < g.n for v in witness):
         return False
     k = cert.params.get("k", 1)
     delta = cert.params.get("delta", DELTA)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ExtractionFailure, InvariantError
+from .errors import DomainError, ExtractionFailure, InvariantError, ParameterError
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -427,8 +427,6 @@ def bipartite_regularize(g: Graph, a0, b, r: int, seed: int,
     The biclique-freeness of g is the caller's responsibility; it only
     affects success probability, never the verified postconditions.
     """
-    from .errors import ParameterError
-
     a0 = frozenset(a0)
     b = frozenset(b)
     if a0 & b or a0 | b != frozenset(range(g.n)):

@@ -171,9 +171,7 @@ def _exhaustive_pack(g: Graph, k: int, require_induced: bool
 
         def route(i: int) -> bool:
             if i == len(pairs):
-                if require_induced and not _is_induced(g, branch, paths):
-                    return False
-                return True
+                return not require_induced or _is_induced(g, branch, paths)
             u, v = pairs[i]
 
             def dfs(x: int, acc: list[int]) -> bool:
@@ -195,10 +193,9 @@ def _exhaustive_pack(g: Graph, k: int, require_induced: bool
             return dfs(u, [u])
 
         if route(0):
-            flag = _is_induced(g, branch, paths)
-            if require_induced and not flag:
-                continue
-            return SubdivisionWitness(tuple(branch), dict(paths), induced_flag=flag)
+            # route already refused a non-induced packing when one is required
+            return SubdivisionWitness(tuple(branch), dict(paths),
+                                      induced_flag=_is_induced(g, branch, paths))
     return None
 
 

@@ -683,7 +683,7 @@ def furedi_kernel_by_buckets(f, s: int, t: int, seed: int,
                     s_bound=s,
                     history=tuple(history),
                 )
-                if verify_kernel(f, kernel).ok:
+                if verify_kernel(f, kernel):
                     return kernel
                 break  # verification failure; burn a retry
             # non-terminal: collapse the color set with the most distinct slices

@@ -191,7 +191,7 @@ def test_acceptance_6_kernel_dichotomy():
             kern = furedi_kernel(f, s=s, t=t, seed=trial, retries=30)
         except KernelFailure:
             continue
-        assert verify_kernel(f, kern).ok, (r, n, m, s, t, trial)
+        assert verify_kernel(f, kern), (r, n, m, s, t, trial)
         hist = kern.history
         for a, b in zip(hist, hist[1:]):
             assert b * 2 * t * big_t * big_t >= a

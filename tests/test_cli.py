@@ -482,6 +482,46 @@ def test_verify_inexact_value_types_exit_1(tmp_path, capsys, cert_file, section,
     assert err == f"error: {message}\n"
 
 
+def _with_a_repeated_id(obj: dict) -> dict:
+    """The certificate with its first vertex id written twice: a biclique's
+    S side becomes that id repeated, a witness lists it once more (a failure,
+    which has no witness, gets the witness [0, 0])."""
+    wit = obj["witness"]
+    if isinstance(wit, dict):
+        wit = dict(wit, s_side=wit["s_side"][:1] * len(wit["s_side"]))
+    else:
+        wit = (wit or [0])[:1] + (wit or [0])
+    return dict(obj, witness=wit)
+
+
+@pytest.mark.parametrize("graph_file, cert_file", GOLDEN_CERTS)
+def test_verify_rejects_a_repeated_vertex_id(tmp_path, capsys, graph_file, cert_file):
+    # a repeated id counts one vertex twice: a biclique side or a witness
+    # would claim more vertices than it holds
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_with_a_repeated_id(_golden_cert(cert_file))))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(GOLDEN / graph_file),
+                           "--cert", str(cert))
+    assert (code, out) == (2, "REJECTED\n")
+
+
+def test_verify_rejects_a_k22_on_a_star_by_a_repeated_id(tmp_path, capsys):
+    # K_{1,3} holds no K_{2,2}; S = [0, 0] must not pass for two vertices
+    from c4lab.pipeline import ExtractionCertificate, _NO_FLAGS, graph_digest
+
+    star = complete_bipartite(1, 3).underlying
+    g6 = tmp_path / "star.g6"
+    g6.write_text(write_graph6(star) + "\n")
+    cert = ExtractionCertificate(
+        input_digest=graph_digest(star), mode="biclique_found", witness=None,
+        biclique=((0, 0), (1, 2)), params={"s": 2, "k": 2, "delta": 0.01}, seed=0,
+        verified=dict(_NO_FLAGS), stats={"avg_degree": "0", "max_degree": 0, "size": 4})
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(cert.to_json())
+    code, out, _ = run_cli(capsys, "verify", "--input", str(g6), "--cert", str(cert_path))
+    assert (code, out) == (2, "REJECTED\n")
+
+
 # stand-ins of the wrong JSON type or out of range for any certificate value
 WRONG_VALUES = (None, True, False, -1, 0, 2, 10 ** 400, -1e308, 0.5, float("nan"),
                 float("inf"), "", "x", [], [-1], [0, 0], [10 ** 6], [[0]], {},

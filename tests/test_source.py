@@ -39,6 +39,19 @@ def test_package_imports_only_what_it_uses():
     assert unused == []
 
 
+def test_function_local_imports_break_a_cycle():
+    # an import inside a function hides a dependency from the module's head
+    # and reruns at every call; the one kept breaks the graphs <-> oracles
+    # cycle (oracles imports graphs at its head)
+    local = set()
+    for path, tree in _package_trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local |= {f"{path.relative_to(PACKAGE)} {fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(local) == ["graphs.py gen_lopsided"]
+
+
 def test_every_pipeline_param_has_a_flag():
     # a PipelineParams field that no flag and no DEGB_* variable sets is a
     # knob nobody turns, so it belongs in the code as a constant
