@@ -156,23 +156,29 @@ class Graph:
         """A 2-coloring (side_a, side_b) if one exists, else None.
 
         Deterministic: components are explored from their least vertex,
-        which lands on side_a; isolated vertices land on side_a.
+        which lands on side_a; isolated vertices land on side_a.  A BFS
+        over layers of masks: a layer's reach is the OR of its neighbour
+        masks, an edge inside the layer is an odd cycle, and even layers
+        go to side_a.
         """
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] != -1:
-                continue
-            color[s] = 0
-            queue = [s]
-            while queue:
-                u = queue.pop()
-                for w in self.neighbors(u):
-                    if color[w] == -1:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        a = frozenset(v for v in range(self.n) if color[v] == 0)
+        nbr = self._nbr
+        unseen = (1 << self.n) - 1
+        side_a = 0
+        while unseen:
+            layer = unseen & -unseen
+            even = True
+            while layer:
+                unseen ^= layer
+                if even:
+                    side_a |= layer
+                reach = 0
+                for v in bits(layer):
+                    reach |= nbr[v]
+                if reach & layer:
+                    return None
+                layer = reach & unseen
+                even = not even
+        a = frozenset(bits(side_a))
         return a, frozenset(range(self.n)) - a
 
 

@@ -159,7 +159,8 @@ def verify_kernel(source: Hypergraph, kernel: PartiteKernel) -> bool:
                 vec[c[v]] = v
         rainbow = rainbow and len(e) == r and -1 not in vec
         vecs.append(vec)
-    if not rainbow:
+    # a repeated index would count one edge's slices twice
+    if not rainbow or len(set(kernel.surviving_edges)) < len(vecs):
         return False
     trace_set = {tuple(sorted(e)) for e in kernel.trace.edges}
     for e in _color_sets(r, kernel.s_bound):

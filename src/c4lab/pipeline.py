@@ -191,8 +191,22 @@ class ExtractionCertificate:
 
 
 def graph_digest(g: Graph) -> str:
-    payload = f"{g.n}|{g.edge_count}|" + "".join(f"{u},{v};" for u, v in g.edges())
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """SHA-256 of f"{n}|{m}|" followed by "u,v;" for each edge u < v, in
+    ascending order: one join per vertex over its higher neighbours."""
+    ids = [str(v) for v in range(g.n)]
+    parts = [f"{g.n}|{g.edge_count}|"]
+    for u, mask in enumerate(g.masks):
+        higher = mask >> (u + 1)
+        if not higher:
+            continue
+        head = ids[u] + ","
+        row = []
+        while higher:
+            low = higher & -higher
+            row.append(ids[u + low.bit_length()])
+            higher ^= low
+        parts.append(head + (";" + head).join(row) + ";")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 def _keeps_promise(cert: ExtractionCertificate) -> bool:

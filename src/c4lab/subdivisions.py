@@ -356,19 +356,20 @@ def _bipartite_case(core: Graph, parts, rng: random.Random
     side_a, side_b = parts
     if len(side_a) < len(side_b):
         side_a, side_b = side_b, side_a
+    nbr = core.masks
     d = float(average_degree(core))
     cap = max(1, 4 * d)
-    big = [v for v in sorted(side_a) if core.degree(v) < cap]
+    big = [v for v in sorted(side_a) if nbr[v].bit_count() < cap]
     p = min(1.0, 1.0 / (8 * d)) if d > 0 else 1.0
-    w_set = sorted(v for v in sorted(side_b) if rng.random() < p)
+    w_set = [v for v in sorted(side_b) if rng.random() < p]
     if len(w_set) < 2:
         return None
-    wset = set(w_set)
+    wmask = mask_of(w_set)
     u_map: dict[int, tuple[int, int]] = {}
     for x in big:
-        hits = [w for w in core.neighbors(x) if w in wset]
-        if len(hits) == 2:
-            u_map[x] = (hits[0], hits[1])
+        hits = nbr[x] & wmask
+        if hits.bit_count() == 2:
+            u_map[x] = _low_pair(hits)
     if not u_map:
         return None
     return w_set, u_map
@@ -381,24 +382,24 @@ def _near_regular_case(core: Graph, rng: random.Random
     if d <= 0:
         return None
     p = min(1.0, 1.0 / (10 * d ** 1.6))
-    w0 = {v for v in range(core.n) if rng.random() < p}
-    w_set = sorted(v for v in w0
-                   if not any(x in w0 for x in core.neighbors(v)))
+    nbr = core.masks
+    w0 = mask_of(v for v in range(core.n) if rng.random() < p)
+    w_set = [v for v in bits(w0) if not nbr[v] & w0]
     if len(w_set) < 2:
         return None
-    wset = set(w_set)
-    u0 = set()
-    for u in range(core.n):
-        in_w = [x for x in core.neighbors(u) if x in wset]
-        in_w0 = [x for x in core.neighbors(u) if x in w0]
-        if len(in_w) == 2 and len(in_w0) == 2:
-            u0.add(u)
-    u_map: dict[int, tuple[int, int]] = {}
-    for u in sorted(u0 - w0):
-        if any(x in u0 for x in core.neighbors(u)):
-            continue
-        hits = [x for x in core.neighbors(u) if x in wset]
-        u_map[u] = (hits[0], hits[1])
+    wmask = mask_of(w_set)
+    # U0: the vertices whose sampled neighbours are exactly two, both in W
+    u0 = mask_of(u for u in range(core.n)
+                 if (nbr[u] & wmask).bit_count() == 2
+                 and (nbr[u] & w0).bit_count() == 2)
+    u_map = {u: _low_pair(nbr[u] & wmask) for u in bits(u0 & ~w0)
+             if not nbr[u] & u0}
     if not u_map:
         return None
     return w_set, u_map
+
+
+def _low_pair(mask: int) -> tuple[int, int]:
+    """The two set bits of a two-bit mask, ascending."""
+    low = mask & -mask
+    return low.bit_length() - 1, mask.bit_length() - 1

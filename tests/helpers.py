@@ -698,3 +698,89 @@ def furedi_kernel_by_buckets(f, s: int, t: int, seed: int,
     raise KernelFailure(
         f"no verified kernel within {retries} colorings (best rainbow family: "
         f"{best_rainbow} edges)")
+
+
+def bipartition_reference(g: Graph):
+    """`Graph.bipartition` as a per-vertex stack search: each component is
+    coloured from its least vertex, which lands on side_a."""
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = [s]
+        while queue:
+            u = queue.pop()
+            for w in g.neighbors(u):
+                if color[w] == -1:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    a = frozenset(v for v in range(g.n) if color[v] == 0)
+    return a, frozenset(range(g.n)) - a
+
+
+def graph_digest_reference(g: Graph) -> str:
+    """`pipeline.graph_digest` as its one-line formula over `g.edges()`."""
+    import hashlib
+
+    payload = f"{g.n}|{g.edge_count}|" + "".join(f"{u},{v};" for u, v in g.edges())
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def bipartite_case_by_set_scans(core: Graph, parts, rng):
+    """`subdivisions._bipartite_case` with W as a set and each big-side
+    vertex's W-neighbours listed one by one."""
+    from c4lab.graphs import average_degree
+
+    side_a, side_b = parts
+    if len(side_a) < len(side_b):
+        side_a, side_b = side_b, side_a
+    d = float(average_degree(core))
+    cap = max(1, 4 * d)
+    big = [v for v in sorted(side_a) if core.degree(v) < cap]
+    p = min(1.0, 1.0 / (8 * d)) if d > 0 else 1.0
+    w_set = sorted(v for v in sorted(side_b) if rng.random() < p)
+    if len(w_set) < 2:
+        return None
+    wset = set(w_set)
+    u_map: dict[int, tuple[int, int]] = {}
+    for x in big:
+        hits = [w for w in core.neighbors(x) if w in wset]
+        if len(hits) == 2:
+            u_map[x] = (hits[0], hits[1])
+    if not u_map:
+        return None
+    return w_set, u_map
+
+
+def near_regular_case_by_set_scans(core: Graph, rng):
+    """`subdivisions._near_regular_case` with W0, W and U0 as sets."""
+    from c4lab.graphs import average_degree
+
+    d = float(average_degree(core))
+    if d <= 0:
+        return None
+    p = min(1.0, 1.0 / (10 * d ** 1.6))
+    w0 = {v for v in range(core.n) if rng.random() < p}
+    w_set = sorted(v for v in w0
+                   if not any(x in w0 for x in core.neighbors(v)))
+    if len(w_set) < 2:
+        return None
+    wset = set(w_set)
+    u0 = set()
+    for u in range(core.n):
+        in_w = [x for x in core.neighbors(u) if x in wset]
+        in_w0 = [x for x in core.neighbors(u) if x in w0]
+        if len(in_w) == 2 and len(in_w0) == 2:
+            u0.add(u)
+    u_map: dict[int, tuple[int, int]] = {}
+    for u in sorted(u0 - w0):
+        if any(x in u0 for x in core.neighbors(u)):
+            continue
+        hits = [x for x in core.neighbors(u) if x in wset]
+        u_map[u] = (hits[0], hits[1])
+    if not u_map:
+        return None
+    return w_set, u_map

@@ -328,3 +328,21 @@ def test_lopsided_golden_input_is_the_generator_draw():
 
     g = gen_lopsided(200, 25, 3, 3, seed=1).underlying
     assert write_graph6(g) + "\n" == (GOLDEN / "lopsided200.g6").read_text()
+
+
+# the induced K_3 subdivision that `subdivide` finds on PG(2, q) at seed 1:
+# the plane is C4-free, so its nested extraction is trivial, the core is
+# bipartite, and each witness comes from the bipartite-case sampler
+SUBDIVIDE_SCENARIOS = [("5", "plane5_subdivide.json"), ("7", "plane7_subdivide.json")]
+
+
+def test_cli_subdivide_reproduces_golden_output(tmp_path, capsys):
+    for q, out_file in SUBDIVIDE_SCENARIOS:
+        graph = tmp_path / f"plane{q}.g6"
+        assert main(["gen", "--kind", "plane", "--q", q, "--out", str(graph)]) == 0
+        capsys.readouterr()
+        code = main(["subdivide", "--input", str(graph), "--k", "3", "--s", "2",
+                     "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (GOLDEN / out_file).read_text()

@@ -27,7 +27,13 @@ from c4lab.named import (
     petersen_graph,
     star_graph,
 )
-from helpers import degeneracy_by_min_scan, disjoint_union, girth, induced_by_edge_walk
+from helpers import (
+    bipartition_reference,
+    degeneracy_by_min_scan,
+    disjoint_union,
+    girth,
+    induced_by_edge_walk,
+)
 
 
 def test_graph_basics():
@@ -300,3 +306,51 @@ def test_mix_seed_spread():
     outs = {mix_seed(42, i) for i in range(1000)}
     assert len(outs) == 1000
     assert mix_seed(42, 0) != mix_seed(43, 0)
+
+
+def _bipartition_cases():
+    """Edgeless and tiny graphs, odd and even cycles side by side with
+    isolated vertices, projective planes, and random graphs on hidden
+    sides, every other one with one edge inside a side."""
+    yield from (Graph(0), Graph(1), Graph(6), cycle_graph(5), cycle_graph(6),
+                petersen_graph(), heawood_graph(),
+                disjoint_union(cycle_graph(4), Graph(1), cycle_graph(7)),
+                disjoint_union(Graph(2), path_graph(3), cycle_graph(3), cycle_graph(8)))
+    for q in (2, 3, 5, 13):
+        yield projective_plane_incidence(q).underlying
+    rng = random.Random(19)
+    for i in range(300):
+        n = rng.randrange(2, 40)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        p = rng.choice([0.03, 0.08, 0.2, 0.5])
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if side[u] != side[v] and rng.random() < p}
+        if i % 2:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        yield Graph(n, sorted(edges))
+
+
+def test_bipartition_matches_the_stack_search_and_networkx():
+    import networkx as nx
+
+    kinds = set()
+    for g in _bipartition_cases():
+        got = g.bipartition()
+        assert got == bipartition_reference(g)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        assert (got is not None) == nx.is_bipartite(h)
+        kinds.add((got is not None, g.n > 0 and nx.is_connected(h)))
+    # bipartite and not, connected and not
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_bipartition_examples():
+    assert Graph(0).bipartition() == (frozenset(), frozenset())
+    assert Graph(1).bipartition() == (frozenset({0}), frozenset())
+    # each component's least vertex lands on side_a, isolated vertices too
+    g = disjoint_union(Graph(1), path_graph(3), cycle_graph(4))
+    assert g.bipartition() == (frozenset({0, 1, 3, 4, 6}), frozenset({2, 5, 7}))
+    assert disjoint_union(cycle_graph(4), cycle_graph(5)).bipartition() is None

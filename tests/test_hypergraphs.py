@@ -240,6 +240,15 @@ def test_verify_kernel_reports_out_of_range_colors():
     assert verify_kernel(f, kern) is False
 
 
+def test_verify_kernel_rejects_a_repeated_edge_index():
+    # one edge listed twice would pass for a 2-fold kernel
+    f = Hypergraph(3, [{0, 1}, {0, 2}])
+    trace = Hypergraph(2, [{0}, {1}])
+    assert verify_kernel(f, PartiteKernel((0, 0), (0, 1, 1), trace, 2, 1)) is False
+    assert verify_kernel(f, PartiteKernel((0, 0), (0, 1, 1), trace, 1, 1)) is False
+    assert verify_kernel(f, PartiteKernel((0, 1), (0, 1, 1), trace, 1, 1)) is True
+
+
 def test_verify_kernel_detects_tampering():
     m = 40
     f = hg(m + 1, *({0, i} for i in range(1, m + 1)))

@@ -18,6 +18,7 @@ from c4lab.graphs import (
     gen_gnp,
     gen_lopsided,
     induced,
+    projective_plane_incidence,
 )
 from c4lab.named import complete_bipartite, heawood_graph, petersen_graph
 from c4lab.oracles import best_c4free_induced, find_c4
@@ -30,7 +31,7 @@ from c4lab.pipeline import (
     verify_certificate,
 )
 
-from helpers import run_optimized
+from helpers import graph_digest_reference, run_optimized
 
 FAST = PipelineParams(retries=20, attempts=4)
 
@@ -239,6 +240,16 @@ def test_failure_diagnostics_keep_the_lowest_attempt_on_ties(monkeypatch):
 def test_digest_changes_with_graph():
     assert graph_digest(heawood_graph()) != graph_digest(petersen_graph())
     assert graph_digest(heawood_graph()) == graph_digest(heawood_graph())
+
+
+def test_digest_matches_its_formula():
+    graphs = [Graph(0), Graph(1), Graph(7), heawood_graph(), petersen_graph(),
+              projective_plane_incidence(13).underlying]
+    rng = random.Random(31)
+    graphs += [gen_gnp(rng.randrange(2, 120), rng.choice([0.02, 0.1, 0.4]),
+                       rng.randrange(2 ** 32)) for _ in range(40)]
+    for g in graphs:
+        assert graph_digest(g) == graph_digest_reference(g)
 
 
 # sides the scan could never return: overlapping, or not fully joined in

@@ -4,7 +4,7 @@ import pytest
 
 from c4lab import subdivisions
 from c4lab.errors import DomainError, InvariantError
-from c4lab.graphs import Graph, gen_gnp, induced
+from c4lab.graphs import Graph, gen_gnp, half_degree_core, induced, projective_plane_incidence
 from c4lab.named import (
     complete_bipartite,
     complete_graph,
@@ -20,6 +20,7 @@ from c4lab.subdivisions import (
     induced_subdivision,
     verify_subdivision,
 )
+from helpers import bipartite_case_by_set_scans, near_regular_case_by_set_scans
 
 FAST = PipelineParams(retries=10, attempts=2)
 
@@ -190,3 +191,60 @@ def test_find_subdivision_fuzz_soundness():
         w = find_subdivision(g, k, seed=trial)
         if w is not None:
             assert verify_subdivision(g, w)
+
+
+def test_bipartite_case_matches_the_set_scan():
+    # PG(2, q) is what extract-plane samples; the random graphs on hidden
+    # sides have two hubs joined to the whole other side, which the
+    # big-side degree cap drops when they land on the larger side
+    cores = [projective_plane_incidence(q).underlying for q in (3, 5, 7, 13)]
+    rng = random.Random(23)
+    for _ in range(8):
+        n = rng.randrange(40, 80)
+        side = [rng.random() < 0.4 for _ in range(n)]
+        hubs = [v for v in range(n) if not side[v]][:2]
+        cores.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if side[u] != side[v]
+                               and (u in hubs or v in hubs or rng.random() < 0.08)]))
+    found = 0
+    for core in cores:
+        parts = core.bipartition()
+        for seed in range(100):
+            got = subdivisions._bipartite_case(core, parts, random.Random(seed))
+            assert got == bipartite_case_by_set_scans(core, parts, random.Random(seed))
+            found += got is not None
+    assert found >= 150
+
+
+def test_near_regular_case_matches_the_set_scan():
+    # the min-degree cores of G(n, 6/(n-1)), 4 graphs x 100 seeds per n
+    found = 0
+    for n in (40, 100, 200, 400):
+        for graph_seed in range(4):
+            core, _ = half_degree_core(gen_gnp(n, 6 / (n - 1), graph_seed))
+            for seed in range(100):
+                got = subdivisions._near_regular_case(core, random.Random(seed))
+                assert got == near_regular_case_by_set_scans(core, random.Random(seed))
+                found += got is not None
+    assert found >= 80
+
+
+class _ScriptedDraws:
+    """A stand-in for random.Random whose random() samples exactly `picks`
+    when the sampler draws once per vertex in ascending order."""
+
+    def __init__(self, picks):
+        self.picks, self.v = picks, -1
+
+    def random(self):
+        self.v += 1
+        return 0.0 if self.v in self.picks else 1.0
+
+
+def test_near_regular_case_needs_every_sampled_neighbour_in_w():
+    # W0 = {0, 1, 2, 3}; the edge 2-3 keeps 2 and 3 out of W = {0, 1}.
+    # Vertex 4 sees both of W but also 2 in W0, so only 5 is a connector
+    g = Graph(6, [(0, 4), (1, 4), (2, 4), (2, 3), (0, 5), (1, 5)])
+    expected = ([0, 1], {5: (0, 1)})
+    assert subdivisions._near_regular_case(g, _ScriptedDraws({0, 1, 2, 3})) == expected
+    assert near_regular_case_by_set_scans(g, _ScriptedDraws({0, 1, 2, 3})) == expected
