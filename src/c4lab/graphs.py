@@ -441,22 +441,19 @@ def gen_lopsided(a_count: int, b_count: int, r: int, s: int, seed: int
     rng = random.Random(mix_seed(seed, 0))
     b_pool = list(range(b_count))
     neighborhoods: list[tuple[int, ...]] = []
-    pair_holders: dict[tuple[int, int], set[int]] = {}
+    # holders[b]: the mask of the placed A-vertices adjacent to b
+    holders = [0] * b_count
 
     def closes_kss(cand: list[int]) -> bool:
         # a new K_{s,s} through this vertex needs an s-subset of cand that
         # already has >= s-1 common A-neighbors among the placed vertices
         for sub in combinations(cand, s):
-            holders: set[int] | None = None
-            for b1, b2 in combinations(sub, 2):
-                lst = pair_holders.get((b1, b2))
-                if not lst:
-                    holders = set()
+            common = holders[sub[0]]
+            for b in sub[1:]:
+                common &= holders[b]
+                if not common:
                     break
-                holders = set(lst) if holders is None else holders & lst
-                if not holders:
-                    break
-            if holders and len(holders) >= s - 1:
+            if common.bit_count() >= s - 1:
                 return True
         return False
 
@@ -466,8 +463,8 @@ def gen_lopsided(a_count: int, b_count: int, r: int, s: int, seed: int
             cand = sample_subset(rng, b_pool, r)
             if not closes_kss(cand):
                 neighborhoods.append(tuple(cand))
-                for b1, b2 in combinations(cand, 2):
-                    pair_holders.setdefault((b1, b2), set()).add(idx)
+                for b in cand:
+                    holders[b] |= 1 << idx
                 placed = True
                 break
         if not placed:

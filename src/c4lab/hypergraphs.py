@@ -511,9 +511,9 @@ def _find_counterexample(n: int, ell: int, k: int
         if cover | suffix_union[i] != full:
             return False
         m = masks[i]
-        # antichain: skip edges comparable with a chosen one
-        comparable = any((m & c) == m or (m & c) == c for c in chosen)
-        if not comparable:
+        # antichain: skip edges comparable with a chosen one; the masks
+        # ascend in size, so a chosen c can only lie inside m
+        if not any(m & c == c for c in chosen):
             if dfs(i + 1, chosen + [m], cover | m):
                 return True
         return dfs(i + 1, chosen, cover)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import DomainError, OracleLimitError
 from .graphs import Graph, bits
@@ -57,21 +57,12 @@ def find_c4(g: Graph) -> tuple[int, int, int, int] | None:
 def is_c4_free(g: Graph) -> bool:
     """True iff g has no 4-cycle (as a subgraph), in O(m) big-int operations.
 
-    A 4-cycle u-w-x-w' is a vertex x != u sharing two neighbours w, w' with
-    u.  Taking u as the cycle's least vertex puts w, w' and x above u, so
-    for each u the masks of u's neighbours above u, cut to the vertices
-    above u, are OR-ed into `seen`; a mask that meets `seen` exposes x.
+    Taking u as the cycle's least vertex puts the rest of the cycle above
+    u, so g is C4-free iff no u closes a 4-cycle with the vertices above it
+    (`closes_c4`).
     """
     nbr = g.masks
-    for u in range(g.n):
-        above = _above(u)
-        seen = 0
-        for w in bits(nbr[u] & above):
-            reach = nbr[w] & above
-            if seen & reach:
-                return False
-            seen |= reach
-    return True
+    return not any(closes_c4(nbr, u, _above(u)) for u in range(g.n))
 
 
 def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -117,15 +108,9 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
     def extend(chosen: list[int], start: int, common: int
                ) -> tuple[frozenset[int], frozenset[int]] | None:
         if len(chosen) == s:
-            cset = common
-            for v in chosen:
-                cset &= ~(1 << v)
-            picks = []
-            for t in bits(cset):
-                picks.append(t)
-                if len(picks) == s:
-                    return frozenset(chosen), frozenset(picks)
-            return None
+            # no vertex neighbours itself, so common misses chosen, and the
+            # prune below left it at least s bits
+            return frozenset(chosen), frozenset(islice(bits(common), s))
         for i in range(start, len(order)):
             v = order[i]
             new_common = common & g.neighbor_mask(v) if chosen else g.neighbor_mask(v)
@@ -200,10 +185,11 @@ def _has_biclique(masks: Sequence[int], s: int) -> bool:
 def closes_c4(masks: Sequence[int], v: int, smask: int) -> bool:
     """True iff v closes a 4-cycle with the vertex set `smask` (v not in it).
 
-    Every such cycle is v-w-x-w' with w, w' S-neighbours of v and x in S, so
-    it is the downward form of `is_c4_free`'s step: the S-masks of v's
-    S-neighbours are OR-ed into `seen`, and a mask that meets `seen` exposes
-    x.  Given g[S] C4-free, g[S + v] is C4-free iff this is False.
+    Every such cycle is v-w-x-w' with w, w' S-neighbours of v and x in S:
+    the S-masks of v's S-neighbours are OR-ed into `seen`, and a mask that
+    meets `seen` exposes x.  Given g[S] C4-free, g[S + v] is C4-free iff
+    this is False; `is_c4_free` asks it of each vertex against the vertices
+    above it.
     """
     nbrs = masks[v] & smask
     if nbrs.bit_count() < 2:   # a 4-cycle through v needs two of them

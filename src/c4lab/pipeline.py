@@ -383,8 +383,7 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
                                              witness, pdict, seed, k,
                                              stage="model:pair")
                 if _keeps_promise(cert):
-                    _assert_model_degrees(under, a_set, set(b_prime),
-                                          len(y_colors), t, k)
+                    _assert_model_degrees(under, a_set, set(b_prime), t, k)
                     return cert
                 avg = Fraction(cert.stats["avg_degree"])
                 if best is None or avg > best[0]:
@@ -396,14 +395,13 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
 
 
 def _assert_model_degrees(g: Graph, a_set: set[int], b_set: set[int],
-                          order: int, t: int, k: int) -> None:
-    """Inside a verified pair-route witness: A'-degrees are exactly |Y| and
-    B'-degrees at least min(t, k)."""
-    if order != k:
-        return
+                          t: int, k: int) -> None:
+    """Inside a verified pair-route witness: A'-degrees are exactly |Y| = k
+    (`find_induced_pair` returns no order above k) and B'-degrees at least
+    min(t, k)."""
     for a in a_set:
-        if sum(1 for w in g.neighbors(a) if w in b_set) != order:
-            raise InvariantError(f"A'-vertex {a} does not have exactly |Y| = {order} "
+        if sum(1 for w in g.neighbors(a) if w in b_set) != k:
+            raise InvariantError(f"A'-vertex {a} does not have exactly |Y| = {k} "
                                  "neighbours in B'")
     for b in b_set:
         if sum(1 for w in g.neighbors(b) if w in a_set) < min(t, k):
@@ -418,14 +416,16 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
                            seed: int = 0) -> ExtractionCertificate:
     """Full extraction driver with a verified certificate for every outcome.
 
-    Route: (0) an exhaustive biclique scan ends in biclique_found (the
-    extraction hypothesis fails); (1) the whole vertex set is its own
-    witness when that certificate's flags keep the trivial mode's promise
-    (C4-free, average degree >= k), by the rule `verify_certificate`
-    applies; (2) otherwise peel to the min-degree core at half the average
-    degree, iterated to a fixed point; (3) split into the near-regular or
-    the lopsided case and run short-cycle sparsification; a lopsided cut
-    ends the attempts; (4) a failed pipeline falls back to the exhaustive
+    Route: (0) the whole vertex set's certificate comes first; a C4-free
+    input holds no K_{s,s}, so only when its flags find a 4-cycle does an
+    exhaustive biclique scan run, and a hit ends in biclique_found (the
+    extraction hypothesis fails); (1) the whole vertex set is its own witness
+    when that certificate keeps the trivial mode's promise (C4-free,
+    average degree >= k), by the rule `verify_certificate` applies; (2)
+    otherwise peel to the min-degree core at half the average degree,
+    iterated to a fixed point; (3) split into the near-regular or the
+    lopsided case and run short-cycle sparsification; a lopsided cut ends
+    the attempts; (4) a failed pipeline falls back to the exhaustive
     optimum (oracle_fallback) unless the oracle refuses the input's size,
     else an honest failure certificate with diagnostics.
     Every witness is re-verified from scratch against the original graph.
@@ -441,13 +441,14 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     if g.n == 0:
         return _failure_certificate(digest, pdict, seed, "empty-input")
 
-    wit = contains_biclique(g, s)
-    if wit is not None:
-        return _biclique_certificate(g, digest, wit[0], wit[1], pdict, seed,
-                                     stage="scan")
-
     trivial = _subgraph_certificate(g, digest, "trivial_already_c4free", range(g.n),
                                     pdict, seed, k, stage="trivial")
+    # C4 = K_{2,2} sits in every K_{s,s}, so only a 4-cycle needs the scan
+    if not trivial.verified["induced_c4free"]:
+        wit = contains_biclique(g, s)
+        if wit is not None:
+            return _biclique_certificate(g, digest, wit[0], wit[1], pdict, seed,
+                                         stage="scan")
     if _keeps_promise(trivial):
         return trivial
 

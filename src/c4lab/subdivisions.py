@@ -2,7 +2,7 @@
 induced extraction built on top of the C4-free pipeline.
 
 A witness is never trusted: every returned subdivision replays through
-verify_subdivision, and the induced flag is set only after an edge-set
+verify_subdivision, and a returned induced flag has passed an edge-set
 equality check against the original graph.  Absence of a witness means the
 search failed, never that no subdivision exists.
 """
@@ -193,9 +193,9 @@ def _exhaustive_pack(g: Graph, k: int, require_induced: bool
             return dfs(u, [u])
 
         if route(0):
-            # route already refused a non-induced packing when one is required
-            return SubdivisionWitness(tuple(branch), dict(paths),
-                                      induced_flag=_is_induced(g, branch, paths))
+            # route already accepted the packing as induced when one is required
+            flag = require_induced or _is_induced(g, branch, paths)
+            return SubdivisionWitness(tuple(branch), dict(paths), induced_flag=flag)
     return None
 
 
@@ -316,9 +316,7 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
                     continue
                 host_connector = {key: host_ids[u] for key, u in edge_owner.items()}
                 branch, paths = _lift(host_ids, w_set, jw, host_connector)
-                flag = _is_induced(g, branch, paths)
-                if not flag:
-                    continue
+                # the replay checks that g induces exactly the path edges
                 w = SubdivisionWitness(branch, paths, induced_flag=True)
                 if verify_subdivision(g, w):
                     return w
@@ -342,11 +340,8 @@ def _lift(host_ids: list[int], w_set: list[int], jw: SubdivisionWitness,
             key = (min(x, y), max(x, y))
             expanded.append(host_connector[key])
             expanded.append(host_of[y])
-        u, v = expanded[0], expanded[-1]
-        if u > v:
-            expanded.reverse()
-            u, v = v, u
-        lifted[(u, v)] = tuple(expanded)
+        # host_of ascends and J's path runs from a to b > a, so it stays u < v
+        lifted[(expanded[0], expanded[-1])] = tuple(expanded)
     return branch, lifted
 
 

@@ -784,3 +784,44 @@ def near_regular_case_by_set_scans(core: Graph, rng):
     if not u_map:
         return None
     return w_set, u_map
+
+
+def gen_lopsided_by_pair_holders(a_count: int, b_count: int, r: int, s: int,
+                                 seed: int) -> Graph:
+    """`graphs.gen_lopsided`'s draws for s >= 2, with each pair of B-vertices
+    holding the set of placed A-vertices adjacent to both; no post-hoc
+    certification."""
+    from c4lab.graphs import mix_seed, sample_subset
+
+    rng = random.Random(mix_seed(seed, 0))
+    b_pool = list(range(b_count))
+    neighborhoods: list[tuple[int, ...]] = []
+    pair_holders: dict[tuple[int, int], set[int]] = {}
+
+    def closes_kss(cand: list[int]) -> bool:
+        for sub in combinations(cand, s):
+            holders: set[int] | None = None
+            for b1, b2 in combinations(sub, 2):
+                lst = pair_holders.get((b1, b2))
+                if not lst:
+                    holders = set()
+                    break
+                holders = set(lst) if holders is None else holders & lst
+                if not holders:
+                    break
+            if holders and len(holders) >= s - 1:
+                return True
+        return False
+
+    for idx in range(a_count):
+        for _ in range(200):
+            cand = sample_subset(rng, b_pool, r)
+            if not closes_kss(cand):
+                neighborhoods.append(tuple(cand))
+                for b1, b2 in combinations(cand, 2):
+                    pair_holders.setdefault((b1, b2), set()).add(idx)
+                break
+        else:
+            raise AssertionError(f"could not place A-vertex {idx}")
+    return Graph(a_count + b_count,
+                 [(a, a_count + b) for a, nb in enumerate(neighborhoods) for b in nb])

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from c4lab.cli import main
-from c4lab.graphio import write_graph6, write_hypergraph
+from c4lab.graphio import read_graph6, write_graph6, write_hypergraph
 from c4lab.graphs import Graph
 from c4lab.named import complete_bipartite, heawood_graph
 
@@ -87,6 +87,57 @@ def test_kernel_command(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out.splitlines()[-1])
     assert obj["ok"] and len(obj["surviving_edges"]) >= 2
+
+
+def test_kernel_with_no_retry_exits_2(capsys):
+    hg = Path(__file__).parent / "golden" / "sunflower_r3.hg"
+    code, out, _ = run_cli(capsys, "kernel", "--input", str(hg), "--s", "1",
+                           "--t", "2", "--seed", "2", "--retries", "0")
+    assert code == 2
+    assert json.loads(out) == {
+        "ok": False,
+        "error": "no verified kernel within 0 colorings (best rainbow family: 0 edges)"}
+
+
+def test_ftable_prints_an_unsettled_lower_bound(capsys):
+    code, out, _ = run_cli(capsys, "ftable", "--ell", "2", "--k", "5", "--nmax", "3")
+    assert code == 0
+    assert out == "F(2,5) >= 4 (not settled up to n=3)\n"
+
+
+def test_lowerbound_experiment_json(capsys):
+    code, out, err = run_cli(capsys, "lowerbound", "--n", "8", "--p", "0.5",
+                             "--s", "2", "--k", "4", "--trials", "5", "--seed", "3")
+    assert code == 0 and "seed: 3" in err
+    obj = json.loads(out)
+    assert (obj["n"], obj["trials"], obj["seed"]) == (8, 5, 3)
+    assert obj["conditions"]["q_biclique"] == 16.0
+
+
+def test_gen_lopsided_writes_its_sidecar(tmp_path, capsys):
+    g6, side = tmp_path / "lop.g6", tmp_path / "lop.json"
+    code, _, _ = run_cli(capsys, "gen", "--kind", "lopsided", "--a", "20", "--b", "60",
+                         "--r", "4", "--s", "2", "--seed", "3", "--out", str(g6),
+                         "--sidecar", str(side))
+    assert code == 0
+    assert json.loads(side.read_text()) == {"side_a": list(range(20)),
+                                            "side_b": list(range(20, 80))}
+    g = read_graph6(g6.read_text())
+    assert all(g.degree(a) == 4 for a in range(20))
+
+
+def test_gen_formats_read_back_to_one_digest(tmp_path, capsys):
+    digests = set()
+    for fmt in ("graph6", "sparse6", "edgelist"):
+        path, cert = tmp_path / f"g.{fmt}", tmp_path / f"{fmt}.json"
+        code, _, _ = run_cli(capsys, "gen", "--kind", "gnp", "--n", "30", "--p", "0.2",
+                             "--seed", "4", "--gen-format", fmt, "--out", str(path))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "extract", "--input", str(path), "--s", "2",
+                             "--k", "2", "--seed", "1", "--out", str(cert))
+        assert code in (0, 2)
+        digests.add(json.loads(cert.read_text())["digest"])
+    assert len(digests) == 1
 
 
 def test_lowerbound_check_only(capsys):

@@ -31,6 +31,7 @@ from helpers import (
     bipartition_reference,
     degeneracy_by_min_scan,
     disjoint_union,
+    gen_lopsided_by_pair_holders,
     girth,
     induced_by_edge_walk,
 )
@@ -300,6 +301,21 @@ def test_gen_lopsided_determinism():
     e1 = list(gen_lopsided(12, 14, 3, 2, seed=77).underlying.edges())
     e2 = list(gen_lopsided(12, 14, 3, 2, seed=77).underlying.edges())
     assert e1 == e2
+
+
+# (a, b, r, s): the benchmark's two shapes, the extraction route's r = 9
+# shape (113 resamples over the six seeds), and dense s = 2 and s = 4
+# shapes (29, 168 and 371 resamples)
+LOPSIDED_SHAPES = [(200, 25, 3, 3), (300, 30, 3, 3), (400, 150, 9, 3),
+                   (40, 60, 3, 2), (200, 14, 5, 4), (400, 16, 5, 4)]
+
+
+@pytest.mark.parametrize("shape", LOPSIDED_SHAPES,
+                         ids=lambda shape: "-".join(map(str, shape)))
+def test_gen_lopsided_matches_the_pair_holder_sets(shape):
+    for seed in range(6):
+        got = gen_lopsided(*shape, seed=seed).underlying
+        assert got.masks == gen_lopsided_by_pair_holders(*shape, seed).masks
 
 
 def test_mix_seed_spread():

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from c4lab import pipeline
+from c4lab import oracles, pipeline
 from c4lab.errors import (
     DomainError,
     ExtractionFailure,
     InvariantError,
     StaleCertificateError,
 )
+from c4lab.graphio import read_graph6
 from c4lab.graphs import (
     BipartiteGraph,
     Graph,
@@ -21,7 +23,7 @@ from c4lab.graphs import (
     projective_plane_incidence,
 )
 from c4lab.named import complete_bipartite, heawood_graph, petersen_graph
-from c4lab.oracles import best_c4free_induced, find_c4
+from c4lab.oracles import best_c4free_induced, contains_biclique, find_c4, is_c4_free
 from c4lab.pipeline import (
     ExtractionCertificate,
     PipelineParams,
@@ -30,10 +32,12 @@ from c4lab.pipeline import (
     model_lopsided,
     verify_certificate,
 )
+from c4lab.subdivisions import induced_subdivision
 
 from helpers import graph_digest_reference, run_optimized
 
 FAST = PipelineParams(retries=20, attempts=4)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def star_side_graph(a_count: int, r: int) -> BipartiteGraph:
@@ -129,6 +133,62 @@ def test_extract_k33_biclique():
     cert = extract_induced_c4free(g, 3, 2, FAST, seed=1)
     assert cert.mode == "biclique_found"
     assert verify_certificate(g, cert)
+
+
+def test_extract_scans_for_a_biclique_only_on_an_input_with_a_4_cycle(monkeypatch):
+    def scan(g, s):
+        raise AssertionError("a C4-free input holds no K_{s,s}")
+
+    monkeypatch.setattr(pipeline, "contains_biclique", scan)
+    for g in (projective_plane_incidence(13).underlying, heawood_graph(),
+              petersen_graph()):
+        for s in (2, 3):
+            cert = extract_induced_c4free(g, s, 3, FAST, seed=1)
+            assert cert.mode == "trivial_already_c4free"
+    # average degree 3 < k: the later routes run, still without a scan
+    cert = extract_induced_c4free(heawood_graph(), 2, 4, FAST, seed=1)
+    assert cert.mode == "oracle_fallback"
+
+    calls = []
+
+    def counted(g, s):
+        calls.append(s)
+        return contains_biclique(g, s)
+
+    monkeypatch.setattr(pipeline, "contains_biclique", counted)
+    for name, s in (("gnp24.g6", 2), ("gnp200_k33.g6", 3)):
+        g = read_graph6((GOLDEN / name).read_text())
+        cert = extract_induced_c4free(g, s, 2, FAST, seed=1)
+        sides = contains_biclique(g, s)
+        assert cert.mode == "biclique_found" and cert.stats["stage"] == "scan"
+        assert cert.biclique == (tuple(sorted(sides[0])), tuple(sorted(sides[1])))
+    assert calls == [2, 3]
+
+
+def test_one_whole_graph_c4_pass_per_request(monkeypatch):
+    # extract, verify and the extraction nested in induced_subdivision each
+    # decide the input's C4-freeness once
+    g = projective_plane_incidence(13).underlying
+    passes = []
+
+    def counted(h):
+        passes.append(h.n)
+        return is_c4_free(h)
+
+    monkeypatch.setattr(pipeline, "is_c4_free", counted)
+    monkeypatch.setattr(oracles, "is_c4_free", counted)
+
+    def whole_passes(call):
+        passes.clear()
+        out = call()
+        return out, passes.count(g.n)
+
+    cert, count = whole_passes(lambda: extract_induced_c4free(g, 2, 3, seed=1))
+    assert cert.mode == "trivial_already_c4free" and count == 1
+    ok, count = whole_passes(lambda: verify_certificate(g, cert))
+    assert ok and count == 1
+    _, count = whole_passes(lambda: induced_subdivision(g, 2, 3, seed=1))
+    assert count == 1
 
 
 def test_extract_petersen_trivial():
@@ -261,10 +321,12 @@ BAD_WITNESSES = [
 
 
 def test_biclique_certificate_rejects_bad_scan_witness(monkeypatch):
+    # the scan runs only on an input with a 4-cycle
     for wit, message in BAD_WITNESSES:
         monkeypatch.setattr(pipeline, "contains_biclique", lambda g, s, wit=wit: wit)
         with pytest.raises(InvariantError, match=message):
-            extract_induced_c4free(petersen_graph(), s=3, k=2, seed=1, params=FAST)
+            extract_induced_c4free(complete_bipartite(2, 4).underlying, s=3, k=2,
+                                   seed=1, params=FAST)
 
 
 def test_biclique_certificate_rejects_bad_scan_witness_under_optimize():
@@ -272,10 +334,11 @@ def test_biclique_certificate_rejects_bad_scan_witness_under_optimize():
         out = run_optimized(
             "from c4lab import pipeline\n"
             "from c4lab.errors import InvariantError\n"
-            "from c4lab.named import petersen_graph\n"
+            "from c4lab.named import complete_bipartite\n"
             f"pipeline.contains_biclique = lambda g, s: {wit!r}\n"
             "try:\n"
-            "    pipeline.extract_induced_c4free(petersen_graph(), s=3, k=2, seed=1)\n"
+            "    pipeline.extract_induced_c4free(complete_bipartite(2, 4).underlying,\n"
+            "                                    s=3, k=2, seed=1)\n"
             "except InvariantError as exc:\n"
             "    print('raised', exc)\n")
         assert out == f"raised {message}\n"
@@ -305,13 +368,13 @@ MODEL_DEGREES = (
     "from c4lab import pipeline\n"
     "from c4lab.named import heawood_graph\n"
     "call = lambda: pipeline._assert_model_degrees(\n"
-    "    heawood_graph(), {0}, {7, 8, 9, 10}, 3, 3, 3)\n",
+    "    heawood_graph(), {0}, {7, 8, 9, 10}, 3, 3)\n",
     "A'-vertex 0 does not have exactly |Y| = 3 neighbours in B'")
 MODEL_B_DEGREES = (
     "from c4lab import pipeline\n"
     "from c4lab.graphs import Graph\n"
     "call = lambda: pipeline._assert_model_degrees(\n"
-    "    Graph(4, [(0, 2), (0, 3), (1, 2)]), {0}, {2, 3}, 2, 2, 2)\n",
+    "    Graph(4, [(0, 2), (0, 3), (1, 2)]), {0}, {2, 3}, 2, 2)\n",
     "B'-vertex 2 has fewer than 2 neighbours in A'")
 FORCED_RAISES = [TRACE_PARTNERS, MODEL_DEGREES, MODEL_B_DEGREES]
 FORCED_IDS = ["trace-partners", "model-a-degrees", "model-b-degrees"]
