@@ -5,20 +5,35 @@ groups offset by 63 into printable ASCII.  Optional ">>graph6<<" and
 ">>sparse6<<" headers are accepted on input and never written.  Bipartite
 side information travels in a small sidecar JSON object since neither
 format carries it.
+
+A body's 6-bit groups are base64 digits under another alphabet, so both
+formats cross between body and bit stream in C, through one
+`bytes.translate` and `binascii`.  No bit goes through a Python list: a
+graph6 read takes each column as one integer slice of the stream and a
+write ORs each vertex's lower-neighbour mask in at its column's offset;
+sparse6 reads one slice per (1 + k)-bit record and writes each record as
+one base-2 field.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import BipartiteGraph, Graph, bits
+from .graphs import BipartiteGraph, Graph
 
 _G6_HEADER = ">>graph6<<"
 _G6_BYTES = bytes(range(63, 127))
-_G6_SIX_BITS = {b: format(b - 63, "06b") for b in _G6_BYTES}
 _S6_HEADER = ">>sparse6<<"
+# byte 63 + v of a body is digit v of the base64 alphabet
+_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_B64 = bytes.maketrans(_G6_BYTES, _B64_DIGITS)
+_FROM_B64 = bytes.maketrans(_B64_DIGITS, _G6_BYTES)
+# each byte with its bits in reverse order: a stream read little-endian
+# after this table holds stream bit c at integer bit c
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _encode_n(n: int) -> bytes:
@@ -57,25 +72,34 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     return n, end
 
 
-def _pack_bits(bit_list: list[int], pad_bit: int = 0) -> bytes:
-    out = bytearray()
-    for i in range(0, len(bit_list), 6):
-        group = bit_list[i:i + 6]
-        group += [pad_bit] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return bytes(out)
+def _stream_of(body: bytes) -> bytes:
+    """The bit stream of a checked body, first bit in the top bit of byte 0.
+
+    The stream runs on past the body's last group with zero bits, up to a
+    whole number of 4-digit base64 blocks.
+    """
+    digits = body.translate(_TO_B64)
+    return binascii.a2b_base64(digits + b"A" * (-len(digits) % 4))
+
+
+def _body_of(stream: bytes, groups: int) -> bytes:
+    """The first `groups` 6-bit groups of `stream` (laid out as
+    `_stream_of` returns it) as body bytes."""
+    stream += bytes(-len(stream) % 3)
+    return binascii.b2a_base64(stream, newline=False)[:groups].translate(_FROM_B64)
 
 
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 line (no header, no trailing newline)."""
-    bit_list = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bit_list.append(1 if g.has_edge(i, j) else 0)
-    return (_encode_n(g.n) + _pack_bits(bit_list)).decode("ascii")
+    # the body lists the upper triangle column by column: column j is the
+    # run of bits for pairs (0,j)..(j-1,j), so it is j's lower-neighbour
+    # mask placed at stream bit j(j-1)/2
+    stream = 0
+    for j, mask in enumerate(g.masks):
+        stream |= (mask & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    groups = (g.n * (g.n - 1) // 2 + 5) // 6
+    data = stream.to_bytes((6 * groups + 7) // 8, "little").translate(_REVERSED_BITS)
+    return (_encode_n(g.n) + _body_of(data, groups)).decode("ascii")
 
 
 def read_graph6(text: str) -> Graph:
@@ -91,22 +115,25 @@ def read_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise DomainError(f"graph6 body length {len(body)} != expected {need}")
-    # the body lists the upper triangle column by column: column j is the
-    # run of bits for pairs (0,j)..(j-1,j), so the reversed run, read in
-    # base 2, is the mask of j's lower neighbours
-    stream = body.decode("ascii").translate(_G6_SIX_BITS)
+    # column j (see write_graph6) is one little-endian slice of the
+    # bit-reversed stream, shifted down to its first bit
+    stream = _stream_of(body).translate(_REVERSED_BITS)
     nbr = [0] * n
     m = 0
     start = 0
     for j in range(1, n):
-        col = int(stream[start:start + j][::-1], 2)
-        start += j
+        end = start + j
+        col = (int.from_bytes(stream[start >> 3:(end + 7) >> 3], "little")
+               >> (start & 7)) & ((1 << j) - 1)
+        start = end
         if col:
             nbr[j] = col
             m += col.bit_count()
             bit_j = 1 << j
-            for i in bits(col):
-                nbr[i] |= bit_j
+            while col:
+                low = col & -col
+                nbr[low.bit_length() - 1] |= bit_j
+                col ^= low
     return Graph._from_masks(nbr, m)
 
 
@@ -114,12 +141,10 @@ def write_sparse6(g: Graph) -> str:
     """Canonical sparse6 line starting with ':'."""
     n = g.n
     k = max(1, (n - 1).bit_length()) if n > 1 else 1
-    bit_list: list[int] = []
+    records: list[str] = []
 
     def put(b: int, x: int):
-        bit_list.append(b)
-        for i in range(k - 1, -1, -1):
-            bit_list.append((x >> i) & 1)
+        records.append(f"{b << k | x:0{k + 1}b}")
 
     v = 0
     for u, w in sorted(g.edges(), key=lambda e: (e[1], e[0])):
@@ -135,10 +160,15 @@ def write_sparse6(g: Graph) -> str:
             put(0, u)
     # pad with 1s; when n = 2^k and the writer stopped short of vertex n-1,
     # an all-ones tail would decode as a loop on n-1, so lead with a 0 bit
-    pad = (-len(bit_list)) % 6
+    length = (k + 1) * len(records)
+    pad = (-length) % 6
     if k < 6 and n == (1 << k) and pad >= k and v < n - 1:
-        bit_list.append(0)
-    body = _pack_bits(bit_list, pad_bit=1)
+        records.append("0" + "1" * (pad - 1))
+    else:
+        records.append("1" * pad)
+    groups = (length + 5) // 6
+    stream = int("".join(records) or "0", 2) << (-6 * groups % 8)
+    body = _body_of(stream.to_bytes((6 * groups + 7) // 8, "big"), groups)
     return (b":" + _encode_n(n) + body).decode("ascii")
 
 
@@ -151,23 +181,20 @@ def read_sparse6(text: str) -> Graph:
     data = line[1:].encode("ascii")
     n, off = _decode_n(data)
     body = data[off:]
-    bits_flat: list[int] = []
-    for b in body:
-        if not 63 <= b <= 126:
-            raise DomainError(f"invalid sparse6 byte {b}")
-        v = b - 63
-        bits_flat.extend(((v >> kk) & 1) for kk in range(5, -1, -1))
+    invalid = body.translate(None, _G6_BYTES)
+    if invalid:
+        raise DomainError(f"invalid sparse6 byte {invalid[0]}")
+    stream = _stream_of(body)
     k = max(1, (n - 1).bit_length()) if n > 1 else 1
+    low_k = (1 << k) - 1
     edges = []
     v = 0
-    pos = 0
-    while pos + 1 + k <= len(bits_flat):
-        b = bits_flat[pos]
-        x = 0
-        for i in range(k):
-            x = (x << 1) | bits_flat[pos + 1 + i]
-        pos += 1 + k
-        if b:
+    # the record ending at stream bit `end` is one big-endian slice: its
+    # bit b, then its k-bit x
+    for end in range(k + 1, 6 * len(body) + 1, k + 1):
+        rec = int.from_bytes(stream[(end - k - 1) >> 3:(end + 7) >> 3], "big") >> (-end & 7)
+        x = rec & low_k
+        if rec >> k & 1:
             v += 1
         if v >= n:
             break

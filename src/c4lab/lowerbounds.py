@@ -73,7 +73,9 @@ def check_lb_conditions(n: int, p: float, s: int, k: int) -> ConditionReport:
     """
     _check_domain(p, s, k)
     q1 = float(n) ** 2 * float(p) ** s
-    q2 = float(n) * (1.0 - float(p) ** 4) ** ((k * k - 3 * k - 2) / 4.0)
+    base, power = 1.0 - float(p) ** 4, (k * k - 3 * k - 2) / 4.0
+    # at p = 1 with k in {2, 3} the power is negative and the term diverges
+    q2 = math.inf if base == 0.0 and power < 0 else float(n) * base ** power
     q3 = math.exp(-comb(n, 2) * float(p) / 4.0)
     ok = max(q1, q2, q3) <= 0.5
     claim = ""
@@ -187,6 +189,8 @@ def _count_biclique_pairs(g: Graph, s: int) -> int:
 
 def exact_expected_bicliques(n: int, p: float, s: int) -> float:
     """E[Y] = (1/2) C(n,s) C(n-s,s) p^{s^2} for unordered disjoint-pair copies."""
+    if n < 2 * s:
+        return 0.0  # no two disjoint s-sets
     return 0.5 * comb(n, s) * comb(n - s, s) * float(p) ** (s * s)
 
 

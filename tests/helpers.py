@@ -9,6 +9,7 @@ import sys
 from itertools import combinations, permutations
 from pathlib import Path
 
+from c4lab.graphio import _decode_n, _encode_n
 from c4lab.graphs import Graph, bits, gen_gnp
 
 
@@ -825,3 +826,101 @@ def gen_lopsided_by_pair_holders(a_count: int, b_count: int, r: int, s: int,
             raise AssertionError(f"could not place A-vertex {idx}")
     return Graph(a_count + b_count,
                  [(a, a_count + b) for a, nb in enumerate(neighborhoods) for b in nb])
+
+
+# -- per-bit graph6 / sparse6 codec ------------------------------------------
+# `graphio`'s readers and writers as they were before the bit stream went
+# through `binascii`: every bit of the body is a list entry or a character.
+
+_G6_SIX_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}
+
+
+def _pack_bits(bit_list: list[int], pad_bit: int = 0) -> bytes:
+    out = bytearray()
+    for i in range(0, len(bit_list), 6):
+        group = bit_list[i:i + 6]
+        group += [pad_bit] * (6 - len(group))
+        val = 0
+        for b in group:
+            val = (val << 1) | b
+        out.append(val + 63)
+    return bytes(out)
+
+
+def write_graph6_by_bit_list(g: Graph) -> str:
+    bit_list = []
+    for j in range(1, g.n):
+        for i in range(j):
+            bit_list.append(1 if g.has_edge(i, j) else 0)
+    return (_encode_n(g.n) + _pack_bits(bit_list)).decode("ascii")
+
+
+def read_graph6_by_bit_string(text: str) -> Graph:
+    data = text.strip().removeprefix(">>graph6<<").encode("ascii")
+    n, off = _decode_n(data)
+    body = data[off:]
+    if len(body) != (n * (n - 1) // 2 + 5) // 6:
+        raise ValueError("wrong body length")
+    stream = body.decode("ascii").translate(_G6_SIX_BITS)
+    edges = []
+    start = 0
+    for j in range(1, n):
+        edges += [(i, j) for i in range(j) if stream[start + i] == "1"]
+        start += j
+    return Graph(n, edges)
+
+
+def write_sparse6_by_bit_list(g: Graph) -> str:
+    n = g.n
+    k = max(1, (n - 1).bit_length()) if n > 1 else 1
+    bit_list: list[int] = []
+
+    def put(b: int, x: int):
+        bit_list.append(b)
+        for i in range(k - 1, -1, -1):
+            bit_list.append((x >> i) & 1)
+
+    v = 0
+    for u, w in sorted(g.edges(), key=lambda e: (e[1], e[0])):
+        if w == v:
+            put(0, u)
+        elif w == v + 1:
+            v += 1
+            put(1, u)
+        else:
+            v = w
+            put(1, w)
+            put(0, u)
+    pad = (-len(bit_list)) % 6
+    if k < 6 and n == (1 << k) and pad >= k and v < n - 1:
+        bit_list.append(0)
+    return (b":" + _encode_n(n) + _pack_bits(bit_list, pad_bit=1)).decode("ascii")
+
+
+def read_sparse6_by_bit_list(text: str) -> Graph:
+    data = text.strip().removeprefix(">>sparse6<<").removeprefix(":").encode("ascii")
+    n, off = _decode_n(data)
+    bits_flat: list[int] = []
+    for b in data[off:]:
+        bits_flat.extend(((b - 63) >> kk) & 1 for kk in range(5, -1, -1))
+    k = max(1, (n - 1).bit_length()) if n > 1 else 1
+    edges = []
+    v = 0
+    pos = 0
+    while pos + 1 + k <= len(bits_flat):
+        b = bits_flat[pos]
+        x = 0
+        for i in range(k):
+            x = (x << 1) | bits_flat[pos + 1 + i]
+        pos += 1 + k
+        if b:
+            v += 1
+        if v >= n:
+            break
+        if x > v:
+            v = x
+        elif x == v:
+            break
+        else:
+            edges.append((x, v))
+    return Graph(n, edges)

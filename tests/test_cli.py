@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import random
 from pathlib import Path
 
@@ -146,6 +147,20 @@ def test_lowerbound_check_only(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["satisfied"] is False and obj["q_biclique"] == 25.0
+
+
+@pytest.mark.parametrize("k", ["2", "3"])
+@pytest.mark.parametrize("tail", [["--check-only"], ["--trials", "3", "--seed", "1"]],
+                         ids=["check-only", "trials"])
+def test_lowerbound_at_p_one_reports_a_divergent_term(capsys, k, tail):
+    # (1 - p^4)^((k^2 - 3k - 2)/4) is 0 to a negative power at p = 1
+    code, out, _ = run_cli(capsys, "lowerbound", "--n", "5", "--p", "1",
+                           "--s", "2", "--k", k, *tail)
+    assert code == 0
+    obj = json.loads(out)
+    conditions = obj if tail == ["--check-only"] else obj["conditions"]
+    assert conditions["q_c4free_sets"] == math.inf
+    assert conditions["satisfied"] is False
 
 
 def test_lowerbound_experiment_csv(capsys):

@@ -5,8 +5,9 @@ import pytest
 import networkx as nx
 
 from c4lab.errors import DomainError
-from c4lab.graphs import Graph, gen_gnp
+from c4lab.graphs import Graph, gen_gnp, projective_plane_incidence
 from c4lab.graphio import (
+    _encode_n,
     apply_sidecar,
     bipartite_sidecar,
     read_edgelist,
@@ -19,6 +20,12 @@ from c4lab.graphio import (
     write_sparse6,
 )
 from c4lab.named import complete_bipartite, cycle_graph, petersen_graph
+from helpers import (
+    read_graph6_by_bit_string,
+    read_sparse6_by_bit_list,
+    write_graph6_by_bit_list,
+    write_sparse6_by_bit_list,
+)
 
 
 def nx_to_edges(h):
@@ -33,11 +40,20 @@ def test_graph6_roundtrip_fuzz_10k():
         assert read_graph6(write_graph6(g)) == g
 
 
-def test_graph6_matches_networkx():
-    rng = random.Random(43)
+def _networkx_inputs(seed: int, n_below: int, p: float):
+    # 200 small graphs, then the long size form (n >= 63) and bodies of
+    # many base64 blocks, up to PG(2,13) on 366 vertices
+    rng = random.Random(seed)
     for _ in range(200):
-        n = rng.randrange(1, 14)
-        g = gen_gnp(n, 0.4, rng.randrange(2 ** 32))
+        yield gen_gnp(rng.randrange(1, n_below), p, rng.randrange(2 ** 32))
+    for n in (62, 63, 64, 127, 200):
+        yield gen_gnp(n, 0.1, rng.randrange(2 ** 32))
+    yield projective_plane_incidence(13).underlying
+
+
+def test_graph6_matches_networkx():
+    for g in _networkx_inputs(43, 14, 0.4):
+        n = g.n
         mine = write_graph6(g)
         nxg = nx.Graph()
         nxg.add_nodes_from(range(n))
@@ -47,6 +63,7 @@ def test_graph6_matches_networkx():
         assert h.number_of_nodes() == n
         assert nx_to_edges(h) == list(g.edges())
         assert mine == theirs
+        assert read_graph6(theirs) == g
 
 
 def test_graph6_header_and_large_n():
@@ -73,13 +90,38 @@ def test_sparse6_power_of_two_padding():
 
 
 def test_sparse6_read_by_networkx():
-    rng = random.Random(53)
-    for _ in range(100):
-        n = rng.randrange(1, 18)
-        g = gen_gnp(n, 0.3, rng.randrange(2 ** 32))
+    for g in _networkx_inputs(53, 18, 0.3):
         h = nx.from_sparse6_bytes(write_sparse6(g).encode())
-        assert h.number_of_nodes() == n
+        assert h.number_of_nodes() == g.n
         assert nx_to_edges(h) == list(g.edges())
+
+
+def test_codecs_match_the_per_bit_reference():
+    # every n(n-1)/2 mod 24 (one 4-digit base64 block) comes up below 130
+    for n in range(131):
+        for i, p in enumerate((0.0, 0.1, 0.5, 1.0)):
+            g = gen_gnp(n, p, 1000 * n + i)
+            for write, read, write_ref, read_ref in (
+                    (write_graph6, read_graph6,
+                     write_graph6_by_bit_list, read_graph6_by_bit_string),
+                    (write_sparse6, read_sparse6,
+                     write_sparse6_by_bit_list, read_sparse6_by_bit_list)):
+                text = write(g)
+                assert text == write_ref(g)
+                h, ref = read(text), read_ref(text)
+                assert h.masks == ref.masks == g.masks
+                assert h.edge_count == ref.edge_count == g.edge_count
+
+
+def test_sparse6_reader_matches_the_reference_on_any_body():
+    # bodies no writer emits: records past n, loops, ragged padding
+    rng = random.Random(59)
+    for _ in range(3000):
+        n = rng.choice([rng.randrange(0, 70), 1 << rng.randrange(0, 7)])
+        body = bytes(rng.randrange(63, 127) for _ in range(rng.randrange(0, 40)))
+        text = ":" + (_encode_n(n) + body).decode("ascii")
+        h, ref = read_sparse6(text), read_sparse6_by_bit_list(text)
+        assert h.masks == ref.masks and h.edge_count == ref.edge_count
 
 
 def test_edgelist_roundtrip_and_comments():

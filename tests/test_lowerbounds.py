@@ -89,6 +89,24 @@ def test_lb_experiment_degenerate_p():
     assert rep0.p_x_zero == 0.0          # the empty graph is all C4-free
     assert rep0.mean_y == 0.0 == rep0.exact_ey
     assert rep0.p_edges_ok == 1.0
+    for k in (2, 3):
+        # the C4-free-set term's power (k^2 - 3k - 2)/4 is negative and its
+        # base 1 - p^4 is 0, so it diverges; n^2 p^s = 64 fails already
+        rep = lb_experiment(8, 1.0, 2, k, trials=3, seed=3)
+        assert rep.trivial_k and rep.p_x_zero is None
+        assert rep.conditions["q_c4free_sets"] == math.inf
+        assert rep.conditions["satisfied"] is False
+        assert rep.mean_y == rep.exact_ey
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_lb_experiment_below_two_disjoint_s_sets(n):
+    # n < 2s leaves no two disjoint s-sets, so E[Y] is 0, not C(n - s, s)
+    # of a negative n - s
+    assert exact_expected_bicliques(n, 0.5, 2) == 0.0
+    rep = lb_experiment(n, 0.5, 2, 4, trials=3, seed=1)
+    assert rep.exact_ey == 0.0 == rep.mean_y
+    assert rep.p_y_zero == 1.0
 
 
 def test_lb_experiment_ey_calibration():
