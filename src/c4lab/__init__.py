@@ -30,7 +30,6 @@ from .graphs import (
     gen_lopsided,
     greedy_coloring,
     induced,
-    induced_bipartite,
     min_degree_core,
     mix_seed,
     projective_plane_incidence,

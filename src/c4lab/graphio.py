@@ -244,8 +244,15 @@ def bipartite_sidecar(bg: BipartiteGraph) -> str:
 
 
 def apply_sidecar(g: Graph, sidecar_text: str) -> BipartiteGraph:
-    obj = json.loads(sidecar_text)
-    return BipartiteGraph(g, obj["side_a"], obj["side_b"])
+    """g with the sides a sidecar names; a malformed sidecar raises DomainError."""
+    try:
+        obj = json.loads(sidecar_text)
+    except (ValueError, RecursionError):
+        raise DomainError("sidecar is not JSON") from None
+    sides = [obj.get(key) if isinstance(obj, dict) else None for key in ("side_a", "side_b")]
+    if not all(isinstance(side, list) and all(type(v) is int for v in side) for side in sides):
+        raise DomainError("sidecar must hold side_a and side_b as lists of vertex ids")
+    return BipartiteGraph(g, *sides)
 
 
 # -- hypergraph text format --------------------------------------------------

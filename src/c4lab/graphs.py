@@ -346,33 +346,27 @@ def induced(g: Graph, s: Iterable[int]) -> Graph:
     return Graph._from_masks(nbr, degree_sum // 2)
 
 
-def induced_bipartite(bg: BipartiteGraph, keep: Iterable[int]) -> BipartiteGraph:
-    """Induced bipartite subgraph keeping the side assignment."""
-    keep = sorted(set(keep))
-    sub = induced(bg.underlying, keep)
-    index = {v: i for i, v in enumerate(keep)}
-    return BipartiteGraph(
-        sub,
-        [index[v] for v in keep if v in bg.side_a],
-        [index[v] for v in keep if v in bg.side_b],
-    )
-
-
 # -- generators ------------------------------------------------------------
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi G(n,p) drawn by `sample_gnp` from Random(seed), so the
+    edge list is byte-identical per seed."""
+    return sample_gnp(random.Random(seed), n, p)
+
+
+def sample_gnp(rng: random.Random, n: int, p: float) -> Graph:
     """Erdos-Renyi G(n,p): each of the C(n,2) edges present independently.
 
-    Pairs are drawn in ascending (u,v) order from a single seeded stream, so
-    the edge list is byte-identical per seed.
+    Pairs take one draw each from `rng` in ascending (u,v) order, so a
+    caller that keeps drawing from `rng` afterwards sees the same stream.
     """
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0,1]")
-    rng = random.Random(seed)
+    rand = rng.random
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < p:
+            if rand() < p:
                 edges.append((u, v))
     return Graph(n, edges)
 

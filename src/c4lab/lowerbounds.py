@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, isqrt
 
 from .errors import DomainError
-from .graphs import Graph, mix_seed, sample_subset
+from .graphs import Graph, mix_seed, sample_gnp, sample_subset
 from .oracles import closes_c4
 
 # X is counted exactly while C(n, K) <= this budget, else sampled
@@ -238,12 +238,7 @@ def lb_experiment(n: int, p: float, s: int, k: int, trials: int, seed: int
     half_expected = comb(n, 2) * p / 2
     for t in range(trials):
         rng = random.Random(mix_seed(seed, t))
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    edges.append((u, v))
-        g = Graph(n, edges)
+        g = sample_gnp(rng, n, p)
         edge_sum += g.edge_count
         if g.edge_count >= half_expected:
             edges_ok += 1

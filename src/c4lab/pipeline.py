@@ -30,6 +30,7 @@ from .graphs import (
     average_degree,
     half_degree_core,
     induced,
+    mask_of,
     mix_seed,
 )
 from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel
@@ -155,12 +156,17 @@ class ExtractionCertificate:
             if not _is_a(obj[key], kind):
                 raise CertificateFormatError(
                     f"certificate key {key!r} must be {_JSON_TYPE[kind]}")
+        # the params verify_certificate reads
         for key, kind in (("s", int), ("k", int), ("delta", float)):
-            if key in obj["params"] and not _is_a(obj["params"][key], kind):
+            if key not in obj["params"]:
+                raise CertificateFormatError(f"certificate params lack the key {key!r}")
+            if not _is_a(obj["params"][key], kind):
                 raise CertificateFormatError(f"params {key!r} must be {_JSON_TYPE[kind]}")
+            if kind is int and obj["params"][key] < 1:
+                raise CertificateFormatError(f"params {key!r} must be at least 1")
         # compared, not converted: float() of a huge integer overflows, and a
         # NaN fails every comparison
-        if "delta" in obj["params"] and not 0 <= obj["params"]["delta"] <= 1:
+        if not 0 <= obj["params"]["delta"] <= 1:
             raise CertificateFormatError("params 'delta' must be a finite number in [0, 1]")
         version = obj.get("version", CERT_VERSION)
         if not _is_a(version, str):
@@ -483,21 +489,21 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
             # the prefix certified the cut before any random draw, so no
             # seed changes it; only the oracle or the failure record remain
             break
-        local = sorted(split.subgraph)
-        sub = induced(core_graph, local)
         try:
-            keep = sparsify_short_cycles(
-                sub, s, mix_seed(base_seed, 1), target=k, retries=params.retries)
+            keep = sparsify_short_cycles(core_graph, split.subgraph, s,
+                                         mix_seed(base_seed, 1), target=k,
+                                         retries=params.retries)
         except ExtractionFailure as exc:
             if exc.best:
-                # sub is an induced subgraph of g, so the densest set's
-                # average degree and size need no lift to g's ids
-                densest = induced(sub, exc.best)
-                avg = average_degree(densest)
+                # core_graph is an induced subgraph of g, so the densest
+                # set's average degree and size need no lift to g's ids
+                dense = mask_of(exc.best)
+                avg = Fraction(sum((core_graph.neighbor_mask(v) & dense).bit_count()
+                                   for v in exc.best), len(exc.best))
                 if best is None or avg > best[0]:
-                    best = (avg, densest.n)
+                    best = (avg, len(exc.best))
             continue
-        wit_ids = [core_ids[local[v]] for v in sorted(keep)]
+        wit_ids = [core_ids[v] for v in sorted(keep)]
         return _subgraph_certificate(g, digest, "case1_near_regular", wit_ids,
                                      pdict, seed, k, stage=f"attempt{i}:near-regular")
 
@@ -526,7 +532,7 @@ def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
         ids = s_side + t_side  # disjoint sides of equal size, no id repeated
         if len(set(ids)) != len(ids) or len(s_side) != len(t_side):
             return False
-        if len(s_side) != cert.params.get("s"):
+        if len(s_side) != cert.params["s"]:
             return False
         if not all(0 <= v < g.n for v in s_side + t_side):
             return False
@@ -534,9 +540,7 @@ def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
     witness = cert.witness or ()
     if len(set(witness)) != len(witness) or any(not 0 <= v < g.n for v in witness):
         return False
-    k = cert.params.get("k", 1)
-    delta = cert.params.get("delta", DELTA)
-    flags, stats = _flags_and_stats(g, witness, k, delta)
+    flags, stats = _flags_and_stats(g, witness, cert.params["k"], cert.params["delta"])
     if flags != cert.verified:
         return False
     for key in ("avg_degree", "max_degree", "size"):

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import DomainError, ExtractionFailure, InvariantError, ParameterError
 from .graphs import (
-    BipartiteGraph,
     Graph,
     average_degree,
     bits,
@@ -23,7 +22,6 @@ from .graphs import (
     greedy_coloring,
     half_degree_core,
     induced,
-    induced_bipartite,
     mask_of,
     mix_seed,
 )
@@ -37,15 +35,17 @@ def _bernoulli_subset(rng: random.Random, items, p: float) -> set:
 
 # -- almost-biregular to bounded-ratio ---------------------------------------
 
-def biregularity_factor(bg: BipartiteGraph) -> Fraction:
-    """Smallest L such that the graph is L-almost-biregular (0 when edgeless)."""
-    e = bg.edge_count
+def biregularity_factor(nbr, a_mask: int, b_mask: int) -> Fraction:
+    """Smallest L such that gamma, the bipartite graph of the edges between
+    the disjoint vertex sets A and B under the neighbour masks `nbr`, is
+    L-almost-biregular (0 when edgeless)."""
+    a_deg = [(nbr[v] & b_mask).bit_count() for v in bits(a_mask)]
+    e = sum(a_deg)
     if e == 0:
         return Fraction(0)
-    g = bg.underlying
-    la = Fraction(max(g.degree(a) for a in bg.side_a) * len(bg.side_a), e)
-    lb = Fraction(max(g.degree(b) for b in bg.side_b) * len(bg.side_b), e)
-    return max(la, lb)
+    b_most = max((nbr[v] & a_mask).bit_count() for v in bits(b_mask))
+    return max(Fraction(max(a_deg) * len(a_deg), e),
+               Fraction(b_most * b_mask.bit_count(), e))
 
 
 def _float_above(q: Fraction) -> float:
@@ -55,49 +55,53 @@ def _float_above(q: Fraction) -> float:
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
-def almost_biregular_reduce(gamma: BipartiteGraph, seed: int,
-                            retries: int = DEFAULT_RETRIES
-                            ) -> tuple[BipartiteGraph, tuple[int, ...]]:
-    """Induced subgraph with d >= d(gamma)/4 and max degree <= 24 L d.
+def _kept_degrees(nbr, kept_small: int, kept_large: int) -> list[int]:
+    """Every kept vertex's degree in gamma's induced subgraph on the kept
+    set: its neighbours on the other side's kept mask."""
+    return ([(nbr[v] & kept_small).bit_count() for v in bits(kept_large)]
+            + [(nbr[v] & kept_large).bit_count() for v in bits(kept_small)])
 
-    Returns (reduced, ids): `ids` lists the kept vertices of gamma ascending
-    and reduced is gamma[ids], as `half_degree_core` returns its core.
 
-    L is gamma's own `biregularity_factor`, so every A-degree is at most
-    L e/|A| and every B-degree at most L e/|B|.  One attempt keeps each
-    vertex of the larger side with probability |small|/|large| and keeps a
-    small-side vertex when its sampled degree stays within 1 + 2p(deg - 1);
-    the attempt succeeds when 4 e' > (e/|large|)(|kept|) holds exactly,
-    which forces both postconditions.  Both are still checked, and raise
-    InvariantError.
+def almost_biregular_reduce(nbr, a_mask: int, b_mask: int, seed: int,
+                            retries: int = DEFAULT_RETRIES) -> tuple[int, ...]:
+    """The vertices of an induced subgraph of gamma with d >= d(gamma)/4 and
+    max degree <= 24 L d, ascending.
+
+    gamma and L are as in `biregularity_factor`, so every A-degree is at
+    most L e/|A| and every B-degree at most L e/|B|; edges inside a side
+    are not gamma's, and an edgeless gamma keeps every vertex.
+    One attempt keeps each vertex of the larger side with probability
+    |small|/|large| and keeps a small-side vertex when its sampled degree
+    stays within 1 + 2p(deg - 1); the attempt succeeds when
+    4 e' > (e/|large|)(|kept|) holds exactly, which forces both
+    postconditions.  Both are still checked from the kept set's recounted
+    degrees, and raise InvariantError.
 
     The kept large side is a mask, each small vertex's sampled degree is
     one popcount, and since every edge joins the two sides e' is the sum
-    of the kept small vertices' sampled degrees.
+    of the kept small vertices' sampled degrees.  No graph is built.
     """
-    g = gamma.underlying
-    e = gamma.edge_count
-    if e == 0:
-        return gamma, tuple(range(gamma.n))
-    big_l = biregularity_factor(gamma)
-    a_side, b_side = gamma.a_list(), gamma.b_list()
-
+    if a_mask & b_mask:
+        raise DomainError("the two sides must be disjoint")
     # orient so |small| <= |large|; the sampled side is the large one
-    if len(a_side) <= len(b_side):
-        small, large = a_side, b_side
+    if a_mask.bit_count() <= b_mask.bit_count():
+        small, large = a_mask, b_mask
     else:
-        small, large = b_side, a_side
-    n_small, n_large = len(small), len(large)
+        small, large = b_mask, a_mask
+    n_small, n_large = small.bit_count(), large.bit_count()
+    degree = [(v, (nbr[v] & large).bit_count()) for v in bits(small)]
+    e = sum(dv for _, dv in degree)
+    if e == 0:
+        return tuple(bits(a_mask | b_mask))
     p = _float_above(Fraction(n_small, n_large))
-    nbr = g.masks
+    large_list = list(bits(large))
     # sampled <= 1 + 2 p (deg - 1) with p = |small|/|large|, in integers
-    cap = [(v, (n_large + 2 * n_small * (nbr[v].bit_count() - 1)) // n_large)
-           for v in small]
+    cap = [(v, (n_large + 2 * n_small * (dv - 1)) // n_large) for v, dv in degree]
 
     for attempt in range(retries):
         rand = random.Random(mix_seed(seed, attempt)).random
         kept_large = 0
-        for v in large:
+        for v in large_list:
             if rand() < p:
                 kept_large |= 1 << v
         kept_small = []
@@ -110,14 +114,14 @@ def almost_biregular_reduce(gamma: BipartiteGraph, seed: int,
         kept = len(kept_small) + kept_large.bit_count()
         # success test, exact: 4 e' |large| > e |kept|
         if 4 * e_sub * n_large > e * kept:
-            ids = tuple(sorted(kept_small + list(bits(kept_large))))
-            out = induced_bipartite(gamma, ids)
-            dd = average_degree(out.underlying)
-            if dd < average_degree(g) / 4:
+            small_mask = mask_of(kept_small)
+            degrees = _kept_degrees(nbr, small_mask, kept_large)
+            dd = Fraction(sum(degrees), len(degrees))
+            if 4 * dd < Fraction(2 * e, n_small + n_large):
                 raise InvariantError("reduced average degree fell below d/4")
-            if out.underlying.max_degree() > 24 * big_l * dd:
+            if max(degrees) > 24 * biregularity_factor(nbr, a_mask, b_mask) * dd:
                 raise InvariantError("reduced max degree exceeds 24 L d")
-            return out, ids
+            return tuple(bits(small_mask | kept_large))
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
 
 
@@ -181,17 +185,18 @@ def _has_short_cycle(nbr, members: list[int]) -> bool:
     return False
 
 
-def sparsify_short_cycles(g: Graph, s: int, seed: int, target,
+def sparsify_short_cycles(g: Graph, vertices, s: int, seed: int, target,
                           retries: int = DEFAULT_RETRIES) -> frozenset[int]:
-    """Vertex set U'' with g[U''] free of triangles and 4-cycles and
-    d(g[U'']) >= target.
+    """Vertex set U'' inside `vertices` with g[U''] free of triangles and
+    4-cycles and d(g[U'']) >= target.
 
-    Recipe per attempt, with d = max degree: sample U at vertex probability
-    p = d^{1/5s - 1}; delete every vertex lying on a triangle or 4-cycle
-    inside U, and every sampled vertex whose sampled degree reaches
-    1 + 4 p deg.  The survivors are girth >= 5 by construction
-    (unconditionally; the deletion removes every short cycle's vertices),
-    and every nonempty survivor set is checked again all the same.
+    Recipe per attempt on g[vertices], with d its max degree: sample U at
+    vertex probability p = d^{1/5s - 1}; delete every vertex lying on a
+    triangle or 4-cycle inside U, and every sampled vertex whose sampled
+    degree reaches 1 + 4 p deg.  The survivors are girth >= 5 by
+    construction (unconditionally; the deletion removes every short
+    cycle's vertices), and every nonempty survivor set is checked again all
+    the same.
 
     Attempts run until one reaches the target; when the budget ends,
     ExtractionFailure carries the densest nonempty survivor set as `best`.
@@ -201,19 +206,22 @@ def sparsify_short_cycles(g: Graph, s: int, seed: int, target,
     paper's K_{s,s}-free hypothesis bears only on the density reached, not
     on the girth guarantee, so the input is not scanned for a biclique.
 
-    Every attempt works on g's neighbour masks and makes one pass over the
-    sampled vertices (`_survivors`); the check, 2e(g[U'']) and the densest
-    set so far then go over the ascending survivor list.  2e(g[U'']) is a
-    sum of popcounts, so densities compare exactly as integer cross-products
-    and no Graph is built per attempt.
+    Every attempt draws over the members of `vertices` ascending and makes
+    one pass over the sampled ones (`_survivors`); the check, 2e(g[U''])
+    and the densest set so far then go over the ascending survivor list.
+    All of it reads g's neighbour masks, so no graph is built: 2e(g[U''])
+    is a sum of popcounts, and densities compare as integer cross-products.
     """
     if s < 2:
         raise DomainError("s must be >= 2")
-    d = g.max_degree()
-    p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
     nbr = g.masks
+    members = sorted(set(vertices))
+    inside = mask_of(members)
+    degree = [(nbr[v] & inside).bit_count() for v in members]
+    d = max(degree, default=0)
+    p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
     # an integer degree reaches 1 + 4 p deg iff it reaches the ceiling
-    cap = [math.ceil(1 + 4 * p * mask.bit_count()) for mask in nbr]
+    cap = {v: math.ceil(1 + 4 * p * dv) for v, dv in zip(members, degree)}
     # d(g[U'']) >= target  iff  2e * den >= num * |U''|
     goal = Fraction(target)
     num, den = goal.numerator, goal.denominator
@@ -224,7 +232,7 @@ def sparsify_short_cycles(g: Graph, s: int, seed: int, target,
     rand = rng.random
     for attempt in range(retries):
         rng.seed(mix_seed(seed, attempt))
-        sampled = [v for v in range(g.n) if rand() < p]
+        sampled = [v for v in members if rand() < p]
         u = mask_of(sampled)
         live = _survivors(nbr, u, sampled, cap)
         if not live:
@@ -365,9 +373,10 @@ def extreme_split(g: Graph, delta: float, seed: int,
 
 
 def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
-                          reduce_seed: int) -> list[int] | None:
+                          reduce_seed: int) -> tuple[int, ...] | None:
     """One randomized pass of the bucket/sample/strip recipe; h-local ids,
-    ascending.  Every neighbour count is a popcount against a mask."""
+    ascending.  Every neighbour count is a popcount against a mask, and the
+    reduction reads h's masks through the two sides' masks."""
     nbr, d = prefix.nbr, prefix.d
     c_prime = mask_of(v for v in prefix.bucket if rng.random() < 0.25)
     # keep the sampled vertices that sample at most half their neighbours,
@@ -387,24 +396,14 @@ def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
     if not c_k:
         return None
     k_mask = mask_of(c_k)
-    b_side = [v for v in c_k if (nbr[v] & k_mask).bit_count() < 4 * d]
-    if not b_side:
+    b_mask = mask_of(v for v in c_k if (nbr[v] & k_mask).bit_count() < 4 * d)
+    if not b_mask:
         return None
-    b_mask = mask_of(b_side)
-    a_side = list(bits(c_third))
-    keep = a_side + b_side
-    index = {v: i for i, v in enumerate(keep)}
-    cross = [(index[u], index[v]) for u in a_side for v in bits(nbr[u] & b_mask)]
-    if not cross:
-        return None
-    gamma = BipartiteGraph(Graph(len(keep), cross),
-                           range(len(a_side)), range(len(a_side), len(keep)))
+    # every vertex of c_k has a neighbour in c_third, so gamma has an edge
     try:
-        _, ids = almost_biregular_reduce(gamma, reduce_seed)
+        return almost_biregular_reduce(nbr, c_third, b_mask, reduce_seed)
     except ExtractionFailure:
         return None
-    # lift: the reduction's ids index keep
-    return sorted(keep[i] for i in ids)
 
 
 # -- bipartite regularization --------------------------------------------------

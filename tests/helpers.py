@@ -365,19 +365,43 @@ def sample_c4free_by_pair_scan(g: Graph, size: int, samples: int, rng) -> int:
 # whole split for every seed.  The mask-based reductions must return equal
 # values and raise the same exception type and message, with the same .best.
 
+def induced_bipartite_by_relabelling(bg, keep):
+    """The induced bipartite subgraph on `keep`, keeping the side assignment:
+    vertex i is the i-th smallest vertex of keep."""
+    from c4lab.graphs import BipartiteGraph, induced
+
+    keep = sorted(set(keep))
+    index = {v: i for i, v in enumerate(keep)}
+    return BipartiteGraph(induced(bg.underlying, keep),
+                          [index[v] for v in keep if v in bg.side_a],
+                          [index[v] for v in keep if v in bg.side_b])
+
+
+def biregularity_factor_by_degree_scan(gamma):
+    """The reference for `reductions.biregularity_factor` on a BipartiteGraph."""
+    from fractions import Fraction
+
+    e = gamma.edge_count
+    if e == 0:
+        return Fraction(0)
+    g = gamma.underlying
+    return max(Fraction(max(g.degree(v) for v in side) * len(side), e)
+               for side in (gamma.side_a, gamma.side_b))
+
+
 def almost_biregular_reduce_by_set_scans(gamma, seed: int, retries: int = 100):
-    """The reference for `reductions.almost_biregular_reduce`: (reduced, ids)."""
+    """The reference for `reductions.almost_biregular_reduce` on a
+    BipartiteGraph: the kept vertex ids, ascending."""
     from fractions import Fraction
 
     from c4lab.errors import ExtractionFailure
-    from c4lab.graphs import average_degree, induced_bipartite, mix_seed
-    from c4lab.reductions import biregularity_factor
+    from c4lab.graphs import average_degree, mix_seed
 
     g = gamma.underlying
     e = gamma.edge_count
     if e == 0:
-        return gamma, tuple(range(gamma.n))
-    big_l = biregularity_factor(gamma)
+        return tuple(range(gamma.n))
+    big_l = biregularity_factor_by_degree_scan(gamma)
     a_side, b_side = gamma.a_list(), gamma.b_list()
     if len(a_side) <= len(b_side):
         small, large = a_side, b_side
@@ -395,17 +419,18 @@ def almost_biregular_reduce_by_set_scans(gamma, seed: int, retries: int = 100):
         keep = set(kept_small) | kept_large
         e_sub = sum(1 for u, w in g.edges() if u in keep and w in keep)
         if 4 * e_sub * len(large) > e * len(keep):
-            out = induced_bipartite(gamma, keep)
+            out = induced_bipartite_by_relabelling(gamma, keep)
             dd = average_degree(out.underlying)
             assert dd >= average_degree(g) / 4
             assert out.underlying.max_degree() <= 24 * big_l * dd
-            return out, tuple(sorted(keep))
+            return tuple(sorted(keep))
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
 
 
-def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int, target,
+def sparsify_by_graph_per_retry(g: Graph, vertices, s: int, seed: int, target,
                                 retries: int = 100):
-    """The reference for `reductions.sparsify_short_cycles`."""
+    """The reference for `reductions.sparsify_short_cycles`: the recipe on
+    the Graph g[vertices], with every vertex set lifted back to g's ids."""
     from fractions import Fraction
 
     from c4lab.errors import DomainError, ExtractionFailure, InvariantError
@@ -414,6 +439,8 @@ def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int, target,
 
     if s < 2:
         raise DomainError("s must be >= 2")
+    members = sorted(set(vertices))
+    g = induced(g, members)
     d = g.max_degree()
     p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
     best: tuple[Fraction, frozenset[int]] | None = None
@@ -427,10 +454,10 @@ def sparsify_by_graph_per_retry(g: Graph, s: int, seed: int, target,
         for v in bits(u):
             if (g.neighbor_mask(v) & u).bit_count() >= 1 + 4 * p * g.degree(v):
                 dropped |= 1 << v
-        survivors = frozenset(bits(u & ~dropped))
+        survivors = frozenset(members[v] for v in bits(u & ~dropped))
         if not survivors:
             continue
-        sub = induced(g, survivors)
+        sub = induced(g, bits(u & ~dropped))
         if not (find_c3(sub) is None and is_c4_free(sub)):
             raise InvariantError("sparsifier survivors contain a triangle or 4-cycle")
         dd = average_degree(sub)
@@ -547,7 +574,7 @@ def _near_regular_attempt_by_set_scans(h: Graph, d: float, rng, reduce_seed: int
         Graph(len(keep), [(index[u], index[v]) for u, v in cross]),
         [index[v] for v in a_side], [index[v] for v in b_side])
     try:
-        _, ids = almost_biregular_reduce_by_set_scans(gamma, reduce_seed)
+        ids = almost_biregular_reduce_by_set_scans(gamma, reduce_seed)
     except ExtractionFailure:
         return None
     return frozenset(keep[i] for i in ids)

@@ -121,7 +121,7 @@ def test_acceptance_3_girth_guarantee():
     runs = 0
     for q, g in planes.items():
         for seed in range(250):
-            keep = sparsify_short_cycles(g, 2, seed, target=0, retries=50)
+            keep = sparsify_short_cycles(g, range(g.n), 2, seed, target=0, retries=50)
             sub = induced(g, keep)
             assert find_c3(sub) is None and find_c4(sub) is None
             assert reiman_holds(sub.n, sub.edge_count)
@@ -132,7 +132,7 @@ def test_acceptance_3_girth_guarantee():
         g = repair_to_c4_free(gen_gnp(n, 0.3, rng.randrange(2 ** 32)))
         assert reiman_holds(g.n, g.edge_count)
         try:
-            keep = sparsify_short_cycles(g, 2, seed=runs, target=0,
+            keep = sparsify_short_cycles(g, range(g.n), 2, seed=runs, target=0,
                                          retries=50)
         except ExtractionFailure:
             runs += 1

@@ -407,6 +407,30 @@ def test_verify_out_of_range_delta_exits_1(tmp_path, capsys):
         assert err == "error: params 'delta' must be a finite number in [0, 1]\n"
 
 
+
+def test_verify_requires_the_params_it_reads(tmp_path, capsys):
+    # an oracle_fallback witness of average degree 28/11 against k = 4: with
+    # params.k gone, a k = 1 fallback would recompute avg_degree_ok as true
+    g6 = Path(__file__).parent / "golden" / "gnm15.g6"
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "extract", "--input", str(g6), "--s", "3", "--k", "4",
+                         "--attempts", "0", "--seed", "1", "--out", str(cert_path))
+    obj = json.loads(cert_path.read_text())
+    assert code == 0 and obj["mode"] == "oracle_fallback"
+    assert obj["stats"]["avg_degree"] == "28/11"
+    assert obj["verified"]["avg_degree_ok"] is False
+    forged = dict(obj, verified=dict(obj["verified"], avg_degree_ok=True))
+    for key in ("k", "s", "delta"):
+        params = {name: v for name, v in obj["params"].items() if name != key}
+        err = _verify_malformed(capsys, g6, cert_path, dict(forged, params=params))
+        assert err == f"error: certificate params lack the key {key!r}\n"
+    for key in ("s", "k"):
+        for value in (0, -3):
+            bad = dict(obj, params=dict(obj["params"], **{key: value}))
+            err = _verify_malformed(capsys, g6, cert_path, bad)
+            assert err == f"error: params {key!r} must be at least 1\n"
+
+
 # certificates whose flags and stats recompute honestly but whose mode
 # promises more: each breaks one per-mode rule of verify_certificate
 K33 = complete_bipartite(3, 3).underlying

@@ -196,6 +196,47 @@ def test_cli_near_regular_success_golden(tmp_path, capsys):
     assert code == 0 and capsys.readouterr().out == "verified\n"
 
 
+def test_attempts_build_no_graph_of_their_own(tmp_path, capsys, monkeypatch):
+    # the split, the reduction and the sparsifier read the core's masks: no
+    # attempt builds a BipartiteGraph or calls `induced`, so 8 attempts call
+    # it as often as 1, bar the one check of a witness that an attempt finds
+    import json
+    import sys
+
+    from c4lab import graphs
+
+    calls = {"induced": 0, "BipartiteGraph": 0}
+    induced, init = graphs.induced, graphs.BipartiteGraph.__init__
+
+    def counted_induced(*args, **kwargs):
+        calls["induced"] += 1
+        return induced(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls["BipartiteGraph"] += 1
+        init(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("c4lab") and getattr(module, "induced", None) is induced:
+            monkeypatch.setattr(module, "induced", counted_induced)
+    monkeypatch.setattr(graphs.BipartiteGraph, "__init__", counted_init)
+    for graph_file in ("gnp200.g6", "gnp100.g6"):
+        counts, modes = {}, {}
+        for attempts in ("1", "8"):
+            calls.update(induced=0, BipartiteGraph=0)
+            out = tmp_path / f"{graph_file}-{attempts}.json"
+            main(["extract", "--input", str(GOLDEN / graph_file), *CASE1_SCENARIO[2],
+                  "--attempts", attempts, "--out", str(out)])
+            capsys.readouterr()
+            assert calls["BipartiteGraph"] == 0
+            counts[attempts] = calls["induced"]
+            modes[attempts] = json.loads(out.read_text())["mode"]
+        assert modes["1"] == "failure"
+        found = modes["8"] == "case1_near_regular"
+        assert found == (graph_file == "gnp100.g6")
+        assert counts["8"] == counts["1"] + found
+
+
 def test_near_regular_golden_input_is_the_gnp_draw():
     from c4lab.graphio import write_graph6
     from c4lab.graphs import gen_gnp
@@ -225,8 +266,9 @@ def test_sparsify_reproduces_golden_outcomes():
         call = json.loads(line)
         got = {key: call[key] for key in ("graph6", "s", "seed", "target", "retries")}
         try:
+            g = read_graph6(call["graph6"])
             got["kept"] = sorted(sparsify_short_cycles(
-                read_graph6(call["graph6"]), call["s"], call["seed"], call["target"],
+                g, range(g.n), call["s"], call["seed"], call["target"],
                 retries=call["retries"]))
         except ExtractionFailure as exc:
             got["error"] = str(exc)

@@ -195,6 +195,21 @@ def test_bipartite_sidecar_roundtrip():
     assert bg2.side_a == bg.side_a and bg2.side_b == bg.side_b
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "sidecar must hold side_a and side_b"),
+    ('{"side_a": 5, "side_b": [1]}', "sidecar must hold side_a and side_b"),
+    ('{"side_a": [0, 1, 2]}', "sidecar must hold side_a and side_b"),
+    ('{"side_a": [0, 1, 2], "side_b": [3, 4, "5", 6]}', "sidecar must hold side_a and side_b"),
+    ("{side_a", "sidecar is not JSON"),
+    ('{"side_a": [0, 1, 2], "side_b": [3, 4, 5]}',
+     "side_a and side_b must partition the vertex set"),
+], ids=["list", "int-side", "missing-side", "string-id", "not-json", "not-a-partition"])
+def test_apply_sidecar_refuses_a_malformed_sidecar(text, message):
+    g = complete_bipartite(3, 4).underlying
+    with pytest.raises(DomainError, match=message):
+        apply_sidecar(g, text)
+
+
 def test_hypergraph_text_roundtrip():
     n, edges = 6, [frozenset({0, 1, 2}), frozenset({3}), frozenset({4, 5})]
     text = write_hypergraph(n, edges)

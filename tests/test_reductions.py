@@ -18,6 +18,7 @@ from c4lab.graphs import (
     gen_gnp,
     gen_lopsided,
     induced,
+    mask_of,
     projective_plane_incidence,
 )
 from c4lab.named import (
@@ -52,46 +53,68 @@ def matching_bipartite(k: int) -> BipartiteGraph:
 
 # -- almost_biregular_reduce ---------------------------------------------------
 
+def reduce_bipartite(bg: BipartiteGraph, seed: int, **kwargs) -> tuple[int, ...]:
+    """`almost_biregular_reduce` on a BipartiteGraph's masks and sides."""
+    return almost_biregular_reduce(bg.underlying.masks, mask_of(bg.side_a),
+                                   mask_of(bg.side_b), seed, **kwargs)
+
+
+def factor(bg: BipartiteGraph) -> Fraction:
+    return biregularity_factor(bg.underlying.masks, mask_of(bg.side_a),
+                               mask_of(bg.side_b))
+
+
 def test_reduce_empty_edge_set_returns_input():
     bg = BipartiteGraph(Graph(5), range(3), range(3, 5))
-    assert almost_biregular_reduce(bg, seed=1) == (bg, (0, 1, 2, 3, 4))
+    assert reduce_bipartite(bg, seed=1) == (0, 1, 2, 3, 4)
+    assert factor(bg) == 0
 
 
 def test_reduce_heawood():
     bg = heawood_bipartite()
-    out, ids = almost_biregular_reduce(bg, seed=7)
+    ids = reduce_bipartite(bg, seed=7)
+    out = induced(bg.underlying, ids)
     d_in = average_degree(bg.underlying)
-    d_out = average_degree(out.underlying)
+    d_out = average_degree(out)
     assert d_out >= d_in / 4
-    assert biregularity_factor(bg) == 1
-    assert out.underlying.max_degree() <= 24 * 1 * d_out
-    # output vertex i is ids[i], and the output sides sit inside the input sides
-    assert out.underlying == induced(bg.underlying, ids)
-    assert {ids[v] for v in out.side_a} <= bg.side_a
-    assert {ids[v] for v in out.side_b} <= bg.side_b
+    assert factor(bg) == 1
+    assert out.max_degree() <= 24 * 1 * d_out
+    assert list(ids) == sorted(set(ids))
 
 
 def test_reduce_perfect_matching():
     bg = matching_bipartite(8)
-    out, _ = almost_biregular_reduce(bg, seed=3)
-    assert average_degree(out.underlying) >= Fraction(1, 4)
+    ids = reduce_bipartite(bg, seed=3)
+    assert average_degree(induced(bg.underlying, ids)) >= Fraction(1, 4)
 
 
 def test_reduce_measures_its_own_factor():
     # one heavy A-vertex: degree 4, |A|=4, e=7, so L = 16/7 > 1
     g = Graph(8, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (2, 5), (3, 6)])
     bg = BipartiteGraph(g, range(4), range(4, 8))
-    assert biregularity_factor(bg) == Fraction(16, 7)
-    out, _ = almost_biregular_reduce(bg, seed=1)
-    assert out.edge_count >= 1
+    assert factor(bg) == Fraction(16, 7)
+    assert induced(g, reduce_bipartite(bg, seed=1)).edge_count >= 1
+
+
+def test_reduce_reads_only_the_edges_between_the_sides():
+    # the sides' own edges, and a vertex on neither side, change nothing
+    bg = heawood_bipartite()
+    a, b = sorted(bg.side_a), sorted(bg.side_b)
+    extra = [(a[0], a[1]), (a[2], a[5]), (b[0], b[3]), (b[1], b[6])]
+    g = Graph(15, list(bg.underlying.edges()) + extra + [(14, a[0]), (14, b[0])])
+    for seed in range(12):
+        want = reduce_bipartite(bg, seed)
+        assert almost_biregular_reduce(g.masks, mask_of(a), mask_of(b), seed) == want
+
+
+def test_reduce_sides_must_be_disjoint():
+    with pytest.raises(DomainError):
+        almost_biregular_reduce(heawood_graph().masks, 0b11, 0b110, seed=1)
 
 
 def test_reduce_deterministic():
     bg = heawood_bipartite()
-    a, a_ids = almost_biregular_reduce(bg, seed=11)
-    b, b_ids = almost_biregular_reduce(bg, seed=11)
-    assert list(a.underlying.edges()) == list(b.underlying.edges())
-    assert a.side_a == b.side_a and a_ids == b_ids
+    assert reduce_bipartite(bg, seed=11) == reduce_bipartite(bg, seed=11)
 
 
 # -- sparsify_short_cycles -----------------------------------------------------
@@ -99,7 +122,7 @@ def test_reduce_deterministic():
 def test_sparsify_output_always_short_cycle_free():
     g = petersen_graph()
     for seed in range(20):
-        out = sparsify_short_cycles(g, 2, seed, target=0)
+        out = sparsify_short_cycles(g, range(g.n), 2, seed, target=0)
         sub = induced(g, out)
         assert find_c3(sub) is None and find_c4(sub) is None
         gg = girth(sub)
@@ -111,7 +134,7 @@ def test_sparsify_c4_never_keeps_whole_cycle():
     g = cycle_graph(4)
     for seed in range(30):
         try:
-            out = sparsify_short_cycles(g, 2, seed, target=0, retries=20)
+            out = sparsify_short_cycles(g, range(g.n), 2, seed, target=0, retries=20)
         except ExtractionFailure:
             continue
         assert len(out) < 4
@@ -119,7 +142,7 @@ def test_sparsify_c4_never_keeps_whole_cycle():
 
 def test_sparsify_on_plane_incidence():
     g = projective_plane_incidence(5).underlying
-    out = sparsify_short_cycles(g, 2, seed=13, target=0, retries=100)
+    out = sparsify_short_cycles(g, range(g.n), 2, seed=13, target=0, retries=100)
     sub = induced(g, out)
     assert find_c3(sub) is None and find_c4(sub) is None
     assert average_degree(sub) >= 0
@@ -156,7 +179,7 @@ def test_sparsify_girth_check_raises_without_assert(monkeypatch):
     # K_6 reaches average degree 6, so the attempts run until a triangle
     monkeypatch.setattr(reductions, "_survivors", lambda nbr, u, sampled, cap: sampled)
     with pytest.raises(InvariantError):
-        sparsify_short_cycles(complete_graph(6), 2, seed=1, target=6)
+        sparsify_short_cycles(complete_graph(6), range(6), 2, seed=1, target=6)
 
 
 def test_sparsify_girth_check_raises_under_optimize():
@@ -166,7 +189,8 @@ def test_sparsify_girth_check_raises_under_optimize():
         "from c4lab.named import complete_graph\n"
         "reductions._survivors = lambda nbr, u, sampled, cap: sampled\n"
         "try:\n"
-        "    reductions.sparsify_short_cycles(complete_graph(6), 2, seed=1, target=6)\n"
+        "    reductions.sparsify_short_cycles(complete_graph(6), range(6), 2, seed=1,"
+        " target=6)\n"
         "except InvariantError as exc:\n"
         "    print('raised', exc)\n")
     assert out == "raised sparsifier survivors contain a triangle or 4-cycle\n"
@@ -175,7 +199,7 @@ def test_sparsify_girth_check_raises_under_optimize():
 def test_sparsify_target_failure_carries_best():
     g = petersen_graph()
     with pytest.raises(ExtractionFailure) as exc:
-        sparsify_short_cycles(g, 2, seed=1, target=100, retries=10)
+        sparsify_short_cycles(g, range(g.n), 2, seed=1, target=100, retries=10)
     assert exc.value.best is None or len(exc.value.best) > 0
 
 
@@ -314,8 +338,8 @@ def test_regularize_partition_checked():
 
 def test_sparsify_and_regularize_deterministic():
     g = projective_plane_incidence(3).underlying
-    s1 = sparsify_short_cycles(g, 2, seed=31, target=0)
-    s2 = sparsify_short_cycles(g, 2, seed=31, target=0)
+    s1 = sparsify_short_cycles(g, range(g.n), 2, seed=31, target=0)
+    s2 = sparsify_short_cycles(g, range(g.n), 2, seed=31, target=0)
     assert s1 == s2
     bg = gen_lopsided(300, 40, 2, 2, seed=21)
     out1 = bipartite_regularize(bg.underlying, bg.side_a, bg.side_b, r=2,
@@ -335,33 +359,30 @@ def _outcome(fn, *args, **kwargs):
         return ("raised", type(exc), str(exc), getattr(exc, "best", None))
 
 
-def _bipartite_outcome(fn, *args, **kwargs):
-    kind, *rest = _outcome(fn, *args, **kwargs)
-    if kind == "raised":
-        return (kind, *rest)
-    out, ids = rest[0]
-    return (kind, out.underlying, ids, out.side_a, out.side_b)
-
-
 def test_sparsify_matches_graph_per_retry_reference():
+    # on the whole vertex set, and on a vertex set the reference cuts out as
+    # a Graph of its own while the sparsifier reads g's masks through it
     rng = random.Random(2024)
     kinds = set()
-    for _ in range(320):
+    for i in range(320):
         n = rng.randrange(1, 61)
         g = gen_gnp(n, rng.choice([0.05, 0.1, 0.2, 0.3, 0.5]), rng.randrange(2 ** 32))
         s = rng.choice([2, 3])
         seed = rng.randrange(2 ** 32)
         retries = rng.choice([0, 1, 6, 12])
+        inside = range(n) if i % 2 else [v for v in range(n) if rng.random() < 0.7]
         # no graph on fewer than 61 vertices reaches average degree 100, so
         # the failure carries the densest survivor set of the whole budget
-        base = _outcome(helpers.sparsify_by_graph_per_retry, g, s, seed, 100,
+        base = _outcome(helpers.sparsify_by_graph_per_retry, g, inside, s, seed, 100,
                         retries=retries)
-        assert _outcome(sparsify_short_cycles, g, s, seed, 100, retries=retries) == base
+        assert _outcome(sparsify_short_cycles, g, inside, s, seed, 100,
+                        retries=retries) == base
         assert base[0] == "raised"
         densest = base[3]
         if densest is None:
             kinds.add("no survivors")
             continue
+        assert densest <= set(inside)
         # the densest survivor set is reached exactly, then missed by a hair;
         # both as a Fraction, as a float and, where whole, as an int
         best = average_degree(induced(g, densest))
@@ -369,9 +390,9 @@ def test_sparsify_matches_graph_per_retry_reference():
         if best.denominator == 1:
             targets.append(int(best))
         for target in targets:
-            want = _outcome(helpers.sparsify_by_graph_per_retry, g, s, seed, target,
-                            retries=retries)
-            assert _outcome(sparsify_short_cycles, g, s, seed, target,
+            want = _outcome(helpers.sparsify_by_graph_per_retry, g, inside, s, seed,
+                            target, retries=retries)
+            assert _outcome(sparsify_short_cycles, g, inside, s, seed, target,
                             retries=retries) == want
             assert want[0] == ("value" if target <= best else "raised")
             kinds.add(want[0])
@@ -416,55 +437,65 @@ def test_extreme_split_matches_set_scan_reference():
 
 
 def test_almost_biregular_reduce_matches_set_scan_reference():
+    # the reference gets gamma as a BipartiteGraph of the edges between the
+    # sides; the reduction reads a larger graph's masks, with edges inside
+    # each side and vertices on neither, through the two side masks
     rng = random.Random(5)
     kinds = set()
     for _ in range(300):
-        a, b = rng.randrange(1, 25), rng.randrange(1, 40)
+        n = rng.randrange(2, 70)
+        side = [rng.choice("aabbbn") for _ in range(n)]
+        a_side = [v for v in range(n) if side[v] == "a"]
+        b_side = [v for v in range(n) if side[v] == "b"]
         p = rng.choice([0.05, 0.15, 0.3, 0.6])
-        edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < p]
-        gamma = BipartiteGraph(Graph(a + b, edges), range(a), range(a, a + b))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = Graph(n, edges)
+        both = sorted(a_side + b_side)
+        index = {v: i for i, v in enumerate(both)}
+        gamma = BipartiteGraph(
+            Graph(len(both), [(index[u], index[v]) for u, v in edges
+                              if {side[u], side[v]} == {"a", "b"}]),
+            [index[v] for v in a_side], [index[v] for v in b_side])
         seed = rng.randrange(2 ** 32)
         retries = rng.choice([0, 1, 3, 20])
-        want = _bipartite_outcome(helpers.almost_biregular_reduce_by_set_scans,
-                                  gamma, seed, retries=retries)
-        got = _bipartite_outcome(almost_biregular_reduce, gamma, seed, retries=retries)
+        want = _outcome(helpers.almost_biregular_reduce_by_set_scans, gamma, seed,
+                        retries=retries)
+        if want[0] == "value":
+            want = ("value", tuple(both[i] for i in want[1]))
+        got = _outcome(almost_biregular_reduce, g.masks, mask_of(a_side),
+                       mask_of(b_side), seed, retries=retries)
         assert got == want
-        if got[0] == "value":
-            # vertex i of the reduced graph is ids[i]
-            assert got[1] == induced(gamma.underlying, got[2])
+        assert (biregularity_factor(g.masks, mask_of(a_side), mask_of(b_side))
+                == helpers.biregularity_factor_by_degree_scan(gamma))
         kinds.add(want[0] if want[0] == "value" else want[1])
     assert kinds == {"value", ExtractionFailure}
 
 
-def _star_bipartite(leaves: int) -> BipartiteGraph:
-    return BipartiteGraph(Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)]),
-                          [0], range(1, leaves + 1))
-
-
 @pytest.mark.parametrize("fake, message", [
     # no edges left: the average degree falls below d/4
-    (lambda: BipartiteGraph(Graph(2), [0], [1]), "reduced average degree fell below d/4"),
+    (lambda: [0, 0], "reduced average degree fell below d/4"),
     # a star of 60 leaves: average degree 120/61 >= 3/4, max degree 60 > 24 * 120/61
-    (lambda: _star_bipartite(60), "reduced max degree exceeds 24 L d"),
+    (lambda: [60] + [1] * 60, "reduced max degree exceeds 24 L d"),
 ])
 def test_reduce_postconditions_raise_invariant_error(monkeypatch, fake, message):
-    monkeypatch.setattr(reductions, "induced_bipartite", lambda gamma, keep: fake())
+    # the recount of the kept vertices' degrees is faked; the success test
+    # still passes on its own sampled degrees
+    monkeypatch.setattr(reductions, "_kept_degrees", lambda nbr, small, large: fake())
     with pytest.raises(InvariantError, match=message):
-        almost_biregular_reduce(heawood_bipartite(), seed=7)
+        reduce_bipartite(heawood_bipartite(), seed=7)
 
 
 def test_reduce_postconditions_raise_under_optimize():
     out = run_optimized(
         "from c4lab import reductions\n"
         "from c4lab.errors import InvariantError\n"
-        "from c4lab.graphs import BipartiteGraph, Graph, projective_plane_incidence\n"
-        "fakes = [BipartiteGraph(Graph(2), [0], [1]),\n"
-        "         BipartiteGraph(Graph(61, [(0, v) for v in range(1, 61)]), [0],"
-        " range(1, 61))]\n"
-        "for fake in fakes:\n"
-        "    reductions.induced_bipartite = lambda gamma, keep: fake\n"
+        "from c4lab.graphs import mask_of, projective_plane_incidence\n"
+        "bg = projective_plane_incidence(2)\n"
+        "for fake in ([0, 0], [60] + [1] * 60):\n"
+        "    reductions._kept_degrees = lambda nbr, small, large: fake\n"
         "    try:\n"
-        "        reductions.almost_biregular_reduce(projective_plane_incidence(2), seed=7)\n"
+        "        reductions.almost_biregular_reduce(bg.underlying.masks,"
+        " mask_of(bg.side_a), mask_of(bg.side_b), seed=7)\n"
         "    except InvariantError as exc:\n"
         "        print('raised', exc)\n")
     assert out == ("raised reduced average degree fell below d/4\n"
