@@ -372,6 +372,19 @@ def test_lopsided_golden_input_is_the_generator_draw():
     assert write_graph6(g) + "\n" == (GOLDEN / "lopsided200.g6").read_text()
 
 
+# the model case on the same draw, with its generator's bipartition: no two
+# neighbourhoods coincide and no kernel yields a trace edge, and k = 3 rules
+# out the star, so the record is the model's budget-exhausted failure
+def test_model_lopsided_reproduces_golden_certificate():
+    from c4lab.graphs import gen_lopsided
+    from c4lab.pipeline import model_lopsided, verify_certificate
+
+    bg = gen_lopsided(200, 25, 3, 3, seed=1)
+    cert = model_lopsided(bg, 3, 3, seed=1)
+    assert cert.to_json() == (GOLDEN / "lopsided200_model_cert.json").read_text()
+    assert verify_certificate(bg.underlying, cert)
+
+
 # the induced K_3 subdivision that `subdivide` finds on PG(2, q) at seed 1:
 # the plane is C4-free, so its nested extraction is trivial, the core is
 # bipartite, and each witness comes from the bipartite-case sampler
