@@ -55,6 +55,7 @@ from .hypergraphs import (
     f_search,
     find_induced_pair,
     furedi_kernel,
+    kernel_can_trace,
     verify_induced_pair,
     verify_kernel,
 )

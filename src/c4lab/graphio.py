@@ -266,18 +266,26 @@ def write_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> str:
 
 
 def read_hypergraph(text: str) -> tuple[int, list[frozenset[int]]]:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """The inverse of write_hypergraph; blank lines are skipped, and an edge
+    line that repeats a vertex raises DomainError rather than losing rank."""
+    lines = [(no, ln) for no, ln in enumerate((raw.strip() for raw in text.splitlines()),
+                                              start=1) if ln]
     if not lines:
         raise DomainError("empty hypergraph file")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) != 2:
         raise DomainError("first line must be 'n m'")
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise DomainError(f"declared {m} edges, found {len(lines) - 1}")
-    edges = [frozenset(int(tok) for tok in ln.split()) for ln in lines[1:]]
-    for e in edges:
-        for v in e:
+    edges = []
+    for no, ln in lines[1:]:
+        seen: set[int] = set()
+        for v in map(int, ln.split()):
             if not 0 <= v < n:
                 raise DomainError(f"edge vertex {v} out of range")
+            if v in seen:
+                raise DomainError(f"line {no} repeats vertex {v}")
+            seen.add(v)
+        edges.append(frozenset(seen))
     return n, edges

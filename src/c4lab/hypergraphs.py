@@ -184,6 +184,43 @@ def _check_step(kept: int, before: int, steps: int, t: int, big_t: int,
         raise InvariantError("cleaning loop overran its step bound")
 
 
+def _kernel_shape(f: Hypergraph, s: int, t: int) -> tuple[int, int]:
+    """The rank r of a valid kernel request and T = sum_{j<=s} C(r, j), the
+    number of color sets of size at most s (the empty one included)."""
+    r = f.uniform_rank()
+    if r is None or r < 1:
+        raise DomainError("input must be r-uniform with r >= 1")
+    if s > r:
+        raise DomainError(f"s={s} must not exceed r={r}")
+    if s < 1 or t < 1:
+        raise DomainError("s and t must be >= 1")
+    if not f.edges:
+        raise DomainError("input has no edges")
+    return r, sum(comb(r, j) for j in range(s + 1))
+
+
+def kernel_can_trace(f: Hypergraph, s: int, t: int) -> bool:
+    """Whether some vertex of f lies in at least 2tT edges.
+
+    Unless it does, every kernel `furedi_kernel(f, s, t, ...)` returns has an
+    empty trace, whatever the seed and the retries.  Let D be the most edges
+    any vertex lies in, E_i the family entering the terminal step, and S a
+    trace edge.  S is a color set shared at that step: two survivors agree on
+    its slice.  For c in S the same two edges agree on the singleton {c}, and
+    they were in the family at every earlier step, so {c} was shared at every
+    step and never left `live`; its distinct slices are counted in the
+    terminal b_size.  Each edge of E_i is rainbow, so it has exactly one
+    vertex of color c, and a vertex lies in at most D edges, so {c} has at
+    least |E_i|/D distinct slices and b_size >= |E_i|/D.  The terminal test
+    2tT * b_size <= |E_i| then forces D >= 2tT.  The bound is tight: seeded
+    families with D = 2tT exactly do yield traces.
+
+    Raises DomainError on the requests furedi_kernel refuses.
+    """
+    _, big_t = _kernel_shape(f, s, t)
+    return max(m.bit_count() for m in f.incidence) >= 2 * t * big_t
+
+
 def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
                   retries: int = 100) -> PartiteKernel:
     """Extract a rainbow sub-family whose traces obey the t-fold dichotomy.
@@ -203,18 +240,11 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
     rest of the attempt.  Every transition is checked to keep at least a
     1/(2tT^2) fraction of edges, and the loop runs at most T+1 steps.  The
     finished kernel is replayed through verify_kernel before it is returned;
-    attempts that fail verification (or go extinct) burn a retry.
+    attempts that fail verification (or go extinct) burn a retry.  The trace
+    is empty unless some vertex lies in at least 2tT edges (`kernel_can_trace`
+    proves it), so `model_lopsided` skips the kernel below that bound.
     """
-    r = f.uniform_rank()
-    if r is None or r < 1:
-        raise DomainError("input must be r-uniform with r >= 1")
-    if s > r:
-        raise DomainError(f"s={s} must not exceed r={r}")
-    if s < 1 or t < 1:
-        raise DomainError("s and t must be >= 1")
-    if not f.edges:
-        raise DomainError("input has no edges")
-    big_t = sum(comb(r, j) for j in range(s + 1))
+    r, big_t = _kernel_shape(f, s, t)
     edge_list = f.edges
     incidence = f.incidence
     # one slice getter per candidate color set: get(vec) is the edge's slice

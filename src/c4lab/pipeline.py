@@ -33,7 +33,7 @@ from .graphs import (
     mask_of,
     mix_seed,
 )
-from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel
+from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel, kernel_can_trace
 from .oracles import (DEFAULT_ORACLE_LIMIT, best_c4free_induced, contains_biclique,
                       is_c4_free)
 from .reductions import (DEFAULT_RETRIES, sparsify_short_cycles, split_from_prefix,
@@ -341,6 +341,15 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
                                      pdict, seed, k, stage="model:star")
         return cert if _keeps_promise(cert) else None
 
+    if not kernel_can_trace(family, s, t):
+        # every kernel's trace would be empty; an attempt reads its kernel
+        # only through the trace, so each one, like a KernelFailure, would
+        # end at the star or go on to the next, leaving no best
+        if params.retries >= 1:
+            star = star_certificate()
+            if star is not None:
+                return star
+        return _failure_certificate(digest, pdict, seed, "model:budget-exhausted")
     best: tuple[Fraction, int] | None = None
     for attempt in range(params.retries):
         sub_seed = mix_seed(seed, attempt)

@@ -100,6 +100,17 @@ def test_kernel_with_no_retry_exits_2(capsys):
         "error": "no verified kernel within 0 colorings (best rainbow family: 0 edges)"}
 
 
+def test_kernel_refuses_a_repeated_vertex(tmp_path, capsys):
+    # read as a set, the edge would be the 2-edge {0, 1} and the kernel would
+    # run on a family of the wrong rank
+    hpath = tmp_path / "repeat.hg"
+    hpath.write_text("4 1\n0 0 1\n")
+    code, out, err = run_cli(capsys, "kernel", "--input", str(hpath), "--s", "1",
+                             "--t", "1", "--seed", "1")
+    _assert_one_line_error(code, out, err)
+    assert "line 2 repeats vertex 0" in err
+
+
 def test_ftable_prints_an_unsettled_lower_bound(capsys):
     code, out, _ = run_cli(capsys, "ftable", "--ell", "2", "--k", "5", "--nmax", "3")
     assert code == 0

@@ -219,6 +219,17 @@ def test_hypergraph_text_roundtrip():
         read_hypergraph("3 1\n0 5\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("4 1\n0 0 1\n", "line 2 repeats vertex 0"),
+    # lines count from the top of the file, blank ones included
+    ("5 2\n\n1 2\n3 1 4 3\n", "line 4 repeats vertex 3"),
+], ids=["first-edge", "after-a-blank-line"])
+def test_read_hypergraph_refuses_a_repeated_vertex(text, message):
+    # a set would merge the repeat into an edge of lower rank
+    with pytest.raises(DomainError, match=message):
+        read_hypergraph(text)
+
+
 def test_graph6_c4_example_value():
     # C4 = 4 vertices with edges 01,03,12,23 -> known encoding
     assert write_graph6(cycle_graph(4)) == read_and_back(cycle_graph(4))

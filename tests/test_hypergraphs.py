@@ -20,6 +20,7 @@ from c4lab.hypergraphs import (
     f_search,
     find_induced_pair,
     furedi_kernel,
+    kernel_can_trace,
     verify_induced_pair,
     verify_kernel,
 )
@@ -266,12 +267,69 @@ def test_verify_kernel_detects_tampering():
 
 
 def test_kernel_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        furedi_kernel(hg(3, {0, 1}, {2}), 1, 1, seed=1)  # not uniform
-    with pytest.raises(DomainError):
-        furedi_kernel(hg(3, {0, 1}), 3, 1, seed=1)       # s > r
-    with pytest.raises(DomainError):
-        furedi_kernel(Hypergraph(3, []), 1, 1, seed=1)   # no edges
+    # kernel_can_trace refuses exactly what the kernel refuses
+    for check in (lambda f, s, t: furedi_kernel(f, s, t, seed=1), kernel_can_trace):
+        with pytest.raises(DomainError):
+            check(hg(3, {0, 1}, {2}), 1, 1)  # not uniform
+        with pytest.raises(DomainError):
+            check(hg(3, {0, 1}), 3, 1)       # s > r
+        with pytest.raises(DomainError):
+            check(hg(3, {0, 1}), 1, 0)       # t < 1
+        with pytest.raises(DomainError):
+            check(Hypergraph(3, []), 1, 1)   # no edges
+
+
+def kernel_bound(r, s, t):
+    # 2tT with T = sum_{j<=s} C(r, j), the kernel's terminal-test factor
+    return 2 * t * sum(comb(r, j) for j in range(s + 1))
+
+
+def test_kernel_trace_needs_a_vertex_in_2tT_edges():
+    # seeded uniform families; every other one has a hub in half to four
+    # times as many edges as the bound, its petals drawn from a wide pool so
+    # that traces occur.  A nonempty trace must come from a family that
+    # kernel_can_trace admits
+    rng = random.Random(2024)
+    kernels = traces = 0
+    for case in range(240):
+        r = rng.randint(2, 4)
+        s, t = rng.randint(1, min(r, 2)), rng.randint(1, 2)
+        bound = kernel_bound(r, s, t)
+        if case % 2:
+            hub = rng.randint(bound // 2, 4 * bound)
+            n = 1 + rng.randint(2, 4) * (r - 1) * hub
+            edges = [{0, *rng.sample(range(1, n), r - 1)} for _ in range(hub)]
+            edges += [rng.sample(range(1, n), r) for _ in range(rng.randint(0, 5))]
+        else:
+            n = rng.randint(r + 2, 3 * r + 6)
+            edges = [rng.sample(range(n), r) for _ in range(rng.randint(n, 4 * n))]
+        f = hg(n, *edges)
+        can_trace = kernel_can_trace(f, s, t)
+        assert can_trace == (max(m.bit_count() for m in f.incidence) >= bound)
+        for seed in range(6):
+            kernels += 1
+            try:
+                kern = furedi_kernel(f, s, t, seed=seed, retries=3)
+            except KernelFailure:
+                continue
+            if kern.trace.edges:
+                traces += 1
+                assert can_trace, (case, seed)
+    assert kernels == 1440 and traces >= 50
+
+
+def test_kernel_trace_bound_is_tight():
+    # a sunflower of rank 2: at s = t = 1 the bound is 2 * 1 * 3 = 6 edges
+    # on the centre; with 6 petals a lucky coloring keeps all of them rainbow
+    # and the centre's color is a trace edge, with 5 no kernel can trace
+    def sunflower(petals):
+        return hg(petals + 1, *({0, i} for i in range(1, petals + 1)))
+
+    assert kernel_bound(2, 1, 1) == 6
+    assert not kernel_can_trace(sunflower(5), 1, 1)
+    assert kernel_can_trace(sunflower(6), 1, 1)
+    kern = furedi_kernel(sunflower(6), 1, 1, seed=64, retries=1)
+    assert kern.trace.edges == (frozenset({kern.coloring[0]}),)
 
 
 # -- induced pairs -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -65,11 +66,26 @@ def test_model_single_vertex_star():
     assert verify_certificate(bg.underlying, cert)
 
 
-def test_model_trace_biclique_route():
+def count_kernel_calls(monkeypatch) -> list:
+    # one entry per furedi_kernel call that model_lopsided makes
+    calls = []
+    real = pipeline.furedi_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "furedi_kernel", counting)
+    return calls
+
+
+def test_model_trace_biclique_route(monkeypatch):
     # every A-vertex sees {b0, b1} plus a private third B-vertex: all
     # neighborhoods are distinct (the duplicate shortcut stays silent), yet
     # any two A-vertices close a K_{2,2}; the kernel trace must expose the
-    # size-2 color set and unwind it to a verified biclique witness
+    # size-2 color set and unwind it to a verified biclique witness.  b0 is
+    # in all 300 edges, far above 2tT = 16, so the kernel runs
+    calls = count_kernel_calls(monkeypatch)
     a = 300
     edges = []
     for i in range(a):
@@ -77,6 +93,7 @@ def test_model_trace_biclique_route():
     g = Graph(2 * a + 2, edges)
     bg = BipartiteGraph(g, range(a), range(a, 2 * a + 2))
     cert = model_lopsided(bg, s=2, k=2, seed=3, params=PipelineParams(retries=20))
+    assert calls
     assert cert.mode == "biclique_found"
     assert cert.stats.get("stage") == "model:trace-biclique"
     assert cert.biclique[1] == (a, a + 1)
@@ -105,18 +122,72 @@ def test_model_seed_sweep_soundness():
     # soundness is unconditional; success is seed-dependent
 
 
-def test_model_dense_reuse_succeeds():
+def test_model_dense_reuse_succeeds(monkeypatch):
     # heavily reused B-vertices (high |A|/|B|) let the kernel keep a large
-    # family whose trace covers both colors: the pair route then verifies
+    # family whose trace covers both colors: the pair route then verifies.
+    # A B-vertex lies in 75.6 neighbourhoods on average and at most 83, far
+    # above 2tT = 16, so the kernel runs
+    calls = count_kernel_calls(monkeypatch)
     bg = gen_lopsided(3400, 90, 2, 2, seed=5)
     cert = model_lopsided(bg, s=2, k=2, seed=11,
                           params=PipelineParams(retries=30))
+    assert calls
     assert cert.mode == "case2_lopsided", cert.stats
+    assert cert.stats["stage"] == "model:pair"
     assert cert.verified["induced_c4free"] and cert.verified["avg_degree_ok"]
     sub = induced(bg.underlying, cert.witness)
     assert average_degree(sub) >= 2
     assert find_c4(sub) is None
     assert verify_certificate(bg.underlying, cert)
+
+
+# seeded gen_lopsided shapes per (r, s), dense enough to be lopsided and
+# sparse enough that the generator stays K_{s,s}-free; the (250, 25) family
+# at r = s = 2 has a B-vertex in 22 neighbourhoods, so it runs the kernel at
+# t = 2 (2tT = 16) but not at t = 3 (2tT = 24)
+SKIP_SHAPES = {(2, 2): ((60, 12, 1), (250, 25, 2)), (3, 2): ((30, 30, 1), (60, 50, 2)),
+               (4, 2): ((30, 40, 1), (60, 60, 2)), (3, 3): ((60, 12, 1), (150, 20, 2)),
+               (4, 3): ((60, 12, 1), (150, 20, 2))}
+
+
+def test_model_skip_matches_the_full_loop(monkeypatch):
+    # with kernel_can_trace forced true every attempt runs its kernel; the
+    # certificates must not change
+    real = pipeline.kernel_can_trace
+    calls = count_kernel_calls(monkeypatch)
+    stages = Counter()
+    kernel_runs = 0
+    for (r, s), shapes in SKIP_SHAPES.items():
+        for a, b, seed in shapes:
+            bg = gen_lopsided(a, b, r, s, seed)
+            for k in (1, 2, 3):
+                for retries in (0, 1, 5, 20):
+                    params = PipelineParams(retries=retries)
+                    monkeypatch.setattr(pipeline, "kernel_can_trace", real)
+                    before = len(calls)
+                    guarded = model_lopsided(bg, s, k, seed=seed, params=params)
+                    kernel_runs += len(calls) > before
+                    monkeypatch.setattr(pipeline, "kernel_can_trace",
+                                        lambda *args: True)
+                    full = model_lopsided(bg, s, k, seed=seed, params=params)
+                    assert guarded.to_json() == full.to_json(), (r, s, a, b, k, retries)
+                    stages[guarded.stats["stage"]] += 1
+    assert stages == {"model:budget-exhausted": 90, "model:star": 30}
+    # only the (250, 25) family at t = 2 (k <= 2) runs a kernel, when retries >= 1
+    assert kernel_runs == 6
+
+
+@pytest.mark.parametrize("a, b", [(200, 25), (300, 30)])
+def test_model_runs_no_kernel_on_the_benchmark_shapes(a, b, monkeypatch):
+    # gen_lopsided(a, b, 3, 3) at s = k = 3: 2tT = 2 * 3 * 8 = 48, and no
+    # B-vertex of these draws lies in that many neighbourhoods
+    calls = count_kernel_calls(monkeypatch)
+    for seed in (1, 2, 3):
+        bg = gen_lopsided(a, b, 3, 3, seed)
+        cert = model_lopsided(bg, 3, 3, seed=seed)
+        assert cert.stats["stage"] == "model:budget-exhausted"
+        assert "best_avg_degree" not in cert.stats
+    assert calls == []
 
 
 def test_extract_heawood_trivial():
