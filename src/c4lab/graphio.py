@@ -268,8 +268,8 @@ def write_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> str:
 def read_hypergraph(text: str) -> tuple[int, list[frozenset[int]]]:
     """The inverse of write_hypergraph; blank lines are skipped, and an edge
     line that repeats a vertex raises DomainError rather than losing rank."""
-    lines = [(no, ln) for no, ln in enumerate((raw.strip() for raw in text.splitlines()),
-                                              start=1) if ln]
+    numbered = enumerate((raw.strip() for raw in text.splitlines()), start=1)
+    lines = [(no, ln) for no, ln in numbered if ln]
     if not lines:
         raise DomainError("empty hypergraph file")
     head = lines[0][1].split()

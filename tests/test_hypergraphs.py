@@ -290,7 +290,7 @@ def test_kernel_trace_needs_a_vertex_in_2tT_edges():
     # that traces occur.  A nonempty trace must come from a family that
     # kernel_can_trace admits
     rng = random.Random(2024)
-    kernels = traces = 0
+    traces = 0
     for case in range(240):
         r = rng.randint(2, 4)
         s, t = rng.randint(1, min(r, 2)), rng.randint(1, 2)
@@ -307,7 +307,6 @@ def test_kernel_trace_needs_a_vertex_in_2tT_edges():
         can_trace = kernel_can_trace(f, s, t)
         assert can_trace == (max(m.bit_count() for m in f.incidence) >= bound)
         for seed in range(6):
-            kernels += 1
             try:
                 kern = furedi_kernel(f, s, t, seed=seed, retries=3)
             except KernelFailure:
@@ -315,7 +314,7 @@ def test_kernel_trace_needs_a_vertex_in_2tT_edges():
             if kern.trace.edges:
                 traces += 1
                 assert can_trace, (case, seed)
-    assert kernels == 1440 and traces >= 50
+    assert traces >= 50
 
 
 def test_kernel_trace_bound_is_tight():
