@@ -3,8 +3,8 @@
 Graphs are finite, simple, and loopless.  Vertices are the dense integers
 0..n-1; adjacency is stored as one bitmask per vertex so membership tests,
 common-neighbourhood intersections, and degree counts are cheap word
-operations.  A subgraph's vertices are renumbered densely too; the caller
-keeps the id tuple that maps them back to the parent.
+operations.  A vertex subset is a mask over its graph's own ids; `induced`
+renumbers one densely, vertex i standing for the i-th smallest kept id.
 
 All randomized operations take an explicit integer seed and are pure
 functions of (input, seed).  Sub-streams (per retry, per trial) are derived
@@ -110,9 +110,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self._m
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def degree(self, v: int) -> int:
         return self._nbr[v].bit_count()
@@ -226,43 +223,51 @@ def average_degree(g: Graph) -> Fraction:
     return Fraction(2 * g.edge_count, g.n)
 
 
-def min_degree_core(g: Graph, t: int) -> frozenset[int]:
-    """Maximal vertex set S with every degree in g[S] at least t (possibly empty).
+def degrees_within(nbr: Sequence[int], alive: int) -> tuple[list[int], int]:
+    """Each vertex's neighbour count inside the vertex mask `alive`, and the
+    degree sum 2e of the set.  The sum subtracts the vertices outside
+    `alive`, few on the extraction path, rather than test every bit."""
+    outside = ~alive & ((1 << len(nbr)) - 1)
+    if not outside:  # every mask is already inside
+        deg = list(map(int.bit_count, nbr))
+        return deg, sum(deg)
+    deg = [(mask & alive).bit_count() for mask in nbr]
+    return deg, sum(deg) - sum(deg[v] for v in bits(outside))
 
-    Standard peeling: repeatedly delete any vertex whose remaining degree is
-    below t.  The result is independent of deletion order.
-    """
+
+def min_degree_core(nbr: Sequence[int], alive: int, t: int) -> int:
+    """The maximal subset of the vertex mask `alive` that induces minimum
+    degree at least t under the neighbour masks `nbr`, as a mask (possibly
+    0).  Peeling deletes any vertex whose remaining degree is below t until
+    none is left; the result is independent of deletion order."""
     if t <= 0:
         raise DomainError("t must be a positive integer")
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    stack = [v for v in range(g.n) if deg[v] < t]
+    deg, _ = degrees_within(nbr, alive)
+    stack = [v for v, dv in enumerate(deg) if dv < t and alive >> v & 1]
     while stack:
         u = stack.pop()
-        if not alive[u]:
+        if not alive >> u & 1:
             continue
-        alive[u] = False
-        for w in g.neighbors(u):
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < t:
-                    stack.append(w)
-    return frozenset(v for v in range(g.n) if alive[v])
+        alive ^= 1 << u
+        for w in bits(nbr[u] & alive):
+            deg[w] -= 1
+            if deg[w] < t:
+                stack.append(w)
+    return alive
 
 
-def half_degree_core(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """One peel to the min-degree core at ceil(d/2), d = d(g): (core, ids).
+def half_degree_core(nbr: Sequence[int], alive: int) -> int:
+    """The min-degree core of the vertex mask `alive` at ceil(d/2), d the
+    average degree it induces under the neighbour masks `nbr`, as a mask.
 
-    `ids` lists the kept vertices of g ascending and the core is g[ids].  A
-    graph the peel leaves whole, or one with no edge, comes back as g
-    itself, as `induced` returns it.  A graph with an edge keeps a nonempty
-    core: it has a subgraph of minimum degree above d/2.
+    A set with no edge comes back whole.  A set with an edge keeps a
+    nonempty core: it induces a subgraph of minimum degree above d/2.
     """
-    if g.edge_count == 0:
-        return g, tuple(range(g.n))
-    t = -(-g.edge_count // g.n)  # ceil(d/2) = ceil(e/n)
-    ids = tuple(sorted(min_degree_core(g, t)))
-    return induced(g, ids), ids
+    _, two_e = degrees_within(nbr, alive)
+    if two_e == 0:
+        return alive
+    t = -(-two_e // (2 * alive.bit_count()))  # ceil(d/2) = ceil(e/n)
+    return min_degree_core(nbr, alive, t)
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -421,6 +426,9 @@ def gen_lopsided(a_count: int, b_count: int, r: int, s: int, seed: int
     """
     from .oracles import contains_biclique  # deferred to avoid an import cycle
 
+    for name, value in (("a_count", a_count), ("b_count", b_count), ("r", r)):
+        if value < 0:
+            raise DomainError(f"{name}={value} must be nonnegative")
     if r > b_count:
         raise DomainError(f"r={r} exceeds b_count={b_count}")
     if s < 1:

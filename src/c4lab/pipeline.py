@@ -439,8 +439,8 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     average degree >= k), by the rule `verify_certificate` applies; (2)
     otherwise peel to the min-degree core at half the average degree,
     iterated to a fixed point; (3) split into the near-regular or the
-    lopsided case and run short-cycle sparsification; a lopsided cut ends
-    the attempts; (4) a failed pipeline falls back to the exhaustive
+    lopsided case and run short-cycle sparsification; a lopsided cut runs
+    no attempt; (4) a failed pipeline falls back to the exhaustive
     optimum (oracle_fallback) unless the oracle refuses the input's size,
     else an honest failure certificate with diagnostics.
     Every witness is re-verified from scratch against the original graph.
@@ -467,23 +467,22 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     if _keeps_promise(trivial):
         return trivial
 
-    # peel to a fixed point
-    core_graph, core_ids = g, tuple(range(g.n))
-    while True:
-        peeled, ids = half_degree_core(core_graph)
-        if peeled is core_graph:
-            break
-        core_graph, core_ids = peeled, tuple(core_ids[v] for v in ids)
-
-    # the seed-free half of the split is shared by every attempt; when it
-    # raises, every attempt would fail, so none runs
+    # peel to a fixed point and take the seed-free half of the split, which
+    # every attempt shares, all in g's ids.  If the split raises, every
+    # attempt would fail, and no seed changes a lopsided cut: either way no
+    # attempt runs, and only the oracle or the failure record remain
+    nbr = g.masks
     attempts = 0
-    if core_graph.edge_count > 0 and params.attempts > 0:
+    if params.attempts > 0:
+        core = (1 << g.n) - 1
+        while (peeled := half_degree_core(nbr, core)) != core:
+            core = peeled
         try:
-            prefix = split_prefix(core_graph, pdict["split_delta"])
-            attempts = params.attempts
+            prefix = split_prefix(nbr, core, pdict["split_delta"])
         except (DomainError, ExtractionFailure):
             pass
+        else:
+            attempts = params.attempts if prefix.lopsided is None else 0
 
     # the lowest-index success wins; failed sparsifier runs feed a running
     # best for the diagnostics, where a strict > keeps the lowest index
@@ -492,28 +491,17 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         base_seed = mix_seed(seed, 7000 + i)
         try:
             split = split_from_prefix(prefix, base_seed, retries=params.retries)
-        except ExtractionFailure:
-            continue
-        if split.kind == "lopsided":
-            # the prefix certified the cut before any random draw, so no
-            # seed changes it; only the oracle or the failure record remain
-            break
-        try:
-            keep = sparsify_short_cycles(core_graph, split.subgraph, s,
-                                         mix_seed(base_seed, 1), target=k,
-                                         retries=params.retries)
+            keep = sparsify_short_cycles(g, split.subgraph, s, mix_seed(base_seed, 1),
+                                         target=k, retries=params.retries)
         except ExtractionFailure as exc:
             if exc.best:
-                # core_graph is an induced subgraph of g, so the densest
-                # set's average degree and size need no lift to g's ids
                 dense = mask_of(exc.best)
-                avg = Fraction(sum((core_graph.neighbor_mask(v) & dense).bit_count()
-                                   for v in exc.best), len(exc.best))
+                avg = Fraction(sum((nbr[v] & dense).bit_count() for v in exc.best),
+                               len(exc.best))
                 if best is None or avg > best[0]:
                     best = (avg, len(exc.best))
             continue
-        wit_ids = [core_ids[v] for v in sorted(keep)]
-        return _subgraph_certificate(g, digest, "case1_near_regular", wit_ids,
+        return _subgraph_certificate(g, digest, "case1_near_regular", keep,
                                      pdict, seed, k, stage=f"attempt{i}:near-regular")
 
     try:

@@ -16,9 +16,9 @@ from fractions import Fraction
 from .errors import DomainError, ExtractionFailure, InvariantError, ParameterError
 from .graphs import (
     Graph,
-    average_degree,
     bits,
     degeneracy,
+    degrees_within,
     greedy_coloring,
     half_degree_core,
     induced,
@@ -266,18 +266,17 @@ class SplitOutcome:
 
 @dataclass(frozen=True)
 class SplitPrefix:
-    """The seed-free half of `extreme_split` on one graph.
+    """The seed-free half of `extreme_split` on one vertex set of a graph.
 
     Either the lopsided outcome, which no seed changes, or what every
-    near-regular attempt starts from: d(g) as a float, the neighbour masks
-    of the min-degree core h of g - R with each h-vertex's id in g, and the
-    dyadic degree bucket of h with the most incident edges.  It is read
-    only, so one prefix serves any number of seeds.
+    near-regular attempt starts from, all in the graph's own ids: d as a
+    float, every neighbour mask cut down to the min-degree core h of the
+    set less R, and h's dyadic degree bucket with the most incident edges.
+    It is read only, so one prefix serves any number of seeds.
     """
 
     lopsided: SplitOutcome | None
     d: float = 0.0
-    core_map: tuple[int, ...] = ()
     nbr: tuple[int, ...] = ()
     bucket: tuple[int, ...] = ()
 
@@ -297,44 +296,43 @@ def _heaviest_dyadic_bucket(degrees, d: float) -> list[int]:
     return buckets[max(buckets, key=lambda j: (mass[j], -j))]
 
 
-def split_prefix(g: Graph, delta: float) -> SplitPrefix:
-    """Everything `extreme_split` computes before its first random draw.
+def split_prefix(nbr, alive: int, delta: float) -> SplitPrefix:
+    """Everything `extreme_split` computes before its first random draw, on
+    the subgraph that the vertex mask `alive` induces under the neighbour
+    masks `nbr`.
 
-    With d = d(g): vertices of degree above d 2^{d^delta} form R.  If the
-    cut (R, V-R) carries at least nd/4 = e/2 edges (exact), the prefix holds
-    the lopsided outcome, which records only its kind.  Otherwise it holds
-    the min-degree core h of g - R and h's heaviest dyadic degree bucket.
-    Raises DomainError on an empty graph or d < 2, and ExtractionFailure
-    when nothing remains outside R or the core is empty.
+    With d its average degree: vertices of degree above d 2^{d^delta} form
+    R.  If the cut (R, rest) carries at least nd/4 = e/2 edges (exact), the
+    prefix holds the lopsided outcome, which records only its kind.
+    Otherwise it holds the min-degree core h of the rest and h's heaviest
+    dyadic degree bucket.  Raises DomainError on an empty set or d < 2, and
+    ExtractionFailure when the rest spans no edge.
     """
-    if g.n == 0:
+    n = alive.bit_count()
+    if n == 0:
         raise DomainError("graph must be nonempty")
-    d = average_degree(g)
-    if d < 2:
+    deg, two_e = degrees_within(nbr, alive)
+    if two_e < 2 * n:
         raise DomainError("average degree must be at least 2")
-    r_thresh = float(d) * 2 ** (float(d) ** delta)
-    r_mask = mask_of(v for v in range(g.n) if g.degree(v) > r_thresh)
+    d = two_e / n  # correctly rounded, as float(Fraction(two_e, n)) is
+    r_thresh = d * 2 ** (d ** delta)
+    r_mask = mask_of(v for v, dv in enumerate(deg) if dv > r_thresh) & alive
+    rest = alive & ~r_mask
     if r_mask:
         # each cut edge is counted once, from its end in R
-        cut_edges = sum((g.neighbor_mask(v) & ~r_mask).bit_count() for v in bits(r_mask))
-        if 2 * cut_edges >= g.edge_count:
+        cut_edges = sum((nbr[v] & rest).bit_count() for v in bits(r_mask))
+        if 4 * cut_edges >= two_e:
             return SplitPrefix(SplitOutcome(kind="lopsided"))
 
-    base_map = [v for v in range(g.n) if not (r_mask >> v) & 1]
-    base = induced(g, base_map)
-    if base.n == 0 or base.edge_count == 0:
+    core = half_degree_core(nbr, rest)
+    core_deg, core_two_e = degrees_within(nbr, core)
+    # a rest with an edge keeps a core of minimum degree >= 1; an edgeless
+    # one comes back whole
+    if core_two_e == 0:
         raise ExtractionFailure("nothing remains outside the high-degree set")
-    h, core_ids = half_degree_core(base)
-    if not core_ids:
-        raise ExtractionFailure("min-degree core is empty")
-    nbr = h.masks
-
-    # every core vertex has degree at least 1 in h, so some bucket exists
-    df = float(d)
     bucket = _heaviest_dyadic_bucket(
-        ((v, mask.bit_count()) for v, mask in enumerate(nbr)), df)
-    return SplitPrefix(None, df, tuple(base_map[v] for v in core_ids), nbr,
-                       tuple(bucket))
+        ((v, dv) for v, dv in enumerate(core_deg) if core >> v & 1), d)
+    return SplitPrefix(None, d, tuple(mask & core for mask in nbr), tuple(bucket))
 
 
 def split_from_prefix(prefix: SplitPrefix, seed: int,
@@ -344,10 +342,9 @@ def split_from_prefix(prefix: SplitPrefix, seed: int,
         return prefix.lopsided
     for attempt in range(retries):
         sub_seed = mix_seed(seed, attempt)
-        local = _near_regular_attempt(prefix, random.Random(sub_seed), sub_seed)
-        if local is not None:
-            return SplitOutcome(kind="near_regular",
-                                subgraph=frozenset(prefix.core_map[v] for v in local))
+        kept = _near_regular_attempt(prefix, random.Random(sub_seed), sub_seed)
+        if kept is not None:
+            return SplitOutcome(kind="near_regular", subgraph=frozenset(kept))
     raise ExtractionFailure(f"near-regular extraction failed in {retries} attempts")
 
 
@@ -369,14 +366,14 @@ def extreme_split(g: Graph, delta: float, seed: int,
     Callers that split one graph under many seeds compute `split_prefix`
     once and call `split_from_prefix` per seed; this is the two in one.
     """
-    return split_from_prefix(split_prefix(g, delta), seed, retries)
+    return split_from_prefix(split_prefix(g.masks, (1 << g.n) - 1, delta), seed, retries)
 
 
 def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
                           reduce_seed: int) -> tuple[int, ...] | None:
-    """One randomized pass of the bucket/sample/strip recipe; h-local ids,
-    ascending.  Every neighbour count is a popcount against a mask, and the
-    reduction reads h's masks through the two sides' masks."""
+    """One randomized pass of the bucket/sample/strip recipe; the kept
+    vertices, ascending.  Every neighbour count is a popcount against a
+    mask, and the reduction reads h's masks through the two sides' masks."""
     nbr, d = prefix.nbr, prefix.d
     c_prime = mask_of(v for v in prefix.bucket if rng.random() < 0.25)
     # keep the sampled vertices that sample at most half their neighbours,

@@ -293,9 +293,11 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
         witness_set = list(cert.witness)
 
     if witness_set is not None:
-        sub = induced(g, witness_set)
-        core, core_local = half_degree_core(sub)
-        host_ids = [witness_set[v] for v in core_local]
+        # the peel drops few vertices, so a test against them is cheap
+        w_mask = mask_of(witness_set)
+        dropped = w_mask ^ half_degree_core(g.masks, w_mask)
+        host_ids = [v for v in witness_set if not dropped >> v & 1]
+        core = induced(g, host_ids)
         if core.edge_count:
             parts = core.bipartition()
             for attempt in range(retries):

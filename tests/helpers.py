@@ -180,6 +180,41 @@ def induced_by_edge_walk(g: Graph, s) -> Graph:
     return Graph(len(keep), edges)
 
 
+def min_degree_core_on_graph(g: Graph, t: int) -> frozenset[int]:
+    """The reference for `graphs.min_degree_core` on a whole Graph: the
+    peel as it was before it read vertex masks, over a list of live flags."""
+    from c4lab.errors import DomainError
+
+    if t <= 0:
+        raise DomainError("t must be a positive integer")
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
+    stack = [v for v in range(g.n) if deg[v] < t]
+    while stack:
+        u = stack.pop()
+        if not alive[u]:
+            continue
+        alive[u] = False
+        for w in g.neighbors(u):
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] < t:
+                    stack.append(w)
+    return frozenset(v for v in range(g.n) if alive[v])
+
+
+def half_degree_core_on_graph(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """The reference for `graphs.half_degree_core` on a whole Graph: the
+    core at ceil(d/2) as a Graph with its ascending ids in g, and g itself
+    when g has no edge."""
+    from c4lab.graphs import induced
+
+    if g.edge_count == 0:
+        return g, tuple(range(g.n))
+    ids = tuple(sorted(min_degree_core_on_graph(g, -(-g.edge_count // g.n))))
+    return induced(g, ids), ids
+
+
 def degeneracy_by_min_scan(g: Graph):
     """Degeneracy by scanning all live vertices for the (degree, id)-least one
     at every removal, O(n^2): the reference for the heap-based `degeneracy`."""
@@ -475,7 +510,7 @@ def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, retries: int =
     from math import ceil
 
     from c4lab.errors import DomainError, ExtractionFailure
-    from c4lab.graphs import average_degree, induced, min_degree_core, mix_seed
+    from c4lab.graphs import average_degree, induced, mix_seed
     from c4lab.reductions import SplitOutcome
 
     if g.n == 0:
@@ -493,7 +528,7 @@ def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, retries: int =
     base_map = sorted(rest)
     if base.n == 0 or base.edge_count == 0:
         raise ExtractionFailure("nothing remains outside the high-degree set")
-    core = min_degree_core(base, max(1, ceil(average_degree(base) / 2)))
+    core = min_degree_core_on_graph(base, max(1, ceil(average_degree(base) / 2)))
     if not core:
         raise ExtractionFailure("min-degree core is empty")
     core_map = [base_map[v] for v in sorted(core)]

@@ -197,16 +197,18 @@ def test_cli_near_regular_success_golden(tmp_path, capsys):
 
 
 def test_attempts_build_no_graph_of_their_own(tmp_path, capsys, monkeypatch):
-    # the split, the reduction and the sparsifier read the core's masks: no
-    # attempt builds a BipartiteGraph or calls `induced`, so 8 attempts call
-    # it as often as 1, bar the one check of a witness that an attempt finds
+    # the peel, the split, the reduction and the sparsifier read g's masks
+    # through vertex masks: nothing builds a BipartiteGraph, and `induced`
+    # runs only in the certificate's flags, once for the whole vertex set
+    # and once more for a witness that an attempt finds
     import json
     import sys
 
-    from c4lab import graphs
+    from c4lab import graphs, pipeline
 
-    calls = {"induced": 0, "BipartiteGraph": 0}
+    calls = {"induced": 0, "BipartiteGraph": 0, "flags": 0}
     induced, init = graphs.induced, graphs.BipartiteGraph.__init__
+    flags_and_stats = pipeline._flags_and_stats
 
     def counted_induced(*args, **kwargs):
         calls["induced"] += 1
@@ -216,25 +218,31 @@ def test_attempts_build_no_graph_of_their_own(tmp_path, capsys, monkeypatch):
         calls["BipartiteGraph"] += 1
         init(self, *args, **kwargs)
 
+    def counted_flags(*args, **kwargs):
+        calls["flags"] += 1
+        return flags_and_stats(*args, **kwargs)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("c4lab") and getattr(module, "induced", None) is induced:
             monkeypatch.setattr(module, "induced", counted_induced)
     monkeypatch.setattr(graphs.BipartiteGraph, "__init__", counted_init)
+    monkeypatch.setattr(pipeline, "_flags_and_stats", counted_flags)
     for graph_file in ("gnp200.g6", "gnp100.g6"):
         counts, modes = {}, {}
         for attempts in ("1", "8"):
-            calls.update(induced=0, BipartiteGraph=0)
+            calls.update(induced=0, BipartiteGraph=0, flags=0)
             out = tmp_path / f"{graph_file}-{attempts}.json"
             main(["extract", "--input", str(GOLDEN / graph_file), *CASE1_SCENARIO[2],
                   "--attempts", attempts, "--out", str(out)])
             capsys.readouterr()
             assert calls["BipartiteGraph"] == 0
+            assert calls["induced"] == calls["flags"]
             counts[attempts] = calls["induced"]
             modes[attempts] = json.loads(out.read_text())["mode"]
         assert modes["1"] == "failure"
         found = modes["8"] == "case1_near_regular"
         assert found == (graph_file == "gnp100.g6")
-        assert counts["8"] == counts["1"] + found
+        assert counts == {"1": 1, "8": 1 + found}
 
 
 def test_near_regular_golden_input_is_the_gnp_draw():
@@ -347,21 +355,15 @@ def test_lopsided_cut_runs_neither_regularize_nor_model(tmp_path, capsys, monkey
     def never(*args, **kwargs):
         raise AssertionError("extract must not run the lopsided model route")
 
+    def no_attempt(*args, **kwargs):
+        raise AssertionError("a lopsided prefix must run no attempt")
+
     monkeypatch.setattr(reductions, "bipartite_regularize", never)
     monkeypatch.setattr(pipeline, "model_lopsided", never)
-    kinds = []
-    real_split = pipeline.split_from_prefix
-
-    def recording_split(*args, **kwargs):
-        split = real_split(*args, **kwargs)
-        kinds.append(split.kind)
-        return split
-
-    monkeypatch.setattr(pipeline, "split_from_prefix", recording_split)
+    # the prefix certifies the cut once, and no attempt runs after it
+    monkeypatch.setattr(pipeline, "split_from_prefix", no_attempt)
     got = _extract_lopsided_golden(tmp_path, capsys)
     assert got == (GOLDEN / LOPSIDED_SCENARIO[1]).read_bytes()
-    # the cut is taken once, and it ends the attempt loop
-    assert kinds == ["lopsided"]
 
 
 def test_lopsided_golden_input_is_the_generator_draw():

@@ -9,12 +9,14 @@ from c4lab.errors import DomainError, GenerationFailure, UnsupportedParameterErr
 from c4lab.graphs import (
     Graph,
     average_degree,
+    bits,
     degeneracy,
     gen_gnp,
     gen_lopsided,
     greedy_coloring,
     half_degree_core,
     induced,
+    mask_of,
     min_degree_core,
     mix_seed,
     projective_plane_incidence,
@@ -33,7 +35,9 @@ from helpers import (
     disjoint_union,
     gen_lopsided_by_pair_holders,
     girth,
+    half_degree_core_on_graph,
     induced_by_edge_walk,
+    min_degree_core_on_graph,
 )
 
 
@@ -63,14 +67,23 @@ def test_average_degree_examples():
 def test_heawood_statistics():
     h = heawood_graph()
     assert h.n == 14 and h.edge_count == 21
-    assert all(h.degree(v) == 3 for v in h.vertices())
+    assert all(h.degree(v) == 3 for v in range(h.n))
     assert girth(h) == 6
 
 
+def _everything(g: Graph) -> int:
+    return (1 << g.n) - 1
+
+
 def test_min_degree_core_examples():
-    assert min_degree_core(star_graph(5), 2) == frozenset()
-    assert min_degree_core(cycle_graph(5), 2) == frozenset(range(5))
-    assert min_degree_core(petersen_graph(), 3) == frozenset(range(10))
+    assert min_degree_core(star_graph(5).masks, (1 << 6) - 1, 2) == 0
+    assert min_degree_core(cycle_graph(5).masks, 0b11111, 2) == 0b11111
+    assert min_degree_core(petersen_graph().masks, (1 << 10) - 1, 3) == (1 << 10) - 1
+    # inside a vertex mask: the path 0-1-2-3 of C5 has a 1-core, no 2-core
+    assert min_degree_core(cycle_graph(5).masks, 0b01111, 1) == 0b01111
+    assert min_degree_core(cycle_graph(5).masks, 0b01111, 2) == 0
+    with pytest.raises(DomainError):
+        min_degree_core(cycle_graph(5).masks, 0b11111, 0)
 
 
 def test_min_degree_core_is_maximal_and_min_degree_holds():
@@ -79,45 +92,46 @@ def test_min_degree_core_is_maximal_and_min_degree_holds():
         n = 2 + rng.randrange(12)
         g = gen_gnp(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(2 ** 32))
         t = 1 + rng.randrange(4)
-        core = min_degree_core(g, t)
-        sub = induced(g, core)
+        alive = rng.choice([_everything(g), rng.getrandbits(n)])
+        core = min_degree_core(g.masks, alive, t)
+        assert core & ~alive == 0
+        sub = induced(g, bits(core))
         if core:
             assert min(map(sub.degree, range(sub.n))) >= t
         # independent replay: rescan-and-remove until stable; each removed
         # vertex has degree < t at its own removal time, and confluence makes
         # the result unique, so it must equal the library's core
-        alive = set(range(g.n))
+        kept = set(bits(alive))
         changed = True
         while changed:
             changed = False
-            for v in sorted(alive):
-                if len(set(g.neighbors(v)) & alive) < t:
-                    alive.discard(v)
+            for v in sorted(kept):
+                if len(set(g.neighbors(v)) & kept) < t:
+                    kept.discard(v)
                     changed = True
-        assert frozenset(alive) == core
-        # no single outside vertex can be added back
-        for v in sorted(set(range(g.n)) - core)[:5]:
-            gs = induced(g, core | {v})
+        assert mask_of(kept) == core
+        # no single outside vertex of the alive set can be added back
+        for v in list(bits(alive & ~core))[:5]:
+            gs = induced(g, bits(core | 1 << v))
             assert min(map(gs.degree, range(gs.n))) < t
 
 
 def test_half_degree_core_is_one_peel_at_half_the_average_degree():
-    # nothing to peel: the graph itself comes back, with no subgraph built
+    # nothing to peel: the set itself comes back
     for g in (Graph(5, []), Graph(0, []), petersen_graph(), cycle_graph(6)):
-        core, ids = half_degree_core(g)
-        assert core is g and ids == tuple(range(g.n))
+        assert half_degree_core(g.masks, _everything(g)) == _everything(g)
     rng = random.Random(5)
     for _ in range(200):
         n = 1 + rng.randrange(14)
         g = gen_gnp(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(2 ** 32))
-        core, ids = half_degree_core(g)
-        if g.edge_count == 0:
-            assert core is g
+        alive = rng.choice([_everything(g), rng.getrandbits(n)])
+        core = half_degree_core(g.masks, alive)
+        sub = induced(g, bits(alive))
+        if sub.edge_count == 0:
+            assert core == alive
             continue
-        expected = min_degree_core(g, max(1, ceil(average_degree(g) / 2)))
-        assert ids == tuple(sorted(expected)) and ids
-        assert core.masks == induced(g, ids).masks
-        assert (core is g) == (len(ids) == g.n)
+        expected = min_degree_core(g.masks, alive, max(1, ceil(average_degree(sub) / 2)))
+        assert core == expected and core
 
 
 def test_peeling_lemma_nonempty_core():
@@ -130,9 +144,35 @@ def test_peeling_lemma_nonempty_core():
         d = average_degree(g)
         for t in (1, 2, 3, 4):
             if d >= 2 * t - 1:
-                assert min_degree_core(g, t), f"empty {t}-core with d={d}"
+                assert min_degree_core(g.masks, _everything(g), t), \
+                    f"empty {t}-core with d={d}"
                 checked += 1
     assert checked > 500
+
+
+def test_mask_peels_match_the_graph_references():
+    # the peels on a vertex mask of g against the Graph-based peels on the
+    # subgraph it induces, lifted back to g's ids
+    rng = random.Random(41)
+    cases = set()
+    for _ in range(300):
+        n = 1 + rng.randrange(40)
+        g = gen_gnp(n, rng.choice([0.05, 0.15, 0.3, 0.6]), rng.randrange(2 ** 32))
+        independent = 0
+        for v in range(n):
+            if not g.neighbor_mask(v) & independent:
+                independent |= 1 << v
+        alive = rng.choice([0, independent, _everything(g), rng.getrandbits(n),
+                            rng.getrandbits(n) & rng.getrandbits(n)])
+        ids = list(bits(alive))
+        sub = induced(g, ids)
+        cases.add("empty" if not alive else "edgeless" if not sub.edge_count else "edges")
+        for t in (1, 2, 3, sub.max_degree() + 1):
+            want = min_degree_core_on_graph(sub, t)
+            assert min_degree_core(g.masks, alive, t) == mask_of(ids[v] for v in want)
+        _, kept = half_degree_core_on_graph(sub)
+        assert half_degree_core(g.masks, alive) == mask_of(ids[v] for v in kept)
+    assert cases == {"empty", "edgeless", "edges"}
 
 
 def test_degeneracy_examples():
@@ -254,7 +294,7 @@ def test_projective_plane_examples():
         n1 = q * q + q + 1
         assert bg.n == 2 * n1
         assert bg.underlying.edge_count == (q + 1) * n1
-        assert all(bg.underlying.degree(v) == q + 1 for v in bg.underlying.vertices())
+        assert all(bg.underlying.degree(v) == q + 1 for v in range(bg.n))
         assert girth(bg.underlying) == 6
     with pytest.raises(UnsupportedParameterError):
         projective_plane_incidence(4)
@@ -286,6 +326,16 @@ def test_gen_lopsided_pigeonhole_failures():
     # repeated pair (only C(10,2)=45 distinct pairs exist)
     with pytest.raises(GenerationFailure):
         gen_lopsided(100, 10, 2, 2, seed=1)
+
+
+def test_gen_lopsided_refuses_negative_counts():
+    # a negative r would slice the sampled subset from its end and give
+    # A-vertices of degree b_count + r
+    for args, name in (((2, 6, -2, 3), "r=-2"), ((-1, 6, 2, 3), "a_count=-1"),
+                       ((2, -1, 0, 3), "b_count=-1")):
+        with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
+            gen_lopsided(*args, seed=1)
+    assert gen_lopsided(2, 6, 0, 3, seed=1).edge_count == 0
 
 
 def test_gen_lopsided_s3():

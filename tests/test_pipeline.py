@@ -359,7 +359,8 @@ def test_failure_diagnostics_keep_the_lowest_attempt_on_ties(monkeypatch):
     def sparsify_fails(*args, **kwargs):
         raise ExtractionFailure("below target", best=next(bests))
 
-    monkeypatch.setattr(pipeline, "split_prefix", lambda g, delta: "prefix")
+    monkeypatch.setattr(pipeline, "split_prefix",
+                        lambda nbr, alive, delta: SimpleNamespace(lopsided=None))
     monkeypatch.setattr(pipeline, "split_from_prefix", lambda prefix, seed, retries:
                         SimpleNamespace(kind="near_regular", subgraph=range(g.n)))
     monkeypatch.setattr(pipeline, "sparsify_short_cycles", sparsify_fails)

@@ -423,17 +423,26 @@ def test_extreme_split_matches_set_scan_reference():
             g = gen_gnp(n, rng.choice([0.03, 0.08, 0.15, 0.3, 0.5]), rng.randrange(2 ** 32))
         delta = rng.choice([0.0016, 0.01, 0.1, 0.3])
         kwargs = {"retries": rng.choice([0, 1, 4, 8])}
+        # on every other graph the prefix reads g's masks through a random
+        # vertex set, and the reference splits the Graph that set induces
+        ids = [v for v in range(g.n) if i % 2 == 0 or rng.random() < 0.7]
+        sub = induced(g, ids)
         # one prefix serves every seed, as in the pipeline's attempts
-        prefix = _outcome(split_prefix, g, delta)
+        prefix = _outcome(split_prefix, g.masks, mask_of(ids), delta)
         for seed in (rng.randrange(2 ** 63), rng.randrange(2 ** 63), rng.randrange(2 ** 63)):
-            want = _outcome(helpers.extreme_split_by_set_scans, g, delta, seed, **kwargs)
-            assert _outcome(extreme_split, g, delta, seed, **kwargs) == want
+            want = _outcome(helpers.extreme_split_by_set_scans, sub, delta, seed, **kwargs)
+            if want[0] == "value" and want[1].subgraph is not None:
+                lifted = frozenset(ids[v] for v in want[1].subgraph)
+                want = ("value", SplitOutcome(kind="near_regular", subgraph=lifted))
+            if sub is g:
+                assert _outcome(extreme_split, g, delta, seed, **kwargs) == want
             if prefix[0] == "value":
                 assert _outcome(split_from_prefix, prefix[1], seed, **kwargs) == want
             else:
                 assert prefix == want
-            kinds.add(want[0] if want[0] == "raised" else want[1].kind)
-    assert kinds == {"raised", "near_regular", "lopsided"}
+            kinds.add((sub is g, want[0] if want[0] == "raised" else want[1].kind))
+    assert kinds == {(whole, kind) for whole in (True, False)
+                     for kind in ("raised", "near_regular", "lopsided")}
 
 
 def test_almost_biregular_reduce_matches_set_scan_reference():

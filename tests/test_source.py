@@ -99,9 +99,12 @@ def test_benchmark_traced_names_resolve():
     assert missing == []
 
 
-def _names_read(node) -> Counter:
+def _names_read(node, attributes_only: bool = False) -> Counter:
+    # a bare name (x) or an attribute (o.x); a method is reached only as the
+    # latter, so a local variable or a parameter of its name does not count
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   if isinstance(n, kinds))
 
 
 def _package_trees() -> dict:
@@ -114,13 +117,19 @@ def _package_trees() -> dict:
 def _unread(trees: dict, named) -> list[str]:
     # the functions and classes (methods included) selected by `named` whose
     # name no tree reads outside their own bodies; a definition's reads of
-    # its own name (recursion) do not count
-    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    # its own name (recursion) do not count, and a method counts as read
+    # only through an attribute read
+    # read[True] counts attribute reads only, read[False] every read
+    read = {attrs: sum((_names_read(tree, attrs) for tree in trees.values()), Counter())
+            for attrs in (False, True)}
+    methods = {id(node) for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
     return [f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
             for path, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and named(node.name)
-            and read[node.name] == _names_read(node)[node.name]]
+            and read[id(node) in methods][node.name]
+            == _names_read(node, id(node) in methods)[node.name]]
 
 
 def test_every_private_helper_has_a_caller():

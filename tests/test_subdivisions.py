@@ -4,7 +4,8 @@ import pytest
 
 from c4lab import subdivisions
 from c4lab.errors import DomainError, InvariantError
-from c4lab.graphs import Graph, gen_gnp, half_degree_core, induced, projective_plane_incidence
+from c4lab.graphs import (Graph, bits, gen_gnp, half_degree_core, induced,
+                          projective_plane_incidence)
 from c4lab.named import (
     complete_bipartite,
     complete_graph,
@@ -154,6 +155,23 @@ def test_induced_subdivision_edgeless():
     assert induced_subdivision(Graph(5), 2, 2, seed=1, params=FAST) is None
 
 
+def test_induced_subdivision_samples_the_peeled_witness(monkeypatch):
+    # PG(2,3) with three pendant vertices is C4-free with average degree
+    # 110/29 >= 3, so the whole graph is the witness; its peel at
+    # ceil(55/29) = 2 drops the pendants, and the samplers get the plane
+    plane = projective_plane_incidence(3).underlying
+    g = Graph(29, list(plane.edges()) + [(0, 26), (1, 27), (2, 28)])
+    cores = []
+
+    def record(core, parts, rng):
+        cores.append(core)
+        return None
+
+    monkeypatch.setattr(subdivisions, "_bipartite_case", record)
+    assert induced_subdivision(g, 2, 3, seed=1, params=FAST, retries=3) is None
+    assert [core.masks for core in cores] == [plane.masks] * 3
+
+
 def test_induced_subdivision_fuzz_soundness():
     rng = random.Random(101)
     found = 0
@@ -221,7 +239,8 @@ def test_near_regular_case_matches_the_set_scan():
     found = 0
     for n in (40, 100, 200, 400):
         for graph_seed in range(4):
-            core, _ = half_degree_core(gen_gnp(n, 6 / (n - 1), graph_seed))
+            g = gen_gnp(n, 6 / (n - 1), graph_seed)
+            core = induced(g, bits(half_degree_core(g.masks, (1 << n) - 1)))
             for seed in range(100):
                 got = subdivisions._near_regular_case(core, random.Random(seed))
                 assert got == near_regular_case_by_set_scans(core, random.Random(seed))
