@@ -24,7 +24,6 @@ from .errors import (
 from .graphs import (
     BipartiteGraph,
     Graph,
-    average_degree,
     degeneracy,
     gen_gnp,
     gen_lopsided,

@@ -15,7 +15,6 @@ index.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -114,9 +113,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._nbr[v].bit_count()
 
-    def neighbor_mask(self, v: int) -> int:
-        return self._nbr[v]
-
     @property
     def masks(self) -> tuple[int, ...]:
         """All neighbour masks, N(v) at index v; a tuple, so safe to share."""
@@ -134,9 +130,6 @@ class Graph:
             for w in bits(rest):
                 yield (u, u + 1 + w)
 
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self._nbr), default=0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._nbr == other._nbr
 
@@ -145,38 +138,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"
-
-    def is_bipartite(self) -> bool:
-        return self.bipartition() is not None
-
-    def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:
-        """A 2-coloring (side_a, side_b) if one exists, else None.
-
-        Deterministic: components are explored from their least vertex,
-        which lands on side_a; isolated vertices land on side_a.  A BFS
-        over layers of masks: a layer's reach is the OR of its neighbour
-        masks, an edge inside the layer is an odd cycle, and even layers
-        go to side_a.
-        """
-        nbr = self._nbr
-        unseen = (1 << self.n) - 1
-        side_a = 0
-        while unseen:
-            layer = unseen & -unseen
-            even = True
-            while layer:
-                unseen ^= layer
-                if even:
-                    side_a |= layer
-                reach = 0
-                for v in bits(layer):
-                    reach |= nbr[v]
-                if reach & layer:
-                    return None
-                layer = reach & unseen
-                even = not even
-        a = frozenset(bits(side_a))
-        return a, frozenset(range(self.n)) - a
 
 
 class BipartiteGraph:
@@ -215,13 +176,6 @@ class BipartiteGraph:
 
 
 # -- degree machinery ------------------------------------------------------
-
-def average_degree(g: Graph) -> Fraction:
-    """Average degree 2e/n as an exact Fraction; empty graph is a domain error."""
-    if g.n == 0:
-        raise DomainError("average degree of the empty graph is undefined")
-    return Fraction(2 * g.edge_count, g.n)
-
 
 def degrees_within(nbr: Sequence[int], alive: int) -> tuple[list[int], int]:
     """Each vertex's neighbour count inside the vertex mask `alive`, and the
@@ -268,6 +222,35 @@ def half_degree_core(nbr: Sequence[int], alive: int) -> int:
         return alive
     t = -(-two_e // (2 * alive.bit_count()))  # ceil(d/2) = ceil(e/n)
     return min_degree_core(nbr, alive, t)
+
+
+def bipartition(nbr: Sequence[int], alive: int) -> int | None:
+    """One side of a 2-colouring of the vertex mask `alive` under the
+    neighbour masks `nbr`, as a mask (the other side is the rest of
+    `alive`), or None when the set induces an odd cycle.
+
+    A BFS over layers of masks, each cut to the unseen vertices of `alive`:
+    a layer's reach is the OR of its neighbour masks, an edge inside the
+    layer is an odd cycle, and even layers go to the side returned, so
+    each component's least vertex lands there.
+    """
+    unseen = alive
+    side = 0
+    while unseen:
+        layer = unseen & -unseen
+        even = True
+        while layer:
+            unseen ^= layer
+            if even:
+                side |= layer
+            reach = 0
+            for v in bits(layer):
+                reach |= nbr[v]
+            if reach & layer:
+                return None
+            layer = reach & unseen
+            even = not even
+    return side
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -26,9 +26,10 @@ def _above(k: int) -> int:
 
 def find_c3(g: Graph) -> tuple[int, int, int] | None:
     """Lexicographically least triangle (a,b,c) with a<b<c, or None."""
+    nbr = g.masks
     for a in range(g.n):
-        for b in bits(g.neighbor_mask(a) & _above(a)):
-            common = g.neighbor_mask(a) & g.neighbor_mask(b) & _above(b)
+        for b in bits(nbr[a] & _above(a)):
+            common = nbr[a] & nbr[b] & _above(b)
             for c in bits(common):
                 return (a, b, c)
     return None
@@ -43,26 +44,27 @@ def find_c4(g: Graph) -> tuple[int, int, int, int] | None:
     It is kept for that witness: on a C4-free graph it has no early exit,
     so checks that need only the boolean use the O(m) `is_c4_free`.
     """
+    nbr = g.masks
     for a in range(g.n):
-        mask_a = g.neighbor_mask(a)
+        mask_a = nbr[a]
         for b in bits(mask_a):
-            for c in bits(g.neighbor_mask(b) & ~(1 << a)):
-                dmask = g.neighbor_mask(c) & mask_a
+            for c in bits(nbr[b] & ~(1 << a)):
+                dmask = nbr[c] & mask_a
                 dmask &= ~((1 << a) | (1 << b) | (1 << c))
                 for d in bits(dmask):
                     return (a, b, c, d)
     return None
 
 
-def is_c4_free(g: Graph) -> bool:
-    """True iff g has no 4-cycle (as a subgraph), in O(m) big-int operations.
+def is_c4_free(nbr: Sequence[int], alive: int) -> bool:
+    """True iff the vertex mask `alive` induces no 4-cycle (as a subgraph)
+    under the neighbour masks `nbr`, in O(m) big-int operations.
 
     Taking u as the cycle's least vertex puts the rest of the cycle above
-    u, so g is C4-free iff no u closes a 4-cycle with the vertices above it
-    (`closes_c4`).
+    u, so the set is C4-free iff none of its vertices u closes a 4-cycle
+    with the set's vertices above it (`closes_c4`).
     """
-    nbr = g.masks
-    return not any(closes_c4(nbr, u, _above(u)) for u in range(g.n))
+    return not any(closes_c4(nbr, u, alive & _above(u)) for u in bits(alive))
 
 
 def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -83,16 +85,16 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
         return None
     if s == 1:
         for u in range(g.n):
-            m = g.neighbor_mask(u)
+            m = g.masks[u]
             if m:
                 return frozenset([u]), frozenset([next(bits(m))])
         return None
     if s == 2:
-        if is_c4_free(g):
+        if is_c4_free(g.masks, (1 << g.n) - 1):
             return None
         seen: dict[tuple[int, int], int] = {}
         for w in range(g.n):
-            nb = list(bits(g.neighbor_mask(w)))
+            nb = list(bits(g.masks[w]))
             for u, v in combinations(nb, 2):
                 prev = seen.get((u, v))
                 if prev is not None:
@@ -113,7 +115,7 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
             return frozenset(chosen), frozenset(islice(bits(common), s))
         for i in range(start, len(order)):
             v = order[i]
-            new_common = common & g.neighbor_mask(v) if chosen else g.neighbor_mask(v)
+            new_common = common & g.masks[v] if chosen else g.masks[v]
             if new_common.bit_count() < s:
                 continue
             res = extend(chosen + [v], i + 1, new_common)

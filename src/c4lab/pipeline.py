@@ -27,9 +27,8 @@ from .errors import (
 from .graphs import (
     BipartiteGraph,
     Graph,
-    average_degree,
+    bipartition,
     half_degree_core,
-    induced,
     mask_of,
     mix_seed,
 )
@@ -97,10 +96,19 @@ def _is_a(value, kind: type) -> bool:
 
 
 def _load_json(text: str, name: str):
+    def unique_keys(pairs: list) -> dict:
+        # the decoder's own dict would keep the last copy of a repeated key
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise CertificateFormatError(f"{name} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     # the decoder recurses once per nesting level, so a deep enough array
     # passes the interpreter's recursion limit
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise CertificateFormatError(f"{name} nests too deeply") from None
 
@@ -226,20 +234,24 @@ _NO_FLAGS = {"induced_c4free": False, "avg_degree_ok": False,
 
 
 def _flags_and_stats(g: Graph, witness, k: int, delta: float) -> tuple[dict, dict]:
-    """Recompute the verified flags and stats for a witness vertex set."""
-    witness = tuple(sorted(witness))
+    """Recompute the verified flags and stats for a witness, a set of
+    distinct vertex ids of g, on g's own masks."""
+    witness = tuple(witness)
     if not witness:
         return dict(_NO_FLAGS), {"avg_degree": "0", "max_degree": 0, "size": 0}
-    sub = induced(g, witness)
-    avg = average_degree(sub)
-    mx = sub.max_degree()
+    nbr = g.masks
+    alive = (1 << g.n) - 1 if len(witness) == g.n else mask_of(witness)
+    # only the witness's degrees: a small witness costs no pass over g
+    deg = [(nbr[v] & alive).bit_count() for v in witness]
+    avg = Fraction(sum(deg), len(witness))
+    mx = max(deg)
     flags = {
-        "induced_c4free": is_c4_free(sub),
+        "induced_c4free": is_c4_free(nbr, alive),
         "avg_degree_ok": avg >= k,
-        "bipartite": sub.is_bipartite(),
+        "bipartite": bipartition(nbr, alive) is not None,
         "max_degree_bound_ok": mx <= 1 or float(avg) >= mx ** (1 - delta),
     }
-    stats = {"avg_degree": str(avg), "max_degree": mx, "size": sub.n}
+    stats = {"avg_degree": str(avg), "max_degree": mx, "size": len(witness)}
     return flags, stats
 
 
@@ -533,7 +545,10 @@ def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
             return False
         if not all(0 <= v < g.n for v in s_side + t_side):
             return False
-        return all(g.has_edge(u, v) for u in s_side for v in t_side)
+        # a biclique claims no subgraph, and its record says so
+        stats = [cert.stats.get(key) for key in ("avg_degree", "max_degree", "size")]
+        return (all(g.has_edge(u, v) for u in s_side for v in t_side)
+                and cert.verified == _NO_FLAGS and stats == ["0", 0, len(ids)])
     witness = cert.witness or ()
     if len(set(witness)) != len(witness) or any(not 0 <= v < g.n for v in witness):
         return False

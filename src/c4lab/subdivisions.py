@@ -18,10 +18,10 @@ from itertools import combinations
 from .errors import CertificateFormatError, DomainError, InvariantError
 from .graphs import (
     Graph,
-    average_degree,
+    bipartition,
     bits,
+    degrees_within,
     half_degree_core,
-    induced,
     mask_of,
     mix_seed,
 )
@@ -73,7 +73,8 @@ class SubdivisionWitness:
             raise CertificateFormatError("paths must be an object of 'u-v' keys")
         paths = {}
         for key, path in obj["paths"].items():
-            ends = re.fullmatch(r"(\d+)-(\d+)", key, re.ASCII)
+            # no leading zero: one spelling per pair, so two keys cannot name one
+            ends = re.fullmatch(r"(0|[1-9]\d*)-(0|[1-9]\d*)", key, re.ASCII)
             if ends is None:
                 raise CertificateFormatError(f"path key {key!r} must be 'u-v'")
             paths[(int(ends[1]), int(ends[2]))] = _vertex_list(path, f"path {key!r}")
@@ -118,7 +119,7 @@ def _is_induced(g: Graph, branch, paths) -> bool:
     w = SubdivisionWitness(tuple(branch), paths)
     inside = mask_of(w.all_vertices())
     actual = {(u, v) for u in bits(inside)
-              for v in bits(g.neighbor_mask(u) & inside) if u < v}
+              for v in bits(g.masks[u] & inside) if u < v}
     return actual == w.path_edges()
 
 
@@ -288,40 +289,26 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
     if params is None:
         params = PipelineParams()
     cert = extract_induced_c4free(g, s, k, params, seed=mix_seed(seed, 1))
-    witness_set = None
+    sample = None
     if cert.mode not in ("failure", "biclique_found") and cert.witness:
-        witness_set = list(cert.witness)
-
-    if witness_set is not None:
-        # the peel drops few vertices, so a test against them is cheap
-        w_mask = mask_of(witness_set)
-        dropped = w_mask ^ half_degree_core(g.masks, w_mask)
-        host_ids = [v for v in witness_set if not dropped >> v & 1]
-        core = induced(g, host_ids)
-        if core.edge_count:
-            parts = core.bipartition()
-            for attempt in range(retries):
-                rng = random.Random(mix_seed(seed, 100 + attempt))
-                if parts is not None:
-                    found = _bipartite_case(core, parts, rng)
-                else:
-                    found = _near_regular_case(core, rng)
-                if found is None:
-                    continue
-                w_set, u_map = found
-                if len(w_set) < k or not u_map:
-                    continue
-                j, edge_owner = _build_aux_graph(w_set, u_map)
-                jw = find_subdivision(j, k, seed=mix_seed(seed, 300 + attempt),
-                                      retries=5)
-                if jw is None:
-                    continue
-                host_connector = {key: host_ids[u] for key, u in edge_owner.items()}
-                branch, paths = _lift(host_ids, w_set, jw, host_connector)
-                # the replay checks that g induces exactly the path edges
-                w = SubdivisionWitness(branch, paths, induced_flag=True)
-                if verify_subdivision(g, w):
-                    return w
+        sample = _sampler(g.masks, half_degree_core(g.masks, mask_of(cert.witness)))
+    if sample is not None:
+        for attempt in range(retries):
+            found = sample(random.Random(mix_seed(seed, 100 + attempt)))
+            if found is None:
+                continue
+            w_set, u_map = found
+            if len(w_set) < k or not u_map:
+                continue
+            j, edge_owner = _build_aux_graph(w_set, u_map)
+            jw = find_subdivision(j, k, seed=mix_seed(seed, 300 + attempt), retries=5)
+            if jw is None:
+                continue
+            branch, paths = _lift(w_set, jw, edge_owner)
+            # the replay checks that g induces exactly the path edges
+            w = SubdivisionWitness(branch, paths, induced_flag=True)
+            if verify_subdivision(g, w):
+                return w
 
     if g.n <= DEFAULT_EXHAUSTIVE_LIMIT:
         return find_subdivision(g, k, seed=mix_seed(seed, 9), retries=10,
@@ -329,36 +316,50 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
     return None
 
 
-def _lift(host_ids: list[int], w_set: list[int], jw: SubdivisionWitness,
-          host_connector: dict[tuple[int, int], int]
+def _lift(w_set: list[int], jw: SubdivisionWitness,
+          edge_owner: dict[tuple[int, int], int]
           ) -> tuple[tuple[int, ...], dict[tuple[int, int], tuple[int, ...]]]:
-    # vertex i of J is the core vertex w_set[i]
-    host_of = [host_ids[w] for w in w_set]
-    branch = tuple(sorted(host_of[v] for v in jw.branch_vertices))
+    # vertex i of J is w_set[i], and edge_owner names each J-edge's connector
+    branch = tuple(sorted(w_set[v] for v in jw.branch_vertices))
     lifted: dict[tuple[int, int], tuple[int, ...]] = {}
     for (a, b), jpath in jw.paths.items():
-        expanded: list[int] = [host_of[jpath[0]]]
+        expanded: list[int] = [w_set[jpath[0]]]
         for x, y in zip(jpath, jpath[1:]):
-            key = (min(x, y), max(x, y))
-            expanded.append(host_connector[key])
-            expanded.append(host_of[y])
-        # host_of ascends and J's path runs from a to b > a, so it stays u < v
+            expanded.append(edge_owner[(min(x, y), max(x, y))])
+            expanded.append(w_set[y])
+        # w_set ascends and J's path runs from a to b > a, so it stays u < v
         lifted[(expanded[0], expanded[-1])] = tuple(expanded)
     return branch, lifted
 
 
-def _bipartite_case(core: Graph, parts, rng: random.Random
-                    ) -> tuple[list[int], dict[int, tuple[int, int]]] | None:
-    """Sample W in the smaller side; collect big-side vertices seeing exactly 2."""
-    side_a, side_b = parts
-    if len(side_a) < len(side_b):
-        side_a, side_b = side_b, side_a
-    nbr = core.masks
-    d = float(average_degree(core))
+def _sampler(nbr, core: int):
+    """The connector sampler on the vertex mask `core`, as a function of an
+    attempt's rng, or None when the core has no edge.  The seed-free part
+    (the case, d and the vertex lists) is computed once, here."""
+    deg, two_e = degrees_within(nbr, core)
+    if not two_e:
+        return None
+    d = two_e / core.bit_count()
+    side = bipartition(nbr, core)
+    if side is None:
+        members = list(bits(core))
+        return lambda rng: _near_regular_case(nbr, members, d, rng)
+    large, small = side, core ^ side
+    if large.bit_count() < small.bit_count():
+        large, small = small, large
     cap = max(1, 4 * d)
-    big = [v for v in sorted(side_a) if nbr[v].bit_count() < cap]
-    p = min(1.0, 1.0 / (8 * d)) if d > 0 else 1.0
-    w_set = [v for v in sorted(side_b) if rng.random() < p]
+    big = [v for v in bits(large) if deg[v] < cap]
+    small_list = list(bits(small))
+    return lambda rng: _bipartite_case(nbr, big, small_list, d, rng)
+
+
+def _bipartite_case(nbr, big: list[int], small: list[int], d: float,
+                    rng: random.Random
+                    ) -> tuple[list[int], dict[int, tuple[int, int]]] | None:
+    """Sample W in the smaller side; collect the larger side's vertices of
+    degree below 4d (`big`) that see exactly 2 of W."""
+    p = min(1.0, 1.0 / (8 * d))
+    w_set = [v for v in small if rng.random() < p]
     if len(w_set) < 2:
         return None
     wmask = mask_of(w_set)
@@ -372,21 +373,18 @@ def _bipartite_case(core: Graph, parts, rng: random.Random
     return w_set, u_map
 
 
-def _near_regular_case(core: Graph, rng: random.Random
+def _near_regular_case(nbr, members: list[int], d: float, rng: random.Random
                        ) -> tuple[list[int], dict[int, tuple[int, int]]] | None:
-    """Independent W inside a sparse sample; collect degree-2 connectors."""
-    d = float(average_degree(core))
-    if d <= 0:
-        return None
+    """Independent W inside a sparse sample of `members`; collect degree-2
+    connectors."""
     p = min(1.0, 1.0 / (10 * d ** 1.6))
-    nbr = core.masks
-    w0 = mask_of(v for v in range(core.n) if rng.random() < p)
+    w0 = mask_of(v for v in members if rng.random() < p)
     w_set = [v for v in bits(w0) if not nbr[v] & w0]
     if len(w_set) < 2:
         return None
     wmask = mask_of(w_set)
-    # U0: the vertices whose sampled neighbours are exactly two, both in W
-    u0 = mask_of(u for u in range(core.n)
+    # U0: the members whose sampled neighbours are exactly two, both in W
+    u0 = mask_of(u for u in members
                  if (nbr[u] & wmask).bit_count() == 2
                  and (nbr[u] & w0).bit_count() == 2)
     u_map = {u: _low_pair(nbr[u] & wmask) for u in bits(u0 & ~w0)

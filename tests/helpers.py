@@ -6,11 +6,26 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
 from c4lab.graphio import _decode_n, _encode_n
 from c4lab.graphs import Graph, bits, gen_gnp
+
+
+def average_degree(g: Graph) -> Fraction:
+    """2e/n as an exact Fraction, the value a certificate's stats report."""
+    return Fraction(2 * g.edge_count, g.n)
+
+
+def max_degree(g: Graph) -> int:
+    return max(map(int.bit_count, g.masks), default=0)
+
+
+def everything(g: Graph) -> int:
+    """The vertex mask of every vertex of g."""
+    return (1 << g.n) - 1
 
 
 def girth(g: Graph) -> int | None:
@@ -146,7 +161,7 @@ def degree_scan_biclique(g: Graph, s: int):
             return None
         for i in range(start, len(order)):
             v = order[i]
-            new_common = common & g.neighbor_mask(v) if chosen else g.neighbor_mask(v)
+            new_common = common & g.masks[v] if chosen else g.masks[v]
             if new_common.bit_count() < s:
                 continue
             res = extend(chosen + [v], i + 1, new_common)
@@ -243,9 +258,9 @@ def short_cycle_vertices_by_pair_scan(g: Graph, inside) -> set[int]:
     bad: set[int] = set()
     members = sorted(inside)
     for i, u in enumerate(members):
-        mu = g.neighbor_mask(u) & mask
+        mu = g.masks[u] & mask
         for v in members[i + 1:]:
-            common = mu & g.neighbor_mask(v)
+            common = mu & g.masks[v]
             cnt = common.bit_count()
             # adjacent u, v close a triangle with every common w; any u, v
             # are a diagonal of a 4-cycle through any two common w
@@ -278,7 +293,7 @@ def best_c4free_by_fraction_scan(g: Graph, limit: int = 22):
         raise OracleLimitError(f"|g|={g.n} exceeds oracle limit {limit}")
     if g.n == 0:
         raise DomainError("graph must have at least one vertex")
-    masks = tuple(g.neighbor_mask(v) for v in range(g.n))
+    masks = g.masks
     total = 1 << g.n
     c4free = bytearray(total)
     edge_cnt = [0] * total
@@ -377,7 +392,7 @@ def _c4free_by_pair_scan(masks, sub) -> bool:
 def count_c4free_by_combination_scan(g: Graph, size: int) -> int:
     """Count of `size`-subsets inducing no C4, by a pair scan of every
     combination: the reference for counting `lowerbounds._c4free_subsets`."""
-    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    masks = g.masks
     return sum(_c4free_by_pair_scan(masks, sub)
                for sub in combinations(range(g.n), size))
 
@@ -388,7 +403,7 @@ def sample_c4free_by_pair_scan(g: Graph, size: int, samples: int, rng) -> int:
     with the same draws from `rng`."""
     from c4lab.graphs import sample_subset
 
-    masks = [g.neighbor_mask(v) for v in range(g.n)]
+    masks = g.masks
     return sum(_c4free_by_pair_scan(masks, sample_subset(rng, range(g.n), size))
                for _ in range(samples))
 
@@ -430,7 +445,7 @@ def almost_biregular_reduce_by_set_scans(gamma, seed: int, retries: int = 100):
     from fractions import Fraction
 
     from c4lab.errors import ExtractionFailure
-    from c4lab.graphs import average_degree, mix_seed
+    from c4lab.graphs import mix_seed
 
     g = gamma.underlying
     e = gamma.edge_count
@@ -457,7 +472,7 @@ def almost_biregular_reduce_by_set_scans(gamma, seed: int, retries: int = 100):
             out = induced_bipartite_by_relabelling(gamma, keep)
             dd = average_degree(out.underlying)
             assert dd >= average_degree(g) / 4
-            assert out.underlying.max_degree() <= 24 * big_l * dd
+            assert max_degree(out.underlying) <= 24 * big_l * dd
             return tuple(sorted(keep))
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
 
@@ -469,14 +484,14 @@ def sparsify_by_graph_per_retry(g: Graph, vertices, s: int, seed: int, target,
     from fractions import Fraction
 
     from c4lab.errors import DomainError, ExtractionFailure, InvariantError
-    from c4lab.graphs import average_degree, induced, mix_seed
+    from c4lab.graphs import induced, mix_seed
     from c4lab.oracles import find_c3, is_c4_free
 
     if s < 2:
         raise DomainError("s must be >= 2")
     members = sorted(set(vertices))
     g = induced(g, members)
-    d = g.max_degree()
+    d = max_degree(g)
     p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
     best: tuple[Fraction, frozenset[int]] | None = None
     for attempt in range(retries):
@@ -487,13 +502,13 @@ def sparsify_by_graph_per_retry(g: Graph, vertices, s: int, seed: int, target,
                 u |= 1 << v
         dropped = sum(1 << v for v in short_cycle_vertices_by_pair_scan(g, list(bits(u))))
         for v in bits(u):
-            if (g.neighbor_mask(v) & u).bit_count() >= 1 + 4 * p * g.degree(v):
+            if (g.masks[v] & u).bit_count() >= 1 + 4 * p * g.degree(v):
                 dropped |= 1 << v
         survivors = frozenset(members[v] for v in bits(u & ~dropped))
         if not survivors:
             continue
         sub = induced(g, bits(u & ~dropped))
-        if not (find_c3(sub) is None and is_c4_free(sub)):
+        if not (find_c3(sub) is None and is_c4_free(sub.masks, everything(sub))):
             raise InvariantError("sparsifier survivors contain a triangle or 4-cycle")
         dd = average_degree(sub)
         if dd >= target:
@@ -510,7 +525,7 @@ def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, retries: int =
     from math import ceil
 
     from c4lab.errors import DomainError, ExtractionFailure
-    from c4lab.graphs import average_degree, induced, mix_seed
+    from c4lab.graphs import induced, mix_seed
     from c4lab.reductions import SplitOutcome
 
     if g.n == 0:
@@ -764,8 +779,9 @@ def furedi_kernel_by_buckets(f, s: int, t: int, seed: int,
 
 
 def bipartition_reference(g: Graph):
-    """`Graph.bipartition` as a per-vertex stack search: each component is
-    coloured from its least vertex, which lands on side_a."""
+    """`graphs.bipartition` on every vertex of g as a per-vertex stack
+    search, both sides as sets: each component is coloured from its least
+    vertex, which lands on side_a."""
     color = [-1] * g.n
     for s in range(g.n):
         if color[s] != -1:
@@ -792,11 +808,28 @@ def graph_digest_reference(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def bipartite_case_by_set_scans(core: Graph, parts, rng):
-    """`subdivisions._bipartite_case` with W as a set and each big-side
-    vertex's W-neighbours listed one by one."""
-    from c4lab.graphs import average_degree
+def sampler_by_set_scans(g: Graph, mask: int, rng):
+    """One draw of `subdivisions._sampler(g.masks, mask)`: the set-scan case
+    on the Graph that `mask` induces, with its ids lifted back to g's."""
+    from c4lab.graphs import induced
 
+    ids = list(bits(mask))
+    core = induced(g, ids)
+    parts = bipartition_reference(core)
+    if parts is None:
+        got = near_regular_case_by_set_scans(core, rng)
+    else:
+        got = bipartite_case_by_set_scans(core, parts, rng)
+    if got is None:
+        return None
+    w_set, u_map = got
+    return ([ids[w] for w in w_set],
+            {ids[u]: (ids[a], ids[b]) for u, (a, b) in u_map.items()})
+
+
+def bipartite_case_by_set_scans(core: Graph, parts, rng):
+    """`subdivisions._bipartite_case` on a whole Graph, with W as a set and
+    each big-side vertex's W-neighbours listed one by one."""
     side_a, side_b = parts
     if len(side_a) < len(side_b):
         side_a, side_b = side_b, side_a
@@ -819,9 +852,8 @@ def bipartite_case_by_set_scans(core: Graph, parts, rng):
 
 
 def near_regular_case_by_set_scans(core: Graph, rng):
-    """`subdivisions._near_regular_case` with W0, W and U0 as sets."""
-    from c4lab.graphs import average_degree
-
+    """`subdivisions._near_regular_case` on a whole Graph, with W0, W and U0
+    as sets."""
     d = float(average_degree(core))
     if d <= 0:
         return None

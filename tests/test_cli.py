@@ -604,6 +604,72 @@ def _with_a_repeated_id(obj: dict) -> dict:
     return dict(obj, witness=wit)
 
 
+# the induced K_3 subdivision that `subdivide --s 2 --k 3 --seed 1` finds on PG(2, 3)
+PLANE3_WITNESS = ('{"branch": [15, 19, 22], "induced": true, "paths": {"15-19": [15, 4, 19], '
+                  '"15-22": [15, 1, 22], "19-22": [19, 12, 22]}}')
+
+
+@pytest.mark.parametrize("paths_prefix, message", [
+    ('"015-19": [999, 12345], ', "path key '015-19' must be 'u-v'"),
+    ('"15-19": [999], ', "subdivision witness repeats the key '15-19'"),
+], ids=["leading-zero", "repeated"])
+def test_verify_subdivision_refuses_a_second_key_for_a_pair(tmp_path, capsys,
+                                                            paths_prefix, message):
+    # the decoder kept the last copy of a key and read 015 as 15, so the
+    # extra entry vanished and the witness verified
+    g6, wit = tmp_path / "plane3.g6", tmp_path / "wit.json"
+    assert main(["gen", "--kind", "plane", "--q", "3", "--out", str(g6)]) == 0
+    wit.write_text(PLANE3_WITNESS)
+    code, out, _ = run_cli(capsys, "verify", "--input", str(g6), "--cert", str(wit),
+                           "--subdivision")
+    assert (code, out) == (0, "verified\n")
+    wit.write_text(PLANE3_WITNESS.replace('"paths": {', '"paths": {' + paths_prefix))
+    code, out, err = run_cli(capsys, "verify", "--input", str(g6), "--cert", str(wit),
+                             "--subdivision")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('{"digest"', '{"mode":"case1_near_regular","digest"', "mode"),
+    ('"stats":{', '"stats":{"size":99,', "size"),
+], ids=["mode", "stats-size"])
+def test_verify_certificate_refuses_a_repeated_key(tmp_path, capsys, old, new, key):
+    text = (GOLDEN / "heawood_cert.json").read_text()
+    assert text.count(old) == 1
+    cert = tmp_path / "cert.json"
+    cert.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, "verify", "--input", str(GOLDEN / "heawood.g6"),
+                             "--cert", str(cert))
+    assert (code, out, err) == (1, "", f"error: certificate repeats the key {key!r}\n")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("verified", "induced_c4free", True),
+    ("verified", "avg_degree_ok", True),
+    ("verified", "bipartite", True),
+    ("verified", "max_degree_bound_ok", True),
+    ("verified", "all", True),
+    ("stats", "size", 1000),
+    ("stats", "avg_degree", "9"),
+    ("stats", "max_degree", 3),
+])
+@pytest.mark.parametrize("graph_file, cert_file", [("gnp24.g6", "gnp24_cert.json"),
+                                                   ("gnp200_k33.g6", "gnp200_k33_cert.json")])
+def test_verify_holds_a_biclique_to_the_flags_and_stats_it_writes(
+        tmp_path, capsys, graph_file, cert_file, section, key, value):
+    obj = _golden_cert(cert_file)
+    assert obj["mode"] == "biclique_found"
+    if key == "all":
+        obj[section] = dict.fromkeys(obj[section], value)
+    else:
+        obj[section][key] = value
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(obj))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(GOLDEN / graph_file),
+                           "--cert", str(cert))
+    assert (code, out) == (2, "REJECTED\n")
+
+
 @pytest.mark.parametrize("graph_file, cert_file", GOLDEN_CERTS)
 def test_verify_rejects_a_repeated_vertex_id(tmp_path, capsys, graph_file, cert_file):
     # a repeated id counts one vertex twice: a biclique side or a witness

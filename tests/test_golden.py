@@ -197,10 +197,10 @@ def test_cli_near_regular_success_golden(tmp_path, capsys):
 
 
 def test_attempts_build_no_graph_of_their_own(tmp_path, capsys, monkeypatch):
-    # the peel, the split, the reduction and the sparsifier read g's masks
-    # through vertex masks: nothing builds a BipartiteGraph, and `induced`
-    # runs only in the certificate's flags, once for the whole vertex set
-    # and once more for a witness that an attempt finds
+    # the peel, the split, the reduction, the sparsifier, the certificate's
+    # flags and the subdivision sampler all read g's masks through vertex
+    # masks: nothing builds a BipartiteGraph, and `induced` never runs in
+    # extract, verify or subdivide
     import json
     import sys
 
@@ -227,22 +227,47 @@ def test_attempts_build_no_graph_of_their_own(tmp_path, capsys, monkeypatch):
             monkeypatch.setattr(module, "induced", counted_induced)
     monkeypatch.setattr(graphs.BipartiteGraph, "__init__", counted_init)
     monkeypatch.setattr(pipeline, "_flags_and_stats", counted_flags)
+
+    def run(argv):
+        calls.update(induced=0, BipartiteGraph=0, flags=0)
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert calls["induced"] == 0 and calls["BipartiteGraph"] == 0
+        return code, out
+
     for graph_file in ("gnp200.g6", "gnp100.g6"):
-        counts, modes = {}, {}
+        flags, modes = {}, {}
         for attempts in ("1", "8"):
-            calls.update(induced=0, BipartiteGraph=0, flags=0)
             out = tmp_path / f"{graph_file}-{attempts}.json"
-            main(["extract", "--input", str(GOLDEN / graph_file), *CASE1_SCENARIO[2],
-                  "--attempts", attempts, "--out", str(out)])
-            capsys.readouterr()
-            assert calls["BipartiteGraph"] == 0
-            assert calls["induced"] == calls["flags"]
-            counts[attempts] = calls["induced"]
+            run(["extract", "--input", str(GOLDEN / graph_file), *CASE1_SCENARIO[2],
+                 "--attempts", attempts, "--out", str(out)])
+            flags[attempts] = calls["flags"]
             modes[attempts] = json.loads(out.read_text())["mode"]
+            code, _ = run(["verify", "--input", str(GOLDEN / graph_file),
+                           "--cert", str(out)])
+            assert code == 0 and calls["flags"] == 1
         assert modes["1"] == "failure"
         found = modes["8"] == "case1_near_regular"
         assert found == (graph_file == "gnp100.g6")
-        assert counts == {"1": 1, "8": 1 + found}
+        # the whole vertex set's flags, and a witness's that an attempt finds
+        assert flags == {"1": 1, "8": 1 + found}
+    certificates = [scenario[:2] for scenario in SCENARIOS]
+    certificates += [scenario[:2] for scenario in (FAILURE_SCENARIO, CASE1_SCENARIO,
+                                                   BICLIQUE_SCENARIO, LOPSIDED_SCENARIO)]
+    certificates.append(("lopsided200.g6", "lopsided200_model_cert.json"))
+    for graph_file, cert_file in certificates:
+        code, out = run(["verify", "--input", str(GOLDEN / graph_file),
+                         "--cert", str(GOLDEN / cert_file)])
+        assert code == 0 and out == "verified\n"
+    for q, out_file in SUBDIVIDE_SCENARIOS:
+        graph = tmp_path / f"plane{q}.g6"
+        main(["gen", "--kind", "plane", "--q", q, "--out", str(graph)])
+        code, out = run(["subdivide", "--input", str(graph), "--k", "3", "--s", "2",
+                         "--seed", "1"])
+        assert code == 0 and out == (GOLDEN / out_file).read_text()
+        code, out = run(["verify", "--subdivision", "--input", str(graph),
+                         "--cert", str(GOLDEN / out_file)])
+        assert code == 0 and out == "verified\n"
 
 
 def test_near_regular_golden_input_is_the_gnp_draw():

@@ -8,7 +8,7 @@ from c4lab import graphs
 from c4lab.errors import DomainError, GenerationFailure, UnsupportedParameterError
 from c4lab.graphs import (
     Graph,
-    average_degree,
+    bipartition,
     bits,
     degeneracy,
     gen_gnp,
@@ -30,13 +30,16 @@ from c4lab.named import (
     star_graph,
 )
 from helpers import (
+    average_degree,
     bipartition_reference,
     degeneracy_by_min_scan,
     disjoint_union,
+    everything,
     gen_lopsided_by_pair_holders,
     girth,
     half_degree_core_on_graph,
     induced_by_edge_walk,
+    max_degree,
     min_degree_core_on_graph,
 )
 
@@ -57,11 +60,17 @@ def test_graph_rejects_bad_edges():
 
 
 def test_average_degree_examples():
-    assert average_degree(cycle_graph(4)) == 2
-    assert average_degree(heawood_graph()) == 3  # 21 edges on 14 vertices
-    assert average_degree(Graph(1)) == 0
-    with pytest.raises(DomainError):
-        average_degree(Graph(0))
+    # the exact average degree a certificate's stats report for a witness
+    from c4lab.pipeline import DELTA, _flags_and_stats
+
+    def avg(g, witness):
+        return _flags_and_stats(g, witness, 1, DELTA)[1]["avg_degree"]
+
+    assert avg(cycle_graph(4), range(4)) == "2"
+    assert avg(heawood_graph(), range(14)) == "3"  # 21 edges on 14 vertices
+    assert avg(Graph(1), [0]) == "0"
+    assert avg(cycle_graph(5), [0, 1, 2]) == "4/3"
+    assert avg(Graph(0), []) == "0"
 
 
 def test_heawood_statistics():
@@ -69,10 +78,6 @@ def test_heawood_statistics():
     assert h.n == 14 and h.edge_count == 21
     assert all(h.degree(v) == 3 for v in range(h.n))
     assert girth(h) == 6
-
-
-def _everything(g: Graph) -> int:
-    return (1 << g.n) - 1
 
 
 def test_min_degree_core_examples():
@@ -92,7 +97,7 @@ def test_min_degree_core_is_maximal_and_min_degree_holds():
         n = 2 + rng.randrange(12)
         g = gen_gnp(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(2 ** 32))
         t = 1 + rng.randrange(4)
-        alive = rng.choice([_everything(g), rng.getrandbits(n)])
+        alive = rng.choice([everything(g), rng.getrandbits(n)])
         core = min_degree_core(g.masks, alive, t)
         assert core & ~alive == 0
         sub = induced(g, bits(core))
@@ -119,12 +124,12 @@ def test_min_degree_core_is_maximal_and_min_degree_holds():
 def test_half_degree_core_is_one_peel_at_half_the_average_degree():
     # nothing to peel: the set itself comes back
     for g in (Graph(5, []), Graph(0, []), petersen_graph(), cycle_graph(6)):
-        assert half_degree_core(g.masks, _everything(g)) == _everything(g)
+        assert half_degree_core(g.masks, everything(g)) == everything(g)
     rng = random.Random(5)
     for _ in range(200):
         n = 1 + rng.randrange(14)
         g = gen_gnp(n, rng.choice([0.2, 0.4, 0.6]), rng.randrange(2 ** 32))
-        alive = rng.choice([_everything(g), rng.getrandbits(n)])
+        alive = rng.choice([everything(g), rng.getrandbits(n)])
         core = half_degree_core(g.masks, alive)
         sub = induced(g, bits(alive))
         if sub.edge_count == 0:
@@ -144,7 +149,7 @@ def test_peeling_lemma_nonempty_core():
         d = average_degree(g)
         for t in (1, 2, 3, 4):
             if d >= 2 * t - 1:
-                assert min_degree_core(g.masks, _everything(g), t), \
+                assert min_degree_core(g.masks, everything(g), t), \
                     f"empty {t}-core with d={d}"
                 checked += 1
     assert checked > 500
@@ -160,14 +165,14 @@ def test_mask_peels_match_the_graph_references():
         g = gen_gnp(n, rng.choice([0.05, 0.15, 0.3, 0.6]), rng.randrange(2 ** 32))
         independent = 0
         for v in range(n):
-            if not g.neighbor_mask(v) & independent:
+            if not g.masks[v] & independent:
                 independent |= 1 << v
-        alive = rng.choice([0, independent, _everything(g), rng.getrandbits(n),
+        alive = rng.choice([0, independent, everything(g), rng.getrandbits(n),
                             rng.getrandbits(n) & rng.getrandbits(n)])
         ids = list(bits(alive))
         sub = induced(g, ids)
         cases.add("empty" if not alive else "edgeless" if not sub.edge_count else "edges")
-        for t in (1, 2, 3, sub.max_degree() + 1):
+        for t in (1, 2, 3, max_degree(sub) + 1):
             want = min_degree_core_on_graph(sub, t)
             assert min_degree_core(g.masks, alive, t) == mask_of(ids[v] for v in want)
         _, kept = half_degree_core_on_graph(sub)
@@ -398,25 +403,43 @@ def _bipartition_cases():
 
 
 def test_bipartition_matches_the_stack_search_and_networkx():
+    # on every vertex, and on a random proper vertex mask against the
+    # stack search on the graph that mask induces, lifted back to g's ids
     import networkx as nx
 
+    rng = random.Random(29)
     kinds = set()
     for g in _bipartition_cases():
-        got = g.bipartition()
-        assert got == bipartition_reference(g)
+        got = bipartition(g.masks, everything(g))
+        ref = bipartition_reference(g)
+        assert got == (None if ref is None else mask_of(ref[0]))
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges())
         assert (got is not None) == nx.is_bipartite(h)
         kinds.add((got is not None, g.n > 0 and nx.is_connected(h)))
-    # bipartite and not, connected and not
-    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+        if g.n < 2:
+            continue
+        alive = everything(g) ^ 1 << rng.randrange(g.n)
+        alive &= rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        ids = list(bits(alive))
+        ref = bipartition_reference(induced(g, ids))
+        got = bipartition(g.masks, alive)
+        assert got == (None if ref is None else mask_of(ids[v] for v in ref[0]))
+        kinds.add(("mask", got is not None))
+    # bipartite and not, connected and not, on a mask too
+    assert kinds == {(True, True), (True, False), (False, True), (False, False),
+                     ("mask", True), ("mask", False)}
 
 
 def test_bipartition_examples():
-    assert Graph(0).bipartition() == (frozenset(), frozenset())
-    assert Graph(1).bipartition() == (frozenset({0}), frozenset())
-    # each component's least vertex lands on side_a, isolated vertices too
+    assert bipartition((), 0) == 0
+    assert bipartition(Graph(1).masks, 1) == 1
+    # each component's least vertex lands on the side returned, isolated
+    # vertices too; the other side is the rest of the mask
     g = disjoint_union(Graph(1), path_graph(3), cycle_graph(4))
-    assert g.bipartition() == (frozenset({0, 1, 3, 4, 6}), frozenset({2, 5, 7}))
-    assert disjoint_union(cycle_graph(4), cycle_graph(5)).bipartition() is None
+    assert bipartition(g.masks, everything(g)) == mask_of({0, 1, 3, 4, 6})
+    odd = disjoint_union(cycle_graph(4), cycle_graph(5))
+    assert bipartition(odd.masks, everything(odd)) is None
+    # without vertex 8 the 5-cycle is the path 4-5-6-7
+    assert bipartition(odd.masks, everything(odd) ^ 1 << 8) == mask_of({0, 2, 4, 6})

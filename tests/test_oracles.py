@@ -43,6 +43,7 @@ from helpers import (
     brute_force_mis_size,
     degree_scan_biclique,
     disjoint_union,
+    everything,
     heavy_partners_by_wedge_count,
     pair_scan_biclique,
 )
@@ -92,13 +93,22 @@ def test_is_c4_free_agrees_with_find_c4():
              PETERSEN, complete_bipartite(2, 3).underlying]
     named += [projective_plane_incidence(q).underlying for q in (2, 3, 5)]
     for g in named:
-        assert is_c4_free(g) == (find_c4(g) is None)
-    assert not is_c4_free(complete_graph(4)) and is_c4_free(heawood_graph())
+        assert is_c4_free(g.masks, everything(g)) == (find_c4(g) is None)
+    k4, heawood = complete_graph(4), heawood_graph()
+    assert not is_c4_free(k4.masks, 0b1111) and is_c4_free(heawood.masks, everything(heawood))
+    assert is_c4_free(k4.masks, 0b0111)   # a triangle
+    # on every vertex, and on a random vertex mask against the graph it induces
     rng = random.Random(31)
+    outcomes = set()
     for p in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
         for _ in range(150):
             g = gen_gnp(1 + rng.randrange(14), p, rng.randrange(2 ** 32))
-            assert is_c4_free(g) == (find_c4(g) is None)
+            assert is_c4_free(g.masks, everything(g)) == (find_c4(g) is None)
+            alive = rng.getrandbits(g.n)
+            free = is_c4_free(g.masks, alive)
+            assert free == (find_c4(induced(g, bits(alive))) is None)
+            outcomes.add(free)
+    assert outcomes == {False, True}
 
 
 def test_contains_biclique_s2_witness_unchanged():
@@ -215,7 +225,7 @@ def naive_best_c4free(g):
         for sub in combinations(range(g.n), size):
             ok = True
             for u, v in combinations(sub, 2):
-                common = g.neighbor_mask(u) & g.neighbor_mask(v)
+                common = g.masks[u] & g.masks[v]
                 if sum(1 for w in sub if (common >> w) & 1) >= 2:
                     ok = False
                     break
@@ -348,7 +358,7 @@ def test_best_c4free_induced_is_exact_at_the_lane_cap():
     random.Random(67).shuffle(pairs)
     f_edges = []
     for e in pairs:
-        if is_c4_free(Graph(h, f_edges + [e])):
+        if is_c4_free(Graph(h, f_edges + [e]).masks, (1 << h) - 1):
             f_edges.append(e)
     f_witness, f_value = best_c4free_by_byte_table(Graph(h, f_edges))
     assert f_value > 3 and len(f_edges) >= 30
@@ -376,8 +386,7 @@ def test_closes_c4_agrees_with_quadruple_scan():
         if brute_force_c4_exists(induced(g, s)):
             continue   # closes_c4 assumes g[S] is C4-free
         smask = sum(1 << u for u in s)
-        masks = [g.neighbor_mask(u) for u in range(n)]
-        closes = closes_c4(masks, v, smask)
+        closes = closes_c4(g.masks, v, smask)
         assert closes == brute_force_c4_exists(induced(g, s + [v]))
         outcomes.add(closes)
     assert outcomes == {False, True}

@@ -142,14 +142,14 @@ def test_every_private_helper_has_a_caller():
 
 # public names that no package module reads, each with the reason it stays
 _ENTRY_POINTS = {
-    "find_c3": "the benchmark's tracer wraps it until ROADMAP item 4",
-    "extreme_split": "the benchmark's tracer wraps it until ROADMAP item 4",
-    "bipartite_regularize": "the benchmark's tracer wraps it until ROADMAP item 4",
+    "find_c3": "the benchmark's tracer wraps it until ROADMAP item 5",
+    "extreme_split": "the benchmark's tracer wraps it until ROADMAP item 5",
+    "bipartite_regularize": "the benchmark's tracer wraps it until ROADMAP item 5",
     "find_c4": "the benchmark calls it",
     "model_lopsided": "the benchmark calls it",
     "apply_sidecar": "the library half of the sidecar format the CLI writes",
     "write_hypergraph": "the library half of the hypergraph format the CLI reads",
-    "reiman_max_edges": "ROADMAP item 2's branch and bound bounds by it",
+    "reiman_max_edges": "ROADMAP item 3's branch and bound bounds by it",
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from c4lab import subdivisions
 from c4lab.errors import DomainError, InvariantError
-from c4lab.graphs import (Graph, bits, gen_gnp, half_degree_core, induced,
+from c4lab.graphs import (Graph, bipartition, gen_gnp, half_degree_core,
                           projective_plane_incidence)
 from c4lab.named import (
     complete_bipartite,
@@ -21,7 +21,7 @@ from c4lab.subdivisions import (
     induced_subdivision,
     verify_subdivision,
 )
-from helpers import bipartite_case_by_set_scans, near_regular_case_by_set_scans
+from helpers import near_regular_case_by_set_scans, sampler_by_set_scans
 
 FAST = PipelineParams(retries=10, attempts=2)
 
@@ -158,18 +158,20 @@ def test_induced_subdivision_edgeless():
 def test_induced_subdivision_samples_the_peeled_witness(monkeypatch):
     # PG(2,3) with three pendant vertices is C4-free with average degree
     # 110/29 >= 3, so the whole graph is the witness; its peel at
-    # ceil(55/29) = 2 drops the pendants, and the samplers get the plane
+    # ceil(55/29) = 2 drops the pendants, and the sampler gets the plane's
+    # 26 vertices as g's own mask, once for every attempt
     plane = projective_plane_incidence(3).underlying
     g = Graph(29, list(plane.edges()) + [(0, 26), (1, 27), (2, 28)])
-    cores = []
+    cores, draws = [], []
 
-    def record(core, parts, rng):
+    def record(nbr, core):
+        assert nbr is g.masks
         cores.append(core)
-        return None
+        return draws.append
 
-    monkeypatch.setattr(subdivisions, "_bipartite_case", record)
+    monkeypatch.setattr(subdivisions, "_sampler", record)
     assert induced_subdivision(g, 2, 3, seed=1, params=FAST, retries=3) is None
-    assert [core.masks for core in cores] == [plane.masks] * 3
+    assert cores == [(1 << 26) - 1] and len(draws) == 3
 
 
 def test_induced_subdivision_fuzz_soundness():
@@ -211,41 +213,71 @@ def test_find_subdivision_fuzz_soundness():
             assert verify_subdivision(g, w)
 
 
+def _random_proper_mask(rng, g):
+    """A random mask of about 80% of g's vertices, missing at least one."""
+    return sum(1 << v for v in range(g.n) if rng.random() < 0.8) & ~(1 << rng.randrange(g.n))
+
+
 def test_bipartite_case_matches_the_set_scan():
     # PG(2, q) is what extract-plane samples; the random graphs on hidden
     # sides have two hubs joined to the whole other side, which the
-    # big-side degree cap drops when they land on the larger side
-    cores = [projective_plane_incidence(q).underlying for q in (3, 5, 7, 13)]
+    # big-side degree cap drops when they land on the larger side.  Each
+    # graph runs whole and on a random proper vertex mask, against the set
+    # scan on the graph the mask induces
+    graphs = [projective_plane_incidence(q).underlying for q in (3, 5, 7, 13)]
     rng = random.Random(23)
     for _ in range(8):
         n = rng.randrange(40, 80)
         side = [rng.random() < 0.4 for _ in range(n)]
         hubs = [v for v in range(n) if not side[v]][:2]
-        cores.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                               if side[u] != side[v]
-                               and (u in hubs or v in hubs or rng.random() < 0.08)]))
-    found = 0
-    for core in cores:
-        parts = core.bipartition()
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if side[u] != side[v]
+                                and (u in hubs or v in hubs or rng.random() < 0.08)]))
+    cases = [(kind, g, core) for g in graphs
+             for kind, core in (("whole", (1 << g.n) - 1), ("mask", _random_proper_mask(rng, g)))]
+    # hub 0 of the larger side sees all six of the smaller side, under the
+    # cap 4d = 7.8 in the mask, and four more vertices outside it: the cap
+    # counts degrees inside the mask
+    hub = Graph(40, [(v, 30 + v % 6) for v in range(1, 30)]
+                + [(0, v) for v in range(30, 40)])
+    cases.append(("hub", hub, (1 << 36) - 1))
+    found = {"whole": 0, "mask": 0, "hub": 0}
+    for kind, g, core in cases:
+        assert bipartition(g.masks, core) is not None
+        sample = subdivisions._sampler(g.masks, core)
         for seed in range(100):
-            got = subdivisions._bipartite_case(core, parts, random.Random(seed))
-            assert got == bipartite_case_by_set_scans(core, parts, random.Random(seed))
-            found += got is not None
-    assert found >= 150
+            got = sample(random.Random(seed))
+            assert got == sampler_by_set_scans(g, core, random.Random(seed))
+            found[kind] += got is not None
+    assert found["whole"] >= 150 and found["mask"] >= 100 and found["hub"] > 0
 
 
 def test_near_regular_case_matches_the_set_scan():
-    # the min-degree cores of G(n, 6/(n-1)), 4 graphs x 100 seeds per n
-    found = 0
+    # the min-degree cores of G(n, 6/(n-1)), and a random proper vertex mask
+    # of each graph, 4 graphs x 100 seeds per n, against the set scan on the
+    # graph the mask induces
+    rng = random.Random(31)
+    found = {"core": 0, "mask": 0}
     for n in (40, 100, 200, 400):
         for graph_seed in range(4):
             g = gen_gnp(n, 6 / (n - 1), graph_seed)
-            core = induced(g, bits(half_degree_core(g.masks, (1 << n) - 1)))
-            for seed in range(100):
-                got = subdivisions._near_regular_case(core, random.Random(seed))
-                assert got == near_regular_case_by_set_scans(core, random.Random(seed))
-                found += got is not None
-    assert found >= 80
+            cores = (("core", half_degree_core(g.masks, (1 << n) - 1)),
+                     ("mask", _random_proper_mask(rng, g)))
+            for kind, core in cores:
+                assert core != (1 << n) - 1 and bipartition(g.masks, core) is None
+                sample = subdivisions._sampler(g.masks, core)
+                for seed in range(100):
+                    got = sample(random.Random(seed))
+                    assert got == sampler_by_set_scans(g, core, random.Random(seed))
+                    found[kind] += got is not None
+    assert found["core"] >= 80 and found["mask"] >= 80
+
+
+def test_sampler_needs_an_edge():
+    g = Graph(5, [(0, 1), (2, 3)])
+    assert subdivisions._sampler(g.masks, 0b10101) is None
+    assert subdivisions._sampler(g.masks, 0) is None
+    assert subdivisions._sampler(g.masks, 0b00011) is not None
 
 
 class _ScriptedDraws:
@@ -265,5 +297,6 @@ def test_near_regular_case_needs_every_sampled_neighbour_in_w():
     # Vertex 4 sees both of W but also 2 in W0, so only 5 is a connector
     g = Graph(6, [(0, 4), (1, 4), (2, 4), (2, 3), (0, 5), (1, 5)])
     expected = ([0, 1], {5: (0, 1)})
-    assert subdivisions._near_regular_case(g, _ScriptedDraws({0, 1, 2, 3})) == expected
+    draws = _ScriptedDraws({0, 1, 2, 3})
+    assert subdivisions._near_regular_case(g.masks, list(range(6)), 2.0, draws) == expected
     assert near_regular_case_by_set_scans(g, _ScriptedDraws({0, 1, 2, 3})) == expected
