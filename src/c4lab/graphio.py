@@ -21,7 +21,7 @@ import binascii
 import json
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import CertificateFormatError, DomainError
 from .graphs import BipartiteGraph, Graph
 
 _G6_HEADER = ">>graph6<<"
@@ -237,6 +237,35 @@ def read_edgelist(text: str) -> Graph:
     return Graph(max(n, 0), edges)
 
 
+# -- strict JSON records -------------------------------------------------------
+
+def load_json(text: str, name: str, error: type = CertificateFormatError):
+    """Decode a JSON record; a repeated key or nesting deeper than the
+    decoder can follow raises `error`, naming the record."""
+    def unique_keys(pairs: list) -> dict:
+        # the decoder's own dict would keep the last copy of a repeated key
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{name} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
+    # the decoder recurses once per nesting level, so a deep enough array
+    # passes the interpreter's recursion limit
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError:
+        raise error(f"{name} nests too deeply") from None
+
+
+def vertex_list(value, name: str) -> tuple[int, ...]:
+    # JSON decodes a number without a fraction or exponent to exactly int
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise CertificateFormatError(f"{name} must be a list of vertex ids")
+    return tuple(value)
+
+
 def bipartite_sidecar(bg: BipartiteGraph) -> str:
     """JSON with the side assignment that graph6/edge lists cannot carry."""
     return json.dumps({"side_a": sorted(bg.side_a), "side_b": sorted(bg.side_b)},
@@ -246,8 +275,10 @@ def bipartite_sidecar(bg: BipartiteGraph) -> str:
 def apply_sidecar(g: Graph, sidecar_text: str) -> BipartiteGraph:
     """g with the sides a sidecar names; a malformed sidecar raises DomainError."""
     try:
-        obj = json.loads(sidecar_text)
-    except (ValueError, RecursionError):
+        obj = load_json(sidecar_text, "sidecar", DomainError)
+    except DomainError:
+        raise
+    except ValueError:
         raise DomainError("sidecar is not JSON") from None
     sides = [obj.get(key) if isinstance(obj, dict) else None for key in ("side_a", "side_b")]
     if not all(isinstance(side, list) and all(type(v) is int for v in side) for side in sides):

@@ -26,7 +26,7 @@ from .errors import (
     OracleLimitError,
     UnsupportedParameterError,
 )
-from .graphs import Graph, bits, mix_seed, rand_below
+from .graphs import Graph, bits, mask_of, mix_seed, rand_below
 from .oracles import max_independent_set
 
 DEFAULT_ALPHA_LIMIT = 12
@@ -509,13 +509,8 @@ def _find_counterexample(n: int, ell: int, k: int
                          ) -> tuple[frozenset[int], ...] | None:
     """First covering antichain on [n] with pair order < k, up to isomorphism."""
     full = (1 << n) - 1
-    masks: list[int] = []
-    for size in range(1, ell + 1):
-        for sub in combinations(range(n), size):
-            m = 0
-            for v in sub:
-                m |= 1 << v
-            masks.append(m)
+    masks = [mask_of(sub) for size in range(1, ell + 1)
+             for sub in combinations(range(n), size)]
     suffix_union = [0] * (len(masks) + 1)
     for i in range(len(masks) - 1, -1, -1):
         suffix_union[i] = suffix_union[i + 1] | masks[i]

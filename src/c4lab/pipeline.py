@@ -24,6 +24,7 @@ from .errors import (
     OracleLimitError,
     StaleCertificateError,
 )
+from .graphio import load_json, vertex_list
 from .graphs import (
     BipartiteGraph,
     Graph,
@@ -95,31 +96,6 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _load_json(text: str, name: str):
-    def unique_keys(pairs: list) -> dict:
-        # the decoder's own dict would keep the last copy of a repeated key
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise CertificateFormatError(f"{name} repeats the key {key!r}")
-            obj[key] = value
-        return obj
-
-    # the decoder recurses once per nesting level, so a deep enough array
-    # passes the interpreter's recursion limit
-    try:
-        return json.loads(text, object_pairs_hook=unique_keys)
-    except RecursionError:
-        raise CertificateFormatError(f"{name} nests too deeply") from None
-
-
-def _vertex_list(value, name: str) -> tuple[int, ...]:
-    # JSON decodes a number without a fraction or exponent to exactly int
-    if not isinstance(value, list) or not all(type(v) is int for v in value):
-        raise CertificateFormatError(f"{name} must be a list of vertex ids")
-    return tuple(value)
-
-
 @dataclass
 class ExtractionCertificate:
     """Replayable record of one extraction run."""
@@ -155,7 +131,7 @@ class ExtractionCertificate:
         """Parse a certificate, checking the type of every field that
         `verify_certificate` reads; a malformed one raises
         CertificateFormatError."""
-        obj = _load_json(text, "certificate")
+        obj = load_json(text, "certificate")
         if not isinstance(obj, dict):
             raise CertificateFormatError("certificate must be a JSON object")
         for key, kind in _CERT_FIELDS:
@@ -193,10 +169,10 @@ class ExtractionCertificate:
         biclique = None
         witness = None
         if isinstance(wit, dict):
-            biclique = (tuple(sorted(_vertex_list(wit.get("s_side"), "s_side"))),
-                        tuple(sorted(_vertex_list(wit.get("t_side"), "t_side"))))
+            biclique = (tuple(sorted(vertex_list(wit.get("s_side"), "s_side"))),
+                        tuple(sorted(vertex_list(wit.get("t_side"), "t_side"))))
         elif wit is not None:
-            witness = _vertex_list(wit, "witness")
+            witness = vertex_list(wit, "witness")
         return ExtractionCertificate(
             input_digest=obj["digest"], mode=obj["mode"], witness=witness,
             biclique=biclique, params=obj["params"], seed=obj["seed"],
@@ -233,12 +209,10 @@ _NO_FLAGS = {"induced_c4free": False, "avg_degree_ok": False,
              "bipartite": False, "max_degree_bound_ok": False}
 
 
-def _flags_and_stats(g: Graph, witness, k: int, delta: float) -> tuple[dict, dict]:
-    """Recompute the verified flags and stats for a witness, a set of
-    distinct vertex ids of g, on g's own masks."""
-    witness = tuple(witness)
-    if not witness:
-        return dict(_NO_FLAGS), {"avg_degree": "0", "max_degree": 0, "size": 0}
+def _flags_and_stats(g: Graph, witness: tuple[int, ...], k: int,
+                     delta: float) -> tuple[dict, dict]:
+    """Recompute the verified flags and stats for a witness, a nonempty
+    tuple of distinct vertex ids of g, on g's own masks."""
     nbr = g.masks
     alive = (1 << g.n) - 1 if len(witness) == g.n else mask_of(witness)
     # only the witness's degrees: a small witness costs no pass over g
@@ -255,44 +229,41 @@ def _flags_and_stats(g: Graph, witness, k: int, delta: float) -> tuple[dict, dic
     return flags, stats
 
 
-def _subgraph_certificate(g: Graph, digest: str, mode: str, witness, params: dict,
-                          seed: int, k: int, stage: str) -> ExtractionCertificate:
-    flags, stats = _flags_and_stats(g, witness, k, DELTA)
+def _record(g: Graph, witness, biclique, k: int, delta: float) -> tuple[dict, dict]:
+    """The verified flags and stats a certificate holds, by the one rule the
+    writer and `verify_certificate` share: a biclique, which comes without
+    a witness, or an empty or absent witness claims no subgraph (size 2s
+    for a biclique, else 0); any other witness is recomputed on g."""
+    if witness:
+        return _flags_and_stats(g, witness, k, delta)
+    size = 0 if biclique is None else len(biclique[0]) + len(biclique[1])
+    return dict(_NO_FLAGS), {"avg_degree": "0", "max_degree": 0, "size": size}
+
+
+def _certificate(g: Graph, digest: str, pdict: dict, seed: int, mode: str, stage: str,
+                 witness=None, biclique=None,
+                 best: tuple[Fraction, int] | None = None) -> ExtractionCertificate:
+    """The one writer of every outcome: a subgraph witness, a biclique pair
+    (s_side, t_side) or, with neither, a record that claims nothing.  A
+    failure's best attempt, (average degree, size), only informs the
+    diagnostics, so `verify_certificate` stays replayable."""
+    if witness is not None:
+        witness = tuple(sorted(witness))
+    if biclique is not None:
+        biclique = tuple(tuple(sorted(side)) for side in biclique)
+        s_side, t_side = biclique
+        if set(s_side) & set(t_side):
+            raise InvariantError("biclique witness sides must be disjoint")
+        if not all(g.has_edge(u, v) for u in s_side for v in t_side):
+            raise InvariantError("biclique witness must be fully joined")
+    flags, stats = _record(g, witness, biclique, pdict["k"], pdict["delta"])
     stats["stage"] = stage
-    return ExtractionCertificate(
-        input_digest=digest, mode=mode, witness=tuple(sorted(witness)),
-        biclique=None, params=params, seed=seed, verified=flags, stats=stats)
-
-
-def _biclique_certificate(g: Graph, digest: str, s_side, t_side, params: dict,
-                          seed: int, stage: str) -> ExtractionCertificate:
-    s_side = tuple(sorted(s_side))
-    t_side = tuple(sorted(t_side))
-    if set(s_side) & set(t_side):
-        raise InvariantError("biclique witness sides must be disjoint")
-    if not all(g.has_edge(u, v) for u in s_side for v in t_side):
-        raise InvariantError("biclique witness must be fully joined")
-    stats = {"avg_degree": "0", "max_degree": 0, "size": len(s_side) + len(t_side),
-             "stage": stage}
-    return ExtractionCertificate(
-        input_digest=digest, mode="biclique_found", witness=None,
-        biclique=(s_side, t_side), params=params, seed=seed,
-        verified=dict(_NO_FLAGS), stats=stats)
-
-
-def _failure_certificate(digest: str, params: dict, seed: int, stage: str,
-                         best: tuple[Fraction, int] | None = None
-                         ) -> ExtractionCertificate:
-    # failure records claim nothing: flags stay False and the best attempt's
-    # (average degree, size) only informs the diagnostics, so
-    # verify_certificate stays replayable
-    stats = {"avg_degree": "0", "max_degree": 0, "size": 0, "stage": stage}
     if best is not None:
         stats["best_avg_degree"] = str(best[0])
         stats["best_size"] = best[1]
     return ExtractionCertificate(
-        input_digest=digest, mode="failure", witness=None, biclique=None,
-        params=params, seed=seed, verified=dict(_NO_FLAGS), stats=stats)
+        input_digest=digest, mode=mode, witness=witness, biclique=biclique,
+        params=pdict, seed=seed, verified=flags, stats=stats)
 
 
 # -- the model case -----------------------------------------------------------
@@ -320,7 +291,7 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
     a_list = g.a_list()
     b_list = g.b_list()
     if not a_list or not b_list:
-        return _failure_certificate(digest, pdict, seed, "model:empty-side")
+        return _certificate(under, digest, pdict, seed, "failure", "model:empty-side")
     degrees = {under.degree(a) for a in a_list}
     if len(degrees) != 1:
         raise DomainError("every A-side vertex must have the same degree")
@@ -336,89 +307,75 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
     for hood, owners in sorted(hood_owners.items(), key=lambda kv: sorted(kv[1])):
         if len(owners) >= s:
             t_side = [b_list[i] for i in sorted(hood)[:s]]
-            return _biclique_certificate(under, digest, sorted(owners)[:s], t_side,
-                                         pdict, seed, stage="model:duplicates")
+            return _certificate(under, digest, pdict, seed, "biclique_found",
+                                "model:duplicates", biclique=(sorted(owners)[:s], t_side))
     edges = sorted(hood_owners, key=lambda e: sorted(e))
     phi = {e: min(hood_owners[e]) for e in edges}
     family = Hypergraph(len(b_list), edges)
 
-    def star_certificate() -> ExtractionCertificate | None:
-        # a single neighborhood is an induced star: C4-free, average degree
-        # 2r/(r+1) >= 1, enough for degenerate requests
-        if k > 1 or r_deg < 1:
-            return None
+    # a single neighborhood is an induced star: C4-free, average degree
+    # 2r/(r+1) >= 1, enough for degenerate requests; an attempt that ends
+    # without a certificate returns it
+    star = None
+    if k <= 1 and r_deg >= 1:
         a0 = a_list[0]
-        witness = [a0] + sorted(under.neighbors(a0))
-        cert = _subgraph_certificate(under, digest, "case2_lopsided", witness,
-                                     pdict, seed, k, stage="model:star")
-        return cert if _keeps_promise(cert) else None
-
-    if not kernel_can_trace(family, s, t):
-        # every kernel's trace would be empty; an attempt reads its kernel
-        # only through the trace, so each one, like a KernelFailure, would
-        # end at the star or go on to the next, leaving no best
-        if params.retries >= 1:
-            star = star_certificate()
-            if star is not None:
-                return star
-        return _failure_certificate(digest, pdict, seed, "model:budget-exhausted")
+        star = _certificate(under, digest, pdict, seed, "case2_lopsided", "model:star",
+                            witness=[a0, *under.neighbors(a0)])
+        if not _keeps_promise(star):
+            star = None
+    # an attempt reads its kernel only through the trace, so when every
+    # kernel's trace would be empty one attempt without a kernel ends where
+    # each would: at the star, or on to the next, leaving no best
+    can_trace = kernel_can_trace(family, s, t)
     best: tuple[Fraction, int] | None = None
-    for attempt in range(params.retries):
-        sub_seed = mix_seed(seed, attempt)
-        try:
-            kernel = furedi_kernel(family, s=s, t=t, seed=sub_seed,
-                                   retries=max(10, params.retries))
-        except KernelFailure:
-            star = star_certificate()
-            if star is not None:
-                return star
-            continue
-        surviving = [family.edges[i] for i in kernel.surviving_edges]
-        coloring = kernel.coloring
-        trace_edges = sorted(kernel.trace.edges, key=lambda e: (len(e), sorted(e)))
-        s_edge = next((e for e in trace_edges if len(e) == s), None)
-        if s_edge is not None:
-            f0 = min(surviving, key=lambda e: sorted(e))
-            slice_b = frozenset(v for v in f0 if coloring[v] in s_edge)
-            partners = [e for e in surviving if slice_b <= e]
-            if len(partners) < s:
-                raise InvariantError("trace dichotomy promised >= t >= s partners")
-            a_side = sorted(phi[e] for e in partners)[:s]
-            t_side = sorted(b_list[v] for v in slice_b)
-            return _biclique_certificate(under, digest, a_side, t_side, pdict,
-                                         seed, stage="model:trace-biclique")
-        covered = sorted({c for e in trace_edges for c in e})
-        if covered:
+    for attempt in range(params.retries if can_trace else min(params.retries, 1)):
+        trace_edges = []
+        if can_trace:
+            try:
+                kernel = furedi_kernel(family, s=s, t=t, seed=mix_seed(seed, attempt),
+                                       retries=max(10, params.retries))
+            except KernelFailure:
+                pass
+            else:
+                trace_edges = sorted(kernel.trace.edges, key=lambda e: (len(e), sorted(e)))
+        if trace_edges:
+            surviving = [family.edges[i] for i in kernel.surviving_edges]
+            coloring = kernel.coloring
+            f0 = min(surviving, key=sorted)
+            s_edge = next((e for e in trace_edges if len(e) == s), None)
+            if s_edge is not None:
+                slice_b = frozenset(v for v in f0 if coloring[v] in s_edge)
+                partners = [e for e in surviving if slice_b <= e]
+                if len(partners) < s:
+                    raise InvariantError("trace dichotomy promised >= t >= s partners")
+                a_side = sorted(phi[e] for e in partners)[:s]
+                t_side = [b_list[v] for v in slice_b]
+                return _certificate(under, digest, pdict, seed, "biclique_found",
+                                    "model:trace-biclique", biclique=(a_side, t_side))
+            covered = sorted({c for e in trace_edges for c in e})
             cover_index = {c: i for i, c in enumerate(covered)}
             h_cov = Hypergraph(len(covered),
-                               [frozenset(cover_index[c] for c in e)
-                                for e in trace_edges])
+                               [frozenset(cover_index[c] for c in e) for e in trace_edges])
             pair = find_induced_pair(h_cov, k)
             if pair.order >= k:
                 x_colors = {covered[i] for i in pair.a_set}
                 y_colors = {covered[i] for i in pair.b_set}
-                f0 = min(surviving, key=lambda e: sorted(e))
                 slice_b = frozenset(v for v in f0 if coloring[v] in x_colors)
-                a_prime = sorted(phi[e] for e in surviving if slice_b <= e)
-                a_set = set(a_prime)
-                b_prime = sorted(
-                    b_list[v]
-                    for v in {w for e in surviving if slice_b <= e for w in e}
-                    if coloring[v] in y_colors)
-                witness = sorted(set(a_prime) | set(b_prime))
-                cert = _subgraph_certificate(under, digest, "case2_lopsided",
-                                             witness, pdict, seed, k,
-                                             stage="model:pair")
+                a_prime = {phi[e] for e in surviving if slice_b <= e}
+                b_prime = {b_list[w] for e in surviving if slice_b <= e for w in e
+                           if coloring[w] in y_colors}
+                cert = _certificate(under, digest, pdict, seed, "case2_lopsided",
+                                    "model:pair", witness=a_prime | b_prime)
                 if _keeps_promise(cert):
-                    _assert_model_degrees(under, a_set, set(b_prime), t, k)
+                    _assert_model_degrees(under, a_prime, b_prime, t, k)
                     return cert
                 avg = Fraction(cert.stats["avg_degree"])
                 if best is None or avg > best[0]:
                     best = (avg, cert.stats["size"])
-        star = star_certificate()
         if star is not None:
             return star
-    return _failure_certificate(digest, pdict, seed, "model:budget-exhausted", best)
+    return _certificate(under, digest, pdict, seed, "failure", "model:budget-exhausted",
+                        best=best)
 
 
 def _assert_model_degrees(g: Graph, a_set: set[int], b_set: set[int],
@@ -466,16 +423,16 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     pdict = params.as_dict(s, k)
     digest = graph_digest(g)
     if g.n == 0:
-        return _failure_certificate(digest, pdict, seed, "empty-input")
+        return _certificate(g, digest, pdict, seed, "failure", "empty-input")
 
-    trivial = _subgraph_certificate(g, digest, "trivial_already_c4free", range(g.n),
-                                    pdict, seed, k, stage="trivial")
+    trivial = _certificate(g, digest, pdict, seed, "trivial_already_c4free", "trivial",
+                           witness=range(g.n))
     # C4 = K_{2,2} sits in every K_{s,s}, so only a 4-cycle needs the scan
     if not trivial.verified["induced_c4free"]:
         wit = contains_biclique(g, s)
         if wit is not None:
-            return _biclique_certificate(g, digest, wit[0], wit[1], pdict, seed,
-                                         stage="scan")
+            return _certificate(g, digest, pdict, seed, "biclique_found", "scan",
+                                biclique=wit)
     if _keeps_promise(trivial):
         return trivial
 
@@ -513,51 +470,46 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
                 if best is None or avg > best[0]:
                     best = (avg, len(exc.best))
             continue
-        return _subgraph_certificate(g, digest, "case1_near_regular", keep,
-                                     pdict, seed, k, stage=f"attempt{i}:near-regular")
+        return _certificate(g, digest, pdict, seed, "case1_near_regular",
+                            f"attempt{i}:near-regular", witness=keep)
 
     try:
         witness, _ = best_c4free_induced(g, limit=params.oracle_limit)
     except OracleLimitError:
         pass
     else:
-        return _subgraph_certificate(g, digest, "oracle_fallback", witness,
-                                     pdict, seed, k, stage="oracle")
-    return _failure_certificate(digest, pdict, seed, "routes-exhausted", best)
+        return _certificate(g, digest, pdict, seed, "oracle_fallback", "oracle",
+                            witness=witness)
+    return _certificate(g, digest, pdict, seed, "failure", "routes-exhausted", best=best)
 
 
 def verify_certificate(g: Graph, cert: ExtractionCertificate) -> bool:
-    """Recompute every claimed flag (and the stats) from the witness, then
-    hold the mode to its promise: a trivial witness is the whole vertex set,
-    and each subgraph mode claims the flags in `_MODE_CLAIMS`."""
+    """Hold the certificate to what the writer gives its mode: a biclique
+    pair for `biclique_found`, no witness for `failure`, else a vertex list.
+    Check the ids (distinct, in range; a biclique's two sides of size s,
+    fully joined), recompute the flags and stats through `_record`, then
+    hold the mode to its promise: a trivial witness is the whole vertex
+    set, and each subgraph mode claims the flags in `_MODE_CLAIMS`."""
     if graph_digest(g) != cert.input_digest:
         raise StaleCertificateError("certificate does not match this graph")
     if cert.mode not in MODES:
         return False
-    if cert.mode == "biclique_found":
-        if cert.biclique is None:
-            return False
+    if (cert.biclique is not None) != (cert.mode == "biclique_found"):
+        return False
+    if (cert.witness is None) != (cert.mode in ("biclique_found", "failure")):
+        return False
+    ids = cert.biclique[0] + cert.biclique[1] if cert.biclique else cert.witness or ()
+    if len(set(ids)) != len(ids) or any(not 0 <= v < g.n for v in ids):
+        return False
+    if cert.biclique is not None:
         s_side, t_side = cert.biclique
-        ids = s_side + t_side  # disjoint sides of equal size, no id repeated
-        if len(set(ids)) != len(ids) or len(s_side) != len(t_side):
+        if not (len(s_side) == len(t_side) == cert.params["s"]
+                and all(g.has_edge(u, v) for u in s_side for v in t_side)):
             return False
-        if len(s_side) != cert.params["s"]:
-            return False
-        if not all(0 <= v < g.n for v in s_side + t_side):
-            return False
-        # a biclique claims no subgraph, and its record says so
-        stats = [cert.stats.get(key) for key in ("avg_degree", "max_degree", "size")]
-        return (all(g.has_edge(u, v) for u in s_side for v in t_side)
-                and cert.verified == _NO_FLAGS and stats == ["0", 0, len(ids)])
-    witness = cert.witness or ()
-    if len(set(witness)) != len(witness) or any(not 0 <= v < g.n for v in witness):
+    flags, stats = _record(g, cert.witness, cert.biclique, cert.params["k"],
+                           cert.params["delta"])
+    if flags != cert.verified or any(stats[key] != cert.stats.get(key) for key in stats):
         return False
-    flags, stats = _flags_and_stats(g, witness, cert.params["k"], cert.params["delta"])
-    if flags != cert.verified:
-        return False
-    for key in ("avg_degree", "max_degree", "size"):
-        if stats[key] != cert.stats.get(key):
-            return False
-    if cert.mode == "trivial_already_c4free" and sorted(witness) != list(range(g.n)):
+    if cert.mode == "trivial_already_c4free" and sorted(ids) != list(range(g.n)):
         return False
     return _keeps_promise(cert)

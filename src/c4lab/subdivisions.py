@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CertificateFormatError, DomainError, InvariantError
+from .graphio import load_json, vertex_list
 from .graphs import (
     Graph,
     bipartition,
@@ -25,7 +26,7 @@ from .graphs import (
     mask_of,
     mix_seed,
 )
-from .pipeline import PipelineParams, _load_json, _vertex_list, extract_induced_c4free
+from .pipeline import PipelineParams, extract_induced_c4free
 
 DEFAULT_EXHAUSTIVE_LIMIT = 12
 
@@ -62,13 +63,13 @@ class SubdivisionWitness:
     def from_json(text: str) -> "SubdivisionWitness":
         """Parse a witness, checking the type of every field; a malformed one
         raises CertificateFormatError."""
-        obj = _load_json(text, "subdivision witness")
+        obj = load_json(text, "subdivision witness")
         if not isinstance(obj, dict):
             raise CertificateFormatError("subdivision witness must be a JSON object")
         for key in ("branch", "paths", "induced"):
             if key not in obj:
                 raise CertificateFormatError(f"subdivision witness lacks the key {key!r}")
-        branch = _vertex_list(obj["branch"], "branch")
+        branch = vertex_list(obj["branch"], "branch")
         if not isinstance(obj["paths"], dict):
             raise CertificateFormatError("paths must be an object of 'u-v' keys")
         paths = {}
@@ -77,7 +78,7 @@ class SubdivisionWitness:
             ends = re.fullmatch(r"(0|[1-9]\d*)-(0|[1-9]\d*)", key, re.ASCII)
             if ends is None:
                 raise CertificateFormatError(f"path key {key!r} must be 'u-v'")
-            paths[(int(ends[1]), int(ends[2]))] = _vertex_list(path, f"path {key!r}")
+            paths[(int(ends[1]), int(ends[2]))] = vertex_list(path, f"path {key!r}")
         if not isinstance(obj["induced"], bool):
             raise CertificateFormatError("induced must be true or false")
         return SubdivisionWitness(branch, paths, obj["induced"])

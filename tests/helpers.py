@@ -10,8 +10,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
+from c4lab.errors import StaleCertificateError
 from c4lab.graphio import _decode_n, _encode_n
-from c4lab.graphs import Graph, bits, gen_gnp
+from c4lab.graphs import Graph, bipartition, bits, gen_gnp, mask_of
+from c4lab.oracles import is_c4_free
+from c4lab.pipeline import MODES, graph_digest
 
 
 def average_degree(g: Graph) -> Fraction:
@@ -1018,3 +1021,71 @@ def read_sparse6_by_bit_list(text: str) -> Graph:
         else:
             edges.append((x, v))
     return Graph(n, edges)
+
+
+# the flags each subgraph mode promises, as the format defines them
+_REFERENCE_CLAIMS = {
+    "trivial_already_c4free": ("induced_c4free", "avg_degree_ok"),
+    "case1_near_regular": ("induced_c4free", "avg_degree_ok"),
+    "case2_lopsided": ("induced_c4free", "avg_degree_ok"),
+    "oracle_fallback": ("induced_c4free",),
+}
+_REFERENCE_NO_FLAGS = {"induced_c4free": False, "avg_degree_ok": False,
+                       "bipartite": False, "max_degree_bound_ok": False}
+
+
+def _flags_and_stats_reference(g: Graph, witness, k: int, delta: float):
+    """A witness's flags and stats, with each mode's biclique and empty
+    witness handled by its caller's own branch."""
+    witness = tuple(witness)
+    if not witness:
+        return dict(_REFERENCE_NO_FLAGS), {"avg_degree": "0", "max_degree": 0, "size": 0}
+    alive = mask_of(witness)
+    deg = [(g.masks[v] & alive).bit_count() for v in witness]
+    avg = Fraction(sum(deg), len(witness))
+    mx = max(deg)
+    flags = {
+        "induced_c4free": is_c4_free(g.masks, alive),
+        "avg_degree_ok": avg >= k,
+        "bipartite": bipartition(g.masks, alive) is not None,
+        "max_degree_bound_ok": mx <= 1 or float(avg) >= mx ** (1 - delta),
+    }
+    return flags, {"avg_degree": str(avg), "max_degree": mx, "size": len(witness)}
+
+
+def verify_certificate_reference(g: Graph, cert) -> bool:
+    """verify_certificate as it stood with a separate biclique branch, plus
+    the shape rule: a `biclique_found` record holds a biclique pair, a
+    `failure` record no witness, and every other mode a vertex list."""
+    if graph_digest(g) != cert.input_digest:
+        raise StaleCertificateError("certificate does not match this graph")
+    if cert.mode not in MODES:
+        return False
+    if (cert.biclique is not None) != (cert.mode == "biclique_found"):
+        return False
+    if (cert.witness is None) != (cert.mode in ("biclique_found", "failure")):
+        return False
+    if cert.mode == "biclique_found":
+        s_side, t_side = cert.biclique
+        ids = s_side + t_side
+        if len(set(ids)) != len(ids) or len(s_side) != len(t_side):
+            return False
+        if len(s_side) != cert.params["s"]:
+            return False
+        if not all(0 <= v < g.n for v in ids):
+            return False
+        stats = [cert.stats.get(key) for key in ("avg_degree", "max_degree", "size")]
+        return (all(g.has_edge(u, v) for u in s_side for v in t_side)
+                and cert.verified == _REFERENCE_NO_FLAGS and stats == ["0", 0, len(ids)])
+    witness = cert.witness or ()
+    if len(set(witness)) != len(witness) or any(not 0 <= v < g.n for v in witness):
+        return False
+    flags, stats = _flags_and_stats_reference(g, witness, cert.params["k"],
+                                              cert.params["delta"])
+    if flags != cert.verified:
+        return False
+    if any(stats[key] != cert.stats.get(key) for key in stats):
+        return False
+    if cert.mode == "trivial_already_c4free" and sorted(witness) != list(range(g.n)):
+        return False
+    return all(cert.verified[claim] for claim in _REFERENCE_CLAIMS.get(cert.mode, ()))

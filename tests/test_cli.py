@@ -7,9 +7,13 @@ from pathlib import Path
 import pytest
 
 from c4lab.cli import main
+from c4lab.errors import C4LabError
 from c4lab.graphio import read_graph6, write_graph6, write_hypergraph
 from c4lab.graphs import Graph
 from c4lab.named import complete_bipartite, heawood_graph
+from c4lab.pipeline import ExtractionCertificate
+
+from helpers import verify_certificate_reference
 
 
 def run_cli(capsys, *argv):
@@ -681,6 +685,20 @@ def test_verify_rejects_a_repeated_vertex_id(tmp_path, capsys, graph_file, cert_
     assert (code, out) == (2, "REJECTED\n")
 
 
+@pytest.mark.parametrize("witness", [{"s_side": [0, 1, 2], "t_side": [3, 4, 5]}, []],
+                         ids=["biclique", "empty-list"])
+def test_verify_rejects_a_failure_record_that_holds_a_witness(tmp_path, capsys, witness):
+    # the writer puts null in every failure record's witness field; any
+    # other shape is not a record it wrote
+    obj = _golden_cert("gnp200_failure_cert.json")
+    assert obj["mode"] == "failure" and obj["witness"] is None
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(dict(obj, witness=witness)))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(GOLDEN / "gnp200.g6"),
+                           "--cert", str(cert))
+    assert (code, out) == (2, "REJECTED\n")
+
+
 def test_verify_rejects_a_k22_on_a_star_by_a_repeated_id(tmp_path, capsys):
     # K_{1,3} holds no K_{2,2}; S = [0, 0] must not pass for two vertices
     from c4lab.pipeline import ExtractionCertificate, _NO_FLAGS, graph_digest
@@ -738,18 +756,48 @@ def _mutated(rng: random.Random, text: str) -> bytes:
     return json.dumps(obj).encode()
 
 
+def _reference_code(graph_file: str, data: bytes) -> int:
+    """The exit code verify owes a certificate's bytes by the reference rule."""
+    try:
+        cert = ExtractionCertificate.from_json(data.decode())
+        graph = read_graph6((GOLDEN / graph_file).read_text())
+        return 0 if verify_certificate_reference(graph, cert) else 2
+    except (C4LabError, ValueError):
+        return 1
+
+
 def test_verify_mutated_golden_certificates_never_escape(tmp_path, capsys):
     # a seeded fuzz: whatever the mutation, verify answers with an exit code
-    # (0 verified, 2 rejected, 1 malformed) and no exception escapes main
+    # (0 verified, 2 rejected, 1 malformed), no exception escapes main, and
+    # the code is the one the reference rule gives
     rng = random.Random(20261018)
     cert = tmp_path / "cert.json"
     codes = set()
     for graph_file, cert_file in GOLDEN_CERTS:
         text = (GOLDEN / cert_file).read_text()
         for _ in range(100):
-            cert.write_bytes(_mutated(rng, text))
+            data = _mutated(rng, text)
+            cert.write_bytes(data)
             code, _, _ = run_cli(capsys, "verify", "--input", str(GOLDEN / graph_file),
                                  "--cert", str(cert))
-            assert code in (0, 1, 2)
+            assert code == _reference_code(graph_file, data)
             codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_verify_matches_the_reference_on_swapped_witnesses(tmp_path, capsys):
+    # every golden certificate with each golden's witness field in place of
+    # its own: a vertex list, a biclique pair, null, or an empty list
+    witnesses = [_golden_cert(name)["witness"] for _, name in GOLDEN_CERTS] + [[]]
+    assert {type(w) for w in witnesses} == {list, dict, type(None)}
+    cert = tmp_path / "cert.json"
+    codes = set()
+    for graph_file, cert_file in GOLDEN_CERTS:
+        for witness in witnesses:
+            data = json.dumps(dict(_golden_cert(cert_file), witness=witness)).encode()
+            cert.write_bytes(data)
+            code, _, _ = run_cli(capsys, "verify", "--input", str(GOLDEN / graph_file),
+                                 "--cert", str(cert))
+            assert code == _reference_code(graph_file, data), (cert_file, witness)
+            codes.add(code)
+    assert codes == {0, 2}

@@ -203,7 +203,11 @@ def test_bipartite_sidecar_roundtrip():
     ("{side_a", "sidecar is not JSON"),
     ('{"side_a": [0, 1, 2], "side_b": [3, 4, 5]}',
      "side_a and side_b must partition the vertex set"),
-], ids=["list", "int-side", "missing-side", "string-id", "not-json", "not-a-partition"])
+    # the certificate's decoder: a repeated side must not pass as its last copy
+    ('{"side_a": [2, 3], "side_a": [0, 1], "side_b": [2, 3]}',
+     "sidecar repeats the key 'side_a'"),
+], ids=["list", "int-side", "missing-side", "string-id", "not-json", "not-a-partition",
+        "repeated-key"])
 def test_apply_sidecar_refuses_a_malformed_sidecar(text, message):
     g = complete_bipartite(3, 4).underlying
     with pytest.raises(DomainError, match=message):

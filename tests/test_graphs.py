@@ -61,10 +61,10 @@ def test_graph_rejects_bad_edges():
 
 def test_average_degree_examples():
     # the exact average degree a certificate's stats report for a witness
-    from c4lab.pipeline import DELTA, _flags_and_stats
+    from c4lab.pipeline import DELTA, _record
 
     def avg(g, witness):
-        return _flags_and_stats(g, witness, 1, DELTA)[1]["avg_degree"]
+        return _record(g, witness, None, 1, DELTA)[1]["avg_degree"]
 
     assert avg(cycle_graph(4), range(4)) == "2"
     assert avg(heawood_graph(), range(14)) == "3"  # 21 edges on 14 vertices
