@@ -312,6 +312,61 @@ def test_sparsify_reproduces_golden_outcomes():
     assert len(lines) == 50 and kinds == {True, False}
 
 
+# the extraction corpus: one line per `extract_induced_c4free` call, with
+# its inputs (graph recipe, s, k, attempts, seed), then the certificate's
+# mode, its stage and the sha256 of its JSON.  The recipes are
+# ["gnp", n, c, seed] for gen_gnp(n, c/(n-1), seed), ["plane", q] for
+# PG(2, q)'s incidence graph and ["lopsided", a, b, r, s, seed] for
+# gen_lopsided(a, b, r, s, seed).  `_corpus_line` writes a line from its
+# inputs.  Most lines are K_{3,3}-free G(n, 6/(n-1)) draws at
+# n in {40, 60, 100}, s = 3 and k = 2, whose near-regular attempts both
+# succeed and fail with a best
+def _corpus_graph(recipe):
+    from c4lab.graphs import gen_gnp, gen_lopsided, projective_plane_incidence
+
+    kind, *args = recipe
+    if kind == "gnp":
+        n, c, seed = args
+        return gen_gnp(n, c / (n - 1), seed)
+    if kind == "plane":
+        return projective_plane_incidence(*args).underlying
+    if kind == "lopsided":
+        return gen_lopsided(*args).underlying
+    raise ValueError(f"unknown graph recipe {recipe!r}")
+
+
+def _corpus_line(case: dict):
+    """The corpus line of one case, and its certificate."""
+    import hashlib
+    import json
+
+    from c4lab.pipeline import PipelineParams, extract_induced_c4free
+
+    cert = extract_induced_c4free(_corpus_graph(case["graph"]), case["s"], case["k"],
+                                  PipelineParams(attempts=case["attempts"]),
+                                  seed=case["seed"])
+    line = {key: case[key] for key in ("graph", "s", "k", "attempts", "seed")}
+    line.update(mode=cert.mode, stage=cert.stats["stage"],
+                sha256=hashlib.sha256(cert.to_json().encode()).hexdigest())
+    return json.dumps(line, sort_keys=True, separators=(",", ":")), cert
+
+
+def test_extract_corpus_reproduces_line_by_line():
+    import json
+
+    kinds = set()
+    for line in (GOLDEN / "extract_corpus.jsonl").read_text().splitlines():
+        got, cert = _corpus_line(json.loads(line))
+        assert got == line, f"corpus case {line}"
+        stage = cert.stats["stage"]
+        kinds.add("attemptN:near-regular" if stage.startswith("attempt") else stage)
+        if stage == "routes-exhausted":
+            kinds.add(("routes-exhausted", "best_size" in cert.stats))
+    # every stage of the driver but the empty input's
+    assert kinds >= {"trivial", "scan", "oracle", "attemptN:near-regular",
+                     ("routes-exhausted", True), ("routes-exhausted", False)}
+
+
 # the G(200, 6/199) above with a K_{3,3} planted on the seeded 6-set
 # sample_subset(Random(0), range(200), 6), its sides alternating in sorted
 # order: extract at s = 3 stops at the hypothesis check, and the pinned
