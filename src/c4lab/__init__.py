@@ -83,7 +83,6 @@ from .pipeline import (
     verify_certificate,
 )
 from .reductions import (
-    SplitOutcome,
     almost_biregular_reduce,
     biregularity_factor,
     bipartite_regularize,

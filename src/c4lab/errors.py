@@ -28,7 +28,9 @@ class GenerationFailure(C4LabError):
 class ExtractionFailure(C4LabError):
     """Las Vegas routine exhausted its retry budget.
 
-    `best` carries the best verified-but-below-target attempt, when one exists.
+    `best` carries the best verified-but-below-target attempt, when one
+    exists: for `sparsify_short_cycles`, the vertex mask of the densest
+    survivor set.
     """
 
     def __init__(self, message, best=None):

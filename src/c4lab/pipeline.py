@@ -29,6 +29,7 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     bipartition,
+    bits,
     half_degree_core,
     mask_of,
     mix_seed,
@@ -70,7 +71,13 @@ class PipelineParams:
 
     def as_dict(self, s: int, k: int) -> dict:
         """The certificate's params: the budgets, the fixed exponents, the
-        split exponent 1/(200 s) and the kernel multiplicity t = max(k, s)."""
+        split exponent 1/(200 s) and the kernel multiplicity t = max(k, s).
+        This is the request rule of both routes: s < 2 or k < 1 raises
+        DomainError."""
+        if s < 2:
+            raise DomainError("s must be >= 2")
+        if k < 1:
+            raise DomainError("k must be >= 1")
         return {
             "s": s, "k": k, "delta": DELTA, "split_delta": 1 / (200 * s),
             "sparsify_delta": SPARSIFY_DELTA,
@@ -414,10 +421,6 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     else an honest failure certificate with diagnostics.
     Every witness is re-verified from scratch against the original graph.
     """
-    if s < 2:
-        raise DomainError("s must be >= 2")
-    if k < 1:
-        raise DomainError("k must be >= 1")
     if params is None:
         params = PipelineParams()
     pdict = params.as_dict(s, k)
@@ -451,7 +454,7 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         except (DomainError, ExtractionFailure):
             pass
         else:
-            attempts = params.attempts if prefix.lopsided is None else 0
+            attempts = 0 if prefix is None else params.attempts
 
     # the lowest-index success wins; failed sparsifier runs feed a running
     # best for the diagnostics, where a strict > keeps the lowest index
@@ -460,18 +463,17 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
         base_seed = mix_seed(seed, 7000 + i)
         try:
             split = split_from_prefix(prefix, base_seed, retries=params.retries)
-            keep = sparsify_short_cycles(g, split.subgraph, s, mix_seed(base_seed, 1),
+            keep = sparsify_short_cycles(nbr, split, s, mix_seed(base_seed, 1),
                                          target=k, retries=params.retries)
         except ExtractionFailure as exc:
             if exc.best:
-                dense = mask_of(exc.best)
-                avg = Fraction(sum((nbr[v] & dense).bit_count() for v in exc.best),
-                               len(exc.best))
+                dense, size = exc.best, exc.best.bit_count()
+                avg = Fraction(sum((nbr[v] & dense).bit_count() for v in bits(dense)), size)
                 if best is None or avg > best[0]:
-                    best = (avg, len(exc.best))
+                    best = (avg, size)
             continue
         return _certificate(g, digest, pdict, seed, "case1_near_regular",
-                            f"attempt{i}:near-regular", witness=keep)
+                            f"attempt{i}:near-regular", witness=bits(keep))
 
     try:
         witness, _ = best_c4free_induced(g, limit=params.oracle_limit)

@@ -63,9 +63,9 @@ def _kept_degrees(nbr, kept_small: int, kept_large: int) -> list[int]:
 
 
 def almost_biregular_reduce(nbr, a_mask: int, b_mask: int, seed: int,
-                            retries: int = DEFAULT_RETRIES) -> tuple[int, ...]:
-    """The vertices of an induced subgraph of gamma with d >= d(gamma)/4 and
-    max degree <= 24 L d, ascending.
+                            retries: int = DEFAULT_RETRIES) -> int:
+    """The vertex mask of an induced subgraph of gamma with d >= d(gamma)/4
+    and max degree <= 24 L d.
 
     gamma and L are as in `biregularity_factor`, so every A-degree is at
     most L e/|A| and every B-degree at most L e/|B|; edges inside a side
@@ -92,7 +92,7 @@ def almost_biregular_reduce(nbr, a_mask: int, b_mask: int, seed: int,
     degree = [(v, (nbr[v] & large).bit_count()) for v in bits(small)]
     e = sum(dv for _, dv in degree)
     if e == 0:
-        return tuple(bits(a_mask | b_mask))
+        return a_mask | b_mask
     p = _float_above(Fraction(n_small, n_large))
     large_list = list(bits(large))
     # sampled <= 1 + 2 p (deg - 1) with p = |small|/|large|, in integers
@@ -121,7 +121,7 @@ def almost_biregular_reduce(nbr, a_mask: int, b_mask: int, seed: int,
                 raise InvariantError("reduced average degree fell below d/4")
             if max(degrees) > 24 * biregularity_factor(nbr, a_mask, b_mask) * dd:
                 raise InvariantError("reduced max degree exceeds 24 L d")
-            return tuple(bits(small_mask | kept_large))
+            return small_mask | kept_large
     raise ExtractionFailure(f"no verified sample in {retries} attempts")
 
 
@@ -185,48 +185,47 @@ def _has_short_cycle(nbr, members: list[int]) -> bool:
     return False
 
 
-def sparsify_short_cycles(g: Graph, vertices, s: int, seed: int, target,
-                          retries: int = DEFAULT_RETRIES) -> frozenset[int]:
-    """Vertex set U'' inside `vertices` with g[U''] free of triangles and
-    4-cycles and d(g[U'']) >= target.
+def sparsify_short_cycles(nbr, alive: int, s: int, seed: int, target,
+                          retries: int = DEFAULT_RETRIES) -> int:
+    """The mask of a vertex set U'' inside the vertex mask `alive` whose
+    induced subgraph, under the neighbour masks `nbr`, is free of triangles
+    and 4-cycles and has average degree >= target.
 
-    Recipe per attempt on g[vertices], with d its max degree: sample U at
-    vertex probability p = d^{1/5s - 1}; delete every vertex lying on a
-    triangle or 4-cycle inside U, and every sampled vertex whose sampled
-    degree reaches 1 + 4 p deg.  The survivors are girth >= 5 by
+    Recipe per attempt on the subgraph `alive` induces, with d its max
+    degree: sample U at vertex probability p = d^{1/5s - 1}; delete every
+    vertex lying on a triangle or 4-cycle inside U, and every sampled vertex
+    whose sampled degree reaches 1 + 4 p deg.  The survivors are girth >= 5 by
     construction (unconditionally; the deletion removes every short
     cycle's vertices), and every nonempty survivor set is checked again all
     the same.
 
     Attempts run until one reaches the target; when the budget ends,
-    ExtractionFailure carries the densest nonempty survivor set as `best`.
+    ExtractionFailure carries the densest nonempty survivor set's mask as
+    `best`.
     The recipe's own density goal would be d^{(1/5 - 2 delta)/5s}, with the
     paper's delta recorded as a certificate's `sparsify_delta`; p does not
     depend on it, and at desk scale the caller chooses the target.  The
     paper's K_{s,s}-free hypothesis bears only on the density reached, not
     on the girth guarantee, so the input is not scanned for a biclique.
 
-    Every attempt draws over the members of `vertices` ascending and makes
-    one pass over the sampled ones (`_survivors`); the check, 2e(g[U''])
-    and the densest set so far then go over the ascending survivor list.
-    All of it reads g's neighbour masks, so no graph is built: 2e(g[U''])
+    Every attempt draws over the members of `alive` ascending and makes
+    one pass over the sampled ones (`_survivors`); the check and 2e(U'')
+    then go over the ascending survivor list.  No graph is built: 2e(U'')
     is a sum of popcounts, and densities compare as integer cross-products.
     """
     if s < 2:
         raise DomainError("s must be >= 2")
-    nbr = g.masks
-    members = sorted(set(vertices))
-    inside = mask_of(members)
-    degree = [(nbr[v] & inside).bit_count() for v in members]
+    members = list(bits(alive))
+    degree = [(nbr[v] & alive).bit_count() for v in members]
     d = max(degree, default=0)
     p = 1.0 if d <= 1 else d ** (1 / (5 * s) - 1)
     # an integer degree reaches 1 + 4 p deg iff it reaches the ceiling
     cap = {v: math.ceil(1 + 4 * p * dv) for v, dv in zip(members, degree)}
-    # d(g[U'']) >= target  iff  2e * den >= num * |U''|
+    # d(U'') >= target  iff  2e * den >= num * |U''|
     goal = Fraction(target)
     num, den = goal.numerator, goal.denominator
-    # the densest survivor set so far, as (2e, size, ascending members)
-    best: tuple[int, int, list[int]] | None = None
+    # the densest survivor set so far, as (2e, size, mask)
+    best: tuple[int, int, int] | None = None
     # reseeding one generator gives the stream of a fresh Random(sub-seed)
     rng = random.Random()
     rand = rng.random
@@ -246,64 +245,56 @@ def sparsify_short_cycles(g: Graph, vertices, s: int, seed: int, target,
         for v in live:
             two_e += (nbr[v] & kept).bit_count()
         if two_e * den >= num * size:
-            return frozenset(live)
+            return kept
         if best is None or two_e * best[1] > best[0] * size:
-            best = (two_e, size, live)
+            best = (two_e, size, kept)
     raise ExtractionFailure(
         f"no sample reached the target in {retries} attempts",
-        best=None if best is None else frozenset(best[2]))
+        best=None if best is None else best[2])
 
 
 # -- extreme split -------------------------------------------------------------
 
-@dataclass
-class SplitOutcome:
-    """Either a near-regular induced vertex set or a lopsided edge-rich cut."""
-
-    kind: str  # "near_regular" | "lopsided"
-    subgraph: frozenset[int] | None = None  # the near-regular vertex set
-
-
 @dataclass(frozen=True)
 class SplitPrefix:
-    """The seed-free half of `extreme_split` on one vertex set of a graph.
+    """The seed-free half of `extreme_split` on one vertex set of a graph,
+    when its cut is not lopsided.
 
-    Either the lopsided outcome, which no seed changes, or what every
-    near-regular attempt starts from, all in the graph's own ids: d as a
-    float, every neighbour mask cut down to the min-degree core h of the
-    set less R, and h's dyadic degree bucket with the most incident edges.
-    It is read only, so one prefix serves any number of seeds.
+    What every near-regular attempt starts from, all in the graph's own
+    ids: d as a float, every neighbour mask cut down to the min-degree core
+    h of the set less R, and the mask of h's dyadic degree bucket with the
+    most incident edges.  It is read only, so one prefix serves any number
+    of seeds.
     """
 
-    lopsided: SplitOutcome | None
-    d: float = 0.0
-    nbr: tuple[int, ...] = ()
-    bucket: tuple[int, ...] = ()
+    d: float
+    nbr: tuple[int, ...]
+    bucket: int
 
 
-def _heaviest_dyadic_bucket(degrees, d: float) -> list[int]:
+def _heaviest_dyadic_bucket(degrees, d: float) -> int:
     """Bucket the (vertex, degree >= 1) pairs by floor(log2(degree / d)) and
-    return the vertices of the bucket with the greatest degree mass, in
-    input order; ties go to the lower bucket, and no pairs give []."""
-    buckets: dict[int, list[int]] = {}
+    return the mask of the bucket with the greatest degree mass; ties go to
+    the lower bucket, and no pairs give 0."""
+    buckets: dict[int, int] = {}
     mass: dict[int, int] = {}
     for v, dv in degrees:
         j = math.floor(math.log2(dv / d))
-        buckets.setdefault(j, []).append(v)
+        buckets[j] = buckets.get(j, 0) | 1 << v
         mass[j] = mass.get(j, 0) + dv
     if not buckets:
-        return []
+        return 0
     return buckets[max(buckets, key=lambda j: (mass[j], -j))]
 
 
-def split_prefix(nbr, alive: int, delta: float) -> SplitPrefix:
+def split_prefix(nbr, alive: int, delta: float) -> SplitPrefix | None:
     """Everything `extreme_split` computes before its first random draw, on
     the subgraph that the vertex mask `alive` induces under the neighbour
     masks `nbr`.
 
     With d its average degree: vertices of degree above d 2^{d^delta} form
     R.  If the cut (R, rest) carries at least nd/4 = e/2 edges (exact), the
-    prefix holds the lopsided outcome, which records only its kind.
+    cut is lopsided, no seed changes that, and the prefix is None.
     Otherwise it holds the min-degree core h of the rest and h's heaviest
     dyadic degree bucket.  Raises DomainError on an empty set or d < 2, and
     ExtractionFailure when the rest spans no edge.
@@ -322,7 +313,7 @@ def split_prefix(nbr, alive: int, delta: float) -> SplitPrefix:
         # each cut edge is counted once, from its end in R
         cut_edges = sum((nbr[v] & rest).bit_count() for v in bits(r_mask))
         if 4 * cut_edges >= two_e:
-            return SplitPrefix(SplitOutcome(kind="lopsided"))
+            return None
 
     core = half_degree_core(nbr, rest)
     core_deg, core_two_e = degrees_within(nbr, core)
@@ -332,29 +323,29 @@ def split_prefix(nbr, alive: int, delta: float) -> SplitPrefix:
         raise ExtractionFailure("nothing remains outside the high-degree set")
     bucket = _heaviest_dyadic_bucket(
         ((v, dv) for v, dv in enumerate(core_deg) if core >> v & 1), d)
-    return SplitPrefix(None, d, tuple(mask & core for mask in nbr), tuple(bucket))
+    return SplitPrefix(d, tuple(mask & core for mask in nbr), bucket)
 
 
 def split_from_prefix(prefix: SplitPrefix, seed: int,
-                      retries: int = DEFAULT_RETRIES) -> SplitOutcome:
-    """The seeded half of `extreme_split`: its retries, from a shared prefix."""
-    if prefix.lopsided is not None:
-        return prefix.lopsided
+                      retries: int = DEFAULT_RETRIES) -> int:
+    """The seeded half of `extreme_split`: its retries, from a shared prefix;
+    the near-regular vertex mask."""
     for attempt in range(retries):
         sub_seed = mix_seed(seed, attempt)
         kept = _near_regular_attempt(prefix, random.Random(sub_seed), sub_seed)
-        if kept is not None:
-            return SplitOutcome(kind="near_regular", subgraph=frozenset(kept))
+        if kept:
+            return kept
     raise ExtractionFailure(f"near-regular extraction failed in {retries} attempts")
 
 
 def extreme_split(g: Graph, delta: float, seed: int,
-                  retries: int = DEFAULT_RETRIES) -> SplitOutcome:
-    """Find a near-regular induced subgraph or certify a lopsided cut.
+                  retries: int = DEFAULT_RETRIES) -> int | None:
+    """Find a near-regular induced subgraph's vertex mask, or None for a
+    lopsided cut.
 
     With d = d(g): vertices of degree above d 2^{d^delta} form R.  If the
-    cut (R, V-R) carries at least nd/4 = e/2 edges (exact), the lopsided
-    outcome is returned.  Otherwise the recipe works inside the min-degree
+    cut (R, V-R) carries at least nd/4 = e/2 edges (exact), the cut is
+    lopsided.  Otherwise the recipe works inside the min-degree
     core of g - R: bucket degrees dyadically, keep the bucket
     with the most incident edges, quarter-sample it, drop vertices sampling
     more than half their neighbors, strip internal degrees >= 4d, re-bucket
@@ -366,16 +357,18 @@ def extreme_split(g: Graph, delta: float, seed: int,
     Callers that split one graph under many seeds compute `split_prefix`
     once and call `split_from_prefix` per seed; this is the two in one.
     """
-    return split_from_prefix(split_prefix(g.masks, (1 << g.n) - 1, delta), seed, retries)
+    prefix = split_prefix(g.masks, (1 << g.n) - 1, delta)
+    return None if prefix is None else split_from_prefix(prefix, seed, retries)
 
 
 def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
-                          reduce_seed: int) -> tuple[int, ...] | None:
+                          reduce_seed: int) -> int:
     """One randomized pass of the bucket/sample/strip recipe; the kept
-    vertices, ascending.  Every neighbour count is a popcount against a
-    mask, and the reduction reads h's masks through the two sides' masks."""
+    vertex mask, or 0 for a failed pass.  Every neighbour count is a
+    popcount against a mask, and the reduction reads h's masks through the
+    two sides' masks."""
     nbr, d = prefix.nbr, prefix.d
-    c_prime = mask_of(v for v in prefix.bucket if rng.random() < 0.25)
+    c_prime = mask_of(v for v in bits(prefix.bucket) if rng.random() < 0.25)
     # keep the sampled vertices that sample at most half their neighbours,
     # then drop those with 4d or more of the kept ones
     c_second = mask_of(v for v in bits(c_prime)
@@ -383,24 +376,21 @@ def _near_regular_attempt(prefix: SplitPrefix, rng: random.Random,
     c_third = mask_of(v for v in bits(c_second)
                       if (nbr[v] & c_second).bit_count() < 4 * d)
     if not c_third:
-        return None
+        return 0
     # re-bucket everything outside by its degree into c_third
     reach = 0
     for v in bits(c_third):
         reach |= nbr[v]
-    c_k = _heaviest_dyadic_bucket(
+    k_mask = _heaviest_dyadic_bucket(
         ((v, (nbr[v] & c_third).bit_count()) for v in bits(reach & ~c_third)), d)
-    if not c_k:
-        return None
-    k_mask = mask_of(c_k)
-    b_mask = mask_of(v for v in c_k if (nbr[v] & k_mask).bit_count() < 4 * d)
+    b_mask = mask_of(v for v in bits(k_mask) if (nbr[v] & k_mask).bit_count() < 4 * d)
     if not b_mask:
-        return None
-    # every vertex of c_k has a neighbour in c_third, so gamma has an edge
+        return 0
+    # every vertex of the bucket has a neighbour in c_third, so gamma has an edge
     try:
         return almost_biregular_reduce(nbr, c_third, b_mask, reduce_seed)
     except ExtractionFailure:
-        return None
+        return 0
 
 
 # -- bipartite regularization --------------------------------------------------

@@ -415,8 +415,9 @@ def sample_c4free_by_pair_scan(g: Graph, size: int, samples: int, rng) -> int:
 # `sparsify_by_graph_per_retry` and `extreme_split_by_set_scans` (with the
 # retry helpers they call) are the reductions that build a Graph per
 # sparsifier retry and count neighbours by generator sums, recomputing the
-# whole split for every seed.  The mask-based reductions must return equal
-# values and raise the same exception type and message, with the same .best.
+# whole split for every seed.  The mask-based reductions must return the
+# masks of equal vertex sets and raise the same exception type and message,
+# with the same .best as a mask.
 
 def induced_bipartite_by_relabelling(bg, keep):
     """The induced bipartite subgraph on `keep`, keeping the side assignment:
@@ -524,12 +525,12 @@ def sparsify_by_graph_per_retry(g: Graph, vertices, s: int, seed: int, target,
 
 
 def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, retries: int = 100):
-    """The reference for `reductions.extreme_split`."""
+    """The reference for `reductions.extreme_split`: the near-regular vertex
+    set, or None for a lopsided cut."""
     from math import ceil
 
     from c4lab.errors import DomainError, ExtractionFailure
     from c4lab.graphs import induced, mix_seed
-    from c4lab.reductions import SplitOutcome
 
     if g.n == 0:
         raise DomainError("graph must be nonempty")
@@ -541,7 +542,7 @@ def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, retries: int =
     rest = frozenset(range(g.n)) - r_set
     cut_edges = sum(1 for u, v in g.edges() if (u in r_set) != (v in r_set))
     if 2 * cut_edges >= g.edge_count and r_set:
-        return SplitOutcome(kind="lopsided")
+        return None
     base = induced(g, rest)
     base_map = sorted(rest)
     if base.n == 0 or base.edge_count == 0:
@@ -560,7 +561,7 @@ def extreme_split_by_set_scans(g: Graph, delta: float, seed: int, retries: int =
         chosen = frozenset(core_map[v] for v in outcome)
         if induced(g, chosen).edge_count == 0:
             continue
-        return SplitOutcome(kind="near_regular", subgraph=chosen)
+        return chosen
     raise ExtractionFailure(f"near-regular extraction failed in {retries} attempts")
 
 

@@ -12,6 +12,7 @@ from math import comb
 from c4lab.errors import ExtractionFailure, KernelFailure
 from c4lab.graphs import (
     Graph,
+    bits,
     gen_gnp,
     gen_lopsided,
     induced,
@@ -121,8 +122,9 @@ def test_acceptance_3_girth_guarantee():
     runs = 0
     for q, g in planes.items():
         for seed in range(250):
-            keep = sparsify_short_cycles(g, range(g.n), 2, seed, target=0, retries=50)
-            sub = induced(g, keep)
+            keep = sparsify_short_cycles(g.masks, (1 << g.n) - 1, 2, seed, target=0,
+                                         retries=50)
+            sub = induced(g, bits(keep))
             assert find_c3(sub) is None and find_c4(sub) is None
             assert reiman_holds(sub.n, sub.edge_count)
             runs += 1
@@ -132,12 +134,12 @@ def test_acceptance_3_girth_guarantee():
         g = repair_to_c4_free(gen_gnp(n, 0.3, rng.randrange(2 ** 32)))
         assert reiman_holds(g.n, g.edge_count)
         try:
-            keep = sparsify_short_cycles(g, range(g.n), 2, seed=runs, target=0,
+            keep = sparsify_short_cycles(g.masks, (1 << g.n) - 1, 2, seed=runs, target=0,
                                          retries=50)
         except ExtractionFailure:
             runs += 1
             continue
-        sub = induced(g, keep)
+        sub = induced(g, bits(keep))
         assert find_c3(sub) is None and find_c4(sub) is None
         runs += 1
     _announce(3, "girth-guarantee-1000")

@@ -292,6 +292,7 @@ def test_sparsify_reproduces_golden_outcomes():
 
     from c4lab.errors import ExtractionFailure
     from c4lab.graphio import read_graph6
+    from c4lab.graphs import bits
     from c4lab.reductions import sparsify_short_cycles
 
     lines = (GOLDEN / "sparsify_outcomes.jsonl").read_text().splitlines()
@@ -301,12 +302,12 @@ def test_sparsify_reproduces_golden_outcomes():
         got = {key: call[key] for key in ("graph6", "s", "seed", "target", "retries")}
         try:
             g = read_graph6(call["graph6"])
-            got["kept"] = sorted(sparsify_short_cycles(
-                g, range(g.n), call["s"], call["seed"], call["target"],
-                retries=call["retries"]))
+            got["kept"] = sorted(bits(sparsify_short_cycles(
+                g.masks, (1 << g.n) - 1, call["s"], call["seed"], call["target"],
+                retries=call["retries"])))
         except ExtractionFailure as exc:
             got["error"] = str(exc)
-            got["best"] = None if exc.best is None else sorted(exc.best)
+            got["best"] = None if exc.best is None else sorted(bits(exc.best))
         assert json.dumps(got, sort_keys=True, separators=(",", ":")) == line
         kinds.add("kept" in got)
     assert len(lines) == 50 and kinds == {True, False}

@@ -20,6 +20,7 @@ from c4lab.graphs import (
     gen_gnp,
     gen_lopsided,
     induced,
+    mask_of,
     projective_plane_incidence,
 )
 from c4lab.named import complete_bipartite, heawood_graph, petersen_graph
@@ -104,6 +105,19 @@ def test_model_nonuniform_degrees_rejected():
     bg = BipartiteGraph(g, [0, 1], [2, 3])
     with pytest.raises(DomainError):
         model_lopsided(bg, s=2, k=1, seed=1)
+
+
+@pytest.mark.parametrize("s, k, message", [
+    (2, 0, "k must be >= 1"),  # was a case2_lopsided star that from_json refuses
+    (1, 2, "s must be >= 2"),  # was a biclique_found record for one edge
+    (0, 2, "s must be >= 2"),  # was a ZeroDivisionError
+])
+def test_both_routes_share_one_request_rule(s, k, message):
+    bg = gen_lopsided(30, 30, 3, 2, 1)
+    with pytest.raises(DomainError, match=message):
+        model_lopsided(bg, s, k, seed=1)
+    with pytest.raises(DomainError, match=message):
+        extract_induced_c4free(bg.underlying, s, k, seed=1)
 
 
 def test_model_seed_sweep_soundness():
@@ -353,15 +367,15 @@ def test_failure_diagnostics_keep_the_lowest_attempt_on_ties(monkeypatch):
     u, v = next(iter(g.edges()))
     x, y = next((a, b) for a, b in g.edges()
                 if len({u, v, a, b}) == 4 and induced(g, {u, v, a, b}).edge_count == 2)
-    bests = iter([{u, v}, {u, v, x, y}])
+    bests = iter([mask_of({u, v}), mask_of({u, v, x, y})])
 
     def sparsify_fails(*args, **kwargs):
         raise ExtractionFailure("below target", best=next(bests))
 
     monkeypatch.setattr(pipeline, "split_prefix",
-                        lambda nbr, alive, delta: SimpleNamespace(lopsided=None))
-    monkeypatch.setattr(pipeline, "split_from_prefix", lambda prefix, seed, retries:
-                        SimpleNamespace(kind="near_regular", subgraph=range(g.n)))
+                        lambda nbr, alive, delta: SimpleNamespace())
+    monkeypatch.setattr(pipeline, "split_from_prefix",
+                        lambda prefix, seed, retries: (1 << g.n) - 1)
     monkeypatch.setattr(pipeline, "sparsify_short_cycles", sparsify_fails)
     cert = extract_induced_c4free(g, 2, 4, PipelineParams(attempts=2, oracle_limit=0))
     assert cert.mode == "failure"

@@ -14,6 +14,7 @@ from c4lab.errors import (
 from c4lab.graphs import (
     BipartiteGraph,
     Graph,
+    bits,
     gen_gnp,
     gen_lopsided,
     induced,
@@ -28,7 +29,6 @@ from c4lab.named import (
 )
 from c4lab.oracles import find_c3, find_c4
 from c4lab.reductions import (
-    SplitOutcome,
     almost_biregular_reduce,
     biregularity_factor,
     bipartite_regularize,
@@ -58,7 +58,7 @@ def matching_bipartite(k: int) -> BipartiteGraph:
 
 # -- almost_biregular_reduce ---------------------------------------------------
 
-def reduce_bipartite(bg: BipartiteGraph, seed: int, **kwargs) -> tuple[int, ...]:
+def reduce_bipartite(bg: BipartiteGraph, seed: int, **kwargs) -> int:
     """`almost_biregular_reduce` on a BipartiteGraph's masks and sides."""
     return almost_biregular_reduce(bg.underlying.masks, mask_of(bg.side_a),
                                    mask_of(bg.side_b), seed, **kwargs)
@@ -71,13 +71,13 @@ def factor(bg: BipartiteGraph) -> Fraction:
 
 def test_reduce_empty_edge_set_returns_input():
     bg = BipartiteGraph(Graph(5), range(3), range(3, 5))
-    assert reduce_bipartite(bg, seed=1) == (0, 1, 2, 3, 4)
+    assert reduce_bipartite(bg, seed=1) == mask_of((0, 1, 2, 3, 4))
     assert factor(bg) == 0
 
 
 def test_reduce_heawood():
     bg = heawood_bipartite()
-    ids = reduce_bipartite(bg, seed=7)
+    ids = list(bits(reduce_bipartite(bg, seed=7)))
     out = induced(bg.underlying, ids)
     d_in = average_degree(bg.underlying)
     d_out = average_degree(out)
@@ -89,7 +89,7 @@ def test_reduce_heawood():
 
 def test_reduce_perfect_matching():
     bg = matching_bipartite(8)
-    ids = reduce_bipartite(bg, seed=3)
+    ids = bits(reduce_bipartite(bg, seed=3))
     assert average_degree(induced(bg.underlying, ids)) >= Fraction(1, 4)
 
 
@@ -98,7 +98,7 @@ def test_reduce_measures_its_own_factor():
     g = Graph(8, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (2, 5), (3, 6)])
     bg = BipartiteGraph(g, range(4), range(4, 8))
     assert factor(bg) == Fraction(16, 7)
-    assert induced(g, reduce_bipartite(bg, seed=1)).edge_count >= 1
+    assert induced(g, bits(reduce_bipartite(bg, seed=1))).edge_count >= 1
 
 
 def test_reduce_reads_only_the_edges_between_the_sides():
@@ -127,8 +127,8 @@ def test_reduce_deterministic():
 def test_sparsify_output_always_short_cycle_free():
     g = petersen_graph()
     for seed in range(20):
-        out = sparsify_short_cycles(g, range(g.n), 2, seed, target=0)
-        sub = induced(g, out)
+        out = sparsify_short_cycles(g.masks, (1 << g.n) - 1, 2, seed, target=0)
+        sub = induced(g, bits(out))
         assert find_c3(sub) is None and find_c4(sub) is None
         gg = girth(sub)
         assert gg is None or gg >= 5
@@ -139,16 +139,18 @@ def test_sparsify_c4_never_keeps_whole_cycle():
     g = cycle_graph(4)
     for seed in range(30):
         try:
-            out = sparsify_short_cycles(g, range(g.n), 2, seed, target=0, retries=20)
+            out = sparsify_short_cycles(g.masks, (1 << g.n) - 1, 2, seed, target=0,
+                                        retries=20)
         except ExtractionFailure:
             continue
-        assert len(out) < 4
+        assert out.bit_count() < 4
 
 
 def test_sparsify_on_plane_incidence():
     g = projective_plane_incidence(5).underlying
-    out = sparsify_short_cycles(g, range(g.n), 2, seed=13, target=0, retries=100)
-    sub = induced(g, out)
+    out = sparsify_short_cycles(g.masks, (1 << g.n) - 1, 2, seed=13, target=0,
+                                retries=100)
+    sub = induced(g, bits(out))
     assert find_c3(sub) is None and find_c4(sub) is None
     assert average_degree(sub) >= 0
 
@@ -184,7 +186,7 @@ def test_sparsify_girth_check_raises_without_assert(monkeypatch):
     # K_6 reaches average degree 6, so the attempts run until a triangle
     monkeypatch.setattr(reductions, "_survivors", lambda nbr, u, sampled, cap: sampled)
     with pytest.raises(InvariantError):
-        sparsify_short_cycles(complete_graph(6), range(6), 2, seed=1, target=6)
+        sparsify_short_cycles(complete_graph(6).masks, 0b111111, 2, seed=1, target=6)
 
 
 def test_sparsify_girth_check_raises_under_optimize():
@@ -194,7 +196,7 @@ def test_sparsify_girth_check_raises_under_optimize():
         "from c4lab.named import complete_graph\n"
         "reductions._survivors = lambda nbr, u, sampled, cap: sampled\n"
         "try:\n"
-        "    reductions.sparsify_short_cycles(complete_graph(6), range(6), 2, seed=1,"
+        "    reductions.sparsify_short_cycles(complete_graph(6).masks, 0b111111, 2, seed=1,"
         " target=6)\n"
         "except InvariantError as exc:\n"
         "    print('raised', exc)\n")
@@ -204,8 +206,8 @@ def test_sparsify_girth_check_raises_under_optimize():
 def test_sparsify_target_failure_carries_best():
     g = petersen_graph()
     with pytest.raises(ExtractionFailure) as exc:
-        sparsify_short_cycles(g, range(g.n), 2, seed=1, target=100, retries=10)
-    assert exc.value.best is None or len(exc.value.best) > 0
+        sparsify_short_cycles(g.masks, (1 << g.n) - 1, 2, seed=1, target=100, retries=10)
+    assert exc.value.best is None or exc.value.best.bit_count() > 0
 
 
 # -- extreme_split ---------------------------------------------------------------
@@ -213,8 +215,8 @@ def test_sparsify_target_failure_carries_best():
 def test_extreme_split_regular_graph_no_high_degree_set():
     g = heawood_graph()
     out = extreme_split(g, 0.1, seed=5)
-    assert out.kind == "near_regular"
-    assert induced(g, out.subgraph).edge_count > 0
+    assert out is not None
+    assert induced(g, bits(out)).edge_count > 0
 
 
 def test_extreme_split_lopsided_on_hub_graph():
@@ -231,7 +233,7 @@ def test_extreme_split_lopsided_on_hub_graph():
     leaves = list(range(n_hubs, next_v))
     edges += [(leaves[i], leaves[(i + 1) % n_leaves]) for i in range(n_leaves)]
     g = Graph(next_v, edges)
-    assert extreme_split(g, 0.1, seed=2) == SplitOutcome(kind="lopsided")
+    assert extreme_split(g, 0.1, seed=2) is None
     cut = sum(1 for u, v in g.edges() if (u < n_hubs) != (v < n_hubs))
     assert 2 * cut == g.edge_count  # e(A,B) >= n d / 4, met exactly here
 
@@ -241,14 +243,14 @@ def test_extreme_split_petersen_ratio_stat():
     # subgraph, so the achieved max/avg ratio is exactly 1
     g = petersen_graph()
     out = extreme_split(g, 0.1, seed=1)
-    assert out.kind == "near_regular"
-    sub = induced(g, out.subgraph)
+    assert out is not None
+    sub = induced(g, bits(out))
     assert max_degree(sub) == average_degree(sub) == 2
     # other seeds still deliver near-regular outcomes that span an edge
     for seed in (2, 3, 4):
         o = extreme_split(g, 0.1, seed=seed)
-        assert o.kind == "near_regular"
-        assert induced(g, o.subgraph).edge_count > 0
+        assert o is not None
+        assert induced(g, bits(o)).edge_count > 0
 
 
 def test_extreme_split_requires_degree_two():
@@ -259,7 +261,7 @@ def test_extreme_split_requires_degree_two():
 def test_extreme_split_deterministic():
     a = extreme_split(heawood_graph(), 0.1, seed=9)
     b = extreme_split(heawood_graph(), 0.1, seed=9)
-    assert a.subgraph == b.subgraph
+    assert a == b
 
 
 # -- bipartite_regularize --------------------------------------------------------
@@ -343,8 +345,8 @@ def test_regularize_partition_checked():
 
 def test_sparsify_and_regularize_deterministic():
     g = projective_plane_incidence(3).underlying
-    s1 = sparsify_short_cycles(g, range(g.n), 2, seed=31, target=0)
-    s2 = sparsify_short_cycles(g, range(g.n), 2, seed=31, target=0)
+    s1 = sparsify_short_cycles(g.masks, (1 << g.n) - 1, 2, seed=31, target=0)
+    s2 = sparsify_short_cycles(g.masks, (1 << g.n) - 1, 2, seed=31, target=0)
     assert s1 == s2
     bg = gen_lopsided(300, 40, 2, 2, seed=21)
     out1 = bipartite_regularize(bg.underlying, bg.side_a, bg.side_b, r=2,
@@ -364,6 +366,15 @@ def _outcome(fn, *args, **kwargs):
         return ("raised", type(exc), str(exc), getattr(exc, "best", None))
 
 
+def _as_masks(outcome):
+    """An `_outcome` whose value or .best is a vertex set, with that set as
+    a mask."""
+    if outcome[0] == "value":
+        return ("value", mask_of(outcome[1]))
+    kind, exc_type, message, best = outcome
+    return (kind, exc_type, message, None if best is None else mask_of(best))
+
+
 def test_sparsify_matches_graph_per_retry_reference():
     # on the whole vertex set, and on a vertex set the reference cuts out as
     # a Graph of its own while the sparsifier reads g's masks through it
@@ -380,8 +391,8 @@ def test_sparsify_matches_graph_per_retry_reference():
         # the failure carries the densest survivor set of the whole budget
         base = _outcome(helpers.sparsify_by_graph_per_retry, g, inside, s, seed, 100,
                         retries=retries)
-        assert _outcome(sparsify_short_cycles, g, inside, s, seed, 100,
-                        retries=retries) == base
+        assert _outcome(sparsify_short_cycles, g.masks, mask_of(inside), s, seed, 100,
+                        retries=retries) == _as_masks(base)
         assert base[0] == "raised"
         densest = base[3]
         if densest is None:
@@ -397,8 +408,8 @@ def test_sparsify_matches_graph_per_retry_reference():
         for target in targets:
             want = _outcome(helpers.sparsify_by_graph_per_retry, g, inside, s, seed,
                             target, retries=retries)
-            assert _outcome(sparsify_short_cycles, g, inside, s, seed, target,
-                            retries=retries) == want
+            assert _outcome(sparsify_short_cycles, g.masks, mask_of(inside), s, seed,
+                            target, retries=retries) == _as_masks(want)
             assert want[0] == ("value" if target <= best else "raised")
             kinds.add(want[0])
     assert kinds == {"no survivors", "value", "raised"}
@@ -436,16 +447,16 @@ def test_extreme_split_matches_set_scan_reference():
         prefix = _outcome(split_prefix, g.masks, mask_of(ids), delta)
         for seed in (rng.randrange(2 ** 63), rng.randrange(2 ** 63), rng.randrange(2 ** 63)):
             want = _outcome(helpers.extreme_split_by_set_scans, sub, delta, seed, **kwargs)
-            if want[0] == "value" and want[1].subgraph is not None:
-                lifted = frozenset(ids[v] for v in want[1].subgraph)
-                want = ("value", SplitOutcome(kind="near_regular", subgraph=lifted))
+            if want[0] == "value" and want[1] is not None:
+                want = ("value", mask_of(ids[v] for v in want[1]))
             if sub is g:
                 assert _outcome(extreme_split, g, delta, seed, **kwargs) == want
-            if prefix[0] == "value":
+            if prefix[0] == "value" and prefix[1] is not None:
                 assert _outcome(split_from_prefix, prefix[1], seed, **kwargs) == want
             else:
                 assert prefix == want
-            kinds.add((sub is g, want[0] if want[0] == "raised" else want[1].kind))
+            kinds.add((sub is g, "raised" if want[0] == "raised"
+                       else "lopsided" if want[1] is None else "near_regular"))
     assert kinds == {(whole, kind) for whole in (True, False)
                      for kind in ("raised", "near_regular", "lopsided")}
 
@@ -475,7 +486,7 @@ def test_almost_biregular_reduce_matches_set_scan_reference():
         want = _outcome(helpers.almost_biregular_reduce_by_set_scans, gamma, seed,
                         retries=retries)
         if want[0] == "value":
-            want = ("value", tuple(both[i] for i in want[1]))
+            want = ("value", mask_of(both[i] for i in want[1]))
         got = _outcome(almost_biregular_reduce, g.masks, mask_of(a_side),
                        mask_of(b_side), seed, retries=retries)
         assert got == want
