@@ -321,10 +321,10 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
     family = Hypergraph(len(b_list), edges)
 
     # a single neighborhood is an induced star: C4-free, average degree
-    # 2r/(r+1) >= 1, enough for degenerate requests; an attempt that ends
-    # without a certificate returns it
+    # 2r/(r+1) >= 1, enough for k = 1; an attempt that ends without a
+    # certificate returns it
     star = None
-    if k <= 1 and r_deg >= 1:
+    if k == 1:
         a0 = a_list[0]
         star = _certificate(under, digest, pdict, seed, "case2_lopsided", "model:star",
                             witness=[a0, *under.neighbors(a0)])
