@@ -885,6 +885,57 @@ def near_regular_case_by_set_scans(core: Graph, rng):
     return w_set, u_map
 
 
+def witness_vertices(w) -> set[int]:
+    """A subdivision witness's branch and path vertices, as a set."""
+    verts = set(w.branch_vertices)
+    for path in w.paths.values():
+        verts.update(path)
+    return verts
+
+
+def witness_path_edges(w) -> set[tuple[int, int]]:
+    """A subdivision witness's path edges, each as (min, max)."""
+    out: set[tuple[int, int]] = set()
+    for path in w.paths.values():
+        for a, b in zip(path, path[1:]):
+            out.add((min(a, b), max(a, b)))
+    return out
+
+
+def verify_subdivision_by_sets(g: Graph, w) -> bool:
+    """`subdivisions.verify_subdivision` as a replay over Python sets: seen
+    internals in a set, and the induced check as an equality of the edge
+    set g induces on the witness with the path edges."""
+    branch = w.branch_vertices
+    k = len(branch)
+    if len(set(branch)) != k or any(not 0 <= v < g.n for v in branch):
+        return False
+    expected_keys = {(min(u, v), max(u, v)) for u, v in combinations(branch, 2)}
+    if set(w.paths.keys()) != expected_keys:
+        return False
+    seen_internal: set[int] = set()
+    for (u, v), path in w.paths.items():
+        if len(path) < 2 or path[0] != u or path[-1] != v:
+            return False
+        if any(not 0 <= x < g.n for x in path):
+            return False
+        if any(not g.has_edge(a, b) for a, b in zip(path, path[1:])):
+            return False
+        internal = path[1:-1]
+        if len(set(internal)) != len(internal):
+            return False
+        for x in internal:
+            if x in branch or x in seen_internal:
+                return False
+            seen_internal.add(x)
+    if not w.induced_flag:
+        return True
+    inside = mask_of(witness_vertices(w))
+    actual = {(u, v) for u in bits(inside)
+              for v in bits(g.masks[u] & inside) if u < v}
+    return actual == witness_path_edges(w)
+
+
 def gen_lopsided_by_pair_holders(a_count: int, b_count: int, r: int, s: int,
                                  seed: int) -> Graph:
     """`graphs.gen_lopsided`'s draws for s >= 2, with each pair of B-vertices

@@ -485,3 +485,139 @@ def test_cli_subdivide_reproduces_golden_output(tmp_path, capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert out == (GOLDEN / out_file).read_text()
+
+
+# the subdivision corpus: one line per call, with its inputs (graph recipe as
+# in the extraction corpus, route, k, seed, and s for `induced_subdivision`)
+# and the sha256 of the witness JSON, or null when the search fails.  The
+# routes are "plain" and "induced" (`find_subdivision` without and with
+# require_induced) and "induced_subdivision" at its default budgets.  A line with a "mutation" key
+# holds instead the verdict of `verify_subdivision` on that seeded edit of
+# its call's witness, with the sha256 of the edited witness's JSON
+def _subdivide_call(case: dict):
+    from c4lab.subdivisions import find_subdivision, induced_subdivision
+
+    g = _corpus_graph(case["graph"])
+    if case["route"] == "induced_subdivision":
+        return g, induced_subdivision(g, case["s"], case["k"], seed=case["seed"])
+    return g, find_subdivision(g, case["k"], seed=case["seed"],
+                               require_induced=case["route"] == "induced")
+
+
+def _shortest_path(g, u: int, v: int, rng):
+    """A u-v path of g through any vertices, or None: BFS with each
+    vertex's neighbours in a seeded order."""
+    parent = {u: u}
+    queue = [u]
+    for x in queue:
+        nbrs = list(g.neighbors(x))
+        rng.shuffle(nbrs)
+        for y in nbrs:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    if v not in parent:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def _mutated_witness(g, w, rng):
+    """One seeded edit of witness w: a flipped flag, a vertex in or out of
+    range, a path rerouted through any vertices or through a detour, a
+    path dropped, added, reversed, shortened or emptied, a branch vertex
+    repeated or replaced, a key reversed, or no edit at all."""
+    from c4lab.subdivisions import SubdivisionWitness
+
+    branch = list(w.branch_vertices)
+    paths = {key: list(path) for key, path in w.paths.items()}
+    flag = w.induced_flag
+    key = rng.choice(sorted(paths))
+    path = paths[key]
+    kind = rng.randrange(12)
+    if kind == 0:
+        flag = not flag
+    elif kind == 1:
+        path[rng.randrange(len(path))] = rng.choice([-1, g.n, 10 ** 20, rng.randrange(g.n)])
+    elif kind == 2:
+        paths[key] = _shortest_path(g, *key, rng) or path
+    elif kind == 3:
+        # through a random vertex, so the path may repeat one
+        x = rng.randrange(g.n)
+        first, second = _shortest_path(g, key[0], x, rng), _shortest_path(g, x, key[1], rng)
+        if first and second:
+            paths[key] = first + second[1:]
+    elif kind == 4:
+        del paths[key]
+    elif kind == 5:
+        paths[(key[0], rng.randrange(g.n))] = list(path)
+    elif kind == 6:
+        path.reverse()
+    elif kind == 7:
+        del path[rng.randrange(len(path))]
+    elif kind == 8:
+        paths[key] = []
+    elif kind == 9:
+        branch.append(branch[0])
+    elif kind == 10:
+        branch[rng.randrange(len(branch))] = rng.choice([-1, g.n, rng.randrange(g.n)])
+    elif kind == 11 and rng.random() < 0.5:
+        paths[key[::-1]] = paths.pop(key)[::-1]
+    return SubdivisionWitness(tuple(branch), {k: tuple(p) for k, p in paths.items()}, flag)
+
+
+def _subdivide_line(case: dict, witnesses: dict):
+    """The corpus line of one case; `witnesses` caches each call's graph
+    and witness by its inputs."""
+    import hashlib
+    import json
+    import random
+
+    from c4lab.subdivisions import verify_subdivision
+    from helpers import verify_subdivision_by_sets
+
+    inputs = {key: case[key] for key in ("graph", "route", "k", "s", "seed") if key in case}
+    call = json.dumps(inputs, sort_keys=True)
+    if call not in witnesses:
+        witnesses[call] = _subdivide_call(inputs)
+    g, w = witnesses[call]
+    line = dict(inputs)
+    if "mutation" in case:
+        w = _mutated_witness(g, w, random.Random(case["mutation"]))
+        verdict = verify_subdivision(g, w)
+        assert verdict == verify_subdivision_by_sets(g, w), f"corpus case {case}"
+        line.update(mutation=case["mutation"], verified=verdict)
+    line["sha256"] = None if w is None else hashlib.sha256(w.to_json().encode()).hexdigest()
+    return json.dumps(line, sort_keys=True, separators=(",", ":"))
+
+
+def test_subdivide_corpus_reproduces_line_by_line(monkeypatch):
+    import json
+
+    from c4lab import subdivisions
+
+    # each finder and sampler returns a witness somewhere in the corpus
+    found = dict.fromkeys(("_exhaustive_pack", "_bipartite_case", "_near_regular_case"), 0)
+
+    def counted(name, real):
+        def wrapper(*args):
+            out = real(*args)
+            found[name] += out is not None
+            return out
+        return wrapper
+
+    for name in found:
+        monkeypatch.setattr(subdivisions, name, counted(name, getattr(subdivisions, name)))
+    witnesses: dict = {}
+    outcomes = set()
+    for line in (GOLDEN / "subdivide_corpus.jsonl").read_text().splitlines():
+        case = json.loads(line)
+        assert _subdivide_line(case, witnesses) == line, f"corpus case {line}"
+        outcomes.add(("mutation", case["verified"]) if "mutation" in case
+                     else (case["route"], case["sha256"] is not None))
+    # every route both finds and fails, and some edits keep a witness valid
+    assert outcomes == {(route, hit) for route in ("plain", "induced", "induced_subdivision",
+                                                   "mutation") for hit in (True, False)}
+    assert all(found.values()), found
