@@ -2,8 +2,8 @@
 induced extraction built on top of the C4-free pipeline.
 
 A witness is never trusted: every returned subdivision replays through
-verify_subdivision, and a returned induced flag has passed an edge-set
-equality check against the original graph.  Absence of a witness means the
+verify_subdivision, and a returned induced flag has passed a degree-sum
+count against the original graph.  Absence of a witness means the
 search failed, never that no subdivision exists.
 """
 
@@ -39,19 +39,6 @@ class SubdivisionWitness:
     paths: dict[tuple[int, int], tuple[int, ...]]
     induced_flag: bool = False
 
-    def all_vertices(self) -> set[int]:
-        verts = set(self.branch_vertices)
-        for path in self.paths.values():
-            verts.update(path)
-        return verts
-
-    def path_edges(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for path in self.paths.values():
-            for a, b in zip(path, path[1:]):
-                out.add((min(a, b), max(a, b)))
-        return out
-
     def to_json(self) -> str:
         return json.dumps({
             "branch": list(self.branch_vertices),
@@ -85,15 +72,19 @@ class SubdivisionWitness:
 
 
 def verify_subdivision(g: Graph, w: SubdivisionWitness) -> bool:
-    """Replay every witness invariant against g."""
+    """Replay every witness invariant against g.
+
+    `inside` holds the branch set and the internal vertices seen so far,
+    so an internal vertex that is a branch vertex or repeats, in its own
+    path or another, is rejected.  Every vertex is range-checked before
+    it is shifted into a mask.
+    """
     branch = w.branch_vertices
-    k = len(branch)
-    if len(set(branch)) != k or any(not 0 <= v < g.n for v in branch):
+    if len(set(branch)) != len(branch) or any(not 0 <= v < g.n for v in branch):
         return False
-    expected_keys = {(min(u, v), max(u, v)) for u, v in combinations(branch, 2)}
-    if set(w.paths.keys()) != expected_keys:
+    if set(w.paths) != {(min(u, v), max(u, v)) for u, v in combinations(branch, 2)}:
         return False
-    seen_internal: set[int] = set()
+    inside = mask_of(branch)
     for (u, v), path in w.paths.items():
         if len(path) < 2 or path[0] != u or path[-1] != v:
             return False
@@ -101,100 +92,88 @@ def verify_subdivision(g: Graph, w: SubdivisionWitness) -> bool:
             return False
         if any(not g.has_edge(a, b) for a, b in zip(path, path[1:])):
             return False
-        internal = path[1:-1]
-        if len(set(internal)) != len(internal):
-            return False
-        for x in internal:
-            if x in branch or x in seen_internal:
+        for x in path[1:-1]:
+            if inside >> x & 1:
                 return False
-            seen_internal.add(x)
+            inside |= 1 << x
     return not w.induced_flag or _is_induced(g, branch, w.paths)
 
 
 def _is_induced(g: Graph, branch, paths) -> bool:
-    """Whether g induces exactly the path edges on the witness vertices.
+    """Whether g induces exactly the path edges on the witness vertices W.
 
-    Only the witness vertices' neighbour masks are read, each cut down to
-    the witness; every vertex must be in range.
+    The paths must run along edges of g and meet only at their branch
+    ends; then no two share an edge, and g induces exactly the path edges
+    iff the degrees within W sum to twice the number of path edges.
     """
-    w = SubdivisionWitness(tuple(branch), paths)
-    inside = mask_of(w.all_vertices())
-    actual = {(u, v) for u in bits(inside)
-              for v in bits(g.masks[u] & inside) if u < v}
-    return actual == w.path_edges()
+    inside = mask_of(branch)
+    for path in paths.values():
+        inside |= mask_of(path)
+    nbr = g.masks
+    degree_sum = sum((nbr[v] & inside).bit_count() for v in bits(inside))
+    return degree_sum == 2 * sum(len(path) - 1 for path in paths.values())
 
 
 def _greedy_attempt(g: Graph, branch: list[int]) -> dict | None:
-    """Route all pairs by BFS through unused non-branch vertices."""
-    used: set[int] = set()
-    branch_set = set(branch)
+    """Route all pairs by BFS through unused non-branch vertices: a dequeued
+    vertex next to v ends the search, and otherwise claims its unseen
+    neighbours in ascending order."""
+    nbr = g.masks
+    blocked = mask_of(branch)
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     for u, v in combinations(sorted(branch), 2):
-        if g.has_edge(u, v):
-            paths[(u, v)] = (u, v)
-            continue
-        # BFS from u to v avoiding branch vertices and used internals
-        parent = {u: -1}
+        parent = {}
+        seen = blocked
         queue = [u]
-        qi = 0
-        found = False
-        while qi < len(queue) and not found:
-            x = queue[qi]
-            qi += 1
-            for y in g.neighbors(x):
-                if y == v:
-                    parent[y] = x
-                    found = True
-                    break
-                if y in parent or y in branch_set or y in used:
-                    continue
+        for x in queue:
+            if nbr[x] >> v & 1:
+                break
+            fresh = nbr[x] & ~seen
+            seen |= fresh
+            for y in bits(fresh):
                 parent[y] = x
                 queue.append(y)
-        if not found:
+        else:
             return None
-        path = [v]
+        path = [v, x]
         while path[-1] != u:
             path.append(parent[path[-1]])
         path.reverse()
         paths[(u, v)] = tuple(path)
-        used.update(path[1:-1])
+        blocked |= mask_of(path[1:-1])
     return paths
 
 
 def _exhaustive_pack(g: Graph, k: int, require_induced: bool
                      ) -> SubdivisionWitness | None:
-    """Exact branch-set enumeration with disjoint-path packing (small graphs)."""
-    vertices = list(range(g.n))
-    for branch in combinations(vertices, k):
-        branch_set = set(branch)
+    """Exact branch-set enumeration with disjoint-path packing (small graphs).
+
+    `blocked` holds the branch set, the internals of the pairs already
+    routed and the partial path's own vertices."""
+    nbr = g.masks
+    for branch in combinations(range(g.n), k):
         pairs = list(combinations(branch, 2))
         paths: dict[tuple[int, int], tuple[int, ...]] = {}
-        used: set[int] = set()
 
-        def route(i: int) -> bool:
+        def route(i: int, blocked: int) -> bool:
             if i == len(pairs):
                 return not require_induced or _is_induced(g, branch, paths)
             u, v = pairs[i]
 
-            def dfs(x: int, acc: list[int]) -> bool:
-                for y in sorted(g.neighbors(x)):
+            def dfs(x: int, acc: list[int], blocked: int) -> bool:
+                for y in bits(nbr[x]):
                     if y == v:
-                        path = tuple(acc + [y])
-                        paths[(u, v)] = path
-                        internal = path[1:-1]
-                        used.update(internal)
-                        if route(i + 1):
+                        paths[(u, v)] = (*acc, v)
+                        if route(i + 1, blocked):
                             return True
-                        used.difference_update(internal)
-                        del paths[(u, v)]
-                    elif y not in branch_set and y not in used and y not in acc:
-                        if dfs(y, acc + [y]):
+                    elif not blocked >> y & 1:
+                        if dfs(y, acc + [y], blocked | 1 << y):
                             return True
                 return False
 
-            return dfs(u, [u])
+            return dfs(u, [u], blocked)
 
-        if route(0):
+        if route(0, mask_of(branch)):
             # route already accepted the packing as induced when one is required
             flag = require_induced or _is_induced(g, branch, paths)
             return SubdivisionWitness(tuple(branch), dict(paths), induced_flag=flag)

@@ -21,7 +21,8 @@ from c4lab.subdivisions import (
     induced_subdivision,
     verify_subdivision,
 )
-from helpers import near_regular_case_by_set_scans, sampler_by_set_scans
+from helpers import (near_regular_case_by_set_scans, sampler_by_set_scans,
+                     witness_path_edges, witness_vertices)
 
 FAST = PipelineParams(retries=10, attempts=2)
 
@@ -96,9 +97,9 @@ def test_induced_flag_matches_an_edge_scan():
         w = find_subdivision(g, 3, seed=rng.randrange(100))
         if w is None:
             continue
-        inside = w.all_vertices()
+        inside = witness_vertices(w)
         actual = {(u, v) for u, v in g.edges() if u in inside and v in inside}
-        assert w.induced_flag == (actual == w.path_edges())
+        assert w.induced_flag == (actual == witness_path_edges(w))
         checked += 1
     assert checked > 30
 
@@ -140,7 +141,7 @@ def test_induced_subdivision_heawood_k3():
     assert found.induced_flag
     assert verify_subdivision(g, found)
     # the lift is a cycle of length >= 6 (girth of the host)
-    total = len(found.all_vertices())
+    total = len(witness_vertices(found))
     assert total >= 6
 
 
