@@ -77,17 +77,12 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
     `_has_biclique` finds one; only then does it enumerate candidate S in
     degree-descending order with common-neighborhood pruning, which fixes
     the witness.
-    Exact; exponential only in s.  2s > n yields None, not an error.
+    Exact; exponential only in s.  2s > n yields None, not an error; s < 2
+    raises DomainError, the request rule of both extraction routes.
     """
-    if s < 1:
-        raise DomainError("s must be >= 1")
+    if s < 2:
+        raise DomainError("s must be >= 2")
     if 2 * s > g.n:
-        return None
-    if s == 1:
-        for u in range(g.n):
-            m = g.masks[u]
-            if m:
-                return frozenset([u]), frozenset([next(bits(m))])
         return None
     if s == 2:
         if is_c4_free(g.masks, (1 << g.n) - 1):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from c4lab.errors import OracleLimitError
+from c4lab.errors import DomainError, OracleLimitError
 from c4lab.graphio import read_graph6
 from c4lab.graphs import (
     Graph,
@@ -139,6 +139,15 @@ def test_contains_biclique_examples():
     assert contains_biclique(heawood_graph(), 2) is None
     assert contains_biclique(k33, 3) is not None
     assert contains_biclique(k33, 4) is None  # 2s > n
+
+
+def test_contains_biclique_refuses_s_below_2():
+    # a K_{1,1} is one edge, which no route asks for: s < 2 is refused even
+    # where 2s > n would otherwise give None
+    for g in (complete_bipartite(3, 3).underlying, Graph(1)):
+        for s in (0, 1):
+            with pytest.raises(DomainError, match="s must be >= 2"):
+                contains_biclique(g, s)
 
 
 def test_contains_biclique_s3_on_random():
