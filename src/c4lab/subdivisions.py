@@ -163,6 +163,8 @@ def _exhaustive_pack(g: Graph, k: int, require_induced: bool
             def dfs(x: int, acc: list[int], blocked: int) -> bool:
                 for y in bits(nbr[x]):
                     if y == v:
+                        # a failed attempt leaves its entry behind; the
+                        # next attempt at this pair overwrites it
                         paths[(u, v)] = (*acc, v)
                         if route(i + 1, blocked):
                             return True
