@@ -10,10 +10,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
-from c4lab.errors import StaleCertificateError
+from c4lab.errors import DomainError, InvariantError, OracleLimitError, StaleCertificateError
 from c4lab.graphio import _decode_n, _encode_n
 from c4lab.graphs import Graph, bipartition, bits, gen_gnp, mask_of
-from c4lab.oracles import is_c4_free
+from c4lab.hypergraphs import DEFAULT_ALPHA_LIMIT, InducedPair
+from c4lab.oracles import is_c4_free, max_independent_set
 from c4lab.pipeline import MODES, graph_digest
 
 
@@ -1141,3 +1142,95 @@ def verify_certificate_reference(g: Graph, cert) -> bool:
     if cert.mode == "trivial_already_c4free" and sorted(witness) != list(range(g.n)):
         return False
     return all(cert.verified[claim] for claim in _REFERENCE_CLAIMS.get(cert.mode, ()))
+
+
+# -- the induced-pair layer over Python sets ---------------------------------
+# `hypergraphs.verify_induced_pair`, `find_induced_pair` and `alpha_exact` as
+# they stood before they read edge masks: pair conditions by set inclusion,
+# co-occurrence as a dict of sets, and one conflict `Graph` per candidate A.
+
+def verify_induced_pair_by_sets(h, pair) -> bool:
+    """Exhaustive replay of both defining conditions plus disjointness."""
+    a, b = pair.a_set, pair.b_set
+    if a & b:
+        return False
+    for x in b:
+        if not any(a <= e and x in e for e in h.edges):
+            return False
+    for e in h.edges:
+        if a <= e and len(e & b) > 1:
+            return False
+    return True
+
+
+def find_induced_pair_by_sets(h, k: int):
+    """Recursive pair construction: greedy independent set, else recurse on a link."""
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if not h.is_covered():
+        raise DomainError("hypergraph must be covered")
+
+    def recurse(vertices: list[int], edges: list[frozenset[int]]):
+        vset = set(vertices)
+        adj: dict[int, set[int]] = {v: set() for v in vertices}
+        for e in edges:
+            members = sorted(e & vset)
+            for u, v in combinations(members, 2):
+                adj[u].add(v)
+                adj[v].add(u)
+        chosen: list[int] = []
+        taken: set[int] = set()
+        blocked: set[int] = set()
+        for v in sorted(vertices, key=lambda v: (len(adj[v]), v)):
+            if v not in blocked:
+                chosen.append(v)
+                taken.add(v)
+                blocked |= adj[v] | {v}
+        if len(chosen) >= k:
+            return InducedPair(frozenset(), frozenset(chosen[:k]))
+        local = InducedPair(frozenset(), frozenset(chosen))
+        if not chosen:
+            return local
+        x = max(chosen, key=lambda v: (len(adj[v]), -v))
+        link_vertices = sorted(adj[x])
+        if not link_vertices:
+            return local
+        link_edges = sorted(
+            {e & adj[x] for e in edges if x in e} - {frozenset()},
+            key=lambda e: (len(e), sorted(e)))
+        child = recurse(link_vertices, list(link_edges))
+        lifted = InducedPair(child.a_set | {x}, child.b_set)
+        return lifted if lifted.order > local.order else local
+
+    pair = recurse(list(range(h.vertex_count)), list(h.edges))
+    if not verify_induced_pair_by_sets(h, pair):
+        raise InvariantError("constructed pair failed its own invariants")
+    return pair
+
+
+def alpha_by_conflict_graphs(h) -> int:
+    """Exact maximum induced-pair order by exhaustive A-enumeration."""
+    if h.vertex_count > DEFAULT_ALPHA_LIMIT:
+        raise OracleLimitError(
+            f"|V|={h.vertex_count} exceeds alpha limit {DEFAULT_ALPHA_LIMIT}")
+    candidates: set[frozenset[int]] = {frozenset()}
+    for e in h.edges:
+        members = sorted(e)
+        for size in range(1, len(members) + 1):
+            for sub in combinations(members, size):
+                candidates.add(frozenset(sub))
+    best = 0
+    for a in sorted(candidates, key=lambda a: (len(a), sorted(a))):
+        covering = [e for e in h.edges if a <= e]
+        eligible = sorted(set().union(*covering) - a) if covering else []
+        if not eligible:
+            continue
+        index = {v: i for i, v in enumerate(eligible)}
+        conflicts = set()
+        for e in covering:
+            members = sorted(e & set(eligible))
+            for u, v in combinations(members, 2):
+                conflicts.add((index[u], index[v]))
+        cg = Graph(len(eligible), sorted(conflicts))
+        best = max(best, len(max_independent_set(cg)))
+    return best

@@ -621,3 +621,133 @@ def test_subdivide_corpus_reproduces_line_by_line(monkeypatch):
     assert outcomes == {(route, hit) for route in ("plain", "induced", "induced_subdivision",
                                                    "mutation") for hit in (True, False)}
     assert all(found.values()), found
+
+
+# the pair corpus: one line per seeded covered hypergraph, then one per
+# `model_lopsided` call.  A hypergraph line holds its recipe [n, m, ell, seed]
+# (`_pair_hypergraph`), `alpha_exact`, the sorted (A, B) of
+# `find_induced_pair` at k = 1..4, and for each pair the verdicts of
+# `verify_induced_pair` on three seeded edits: a vertex added to B, one
+# dropped from B and one moved from B to A (null when B is empty).  A model
+# line holds the bipartite graph's recipe, s, k, the seed, retries, whether
+# `kernel_can_trace` is forced true, the stage and the sha256 of the
+# certificate's JSON.  The recipes are ["lopsided", a, b, r, s, seed] for
+# gen_lopsided(a, b, r, s, seed) and ["shared-pair", a]: every A-vertex i
+# sees b0, b1 and a private B-vertex, the planted family whose kernel trace
+# exposes a K_{2,2}
+def _pair_hypergraph(n: int, m: int, ell: int, seed: int):
+    """m seeded edges of 1..ell vertices on [n]; each vertex no edge holds
+    joins a seeded one, so the hypergraph is covered."""
+    import random
+
+    from c4lab.graphs import mix_seed, rand_below, sample_subset
+    from c4lab.hypergraphs import Hypergraph
+
+    rng = random.Random(mix_seed(seed, 0))
+    edges = [set(sample_subset(rng, range(n), 1 + rand_below(rng, min(ell, n))))
+             for _ in range(m)]
+    for v in range(n):
+        if not any(v in e for e in edges):
+            edges[rand_below(rng, m)].add(v)
+    return Hypergraph(n, edges)
+
+
+def _pair_edits(n: int, pair, rng):
+    """The three seeded edits of a pair, each None when it needs a B-vertex
+    that the pair lacks."""
+    from c4lab.graphs import rand_below
+    from c4lab.hypergraphs import InducedPair
+
+    a, b = pair.a_set, pair.b_set
+    outside = [v for v in range(n) if v not in b]
+    inside = sorted(b)
+    added = None
+    if outside:
+        added = InducedPair(a, b | {outside[rand_below(rng, len(outside))]})
+    if not inside:
+        return [added, None, None]
+    dropped = inside[rand_below(rng, len(inside))]
+    moved = inside[rand_below(rng, len(inside))]
+    return [added, InducedPair(a, b - {dropped}), InducedPair(a | {moved}, b - {moved})]
+
+
+def _pair_line(case: dict) -> str:
+    import json
+    import random
+
+    from c4lab.graphs import mix_seed
+    from c4lab.hypergraphs import alpha_exact, find_induced_pair, verify_induced_pair
+    from helpers import (alpha_by_conflict_graphs, find_induced_pair_by_sets,
+                         verify_induced_pair_by_sets)
+
+    recipe = case["hypergraph"]
+    h = _pair_hypergraph(*recipe)
+    alpha = alpha_exact(h)
+    assert alpha == alpha_by_conflict_graphs(h), f"pair corpus {recipe}"
+    pairs, edits = [], []
+    for k in range(1, 5):
+        pair = find_induced_pair(h, k)
+        assert pair == find_induced_pair_by_sets(h, k), f"pair corpus {recipe} k={k}"
+        pairs.append([sorted(pair.a_set), sorted(pair.b_set)])
+        verdicts = []
+        for edit in _pair_edits(h.vertex_count, pair, random.Random(mix_seed(recipe[3], k))):
+            verdict = None if edit is None else verify_induced_pair(h, edit)
+            assert edit is None or verdict == verify_induced_pair_by_sets(h, edit), \
+                f"pair corpus {recipe} k={k}"
+            verdicts.append(verdict)
+        edits.append(verdicts)
+    line = {"hypergraph": recipe, "alpha": alpha, "pairs": pairs, "edits": edits}
+    return json.dumps(line, sort_keys=True, separators=(",", ":"))
+
+
+def _model_graph(recipe):
+    from c4lab.graphs import BipartiteGraph, Graph, gen_lopsided
+
+    kind, *args = recipe
+    if kind == "lopsided":
+        return gen_lopsided(*args)
+    if kind == "shared-pair":
+        (a,) = args
+        edges = [(i, w) for i in range(a) for w in (a, a + 1, a + 2 + i)]
+        return BipartiteGraph(Graph(2 * a + 2, edges), range(a), range(a, 2 * a + 2))
+    raise ValueError(f"unknown model recipe {recipe!r}")
+
+
+def _model_line(case: dict, monkeypatch) -> str:
+    import hashlib
+    import json
+
+    from c4lab import pipeline
+
+    with monkeypatch.context() as patch:
+        if case["forced"]:
+            patch.setattr(pipeline, "kernel_can_trace", lambda *args: True)
+        cert = pipeline.model_lopsided(
+            _model_graph(case["model"]), case["s"], case["k"], seed=case["seed"],
+            params=pipeline.PipelineParams(retries=case["retries"]))
+    line = {key: case[key] for key in ("model", "s", "k", "seed", "retries", "forced")}
+    line.update(stage=cert.stats["stage"],
+                sha256=hashlib.sha256(cert.to_json().encode()).hexdigest())
+    return json.dumps(line, sort_keys=True, separators=(",", ":"))
+
+
+def test_pair_corpus_reproduces_line_by_line(monkeypatch):
+    import json
+
+    stages, verdicts, lifted = set(), set(), False
+    lines = (GOLDEN / "pair_corpus.jsonl").read_text().splitlines()
+    for number, line in enumerate(lines, 1):
+        case = json.loads(line)
+        if "hypergraph" in case:
+            got = _pair_line(case)
+            verdicts.update(v for edit in case["edits"] for v in edit)
+            lifted |= any(a for a, _ in case["pairs"])
+        else:
+            got = _model_line(case, monkeypatch)
+            stages.add(case["stage"])
+        assert got == line, f"pair corpus line {number}: {line}"
+    # some pair comes from a link, edits both keep and break pairs, and
+    # the model lines reach every stage of the model case
+    assert lifted and verdicts == {True, False, None}
+    assert stages == {f"model:{stage}" for stage in (
+        "pair", "trace-biclique", "duplicates", "star", "budget-exhausted")}
