@@ -26,8 +26,8 @@ from .errors import (
     OracleLimitError,
     UnsupportedParameterError,
 )
-from .graphs import Graph, bits, mask_of, mix_seed, rand_below
-from .oracles import max_independent_set
+from .graphs import bits, mask_of, mix_seed, rand_below
+from .oracles import independence_number
 
 DEFAULT_ALPHA_LIMIT = 12
 
@@ -63,10 +63,7 @@ class Hypergraph:
         self.incidence = tuple(incidence)
 
     def is_covered(self) -> bool:
-        seen: set[int] = set()
-        for e in self.edges:
-            seen |= e
-        return len(seen) == self.vertex_count
+        return all(self.incidence)
 
     def uniform_rank(self) -> int | None:
         sizes = set(map(len, self.edges))
@@ -95,17 +92,22 @@ class InducedPair:
 
 
 def verify_induced_pair(h: Hypergraph, pair: InducedPair) -> bool:
-    """Exhaustive replay of both defining conditions plus disjointness."""
-    a, b = pair.a_set, pair.b_set
+    """Replay of disjointness and both defining conditions in one pass over
+    the edge masks: each edge holding A meets B at most once, and those
+    edges cover B.  A vertex outside h fails before any shift."""
+    if not all(0 <= v < h.vertex_count for v in pair.a_set | pair.b_set):
+        return False
+    a, b = mask_of(pair.a_set), mask_of(pair.b_set)
     if a & b:
         return False
-    for x in b:
-        if not any(a <= e and x in e for e in h.edges):
-            return False
-    for e in h.edges:
-        if a <= e and len(e & b) > 1:
-            return False
-    return True
+    reach = 0
+    for e in map(mask_of, h.edges):
+        if e & a == a:
+            x = e & b
+            if x & (x - 1):
+                return False
+            reach |= x
+    return reach == b
 
 
 @dataclass(frozen=True)
@@ -336,51 +338,46 @@ def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,
 def find_induced_pair(h: Hypergraph, k: int) -> InducedPair:
     """Recursive pair construction: greedy independent set, else recurse on a link.
 
-    The co-occurrence graph joins two vertices lying in a common edge.  A
-    maximal independent set I (greedy, min-degree-first) of size >= k gives
+    The co-occurrence graph joins two vertices lying in a common edge: v's
+    neighbours are the OR of the edges holding v, less v.  A maximal
+    independent set I (greedy, min-degree-first) of size >= k gives
     (A, B) = (accumulated link vertices, k-subset of I); otherwise the
     maximum-degree member x of I is pushed onto A and the search recurses on
-    the link of x.  Guaranteed order >= k once |V| >= sum_{l<=max edge}
-    (k-1)^l; smaller inputs return the best pair found (order < k).
+    the link of x, whose edges are the nonempty traces on x's neighbours of
+    the edges holding x, so they cover it.  Guaranteed order >= k once
+    |V| >= sum_{l<=max edge} (k-1)^l; smaller inputs return the best pair
+    found (order < k).
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     if not h.is_covered():
         raise DomainError("hypergraph must be covered")
 
-    def recurse(vertices: list[int], edges: list[frozenset[int]]) -> InducedPair:
-        vset = set(vertices)
-        adj: dict[int, set[int]] = {v: set() for v in vertices}
+    def recurse(vertices: int, edges: set[int]) -> tuple[int, int]:
+        adj = [0] * h.vertex_count
         for e in edges:
-            members = sorted(e & vset)
-            for u, v in combinations(members, 2):
-                adj[u].add(v)
-                adj[v].add(u)
+            for v in bits(e):
+                adj[v] |= e
+        for v in bits(vertices):
+            adj[v] ^= 1 << v
         chosen: list[int] = []
-        taken: set[int] = set()
-        blocked: set[int] = set()
-        for v in sorted(vertices, key=lambda v: (len(adj[v]), v)):
-            if v not in blocked:
+        blocked = 0
+        for v in sorted(bits(vertices), key=lambda v: (adj[v].bit_count(), v)):
+            if not blocked >> v & 1:
                 chosen.append(v)
-                taken.add(v)
-                blocked |= adj[v] | {v}
-        if len(chosen) >= k:
-            return InducedPair(frozenset(), frozenset(chosen[:k]))
-        local = InducedPair(frozenset(), frozenset(chosen))
-        if not chosen:
+                blocked |= adj[v] | 1 << v
+        local = (0, mask_of(chosen[:k]))
+        if len(chosen) >= k or not chosen:
             return local
-        x = max(chosen, key=lambda v: (len(adj[v]), -v))
-        link_vertices = sorted(adj[x])
-        if not link_vertices:
+        x = max(chosen, key=lambda v: (adj[v].bit_count(), -v))
+        link = adj[x]
+        if not link:
             return local
-        link_edges = sorted(
-            {e & adj[x] for e in edges if x in e} - {frozenset()},
-            key=lambda e: (len(e), sorted(e)))
-        child = recurse(link_vertices, list(link_edges))
-        lifted = InducedPair(child.a_set | {x}, child.b_set)
-        return lifted if lifted.order > local.order else local
+        a, b = recurse(link, {e & link for e in edges if e >> x & 1} - {0})
+        return (a | 1 << x, b) if b.bit_count() > len(chosen) else local
 
-    pair = recurse(list(range(h.vertex_count)), list(h.edges))
+    a, b = recurse((1 << h.vertex_count) - 1, set(map(mask_of, h.edges)))
+    pair = InducedPair(frozenset(bits(a)), frozenset(bits(b)))
     if not verify_induced_pair(h, pair):
         raise InvariantError("constructed pair failed its own invariants")
     return pair
@@ -389,33 +386,32 @@ def find_induced_pair(h: Hypergraph, k: int) -> InducedPair:
 def alpha_exact(h: Hypergraph) -> int:
     """Exact maximum induced-pair order by exhaustive A-enumeration.
 
-    Candidate A sets are the subsets of single edges plus the empty set (an
-    A inside no edge admits no b at all); for each A the optimum B is a
-    maximum independent set of the conflict graph on the eligible vertices.
+    Candidate A sets are the sub-masks of single edges plus the empty set
+    (an A inside no edge admits no b at all); for each A the optimum B is a
+    maximum independent set of the conflict graph, in h's own ids, on the
+    eligible vertices: the edges holding A, less A, are its cliques.
     """
     if h.vertex_count > DEFAULT_ALPHA_LIMIT:
         raise OracleLimitError(
             f"|V|={h.vertex_count} exceeds alpha limit {DEFAULT_ALPHA_LIMIT}")
-    candidates: set[frozenset[int]] = {frozenset()}
-    for e in h.edges:
-        members = sorted(e)
-        for size in range(1, len(members) + 1):
-            for sub in combinations(members, size):
-                candidates.add(frozenset(sub))
+    edges = list(map(mask_of, h.edges))
+    candidates = {0}
+    for e in edges:
+        sub = e
+        while sub:
+            candidates.add(sub)
+            sub = (sub - 1) & e
     best = 0
-    for a in sorted(candidates, key=lambda a: (len(a), sorted(a))):
-        covering = [e for e in h.edges if a <= e]
-        eligible = sorted(set().union(*covering) - a) if covering else []
-        if not eligible:
-            continue
-        index = {v: i for i, v in enumerate(eligible)}
-        conflicts = set()
-        for e in covering:
-            members = sorted(e & set(eligible))
-            for u, v in combinations(members, 2):
-                conflicts.add((index[u], index[v]))
-        cg = Graph(len(eligible), sorted(conflicts))
-        best = max(best, len(max_independent_set(cg)))
+    for a in candidates:
+        eligible = 0
+        conflict = [0] * h.vertex_count
+        for e in edges:
+            if e & a == a:
+                rest = e ^ a
+                eligible |= rest
+                for v in bits(rest):
+                    conflict[v] |= rest ^ 1 << v
+        best = max(best, independence_number(conflict, eligible, {}))
     return best
 
 
@@ -525,7 +521,7 @@ def _find_counterexample(n: int, ell: int, k: int
             key = tuple(sorted(chosen))
             if key in seen:
                 return False
-            edges = [frozenset(v for v in range(n) if (m >> v) & 1) for m in chosen]
+            edges = [frozenset(bits(m)) for m in chosen]
             if alpha_exact(Hypergraph(n, edges)) < k:
                 result = tuple(edges)
                 return True

@@ -375,51 +375,51 @@ def best_c4free_induced(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT
     return frozenset(bits(best)), Fraction(2 * best_e, best_size)
 
 
+def independence_number(masks: Sequence[int], avail: int, memo: dict[int, int]) -> int:
+    """Size of a maximum independent set inside the vertex mask `avail`
+    under the neighbour masks `masks`, memoized by mask in `memo`.
+
+    Branch and bound on bitmasks: branch on a maximum-degree vertex of the
+    remaining graph (take it and delete its closed neighborhood, or skip it).
+    """
+    if avail == 0:
+        return 0
+    cached = memo.get(avail)
+    if cached is not None:
+        return cached
+    best_v, best_deg = -1, -1
+    for v in bits(avail):
+        dv = (masks[v] & avail).bit_count()
+        if dv > best_deg:
+            best_v, best_deg = v, dv
+    if best_deg == 0:
+        res = avail.bit_count()
+    else:
+        take = 1 + independence_number(masks, avail & ~(masks[best_v] | 1 << best_v), memo)
+        res = max(take, independence_number(masks, avail & ~(1 << best_v), memo))
+    memo[avail] = res
+    return res
+
+
 def max_independent_set(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> frozenset[int]:
     """Exact maximum independent set, lexicographically least among maximums.
 
-    Branch and bound on bitmasks: branch on a maximum-degree vertex of the
-    remaining graph (take it and delete its closed neighborhood, or skip
-    it).  A second greedy pass extracts the lexicographically least witness
-    of the optimal size.
+    A greedy pass over `independence_number`'s memo extracts the
+    lexicographically least witness of the optimal size.
     """
     if g.n > limit:
         raise OracleLimitError(f"|g|={g.n} exceeds oracle limit {limit}")
-    if g.n == 0:
-        return frozenset()
     masks = g.masks
     memo: dict[int, int] = {}
-
-    def mis_size(avail: int) -> int:
-        if avail == 0:
-            return 0
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        best_v, best_deg = -1, -1
-        for v in bits(avail):
-            dv = (masks[v] & avail).bit_count()
-            if dv > best_deg:
-                best_v, best_deg = v, dv
-        if best_deg == 0:
-            res = avail.bit_count()
-        else:
-            take = 1 + mis_size(avail & ~(masks[best_v] | (1 << best_v)))
-            skip = mis_size(avail & ~(1 << best_v))
-            res = max(take, skip)
-        memo[avail] = res
-        return res
-
-    alpha = mis_size((1 << g.n) - 1)
-    chosen: list[int] = []
     avail = (1 << g.n) - 1
-    need = alpha
+    need = independence_number(masks, avail, memo)
+    chosen: list[int] = []
     while need > 0:
         # v is always min(avail), so any optimum inside avail containing v
         # has v as its minimum; if v cannot start one, it is in none at all
         for v in bits(avail):
             rest = avail & ~(masks[v] | (1 << v))
-            if 1 + mis_size(rest) >= need:
+            if 1 + independence_number(masks, rest, memo) >= need:
                 chosen.append(v)
                 avail = rest
                 need -= 1

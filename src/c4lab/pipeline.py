@@ -311,13 +311,15 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
     for a in a_list:
         hood = frozenset(b_index[w] for w in under.neighbors(a))
         hood_owners.setdefault(hood, []).append(a)
-    for hood, owners in sorted(hood_owners.items(), key=lambda kv: sorted(kv[1])):
+    # a_list ascends, so each owner list ascends and the entries come in
+    # order of their least owner
+    for hood, owners in hood_owners.items():
         if len(owners) >= s:
             t_side = [b_list[i] for i in sorted(hood)[:s]]
             return _certificate(under, digest, pdict, seed, "biclique_found",
-                                "model:duplicates", biclique=(sorted(owners)[:s], t_side))
+                                "model:duplicates", biclique=(owners[:s], t_side))
     edges = sorted(hood_owners, key=lambda e: sorted(e))
-    phi = {e: min(hood_owners[e]) for e in edges}
+    phi = {e: owners[0] for e, owners in hood_owners.items()}
     family = Hypergraph(len(b_list), edges)
 
     # a single neighborhood is an induced star: C4-free, average degree
@@ -390,12 +392,13 @@ def _assert_model_degrees(g: Graph, a_set: set[int], b_set: set[int],
     """Inside a verified pair-route witness: A'-degrees are exactly |Y| = k
     (`find_induced_pair` returns no order above k) and B'-degrees at least
     min(t, k)."""
+    a_mask, b_mask = mask_of(a_set), mask_of(b_set)
     for a in a_set:
-        if sum(1 for w in g.neighbors(a) if w in b_set) != k:
+        if (g.masks[a] & b_mask).bit_count() != k:
             raise InvariantError(f"A'-vertex {a} does not have exactly |Y| = {k} "
                                  "neighbours in B'")
     for b in b_set:
-        if sum(1 for w in g.neighbors(b) if w in a_set) < min(t, k):
+        if (g.masks[b] & a_mask).bit_count() < min(t, k):
             raise InvariantError(f"B'-vertex {b} has fewer than {min(t, k)} "
                                  "neighbours in A'")
 

@@ -497,3 +497,12 @@ def test_verify_induced_pair_rejects_bad_pairs():
     h = hg(4, {0, 1}, {1, 2}, {2, 3})
     assert not verify_induced_pair(h, InducedPair(frozenset(), frozenset({0, 1})))
     assert not verify_induced_pair(h, InducedPair(frozenset({0}), frozenset({0})))
+
+
+def test_verify_induced_pair_rejects_vertices_outside_h():
+    # the replay shifts each vertex into a mask, so it range-checks first:
+    # a negative id would raise, and an id past the last would miss every edge
+    h = hg(4, {0, 1}, {1, 2}, {2, 3})
+    for a_set, b_set in (({-1}, ()), ({4}, ()), ((), {-1})):
+        assert not verify_induced_pair(h, InducedPair(frozenset(a_set), frozenset(b_set)))
+    assert verify_induced_pair(h, InducedPair(frozenset({1}), frozenset({0})))
