@@ -371,8 +371,6 @@ def find_induced_pair(h: Hypergraph, k: int) -> InducedPair:
             return local
         x = max(chosen, key=lambda v: (adj[v].bit_count(), -v))
         link = adj[x]
-        if not link:
-            return local
         a, b = recurse(link, {e & link for e in edges if e >> x & 1} - {0})
         return (a | 1 << x, b) if b.bit_count() > len(chosen) else local
 
