@@ -414,14 +414,8 @@ def gen_lopsided(a_count: int, b_count: int, r: int, s: int, seed: int
             raise DomainError(f"{name}={value} must be nonnegative")
     if r > b_count:
         raise DomainError(f"r={r} exceeds b_count={b_count}")
-    if s < 1:
-        raise DomainError("s must be >= 1")
-    if s == 1:
-        # a K_{1,1} is a single edge, so any positive degree is already fatal
-        if a_count >= 1 and r >= 1:
-            raise GenerationFailure("K_{1,1}-freeness forbids any edge at all")
-        g = Graph(a_count + b_count)
-        return BipartiteGraph(g, range(a_count), range(a_count, a_count + b_count))
+    if s < 2:
+        raise DomainError("s must be >= 2")
 
     rng = random.Random(mix_seed(seed, 0))
     b_pool = list(range(b_count))

@@ -151,6 +151,15 @@ def test_gen_lopsided_refuses_a_negative_degree(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_lopsided_refuses_s_below_2(tmp_path, capsys):
+    out = tmp_path / "lop.g6"
+    code, _, err = run_cli(capsys, "gen", "--kind", "lopsided", "--a", "2", "--b", "6",
+                           "--r", "0", "--s", "1", "--seed", "1", "--out", str(out))
+    assert code == 1
+    assert err.splitlines()[-1] == "error: s must be >= 2"
+    assert not out.exists()
+
+
 def test_gen_formats_read_back_to_one_digest(tmp_path, capsys):
     digests = set()
     for fmt in ("graph6", "sparse6", "edgelist"):

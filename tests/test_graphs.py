@@ -343,6 +343,13 @@ def test_gen_lopsided_refuses_negative_counts():
     assert gen_lopsided(2, 6, 0, 3, seed=1).edge_count == 0
 
 
+@pytest.mark.parametrize("s", [0, 1])
+def test_gen_lopsided_refuses_s_below_2(s):
+    # the request rule of every other route, even where no edge is drawn
+    with pytest.raises(DomainError, match="^s must be >= 2$"):
+        gen_lopsided(2, 6, 0, s, seed=1)
+
+
 def test_gen_lopsided_s3():
     bg = gen_lopsided(60, 12, 4, 3, seed=13)
     g = bg.underlying
