@@ -149,7 +149,10 @@ def _exhaustive_pack(g: Graph, k: int, require_induced: bool
     """Exact branch-set enumeration with disjoint-path packing (small graphs).
 
     `blocked` holds the branch set, the internals of the pairs already
-    routed and the partial path's own vertices."""
+    routed and the partial path's own vertices: the witness so far.  An
+    induced packing has no chord, so there a path next to v steps only to
+    v, and a new vertex may touch only x and v in the witness; adding
+    vertices removes no chord, so every pruned branch would fail `_is_induced`."""
     nbr = g.masks
     for branch in combinations(range(g.n), k):
         pairs = list(combinations(branch, 2))
@@ -161,14 +164,18 @@ def _exhaustive_pack(g: Graph, k: int, require_induced: bool
             u, v = pairs[i]
 
             def dfs(x: int, acc: list[int], blocked: int) -> bool:
-                for y in bits(nbr[x]):
+                steps = nbr[x]
+                if require_induced and steps >> v & 1:
+                    steps = 1 << v
+                chords = blocked & ~(1 << x | 1 << v) if require_induced else 0
+                for y in bits(steps):
                     if y == v:
                         # a failed attempt leaves its entry behind; the
                         # next attempt at this pair overwrites it
                         paths[(u, v)] = (*acc, v)
                         if route(i + 1, blocked):
                             return True
-                    elif not blocked >> y & 1:
+                    elif not blocked >> y & 1 and not nbr[y] & chords:
                         if dfs(y, acc + [y], blocked | 1 << y):
                             return True
                 return False

@@ -937,6 +937,40 @@ def verify_subdivision_by_sets(g: Graph, w) -> bool:
     return actual == witness_path_edges(w)
 
 
+def exhaustive_pack_by_full_routes(g: Graph, k: int, require_induced: bool):
+    """`subdivisions._exhaustive_pack` without its chord prune: every
+    packing is routed in full, and only then tested for chords."""
+    from c4lab.subdivisions import SubdivisionWitness, _is_induced
+
+    nbr = g.masks
+    for branch in combinations(range(g.n), k):
+        pairs = list(combinations(branch, 2))
+        paths: dict[tuple[int, int], tuple[int, ...]] = {}
+
+        def route(i: int, blocked: int) -> bool:
+            if i == len(pairs):
+                return not require_induced or _is_induced(g, branch, paths)
+            u, v = pairs[i]
+
+            def dfs(x: int, acc: list[int], blocked: int) -> bool:
+                for y in bits(nbr[x]):
+                    if y == v:
+                        paths[(u, v)] = (*acc, v)
+                        if route(i + 1, blocked):
+                            return True
+                    elif not blocked >> y & 1:
+                        if dfs(y, acc + [y], blocked | 1 << y):
+                            return True
+                return False
+
+            return dfs(u, [u], blocked)
+
+        if route(0, mask_of(branch)):
+            flag = require_induced or _is_induced(g, branch, paths)
+            return SubdivisionWitness(tuple(branch), dict(paths), induced_flag=flag)
+    return None
+
+
 def gen_lopsided_by_pair_holders(a_count: int, b_count: int, r: int, s: int,
                                  seed: int) -> Graph:
     """`graphs.gen_lopsided`'s draws for s >= 2, with each pair of B-vertices

@@ -301,3 +301,20 @@ def test_near_regular_case_needs_every_sampled_neighbour_in_w():
     draws = _ScriptedDraws({0, 1, 2, 3})
     assert subdivisions._near_regular_case(g.masks, list(range(6)), 2.0, draws) == expected
     assert near_regular_case_by_set_scans(g, _ScriptedDraws({0, 1, 2, 3})) == expected
+
+
+def test_induced_packer_prunes_only_chorded_branches():
+    # the first induced packing is the one the unpruned search accepts
+    from helpers import exhaustive_pack_by_full_routes
+
+    rng = random.Random(37)
+    found = set()
+    for _ in range(80):
+        n = 5 + rng.randrange(5)
+        g = gen_gnp(n, rng.choice([0.3, 0.5, 0.7]), rng.randrange(2 ** 32))
+        k = 3 + rng.randrange(3)
+        got = subdivisions._exhaustive_pack(g, k, True)
+        want = exhaustive_pack_by_full_routes(g, k, True)
+        assert (got and got.to_json()) == (want and want.to_json()), (n, k, g.masks)
+        found.add(got is None)
+    assert found == {True, False}
