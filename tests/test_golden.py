@@ -751,3 +751,46 @@ def test_pair_corpus_reproduces_line_by_line(monkeypatch):
     assert lifted and verdicts == {True, False, None}
     assert stages == {f"model:{stage}" for stage in (
         "pair", "trace-biclique", "duplicates", "star", "budget-exhausted")}
+
+
+# the lower-bound corpus: one line per `lb_experiment` call, then one per
+# `gen_gnp` draw.  An experiment line holds its arguments [n, p, s, k,
+# trials, seed] and the report's `as_dict()`; the sweep is every s in
+# {2, 3, 4}, k in 2..6, p in {0, 0.3, 0.5, 1} and n in {0, 1, 3, 8, 10, 12}
+# at 8 trials, plus one line whose X statistic is sampled.  A draw line
+# holds [n, p, seed], the edge count and the sha256 of the neighbour masks
+LB_SWEEP = [(n, p, s, k) for s in (2, 3, 4) for k in range(2, 7)
+            for p in (0.0, 0.3, 0.5, 1.0) for n in (0, 1, 3, 8, 10, 12)]
+
+
+def _lowerbound_line(case: dict) -> str:
+    import hashlib
+    import json
+
+    from c4lab.graphs import gen_gnp
+    from c4lab.lowerbounds import lb_experiment
+
+    if "lb" in case:
+        line = {"lb": case["lb"], "report": lb_experiment(*case["lb"]).as_dict()}
+    else:
+        g = gen_gnp(*case["gnp"])
+        text = ",".join(map(str, g.masks))
+        line = {"gnp": case["gnp"], "edges": g.edge_count,
+                "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    return json.dumps(line, sort_keys=True, separators=(",", ":"))
+
+
+def test_lowerbound_corpus_reproduces_line_by_line():
+    import json
+
+    swept, sampled, largest = set(), False, 0
+    lines = (GOLDEN / "lowerbound_corpus.jsonl").read_text().splitlines()
+    for number, line in enumerate(lines, 1):
+        case = json.loads(line)
+        assert _lowerbound_line(case) == line, f"lowerbound corpus line {number}: {line}"
+        if "lb" in case:
+            swept.add(tuple(case["lb"][:4]))
+            sampled |= not case["report"]["x_exact"]
+        else:
+            largest = max(largest, case["gnp"][0])
+    assert swept >= set(LB_SWEEP) and sampled and largest == 400
