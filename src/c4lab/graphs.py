@@ -351,12 +351,18 @@ def sample_gnp(rng: random.Random, n: int, p: float) -> Graph:
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0,1]")
     rand = rng.random
-    edges = []
+    nbr = [0] * n
+    m = 0
     for u in range(n):
+        bit_u = 1 << u
+        row = 0
         for v in range(u + 1, n):
             if rand() < p:
-                edges.append((u, v))
-    return Graph(n, edges)
+                row |= 1 << v
+                nbr[v] |= bit_u
+        nbr[u] |= row
+        m += row.bit_count()
+    return Graph._from_masks(nbr, m)
 
 
 def _is_prime(q: int) -> bool:

@@ -434,30 +434,33 @@ class FSearchResult:
 
 
 @cache
-def _swap_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each i < n - 1, every mask on [n] with bits i and i+1 swapped.
+def _swap_selectors(n: int) -> tuple[int, ...]:
+    """For each i < n - 1, the key bits m whose mask has bit i set and bit
+    i+1 clear: swapping vertices i and i+1 trades exactly these bits with
+    bits m + 2^i.
 
     f_search caps n at 8, so the cache holds at most eight small entries.
     """
-    return tuple(
-        tuple(m ^ 3 << i if (m >> i ^ m >> i + 1) & 1 else m
-              for m in range(1 << n))
-        for i in range(n - 1))
+    return tuple(mask_of(m for m in range(1 << n) if (m >> i & 3) == 1)
+                 for i in range(n - 1))
 
 
-def _orbit(n: int, key: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Every relabelling of the sorted edge-mask tuple `key` on [n], sorted.
+def _orbit(n: int, key: int) -> set[int]:
+    """Every relabelling of the antichain `key` on [n]: bit m of a key is
+    set when edge mask m is chosen.
 
     The closure under the adjacent transpositions (i, i+1), which generate
-    the symmetric group, so it is the whole isomorphism class.
+    the symmetric group, so it is the whole isomorphism class; each
+    transposition is one delta swap of the key.
     """
-    swaps = _swap_tables(n)
+    swaps = list(zip(_swap_selectors(n), (1 << i for i in range(n - 1))))
     orbit = {key}
     todo = [key]
     while todo:
         cur = todo.pop()
-        for swap in swaps:
-            image = tuple(sorted(map(swap.__getitem__, cur)))
+        for sel, shift in swaps:
+            t = (cur ^ cur >> shift) & sel
+            image = cur ^ t ^ t << shift
             if image not in orbit:
                 orbit.add(image)
                 todo.append(image)
@@ -508,16 +511,13 @@ def _find_counterexample(n: int, ell: int, k: int
     suffix_union = [0] * (len(masks) + 1)
     for i in range(len(masks) - 1, -1, -1):
         suffix_union[i] = suffix_union[i + 1] | masks[i]
-    seen: set[tuple] = set()
+    seen: set[int] = set()
     result: tuple[frozenset[int], ...] | None = None
 
-    def dfs(i: int, chosen: list[int], cover: int) -> bool:
+    def dfs(i: int, chosen: list[int], key: int, cover: int) -> bool:
         nonlocal result
         if i == len(masks):
-            if cover != full or not chosen:
-                return False
-            key = tuple(sorted(chosen))
-            if key in seen:
+            if cover != full or not chosen or key in seen:
                 return False
             edges = [frozenset(bits(m)) for m in chosen]
             if alpha_exact(Hypergraph(n, edges)) < k:
@@ -533,9 +533,9 @@ def _find_counterexample(n: int, ell: int, k: int
         # antichain: skip edges comparable with a chosen one; the masks
         # ascend in size, so a chosen c can only lie inside m
         if not any(m & c == c for c in chosen):
-            if dfs(i + 1, chosen + [m], cover | m):
+            if dfs(i + 1, chosen + [m], key | 1 << m, cover | m):
                 return True
-        return dfs(i + 1, chosen, cover)
+        return dfs(i + 1, chosen, key, cover)
 
-    dfs(0, [], 0)
+    dfs(0, [], 0, 0)
     return result

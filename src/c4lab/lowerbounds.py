@@ -13,7 +13,6 @@ import random
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb, isqrt
 
 from .errors import DomainError
@@ -173,17 +172,22 @@ def _has_c4free_subset(g: Graph, size: int) -> bool:
 def _count_biclique_pairs(g: Graph, s: int) -> int:
     """Count unordered pairs {S,T} of disjoint s-sets with all s^2 cross edges.
 
-    Graphs are loopless, so no common neighbour of `left` lies in `left`.
+    An s-set S adds C(c, s), where c is the size of its common
+    neighbourhood; graphs are loopless, so no common neighbour lies in S.
+    S grows in ascending vertex order carrying the running AND of its
+    masks, and a prefix whose AND has fewer than s bits is dropped, since
+    no extension of it counts.
     """
     masks = g.masks
+    ways = [comb(c, s) for c in range(g.n + 1)]
+    prefixes = [(-1, 0)]   # (AND of the prefix's masks, its next vertex)
+    for _ in range(s - 1):
+        prefixes = [(common & masks[v], v + 1) for common, start in prefixes
+                    for v in range(start, g.n) if (common & masks[v]).bit_count() >= s]
     total = 0
-    for left in combinations(range(g.n), s):
-        common = masks[left[0]]
-        for v in left[1:]:
-            common &= masks[v]
-        c = common.bit_count()
-        if c >= s:
-            total += comb(c, s)
+    for common, start in prefixes:
+        for mask in masks[start:]:
+            total += ways[(common & mask).bit_count()]
     return total // 2
 
 
@@ -236,8 +240,10 @@ def lb_experiment(n: int, p: float, s: int, k: int, trials: int, seed: int
     y_sq_sum = 0.0
     # float arithmetic is exact at the degenerate p in {0,1}
     half_expected = comb(n, 2) * p / 2
+    # reseeding one generator gives the stream of a fresh Random(sub-seed)
+    rng = random.Random()
     for t in range(trials):
-        rng = random.Random(mix_seed(seed, t))
+        rng.seed(mix_seed(seed, t))
         g = sample_gnp(rng, n, p)
         edge_sum += g.edge_count
         if g.edge_count >= half_expected:

@@ -412,6 +412,24 @@ def sample_c4free_by_pair_scan(g: Graph, size: int, samples: int, rng) -> int:
                for _ in range(samples))
 
 
+
+def count_biclique_pairs_by_vertex_sets(g: Graph, s: int) -> int:
+    """Unordered pairs {S,T} of disjoint s-sets with all s^2 cross edges, by
+    the common neighbourhood of every s-set of vertex ids: the reference for
+    `lowerbounds._count_biclique_pairs`."""
+    from math import comb
+
+    masks = g.masks
+    total = 0
+    for left in combinations(range(g.n), s):
+        common = masks[left[0]]
+        for v in left[1:]:
+            common &= masks[v]
+        c = common.bit_count()
+        if c >= s:
+            total += comb(c, s)
+    return total // 2
+
 # -- the near-regular route as it was before it ran on masks -------------------
 # `sparsify_by_graph_per_retry` and `extreme_split_by_set_scans` (with the
 # retry helpers they call) are the reductions that build a Graph per

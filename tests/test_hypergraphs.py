@@ -12,6 +12,7 @@ from c4lab.errors import (
     OracleLimitError,
     UnsupportedParameterError,
 )
+from c4lab.graphs import mask_of
 from c4lab.hypergraphs import (
     Hypergraph,
     InducedPair,
@@ -458,8 +459,8 @@ def test_orbit_is_the_isomorphism_class(ell, n_max):
     # the closure under adjacent transpositions is every relabelling
     for n in range(1, n_max + 1):
         for chosen in covering_antichains(n, ell):
-            assert (hypergraphs._orbit(n, tuple(sorted(chosen)))
-                    == relabellings_by_all_permutations(n, chosen))
+            assert (hypergraphs._orbit(n, mask_of(chosen))
+                    == set(map(mask_of, relabellings_by_all_permutations(n, chosen))))
 
 
 def test_find_counterexample_runs_alpha_once_per_class(monkeypatch):

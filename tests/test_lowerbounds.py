@@ -10,6 +10,7 @@ from c4lab.graphs import gen_gnp
 from c4lab.named import heawood_graph
 from c4lab.lowerbounds import (
     _c4free_subsets,
+    _count_biclique_pairs,
     _has_c4free_subset,
     _sample_c4free_subsets,
     check_lb_conditions,
@@ -18,6 +19,7 @@ from c4lab.lowerbounds import (
     reiman_max_edges,
 )
 from helpers import (
+    count_biclique_pairs_by_vertex_sets,
     count_c4free_by_combination_scan,
     reiman_holds,
     repair_to_c4_free,
@@ -172,3 +174,14 @@ def test_c4free_subset_existence_matches_count():
             assert has == (sum(1 for _ in _c4free_subsets(g, size)) > 0)
             both.add(has)
     assert both == {True, False}
+
+
+def test_biclique_pair_count_matches_the_vertex_set_scan():
+    # the pruned prefix walk against every s-set of vertex ids, from the
+    # empty graph to the complete one
+    rng = random.Random(67)
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        g = gen_gnp(n, rng.choice([0.0, 0.3, 0.5, 0.8, 1.0]), rng.randrange(2 ** 32))
+        for s in (2, 3, 4):
+            assert _count_biclique_pairs(g, s) == count_biclique_pairs_by_vertex_sets(g, s)
