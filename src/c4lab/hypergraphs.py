@@ -401,14 +401,17 @@ def alpha_exact(h: Hypergraph) -> int:
             sub = (sub - 1) & e
     best = 0
     for a in candidates:
+        rests = [e ^ a for e in edges if e & a == a]
         eligible = 0
+        for rest in rests:
+            eligible |= rest
+        # B lies inside the eligible vertices, so this A cannot beat best
+        if eligible.bit_count() <= best:
+            continue
         conflict = [0] * h.vertex_count
-        for e in edges:
-            if e & a == a:
-                rest = e ^ a
-                eligible |= rest
-                for v in bits(rest):
-                    conflict[v] |= rest ^ 1 << v
+        for rest in rests:
+            for v in bits(rest):
+                conflict[v] |= rest ^ 1 << v
         best = max(best, independence_number(conflict, eligible, {}))
     return best
 
