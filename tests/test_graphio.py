@@ -113,6 +113,19 @@ def test_codecs_match_the_per_bit_reference():
                 assert h.edge_count == ref.edge_count == g.edge_count
 
 
+@pytest.mark.parametrize("n", [2000, 5000])
+def test_graph6_writer_matches_the_per_bit_reference_at_large_n(n):
+    # the writer joins chunks of columns here; the per-bit writer takes
+    # about 4 s at n = 5000, so there the per-bit reader checks the text
+    rng = random.Random(n)
+    g = Graph(n, [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                      for _ in range(4 * n)) if u != v])
+    text = write_graph6(g)
+    if n <= 2000:
+        assert text == write_graph6_by_bit_list(g)
+    assert read_graph6_by_bit_string(text).masks == read_graph6(text).masks == g.masks
+
+
 def test_sparse6_reader_matches_the_reference_on_any_body():
     # bodies no writer emits: records past n, loops, ragged padding
     rng = random.Random(59)
