@@ -437,14 +437,14 @@ class FSearchResult:
 
 
 @cache
-def _swap_selectors(n: int) -> tuple[int, ...]:
-    """For each i < n - 1, the key bits m whose mask has bit i set and bit
-    i+1 clear: swapping vertices i and i+1 trades exactly these bits with
-    bits m + 2^i.
+def _delta_swaps(n: int) -> tuple[tuple[int, int], ...]:
+    """For each i < n - 1, the delta swap of a key by the transposition
+    (i, i+1): its selector, the key bits m whose mask has bit i set and
+    bit i+1 clear, and its shift 2^i, since each such m becomes m + 2^i.
 
     f_search caps n at 8, so the cache holds at most eight small entries.
     """
-    return tuple(mask_of(m for m in range(1 << n) if (m >> i & 3) == 1)
+    return tuple((mask_of(m for m in range(1 << n) if (m >> i & 3) == 1), 1 << i)
                  for i in range(n - 1))
 
 
@@ -453,10 +453,9 @@ def _orbit(n: int, key: int) -> set[int]:
     set when edge mask m is chosen.
 
     The closure under the adjacent transpositions (i, i+1), which generate
-    the symmetric group, so it is the whole isomorphism class; each
-    transposition is one delta swap of the key.
+    the symmetric group, so it is the whole isomorphism class.
     """
-    swaps = list(zip(_swap_selectors(n), (1 << i for i in range(n - 1))))
+    swaps = _delta_swaps(n)
     orbit = {key}
     todo = [key]
     while todo:
