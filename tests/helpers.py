@@ -190,6 +190,79 @@ def heavy_partners_by_wedge_count(g: Graph, s: int) -> list[set[int]]:
     return out
 
 
+def has_biclique_by_heavy_cliques(masks, s: int) -> bool:
+    """The K_{s,s} decision pass with no peel in front and a loop over the
+    candidates at every level: the reference for `oracles._has_biclique`.
+
+    A side of a K_{s,s} is an s-clique of the graph of pairs with codegree
+    >= s whose common neighbourhood has s vertices; each clique is grown
+    downward from its largest vertex.  The codegrees come from an s-level
+    saturating counter over each vertex's neighbour masks."""
+    below: list[int] = []
+
+    def grow(cand: int, common: int, need: int) -> bool:
+        if not need:
+            return True
+        if cand.bit_count() < need:
+            return False
+        for u in bits(cand):
+            inter = common & masks[u]
+            if inter.bit_count() >= s and grow(cand & below[u], inter, need - 1):
+                return True
+        return False
+
+    for v, nv in enumerate(masks):
+        level = [0] * s
+        for w in bits(nv):
+            for j in range(s - 1, 0, -1):
+                level[j] |= level[j - 1] & masks[w]
+            level[0] |= masks[w]
+        below.append(level[-1] & ((1 << v) - 1))
+        if below[v] and grow(below[v], masks[v], s - 1):
+            return True
+    return False
+
+
+def kss_core_by_rescans(masks, s: int) -> int:
+    """The vertex mask left by deleting, one full scan after another until
+    a scan deletes nothing, every live vertex of live degree below s and
+    every one of live degree s whose neighbours have fewer than s common
+    live neighbours: the reference core of `oracles._kss_core` on a
+    K_{s,s}-free graph."""
+    live = (1 << len(masks)) - 1
+    changed = True
+    while changed:
+        changed = False
+        for v in bits(live):
+            nv = masks[v] & live
+            if nv.bit_count() == s:
+                common = live
+                for w in bits(nv):
+                    common &= masks[w]
+                if common.bit_count() >= s:
+                    continue
+            elif nv.bit_count() > s:
+                continue
+            live &= ~(1 << v)
+            changed = True
+    return live
+
+
+def brown_graph(p: int, a: int) -> Graph:
+    """Brown's graph on F_p^3 (Brown, Canad. Math. Bull. 1966): x ~ y when
+    sum (x_i - y_i)^2 = a mod p, with x = (x0, x1, x2) numbered
+    x0 p^2 + x1 p + x2.  K_{3,3}-free for an odd prime p when -a is a
+    quadratic non-residue mod p."""
+    def number(x: int, y: int, z: int) -> int:
+        return (x % p) * p * p + (y % p) * p + z % p
+
+    points = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
+    sphere = [(x, y, z) for x, y, z in points if (x * x + y * y + z * z - a) % p == 0]
+    edges = {tuple(sorted((number(x, y, z), number(x + d, y + e, z + f))))
+             for x, y, z in points for d, e, f in sphere}
+    return Graph(p ** 3, sorted(edges))
+
+
 def induced_by_edge_walk(g: Graph, s) -> Graph:
     """Induced subgraph built from every parent edge, through the checked
     constructor: the reference for the mask-based `induced`."""

@@ -27,12 +27,14 @@ from c4lab.oracles import (
     LANE_BITS,
     LANE_MAX_N,
     _has_biclique,
+    _kss_core,
     best_c4free_induced,
     closes_c4,
     contains_biclique,
     find_c3,
     find_c4,
     heavy_partners,
+    hit_at_least,
     is_c4_free,
     max_independent_set,
 )
@@ -40,11 +42,14 @@ from helpers import (
     best_c4free_by_byte_table,
     best_c4free_by_fraction_scan,
     brute_force_c4_exists,
+    brown_graph,
     brute_force_mis_size,
     degree_scan_biclique,
     disjoint_union,
     everything,
+    has_biclique_by_heavy_cliques,
     heavy_partners_by_wedge_count,
+    kss_core_by_rescans,
     pair_scan_biclique,
 )
 
@@ -215,6 +220,81 @@ def test_heavy_partners_match_wedge_count():
         s = 1 + i % 5
         got = [set(bits(mask)) for mask in heavy_partners(g.masks, s)]
         assert got == heavy_partners_by_wedge_count(g, s)
+
+
+def test_hit_at_least_counts_every_vertex():
+    rng = random.Random(47)
+    shapes = set()
+    for i in range(600):
+        s = 1 + i % 6
+        masks = [rng.getrandbits(12) for _ in range(rng.randrange(9))]
+        got = hit_at_least(masks, s)
+        want = sum(1 << u for u in range(12) if sum(m >> u & 1 for m in masks) >= s)
+        assert got == want
+        shapes.add((len(masks) > s) - (len(masks) < s))
+    assert shapes == {-1, 0, 1}   # fewer than s, exactly s and more than s masks
+
+
+def _check_decision_pass(masks, s):
+    """`_has_biclique` against the reference pass; on a K_{s,s}-free graph
+    the peel's core must also be the rescanning reference's."""
+    want = has_biclique_by_heavy_cliques(masks, s)
+    assert _has_biclique(masks, s) == want
+    if not want:
+        assert _kss_core(masks, s) == kss_core_by_rescans(masks, s)
+    return want
+
+
+def test_has_biclique_matches_reference_on_gnp():
+    rng = random.Random(59)
+    found = 0
+    for i in range(800):
+        s = 2 + i % 4
+        n = 2 * s + rng.randrange(37 - 2 * s)
+        p = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9])
+        found += _check_decision_pass(gen_gnp(n, p, rng.randrange(2 ** 32)).masks, s)
+    assert found >= 200 and 800 - found >= 200
+
+
+def test_has_biclique_matches_reference_on_planes_and_brown():
+    for q in (2, 3, 5):
+        g = projective_plane_incidence(q).underlying
+        for s in (2, 3, 4):
+            assert _check_decision_pass(g.masks, s) is False
+    # K_{3,3}-free exactly when -a is a non-residue: a = 1 at p = 3, and
+    # a in {2, 3} at p = 5
+    for p, a_free in ((3, {1}), (5, {2, 3})):
+        for a in range(1, p):
+            g = brown_graph(p, a)
+            assert _check_decision_pass(g.masks, 3) == (a not in a_free)
+            assert _check_decision_pass(g.masks, 4) == (a not in a_free and p == 5)
+
+
+def test_peel_empties_lopsided_inputs_and_finds_a_planted_k33():
+    for seed in range(4):
+        for a, b, r in ((60, 20, 3), (200, 25, 3), (80, 25, 4)):
+            g = gen_lopsided(a, b, r, 3, seed).underlying
+            assert _check_decision_pass(g.masks, 3) is False
+            if r == 3:
+                assert _kss_core(g.masks, 3) == 0
+            # A-vertices 1 and 2 take A-vertex 0's neighbourhood, which
+            # closes a K_{3,3} through vertices of degree r
+            nbhd = [list(bits(g.masks[x])) for x in range(a)]
+            nbhd[1] = nbhd[2] = nbhd[0]
+            planted = Graph(a + b, [(x, y) for x in range(a) for y in nbhd[x]])
+            assert _check_decision_pass(planted.masks, 3) is True
+            if r == 3:
+                assert _kss_core(planted.masks, 3) is None
+
+
+def test_peel_cascade_exposes_a_k33_behind_pendants():
+    # K_{3,3} on 0..5 with a pendant on each of its vertices: they have
+    # degree 4 until the pendants are peeled, and then degree 3
+    g = Graph(12, [(x, y) for x in range(3) for y in range(3, 6)]
+              + [(x, 6 + x) for x in range(6)])
+    assert _kss_core(g.masks, 3) is None
+    assert _check_decision_pass(g.masks, 3) is True
+    assert _check_decision_pass(g.masks, 4) is False
 
 
 def test_c4_iff_k22():
