@@ -127,24 +127,8 @@ def hit_at_least(masks: Sequence[int], s: int) -> int:
     A saturating bit-sliced counter: bit u of the j-th level is set once
     j of the masks read so far hold u, so the s-th level is the answer
     after one pass of O(s) big-integer operations per mask.  Fewer than s
-    masks hit nothing, and exactly s masks reduce to their AND.  The levels
-    are unrolled for s = 3, the s of every benchmark workload, which took
-    about a quarter off the decision pass on Brown's graphs.
+    masks hit nothing, and exactly s masks give their AND.
     """
-    if len(masks) <= s:
-        if len(masks) < s:
-            return 0
-        out = -1
-        for m in masks:
-            out &= m
-        return out
-    if s == 3:
-        one = two = three = 0
-        for m in masks:
-            three |= two & m
-            two |= one & m
-            one |= m
-        return three
     level = [0] * s
     upper = range(s - 1, 0, -1)
     for m in masks:
@@ -165,7 +149,10 @@ def heavy_partners(masks: Sequence[int], s: int) -> Iterator[int]:
     for the vertices it read.
     """
     for v, nv in enumerate(masks):
-        yield hit_at_least([masks[w] for w in bits(nv)], s) & ~(1 << v)
+        if nv.bit_count() < s:
+            yield 0
+        else:
+            yield hit_at_least([masks[w] for w in bits(nv)], s) & ~(1 << v)
 
 
 def _kss_core(masks: Sequence[int], s: int) -> int | None:

@@ -182,6 +182,8 @@ def test_contains_biclique_matches_degree_scan_on_gnp():
         # hidden by the scan that follows it
         assert _has_biclique(g.masks, s) == (wit is not None)
         assert contains_biclique(g, s) == wit
+        if wit is None:
+            assert _kss_core(g.masks, s) == kss_core_by_rescans(g.masks, s)
     assert found >= 200 and 1200 - found >= 200
 
 
@@ -243,17 +245,6 @@ def _check_decision_pass(masks, s):
     if not want:
         assert _kss_core(masks, s) == kss_core_by_rescans(masks, s)
     return want
-
-
-def test_has_biclique_matches_reference_on_gnp():
-    rng = random.Random(59)
-    found = 0
-    for i in range(800):
-        s = 2 + i % 4
-        n = 2 * s + rng.randrange(37 - 2 * s)
-        p = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9])
-        found += _check_decision_pass(gen_gnp(n, p, rng.randrange(2 ** 32)).masks, s)
-    assert found >= 200 and 800 - found >= 200
 
 
 def test_has_biclique_matches_reference_on_planes_and_brown():
