@@ -253,7 +253,7 @@ def read_edgelist(text: str) -> Graph:
         edges.append((u, v))
         max_seen = max(max_seen, u, v)
     n = n_declared if n_declared is not None else max_seen + 1
-    return Graph(max(n, 0), edges)
+    return Graph(n, edges)
 
 
 # -- strict JSON records -------------------------------------------------------

@@ -75,7 +75,7 @@ class Graph:
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
-            raise DomainError("vertex_count must be nonnegative")
+            raise DomainError(f"vertex_count={vertex_count} must be nonnegative")
         self.n = vertex_count
         nbr = [0] * vertex_count
         m = 0
@@ -348,6 +348,8 @@ def sample_gnp(rng: random.Random, n: int, p: float) -> Graph:
     Pairs take one draw each from `rng` in ascending (u,v) order, so a
     caller that keeps drawing from `rng` afterwards sees the same stream.
     """
+    if n < 0:
+        raise DomainError(f"n={n} must be nonnegative")
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0,1]")
     rand = rng.random

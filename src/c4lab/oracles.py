@@ -110,7 +110,7 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
             return frozenset(chosen), frozenset(islice(bits(common), s))
         for i in range(start, len(order)):
             v = order[i]
-            new_common = common & g.masks[v] if chosen else g.masks[v]
+            new_common = common & g.masks[v]
             if new_common.bit_count() < s:
                 continue
             res = extend(chosen + [v], i + 1, new_common)
@@ -118,20 +118,22 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
                 return res
         return None
 
-    return extend([], 0, 0)
+    return extend([], 0, -1)
 
 
-def hit_at_least(masks: Sequence[int], s: int) -> int:
-    """The mask of the vertices set in at least s (>= 1) of `masks`.
+def hit_at_least(masks: Sequence[int], members: int, s: int) -> int:
+    """The mask of the vertices set in at least s (>= 1) of the masks of
+    the vertices in the mask `members`.
 
     A saturating bit-sliced counter: bit u of the j-th level is set once
     j of the masks read so far hold u, so the s-th level is the answer
-    after one pass of O(s) big-integer operations per mask.  Fewer than s
-    masks hit nothing, and exactly s masks give their AND.
+    after one pass of O(s) big-integer operations per member.  Fewer than
+    s members hit nothing.
     """
     level = [0] * s
     upper = range(s - 1, 0, -1)
-    for m in masks:
+    for w in bits(members):
+        m = masks[w]
         for j in upper:
             level[j] |= level[j - 1] & m
         level[0] |= m
@@ -143,16 +145,12 @@ def heavy_partners(masks: Sequence[int], s: int) -> Iterator[int]:
 
     u has codegree at least s with v exactly when at least s of the masks
     of v's neighbours hold u, which `hit_at_least` counts in O(s deg v)
-    big-integer operations per vertex, O(s m) in all; a vertex of degree
-    below s has codegree below s with everyone and gets 0 at once.  The
-    masks come one vertex at a time, so a caller that stops early pays only
-    for the vertices it read.
+    big-integer operations per vertex, O(s m) in all.  The masks come one
+    vertex at a time, so a caller that stops early pays only for the
+    vertices it read.
     """
     for v, nv in enumerate(masks):
-        if nv.bit_count() < s:
-            yield 0
-        else:
-            yield hit_at_least([masks[w] for w in bits(nv)], s) & ~(1 << v)
+        yield hit_at_least(masks, nv, s) & ~(1 << v)
 
 
 def _kss_core(masks: Sequence[int], s: int) -> int | None:
@@ -220,7 +218,7 @@ def _has_biclique(masks: Sequence[int], s: int) -> bool:
 
     def grow(cand: int, common: int, need: int) -> bool:
         if need == 1:
-            return bool(cand & hit_at_least([masks[w] for w in bits(common)], s))
+            return bool(cand & hit_at_least(masks, common, s))
         if cand.bit_count() < need:
             return False
         for u in bits(cand):
@@ -294,19 +292,19 @@ def best_c4free_induced(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT
 
     Exhaustive over all 2^n - 1 nonempty subsets S = H + L, where L holds
     the b = min(LANE_BITS, n) lowest vertices of S and H the rest.  The high
-    parts H are grown one vertex v above max(H) at a time, depth first, and
-    H + v is dropped with every superset once `closes_c4` finds a 4-cycle
-    through v.  Each live H scores all 2^b sets L at once, one byte lane
-    each.  No 2^n table is kept: memory is a 2^b-byte integer per level of
-    the search and per high part (at most 3 vertices) of a 4-cycle.  For
-    each H:
+    parts H are grown one vertex v above max(H) at a time, depth first.
+    Each H scores all 2^b sets L at once, one byte lane each.  No 2^n
+    table is kept: memory is a 2^b-byte integer per level of the search
+    and per high part (at most 3 vertices) of a 4-cycle with a low
+    vertex.  For each H:
     - lane L holds e(H + L) + 1 = e(L) + 1 + sum over v in H of
       (|N(v) & H_below_v| + |N(v) & L|), built by one addition per vertex
       added to H;
     - lane L is dead when H + L holds a 4-cycle: every such cycle has a
       vertex set Q with Q - L inside H, so the lanes L containing the low
       part of Q are OR-ed into H's dead mask when the top vertex of Q's
-      high part joins H;
+      high part joins H.  A Q with no low part kills every lane (the mask
+      -1), and then H + v is dropped with every superset;
     - from the current best (e', |S'|) each size |S| gets the least lane
       value that could compete (gain e |S'| - e' |S| >= 0, and > 0 for a
       larger set), and one SWAR compare finds the live lanes at or above
@@ -338,30 +336,23 @@ def best_c4free_induced(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT
     cross = [sum(member[l] for l in bits(masks[v] & low)) if v >= b else 0
              for v in range(n)]
 
-    # vertex sets of 4-cycles x-w-y-w', with x the least vertex
-    quads: set[int] = set()
+    # for each 4-cycle x-w-y-w' (x its least vertex), the lanes L holding
+    # its low part, OR-ed into the dead lanes of its high part; a cycle
+    # with no low vertex kills every lane (-1)
+    dead_at: dict[int, int] = {}
     for x in range(n - 3):
         above = _above(x)
         for y in range(x + 1, n):
             common = masks[x] & masks[y] & above
-            if common.bit_count() >= 2:
-                xy = (1 << x) | (1 << y)
-                quads.update(xy | (1 << w) | (1 << u)
-                             for w, u in combinations(bits(common), 2))
-    # the lanes L holding the low part of a 4-cycle whose high part is `high`
-    by_high: dict[int, list[int]] = {}
-    for q in quads:
-        if q & low:
-            by_high.setdefault(q & ~low, []).append(q & low)
-    dead_at: dict[int, int] = {}
-    for high, parts in by_high.items():
-        dead = 0
-        for part in parts:
-            lanes = -1
-            for l in bits(part):
-                lanes &= covers[l]
-            dead |= lanes
-        dead_at[high] = dead
+            if common.bit_count() < 2:
+                continue
+            for w, u in combinations(bits(common), 2):
+                q = 1 << x | 1 << y | 1 << w | 1 << u
+                lanes = -1
+                for l in bits(q & low):
+                    lanes &= covers[l]
+                high = q & ~low
+                dead_at[high] = dead_at.get(high, 0) | lanes
     # for each high vertex v, the (rest of the high part, dead lanes) of the
     # high parts whose top vertex is v
     joins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -419,12 +410,12 @@ def best_c4free_induced(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT
         score(high, h, lanes, dead)
         outside = ~high
         for v in range(top + 1, n):
-            if closes_c4(masks, v, high):
-                continue
             more = dead
             for rest, lanes_v in joins[v]:
                 if not rest & outside:
                     more |= lanes_v
+            if more < 0:   # H + v holds a 4-cycle, and so does every superset
+                continue
             grow(high | 1 << v, v, h + 1,
                  lanes + cross[v] + (masks[v] & high).bit_count() * ones, more)
 

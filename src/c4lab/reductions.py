@@ -62,8 +62,7 @@ def _kept_degrees(nbr, kept_small: int, kept_large: int) -> list[int]:
             + [(nbr[v] & kept_large).bit_count() for v in bits(kept_small)])
 
 
-def almost_biregular_reduce(nbr, a_mask: int, b_mask: int, seed: int,
-                            retries: int = DEFAULT_RETRIES) -> int:
+def almost_biregular_reduce(nbr, a_mask: int, b_mask: int, seed: int) -> int:
     """The vertex mask of an induced subgraph of gamma with d >= d(gamma)/4
     and max degree <= 24 L d.
 
@@ -98,7 +97,7 @@ def almost_biregular_reduce(nbr, a_mask: int, b_mask: int, seed: int,
     # sampled <= 1 + 2 p (deg - 1) with p = |small|/|large|, in integers
     cap = [(v, (n_large + 2 * n_small * (dv - 1)) // n_large) for v, dv in degree]
 
-    for attempt in range(retries):
+    for attempt in range(DEFAULT_RETRIES):
         rand = random.Random(mix_seed(seed, attempt)).random
         kept_large = 0
         for v in large_list:
@@ -122,7 +121,7 @@ def almost_biregular_reduce(nbr, a_mask: int, b_mask: int, seed: int,
             if max(degrees) > 24 * biregularity_factor(nbr, a_mask, b_mask) * dd:
                 raise InvariantError("reduced max degree exceeds 24 L d")
             return small_mask | kept_large
-    raise ExtractionFailure(f"no verified sample in {retries} attempts")
+    raise ExtractionFailure(f"no verified sample in {DEFAULT_RETRIES} attempts")
 
 
 # -- short-cycle sparsification ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared test utilities: independent slow baselines and corpus generators."""
+"""Shared test utilities: independent slow baselines and graph builders."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from pathlib import Path
 
 from c4lab.errors import DomainError, InvariantError, OracleLimitError, StaleCertificateError
 from c4lab.graphio import _decode_n, _encode_n
-from c4lab.graphs import Graph, bipartition, bits, gen_gnp, mask_of
+from c4lab.graphs import Graph, bipartition, bits, mask_of
 from c4lab.hypergraphs import DEFAULT_ALPHA_LIMIT, InducedPair
 from c4lab.oracles import is_c4_free, max_independent_set
 from c4lab.pipeline import MODES, graph_digest
@@ -103,21 +103,6 @@ def reiman_holds(n: int, e: int) -> bool:
     if lhs <= 0:
         return True
     return lhs * lhs <= 4 * n ** 3
-
-
-def random_near_regular_c4_repaired(n: int, d: int, seed: int) -> Graph:
-    """Roughly d-regular random graph with all 4-cycles repaired away."""
-    p = min(1.0, d / max(1, n - 1))
-    return repair_to_c4_free(gen_gnp(n, p, seed))
-
-
-def random_graph_stream(count: int, n_max: int, seed: int):
-    """Deterministic stream of (graph, meta) mixing sizes and densities."""
-    rng = random.Random(seed)
-    for i in range(count):
-        n = 1 + rng.randrange(n_max)
-        p = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5, 0.8])
-        yield gen_gnp(n, p, seed=rng.randrange(2 ** 32)), (n, p, i)
 
 
 def disjoint_union(*parts: Graph) -> Graph:

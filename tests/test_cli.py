@@ -151,6 +151,26 @@ def test_gen_lopsided_refuses_a_negative_degree(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_gnp_refuses_a_negative_vertex_count(tmp_path, capsys):
+    out = tmp_path / "gnp.g6"
+    code, _, err = run_cli(capsys, "gen", "--kind", "gnp", "--n", "-5", "--p", "0.5",
+                           "--seed", "1", "--out", str(out))
+    assert code == 1
+    assert err.splitlines()[-1] == "error: n=-5 must be nonnegative"
+    assert not out.exists()
+
+
+def test_extract_refuses_a_negative_declared_vertex_count(tmp_path, capsys):
+    # an edge list declaring "# n -4" is malformed, not an empty input
+    graph, cert = tmp_path / "g.txt", tmp_path / "cert.json"
+    graph.write_text("# n -4\n")
+    code, _, err = run_cli(capsys, "extract", "--input", str(graph), "--s", "2",
+                           "--k", "2", "--seed", "1", "--out", str(cert))
+    assert code == 1
+    assert err.splitlines()[-1] == "error: vertex_count=-4 must be nonnegative"
+    assert not cert.exists()
+
+
 def test_gen_lopsided_refuses_s_below_2(tmp_path, capsys):
     out = tmp_path / "lop.g6"
     code, _, err = run_cli(capsys, "gen", "--kind", "lopsided", "--a", "2", "--b", "6",

@@ -229,12 +229,14 @@ def test_hit_at_least_counts_every_vertex():
     shapes = set()
     for i in range(600):
         s = 1 + i % 6
-        masks = [rng.getrandbits(12) for _ in range(rng.randrange(9))]
-        got = hit_at_least(masks, s)
-        want = sum(1 << u for u in range(12) if sum(m >> u & 1 for m in masks) >= s)
+        masks = [rng.getrandbits(12) for _ in range(12)]
+        members = rng.getrandbits(12) & rng.getrandbits(12)
+        got = hit_at_least(masks, members, s)
+        chosen = [masks[w] for w in range(12) if members >> w & 1]
+        want = sum(1 << u for u in range(12) if sum(m >> u & 1 for m in chosen) >= s)
         assert got == want
-        shapes.add((len(masks) > s) - (len(masks) < s))
-    assert shapes == {-1, 0, 1}   # fewer than s, exactly s and more than s masks
+        shapes.add((len(chosen) > s) - (len(chosen) < s))
+    assert shapes == {-1, 0, 1}   # fewer than s, exactly s and more than s members
 
 
 def _check_decision_pass(masks, s):

@@ -124,7 +124,7 @@ def _unread(trees: dict, named) -> list[str]:
             for attrs in (False, True)}
     methods = {id(node) for tree in trees.values() for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for node in cls.body}
-    return [f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+    return [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
             for path, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and named(node.name)
@@ -138,6 +138,16 @@ def test_every_private_helper_has_a_caller():
     dead = _unread(_package_trees(),
                    lambda name: name.startswith("_") and not name.endswith("__"))
     assert dead == []
+
+
+def test_every_test_helper_has_a_reader():
+    # a reference in tests/helpers.py that no test reads checks nothing
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "tests").rglob("*.py"))}
+    helpers = {node.name for node in trees[ROOT / "tests" / "helpers.py"].body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert helpers
+    assert _unread(trees, lambda name: name in helpers) == []
 
 
 # public names that no package module reads, each with the reason it stays
