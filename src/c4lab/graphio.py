@@ -9,10 +9,11 @@ format carries it.
 A body's 6-bit groups are base64 digits under another alphabet, so both
 formats cross between body and bit stream in C, through one
 `bytes.translate` and `binascii`.  No bit goes through a Python list: a
-graph6 read takes each column as one integer slice of the stream and a
-write ORs each vertex's lower-neighbour mask in at its column's offset
-within a chunk, then joins the chunks pairwise; sparse6 reads one slice
-per (1 + k)-bit record and writes each record as one base-2 field.
+graph6 read takes each column as one integer slice of the stream (and
+hashes the input digest from the edges it fills in) and a write ORs each
+vertex's lower-neighbour mask in at its column's offset within a chunk,
+then joins the chunks pairwise; sparse6 reads one slice per (1 + k)-bit
+record and writes each record as one base-2 field.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 from typing import Iterable
 
 from .errors import CertificateFormatError, DomainError
-from .graphs import BipartiteGraph, Graph
+from .graphs import BipartiteGraph, Graph, edge_digest
 
 _G6_HEADER = ">>graph6<<"
 _G6_BYTES = bytes(range(63, 127))
@@ -122,6 +123,10 @@ def write_graph6(g: Graph) -> str:
 
 
 def read_graph6(text: str) -> Graph:
+    """The graph of one graph6 line (an optional ">>graph6<<" header is
+    dropped), with its `edge_digest` already set: the loop that fills the
+    masks visits each edge (i, j), i < j, once, column j by column j, so it
+    also appends j's id to row i, and the rows come out ascending."""
     line = text.strip()
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
@@ -138,6 +143,7 @@ def read_graph6(text: str) -> Graph:
     # bit-reversed stream, shifted down to its first bit
     stream = _stream_of(body).translate(_REVERSED_BITS)
     nbr = [0] * n
+    rows: list[list[str]] = [[] for _ in range(n)]
     m = 0
     start = 0
     for j in range(1, n):
@@ -149,11 +155,14 @@ def read_graph6(text: str) -> Graph:
             nbr[j] = col
             m += col.bit_count()
             bit_j = 1 << j
+            id_j = str(j)
             while col:
                 low = col & -col
-                nbr[low.bit_length() - 1] |= bit_j
+                i = low.bit_length() - 1
+                nbr[i] |= bit_j
+                rows[i].append(id_j)
                 col ^= low
-    return Graph._from_masks(nbr, m)
+    return Graph._from_masks(nbr, m, edge_digest(n, m, rows))
 
 
 def write_sparse6(g: Graph) -> str:

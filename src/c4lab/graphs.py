@@ -14,6 +14,7 @@ index.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -68,10 +69,26 @@ def mask_of(vertices: Iterable[int]) -> int:
     return mask
 
 
-class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+def edge_digest(n: int, m: int, rows: Sequence[list[str]]) -> str:
+    """SHA-256 of f"{n}|{m}|" followed by "u,v;" for each edge u < v, in
+    ascending order, where rows[u] lists the decimal ids of u's higher
+    neighbours in ascending order: one join per vertex."""
+    parts = [f"{n}|{m}|"]
+    for u, row in enumerate(rows):
+        if row:
+            head = f"{u},"
+            parts.append(head + (";" + head).join(row) + ";")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
-    __slots__ = ("n", "_nbr", "_m")
+
+class Graph:
+    """Immutable simple undirected graph on vertices 0..n-1.
+
+    `_digest` holds the `edge_digest` of the graph once a reader or
+    `pipeline.graph_digest` has computed it, else None.
+    """
+
+    __slots__ = ("n", "_nbr", "_m", "_digest")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -90,18 +107,21 @@ class Graph:
                 m += 1
         self._nbr = tuple(nbr)
         self._m = m
+        self._digest = None
 
     @classmethod
-    def _from_masks(cls, nbr: Sequence[int], m: int) -> "Graph":
+    def _from_masks(cls, nbr: Sequence[int], m: int, digest: str | None = None
+                    ) -> "Graph":
         """Trusted constructor for callers that already hold valid masks.
 
-        `nbr` must be symmetric and loopless with m edges; nothing is
-        re-checked.
+        `nbr` must be symmetric and loopless with m edges, and `digest`, if
+        given, its `edge_digest`; nothing is re-checked.
         """
         g = cls.__new__(cls)
         g.n = len(nbr)
         g._nbr = tuple(nbr)
         g._m = m
+        g._digest = digest
         return g
 
     # -- basic queries ----------------------------------------------------

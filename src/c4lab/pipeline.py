@@ -10,7 +10,6 @@ entry point on a left-regular bipartite graph.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +29,7 @@ from .graphs import (
     Graph,
     bipartition,
     bits,
+    edge_digest,
     half_degree_core,
     mask_of,
     mix_seed,
@@ -188,22 +188,23 @@ class ExtractionCertificate:
 
 
 def graph_digest(g: Graph) -> str:
-    """SHA-256 of f"{n}|{m}|" followed by "u,v;" for each edge u < v, in
-    ascending order: one join per vertex over its higher neighbours."""
-    ids = [str(v) for v in range(g.n)]
-    parts = [f"{g.n}|{g.edge_count}|"]
-    for u, mask in enumerate(g.masks):
-        higher = mask >> (u + 1)
-        if not higher:
-            continue
-        head = ids[u] + ","
-        row = []
-        while higher:
-            low = higher & -higher
-            row.append(ids[u + low.bit_length()])
-            higher ^= low
-        parts.append(head + (";" + head).join(row) + ";")
-    return hashlib.sha256("".join(parts).encode()).hexdigest()
+    """The `edge_digest` of g: SHA-256 of f"{n}|{m}|" followed by "u,v;"
+    for each edge u < v, in ascending order.  It is kept in g, so it is
+    computed once per graph: `read_graph6` sets it while parsing, and any
+    other graph gets it here on first use, from its masks."""
+    if g._digest is None:
+        ids = [str(v) for v in range(g.n)]
+        rows = []
+        for u, mask in enumerate(g.masks):
+            higher = mask >> (u + 1)
+            row = []
+            while higher:
+                low = higher & -higher
+                row.append(ids[u + low.bit_length()])
+                higher ^= low
+            rows.append(row)
+        g._digest = edge_digest(g.n, g.edge_count, rows)
+    return g._digest
 
 
 def _keeps_promise(cert: ExtractionCertificate) -> bool:

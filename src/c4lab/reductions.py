@@ -162,13 +162,15 @@ def _has_short_cycle(nbr, members: list[int]) -> bool:
     """Whether the ascending vertex list `members` spans a triangle or a
     4-cycle.
 
-    An independent check of `_survivors`' work, by `is_c4_free`'s scan: with
-    u the least vertex of the cycle, every other vertex lies above u.  The
-    members are taken from the top down, so `above` holds exactly the members
-    above u.  Each neighbour w of u in `above` reaches the masks `reach` of
-    its neighbours in `above`; one meeting N(u) closes a triangle u-w-x, and
-    one meeting an earlier neighbour's closes a 4-cycle u-w-x-w'.  A u with
-    fewer than two neighbours above it is the least vertex of no cycle.
+    An independent check of `_survivors`' work, by `is_c4_free`'s one loop
+    with a triangle test added: with u the least vertex of the cycle, every
+    other vertex lies above u.  The members are a list, taken from the top
+    down (`is_c4_free` takes a mask from the bottom up), so `above` holds
+    exactly the members above u.  Each neighbour w of u in `above` reaches
+    the masks `reach` of its neighbours in `above`; one meeting N(u) closes
+    a triangle u-w-x, and one meeting an earlier neighbour's closes a
+    4-cycle u-w-x-w'.  A u with fewer than two neighbours above it is the
+    least vertex of no cycle.
     """
     above = 0
     for u in reversed(members):

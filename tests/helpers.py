@@ -14,7 +14,7 @@ from c4lab.errors import DomainError, InvariantError, OracleLimitError, StaleCer
 from c4lab.graphio import _decode_n, _encode_n
 from c4lab.graphs import Graph, bipartition, bits, mask_of
 from c4lab.hypergraphs import DEFAULT_ALPHA_LIMIT, InducedPair
-from c4lab.oracles import is_c4_free, max_independent_set
+from c4lab.oracles import closes_c4, max_independent_set
 from c4lab.pipeline import MODES, graph_digest
 
 
@@ -66,6 +66,13 @@ def brute_force_c4_exists(g: Graph) -> bool:
             if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d) and g.has_edge(d, a):
                 return True
     return False
+
+
+def is_c4_free_by_closes_c4(nbr, alive: int) -> bool:
+    """One `closes_c4` call per vertex u of the vertex mask `alive`, against
+    the vertices of `alive` above u: the reference for `oracles.is_c4_free`,
+    which runs the same test inline."""
+    return not any(closes_c4(nbr, u, alive & (-1 << (u + 1))) for u in bits(alive))
 
 
 def brute_force_mis_size(g: Graph) -> int:
@@ -401,7 +408,6 @@ def best_c4free_by_byte_table(g: Graph, limit: int = 22):
     from fractions import Fraction
 
     from c4lab.errors import DomainError, OracleLimitError
-    from c4lab.oracles import closes_c4
 
     if g.n > limit:
         raise OracleLimitError(f"|g|={g.n} exceeds oracle limit {limit}")
@@ -1208,7 +1214,7 @@ def _flags_and_stats_reference(g: Graph, witness, k: int, delta: float):
     avg = Fraction(sum(deg), len(witness))
     mx = max(deg)
     flags = {
-        "induced_c4free": is_c4_free(g.masks, alive),
+        "induced_c4free": is_c4_free_by_closes_c4(g.masks, alive),
         "avg_degree_ok": avg >= k,
         "bipartite": bipartition(g.masks, alive) is not None,
         "max_degree_bound_ok": mx <= 1 or float(avg) >= mx ** (1 - delta),

@@ -5,7 +5,7 @@ import pytest
 import networkx as nx
 
 from c4lab.errors import DomainError
-from c4lab.graphs import Graph, gen_gnp, projective_plane_incidence
+from c4lab.graphs import Graph, gen_gnp, gen_lopsided, projective_plane_incidence
 from c4lab.graphio import (
     _encode_n,
     apply_sidecar,
@@ -20,7 +20,9 @@ from c4lab.graphio import (
     write_sparse6,
 )
 from c4lab.named import complete_bipartite, cycle_graph, petersen_graph
+from c4lab.pipeline import graph_digest
 from helpers import (
+    graph_digest_reference,
     read_graph6_by_bit_string,
     read_sparse6_by_bit_list,
     write_graph6_by_bit_list,
@@ -155,6 +157,38 @@ def test_graph6_roundtrip_at_size_boundaries():
             for line in (text, ">>graph6<<" + text, text + "\n"):
                 h = read_graph6(line)
                 assert h == g and h.edge_count == g.edge_count
+
+
+def _digest_shapes():
+    # n = 62/63/64 switch the size prefix; p = 0 and 1 give the edgeless
+    # graph and K_n
+    for n in (0, 1, 2, 62, 63, 64):
+        for i, p in enumerate((0.0, 0.1, 0.5, 1.0)):
+            yield gen_gnp(n, p, 2000 * n + i)
+    # the benchmark's shapes
+    for q in (5, 13):
+        yield projective_plane_incidence(q).underlying
+    for n in (100, 200, 400):
+        yield gen_gnp(n, 6 / (n - 1), n)
+    for a, b in ((200, 25), (300, 30)):
+        yield gen_lopsided(a, b, 3, 3, a).underlying
+
+
+def test_graph6_reader_sets_the_input_digest():
+    for g in _digest_shapes():
+        want = graph_digest_reference(g)
+        text = write_graph6(g)
+        for line in (text, ">>graph6<<" + text):
+            h = read_graph6(line)
+            assert h._digest == want
+            assert graph_digest(h) == want and graph_digest(h) == want
+        # a graph built any other way gets the same digest on first use
+        built = Graph(g.n, g.edges())
+        assert built._digest is None
+        assert graph_digest(built) == want and built._digest == want
+        assert graph_digest(built) == want
+        for h in (read_sparse6(write_sparse6(g)), read_edgelist(write_edgelist(g))):
+            assert graph_digest(h) == want and graph_digest(h) == want
 
 
 def test_graph6_error_messages():

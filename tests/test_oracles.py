@@ -1,4 +1,6 @@
 import random
+import sys
+import types
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -49,6 +51,7 @@ from helpers import (
     everything,
     has_biclique_by_heavy_cliques,
     heavy_partners_by_wedge_count,
+    is_c4_free_by_closes_c4,
     kss_core_by_rescans,
     pair_scan_biclique,
 )
@@ -112,6 +115,24 @@ def test_is_c4_free_agrees_with_find_c4():
             alive = rng.getrandbits(g.n)
             free = is_c4_free(g.masks, alive)
             assert free == (find_c4(induced(g, bits(alive))) is None)
+            outcomes.add(free)
+    assert outcomes == {False, True}
+
+
+def test_is_c4_free_matches_the_closes_c4_reference():
+    rng = random.Random(53)
+    cases = [heawood_graph(), projective_plane_incidence(13).underlying]
+    for p in (0.05, 0.1, 0.2, 0.3, 0.5):
+        cases += [gen_gnp(1 + rng.randrange(40), p, rng.randrange(2 ** 32))
+                  for _ in range(60)]
+    outcomes = set()
+    for g in cases:
+        # no vertex, one vertex, every vertex, then random vertex masks
+        alives = [0, 1 << rng.randrange(g.n), everything(g)]
+        alives += [rng.getrandbits(g.n) for _ in range(6)]
+        for alive in alives:
+            free = is_c4_free(g.masks, alive)
+            assert free == is_c4_free_by_closes_c4(g.masks, alive)
             outcomes.add(free)
     assert outcomes == {False, True}
 
@@ -420,6 +441,41 @@ def test_lane_cap_is_the_largest_n_no_lane_carries_out_of():
         reiman = (h + isqrt(h * h * (4 * h - 3))) // 4
         return reiman + LANE_BITS * (LANE_BITS - 1) // 2 + LANE_BITS * h + 1
     assert peak(LANE_MAX_N) <= 0xFF < peak(LANE_MAX_N + 1)
+
+
+def test_best_c4free_induced_grows_only_c4free_high_parts():
+    # `grow` runs once per high part H, a set of vertices LANE_BITS..n-1,
+    # and skips a vertex that closes a 4-cycle inside H with every superset
+    # (all lanes dead), so it runs exactly once per C4-free high part.
+    # `_has_biclique` nests a `grow` too, so the code object is taken from
+    # the oracle's own constants
+    grow = next(c for c in best_c4free_induced.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == "grow")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is grow:
+            calls += 1
+
+    rng = random.Random(59)
+    pruned = 0
+    for n in (16, 17, 18):
+        for _ in range(2):
+            g = gen_gnp(n, 0.6, rng.randrange(2 ** 32))
+            calls = 0
+            sys.setprofile(count)
+            try:
+                best_c4free_induced(g)
+            finally:
+                sys.setprofile(None)
+            high = range(LANE_BITS, n)
+            free = sum(not brute_force_c4_exists(induced(g, sub))
+                       for size in range(len(high) + 1)
+                       for sub in combinations(high, size))
+            assert calls == free
+            pruned += free < 2 ** len(high)
+    assert pruned == 6
 
 
 def test_best_c4free_induced_refuses_more_than_the_lane_cap():
