@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .errors import C4LabError, KernelFailure
 from .graphio import (
@@ -28,7 +28,7 @@ from .graphio import (
     write_graph6,
     write_sparse6,
 )
-from .graphs import Graph, gen_gnp, gen_lopsided, projective_plane_incidence
+from .graphs import BipartiteGraph, Graph, gen_gnp, gen_lopsided, projective_plane_incidence
 from .hypergraphs import Hypergraph, f_search, furedi_kernel
 from .lowerbounds import check_lb_conditions, lb_experiment
 from .oracles import DEFAULT_ORACLE_LIMIT, best_c4free_induced, max_independent_set
@@ -56,34 +56,23 @@ def _env_int(name: str, default: int) -> int:
         raise C4LabError(f"DEGB_{name} must be an integer, got {raw!r}") from None
 
 
-# the DEGB_* variable and built-in default behind each budget flag's dest;
-# they are read on every call, so a changed variable takes effect at once
-_BUDGETS = PipelineParams()
-_ENV_DEFAULTS = (("retries", "RETRIES", _BUDGETS.retries),
-                 ("attempts", "ATTEMPTS", _BUDGETS.attempts),
-                 ("oracle_limit", "ORACLE_LIMIT", _BUDGETS.oracle_limit),
+# every PipelineParams field is a budget: flag --name-with-dashes, default
+# from DEGB_NAME, least value 0
+_BUDGETS = tuple(f.name for f in fields(PipelineParams))
+
+# the DEGB_* variable and built-in default behind each budget flag's dest,
+# and oracle --limit's own row; they are read on every call, so a changed
+# variable takes effect at once
+_ENV_DEFAULTS = (*((f.name, f.name.upper(), f.default) for f in fields(PipelineParams)),
                  ("limit", "ORACLE_LIMIT", DEFAULT_ORACLE_LIMIT))
 
 
-# least accepted value of each budget flag, wherever a subcommand has it
-_FLAG_MINIMUMS = (("retries", 0), ("attempts", 0), ("oracle_limit", 0))
-
-
-def _check_flag_minimums(args) -> None:
-    for name, least in _FLAG_MINIMUMS:
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            flag = "--" + name.replace("_", "-")
-            raise C4LabError(f"{flag} (DEGB_{name.upper()}) must be at least "
-                             f"{least}, got {value}")
-
-
-def _echo_seed(seed: int) -> None:
+def _seed(args) -> int:
+    """The run's seed, --seed or else drawn from the clock, echoed on
+    stderr so that the run can be replayed."""
+    seed = args.seed if args.seed is not None else time.time_ns() % (2 ** 63)
     print(f"seed: {seed}", file=sys.stderr)
-
-
-def _resolve_seed(value) -> int:
-    return int(value) if value is not None else time.time_ns() % (2 ** 63)
+    return seed
 
 
 def _read_text(path: str) -> str:
@@ -101,6 +90,12 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+_READERS = {"graph6": read_graph6, "sparse6": read_sparse6, "edgelist": read_edgelist}
+_WRITERS = {"graph6": lambda g: write_graph6(g) + "\n",
+            "sparse6": lambda g: write_sparse6(g) + "\n",
+            "edgelist": write_edgelist}
+
+
 def _load_graph(path: str, fmt: str) -> Graph:
     text = _read_text(path)
     if fmt == "auto":
@@ -112,82 +107,91 @@ def _load_graph(path: str, fmt: str) -> Graph:
             fmt = "edgelist"
         else:
             fmt = "graph6"
-    if fmt == "graph6":
-        return read_graph6(text)
-    if fmt == "sparse6":
-        return read_sparse6(text)
-    if fmt == "edgelist":
-        return read_edgelist(text)
-    raise C4LabError(f"unknown format {fmt}")
+    return _READERS[fmt](text)
+
+
+# each gen kind: the flags it needs, the other kind flags it reads, and its
+# builder from (args, seed) to a graph, or to a bipartite graph, whose sides
+# --sidecar writes
+_KINDS = {
+    "gnp": (("n", "p"), (), lambda args, seed: gen_gnp(args.n, args.p, seed)),
+    "plane": (("q",), ("sidecar",), lambda args, seed: projective_plane_incidence(args.q)),
+    "lopsided": (("a", "b", "r"), ("s", "sidecar"),
+                 lambda args, seed: gen_lopsided(args.a, args.b, args.r,
+                                                 2 if args.s is None else args.s, seed)),
+}
+_KIND_FLAGS = {flag for needs, reads, _ in _KINDS.values() for flag in needs + reads}
 
 
 def _params_from(args) -> PipelineParams:
-    return PipelineParams(
-        retries=args.retries, attempts=args.attempts,
-        oracle_limit=args.oracle_limit)
+    return PipelineParams(**{name: getattr(args, name) for name in _BUDGETS})
 
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", default="-", help="graph path or - for stdin")
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "graph6", "sparse6", "edgelist"])
+    p.add_argument("--format", default="auto", choices=["auto", *_READERS])
 
 
-def _add_pipeline_knobs(p: argparse.ArgumentParser) -> None:
+def _add_budgets(p: argparse.ArgumentParser, names=_BUDGETS) -> None:
     # None stands for the DEGB_* default, filled in after parsing
-    p.add_argument("--retries", type=int)
-    p.add_argument("--attempts", type=int)
-    p.add_argument("--oracle-limit", type=int, dest="oracle_limit")
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The c4lab parser.  Budget flags left unset parse to None; `main`
-    fills them from the DEGB_* variables or the built-in defaults."""
+    fills them from the DEGB_* variables or the built-in defaults.  Each
+    subcommand's handler is its `handler` default."""
     top = argparse.ArgumentParser(prog="c4lab")
     sub = top.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="seeded graph generators")
-    g.add_argument("--kind", required=True, choices=["gnp", "plane", "lopsided"])
+    g.set_defaults(handler=_cmd_gen)
+    g.add_argument("--kind", required=True, choices=list(_KINDS))
     g.add_argument("--n", type=int)
     g.add_argument("--p", type=float)
     g.add_argument("--q", type=int)
     g.add_argument("--a", type=int)
     g.add_argument("--b", type=int)
     g.add_argument("--r", type=int)
-    g.add_argument("--s", type=int, default=2)
+    g.add_argument("--s", type=int)
     g.add_argument("--seed", type=int)
     g.add_argument("--out", default="-")
     g.add_argument("--sidecar", help="write bipartite side info to this path")
-    g.add_argument("--gen-format", default="graph6",
-                   choices=["graph6", "sparse6", "edgelist"])
+    g.add_argument("--gen-format", default="graph6", choices=list(_WRITERS))
 
     e = sub.add_parser("extract", help="induced C4-free extraction certificate")
+    e.set_defaults(handler=_cmd_extract)
     _add_graph_input(e)
     e.add_argument("--s", type=int, required=True)
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--seed", type=int)
-    _add_pipeline_knobs(e)
+    _add_budgets(e)
     e.add_argument("--out", default="-", help="certificate JSON destination")
 
     o = sub.add_parser("oracle", help="exhaustive small-instance baselines")
+    o.set_defaults(handler=_cmd_oracle)
     _add_graph_input(o)
     o.add_argument("--task", default="c4free", choices=["c4free", "mis"])
     o.add_argument("--limit", type=int)
 
     kcmd = sub.add_parser("kernel", help="partite kernel of a uniform hypergraph")
+    kcmd.set_defaults(handler=_cmd_kernel)
     kcmd.add_argument("--input", default="-")
     kcmd.add_argument("--s", type=int, required=True)
     kcmd.add_argument("--t", type=int, required=True)
     kcmd.add_argument("--seed", type=int)
-    kcmd.add_argument("--retries", type=int)
+    _add_budgets(kcmd, ["retries"])
 
     f = sub.add_parser("ftable", help="exhaustive pair-forcing threshold search")
+    f.set_defaults(handler=_cmd_ftable)
     f.add_argument("--ell", type=int, required=True)
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--nmax", type=int, required=True)
     f.add_argument("--out", help="persist the result row as JSON")
 
     lb = sub.add_parser("lowerbound", help="random-graph lower-bound experiments")
+    lb.set_defaults(handler=_cmd_lowerbound)
     lb.add_argument("--n", type=int, required=True)
     lb.add_argument("--p", type=float, required=True)
     lb.add_argument("--s", type=int, required=True)
@@ -198,15 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--csv", action="store_true")
 
     sd = sub.add_parser("subdivide", help="induced clique-subdivision search")
+    sd.set_defaults(handler=_cmd_subdivide)
     _add_graph_input(sd)
     sd.add_argument("--k", type=int, required=True)
     sd.add_argument("--s", type=int, default=2)
     sd.add_argument("--seed", type=int)
     sd.add_argument("--plain", action="store_true",
                     help="plain (not necessarily induced) search")
-    _add_pipeline_knobs(sd)
+    _add_budgets(sd)
 
     v = sub.add_parser("verify", help="re-verify a certificate or witness")
+    v.set_defaults(handler=_cmd_verify)
     _add_graph_input(v)
     v.add_argument("--cert", required=True)
     v.add_argument("--subdivision", action="store_true",
@@ -216,41 +222,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    seed = _resolve_seed(args.seed)
-    _echo_seed(seed)
-    sidecar_text = None
-    if args.kind == "gnp":
-        if args.n is None or args.p is None:
-            raise C4LabError("gnp needs --n and --p")
-        graph = gen_gnp(args.n, args.p, seed)
-    elif args.kind == "plane":
-        if args.q is None:
-            raise C4LabError("plane needs --q")
-        bg = projective_plane_incidence(args.q)
-        graph = bg.underlying
-        sidecar_text = bipartite_sidecar(bg)
-    else:
-        if None in (args.a, args.b, args.r):
-            raise C4LabError("lopsided needs --a, --b, --r")
-        bg = gen_lopsided(args.a, args.b, args.r, args.s, seed)
-        graph = bg.underlying
-        sidecar_text = bipartite_sidecar(bg)
-    if args.gen_format == "graph6":
-        payload = write_graph6(graph) + "\n"
-    elif args.gen_format == "sparse6":
-        payload = write_sparse6(graph) + "\n"
-    else:
-        payload = write_edgelist(graph)
-    _write_text(args.out, payload)
-    if args.sidecar and sidecar_text:
-        _write_text(args.sidecar, sidecar_text + "\n")
+    seed = _seed(args)
+    needs, reads, build = _KINDS[args.kind]
+    if any(getattr(args, flag) is None for flag in needs):
+        raise C4LabError(f"{args.kind} needs {', '.join('--' + flag for flag in needs)}")
+    # vars keeps the parser's order
+    unread = [f"--{flag}" for flag, value in vars(args).items()
+              if flag in _KIND_FLAGS and flag not in needs + reads and value is not None]
+    if unread:
+        raise C4LabError(f"{args.kind} takes no {', '.join(unread)}")
+    built = build(args, seed)
+    graph = built.underlying if isinstance(built, BipartiteGraph) else built
+    _write_text(args.out, _WRITERS[args.gen_format](graph))
+    if args.sidecar:
+        # only the kinds that build a bipartite graph read --sidecar
+        _write_text(args.sidecar, bipartite_sidecar(built) + "\n")
     return 0
 
 
 def _cmd_extract(args) -> int:
     g = _load_graph(args.input, args.format)
-    seed = _resolve_seed(args.seed)
-    _echo_seed(seed)
+    seed = _seed(args)
     cert = extract_induced_c4free(g, args.s, args.k, _params_from(args), seed=seed)
     _write_text(args.out, cert.to_json())
     return 2 if cert.mode == "failure" else 0
@@ -273,8 +265,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_kernel(args) -> int:
     n, edges = read_hypergraph(_read_text(args.input))
     h = Hypergraph(n, edges)
-    seed = _resolve_seed(args.seed)
-    _echo_seed(seed)
+    seed = _seed(args)
     try:
         kern = furedi_kernel(h, s=args.s, t=args.t, seed=seed,
                              retries=args.retries)
@@ -318,8 +309,7 @@ def _cmd_lowerbound(args) -> int:
         rep = check_lb_conditions(args.n, args.p, args.s, args.k)
         print(json.dumps(asdict(rep), sort_keys=True))
         return 0
-    seed = _resolve_seed(args.seed)
-    _echo_seed(seed)
+    seed = _seed(args)
     trials = 100 if args.trials is None else args.trials
     rep = lb_experiment(args.n, args.p, args.s, args.k, trials, seed)
     if args.csv:
@@ -332,8 +322,7 @@ def _cmd_lowerbound(args) -> int:
 
 def _cmd_subdivide(args) -> int:
     g = _load_graph(args.input, args.format)
-    seed = _resolve_seed(args.seed)
-    _echo_seed(seed)
+    seed = _seed(args)
     if args.plain:
         w = find_subdivision(g, args.k, seed=seed)
     else:
@@ -357,18 +346,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "extract": _cmd_extract,
-    "oracle": _cmd_oracle,
-    "kernel": _cmd_kernel,
-    "ftable": _cmd_ftable,
-    "lowerbound": _cmd_lowerbound,
-    "subdivide": _cmd_subdivide,
-    "verify": _cmd_verify,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """One parser per process: building it takes about 2 ms, and it reads
@@ -384,8 +361,12 @@ def main(argv=None) -> int:
         for dest, value in defaults.items():
             if getattr(args, dest, value) is None:
                 setattr(args, dest, value)
-        _check_flag_minimums(args)
-        return _HANDLERS[args.command](args)
+        for name in _BUDGETS:
+            value = getattr(args, name, 0)
+            if value < 0:
+                raise C4LabError(f"--{name.replace('_', '-')} (DEGB_{name.upper()}) "
+                                 f"must be at least 0, got {value}")
+        return args.handler(args)
     except SystemExit as exc:
         return 1 if exc.code else 0
     except (C4LabError, OSError, ValueError) as exc:

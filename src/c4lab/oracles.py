@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 
-from .errors import DomainError, OracleLimitError
+from .errors import DomainError, InvariantError, OracleLimitError
 from .graphs import Graph, bits
 
 DEFAULT_ORACLE_LIMIT = 22
@@ -91,10 +91,10 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
     s=2 returns None at once when `is_c4_free` holds (K_{2,2} is C4);
     otherwise the common-pair scan (every wedge u-w-v records the pair
     (u,v); a pair seen from two centers closes a K_{2,2}) finds the
-    witness.  General s likewise returns None at once unless
-    `_has_biclique` finds one; only then does it enumerate candidate S in
-    degree-descending order with common-neighborhood pruning, which fixes
-    the witness.
+    witness, or raises `InvariantError`.  General s likewise returns None
+    at once unless `_has_biclique` finds one; only then does it enumerate
+    candidate S in degree-descending order with common-neighborhood
+    pruning, which fixes the witness.
     Exact; exponential only in s.  2s > n yields None, not an error; s < 2
     raises DomainError, the request rule of both extraction routes.
     """
@@ -113,7 +113,8 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
                 if prev is not None:
                     return frozenset([u, v]), frozenset([prev, w])
                 seen[(u, v)] = w
-        return None
+        # the 4-cycle a-b-c-d that is_c4_free found records (a, c) at b and at d
+        raise InvariantError("a graph with a 4-cycle must have a K_{2,2}")
 
     if not _has_biclique(g.masks, s):
         return None

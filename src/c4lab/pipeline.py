@@ -40,19 +40,19 @@ from .oracles import (DEFAULT_ORACLE_LIMIT, best_c4free_induced, contains_bicliq
 from .reductions import (DEFAULT_RETRIES, sparsify_short_cycles, split_from_prefix,
                          split_prefix)
 
-MODES = ("trivial_already_c4free", "case1_near_regular", "case2_lopsided",
-         "biclique_found", "oracle_fallback", "failure")
-
-CERT_VERSION = "1"
-
-# the flags each subgraph mode promises; verify_certificate rejects a
-# certificate of that mode whose honest flags break the promise
+# every certificate mode and the flags it promises; verify_certificate
+# rejects a certificate whose honest flags break its mode's promise
 _MODE_CLAIMS = {
     "trivial_already_c4free": ("induced_c4free", "avg_degree_ok"),
     "case1_near_regular": ("induced_c4free", "avg_degree_ok"),
     "case2_lopsided": ("induced_c4free", "avg_degree_ok"),
+    "biclique_found": (),
     "oracle_fallback": ("induced_c4free",),
+    "failure": (),
 }
+MODES = tuple(_MODE_CLAIMS)
+
+CERT_VERSION = "1"
 
 
 # the paper's exponents, fixed and recorded in every certificate's params:
@@ -209,7 +209,7 @@ def graph_digest(g: Graph) -> str:
 
 def _keeps_promise(cert: ExtractionCertificate) -> bool:
     """Whether the certificate's flags hold every claim of its mode."""
-    return all(cert.verified[claim] for claim in _MODE_CLAIMS.get(cert.mode, ()))
+    return all(cert.verified[claim] for claim in _MODE_CLAIMS[cert.mode])
 
 
 # the flags of a certificate that claims nothing; each one gets a copy
@@ -324,15 +324,16 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
     family = Hypergraph(len(b_list), edges)
 
     # a single neighborhood is an induced star: C4-free, average degree
-    # 2r/(r+1) >= 1, enough for k = 1; an attempt that ends without a
-    # certificate returns it
+    # 2r/(r+1) >= 4/3 >= 1, enough for k = 1; an attempt that ends without
+    # a certificate returns it
     star = None
     if k == 1:
         a0 = a_list[0]
         star = _certificate(under, digest, pdict, seed, "case2_lopsided", "model:star",
                             witness=[a0, *under.neighbors(a0)])
         if not _keeps_promise(star):
-            star = None
+            raise InvariantError("a neighbourhood and its centre must induce a star "
+                                 "of average degree >= 1")
     # an attempt reads its kernel only through the trace, so when every
     # kernel's trace would be empty one attempt without a kernel ends where
     # each would: at the star, or on to the next, leaving no best

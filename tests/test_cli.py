@@ -180,6 +180,42 @@ def test_gen_lopsided_refuses_s_below_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["--kind", "plane", "--q", "2", "--n", "5"], "plane takes no --n"),
+    (["--kind", "gnp", "--n", "5", "--p", "0.5", "--s", "4", "--q", "9"],
+     "gnp takes no --q, --s"),
+    (["--kind", "gnp", "--n", "5", "--p", "0.5", "--sidecar", "side.json"],
+     "gnp takes no --sidecar"),
+])
+def test_gen_refuses_a_flag_its_kind_does_not_read(tmp_path, capsys, monkeypatch,
+                                                  argv, unread):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "gen", *argv, "--seed", "1", "--out", "g.g6")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["seed: 1", f"error: {unread}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["--kind", "gnp", "--n", "5"], "gnp needs --n, --p"),
+    (["--kind", "plane"], "plane needs --q"),
+    (["--kind", "lopsided", "--a", "2", "--r", "2"], "lopsided needs --a, --b, --r"),
+])
+def test_gen_names_every_flag_its_kind_needs(capsys, argv, needs):
+    code, out, err = run_cli(capsys, "gen", *argv, "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"error: {needs}"
+
+
+def test_gen_lopsided_takes_s_2_when_unset(tmp_path, capsys):
+    paths = [tmp_path / "default.g6", tmp_path / "two.g6"]
+    for path, extra in zip(paths, ([], ["--s", "2"])):
+        code, _, _ = run_cli(capsys, "gen", "--kind", "lopsided", "--a", "20", "--b", "60",
+                             "--r", "4", *extra, "--seed", "3", "--out", str(path))
+        assert code == 0
+    assert paths[0].read_text() == paths[1].read_text()
+
+
 def test_gen_formats_read_back_to_one_digest(tmp_path, capsys):
     digests = set()
     for fmt in ("graph6", "sparse6", "edgelist"):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from c4lab.errors import DomainError, OracleLimitError
+from c4lab import oracles
+from c4lab.errors import DomainError, InvariantError, OracleLimitError
 from c4lab.graphio import read_graph6
 from c4lab.graphs import (
     Graph,
@@ -165,6 +166,15 @@ def test_contains_biclique_examples():
     assert contains_biclique(heawood_graph(), 2) is None
     assert contains_biclique(k33, 3) is not None
     assert contains_biclique(k33, 4) is None  # 2s > n
+
+
+def test_contains_biclique_s2_scan_that_finds_nothing_raises(monkeypatch):
+    # the pair scan runs only after is_c4_free has found a 4-cycle, which it
+    # always closes; with that check forced to say "not C4-free" on C5, a
+    # scan that comes back empty is a broken invariant, not "no K_{2,2}"
+    monkeypatch.setattr(oracles, "is_c4_free", lambda nbr, alive: False)
+    with pytest.raises(InvariantError, match="4-cycle"):
+        contains_biclique(cycle_graph(5), 2)
 
 
 def test_contains_biclique_refuses_s_below_2():

@@ -11,9 +11,11 @@ from c4lab.errors import (
     DomainError,
     ExtractionFailure,
     InvariantError,
+    KernelFailure,
     StaleCertificateError,
 )
 from c4lab.graphio import read_graph6
+from c4lab.hypergraphs import Hypergraph, PartiteKernel
 from c4lab.graphs import (
     BipartiteGraph,
     Graph,
@@ -98,6 +100,73 @@ def test_model_trace_biclique_route(monkeypatch):
     assert cert.stats.get("stage") == "model:trace-biclique"
     assert cert.biclique[1] == (a, a + 1)
     assert verify_certificate(g, cert)
+
+
+# four A-vertices 0..3 on B-vertices 4..9 (B-indices 0..5); the least
+# neighbourhood {0, 1, 2} shares its colour-{0, 1} slice {0, 1} with
+# {0, 1, 3}, and the greatest, {3, 4, 5}, shares its slice {4, 5} with {2, 4, 5}
+STUB_HOODS = ((0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5))
+STUB_COLORING = (0, 1, 2, 2, 0, 1)
+
+
+def stub_kernel_graph() -> BipartiteGraph:
+    g = Graph(10, [(a, 4 + b) for a, hood in enumerate(STUB_HOODS) for b in hood])
+    return BipartiteGraph(g, range(4), range(4, 10))
+
+
+def stub_kernel(monkeypatch, kernel) -> list:
+    # model_lopsided runs the stubbed kernel, or raises its exception, on
+    # every attempt; one entry per call
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        if isinstance(kernel, Exception):
+            raise kernel
+        return kernel
+
+    monkeypatch.setattr(pipeline, "kernel_can_trace", lambda *args: True)
+    monkeypatch.setattr(pipeline, "furedi_kernel", stub)
+    return calls
+
+
+def test_model_trace_biclique_slices_the_least_surviving_edge(monkeypatch):
+    # the family's edges are the neighbourhoods in sorted order, so every
+    # edge survives; the trace edge {0, 1} is of size s = 2, and only the
+    # least edge's slice gives the biclique ({0, 1}, {4, 5})
+    kernel = PartiteKernel(surviving_edges=(0, 1, 2, 3), coloring=STUB_COLORING,
+                           trace=Hypergraph(3, [frozenset({0, 1})]), multiplicity=2,
+                           s_bound=2)
+    calls = stub_kernel(monkeypatch, kernel)
+    bg = stub_kernel_graph()
+    cert = model_lopsided(bg, s=2, k=2, seed=5, params=PipelineParams(retries=4))
+    assert len(calls) == 1
+    assert cert.stats["stage"] == "model:trace-biclique"
+    assert cert.biclique == ((0, 1), (4, 5))
+    assert verify_certificate(bg.underlying, cert)
+
+
+@pytest.mark.parametrize("k, retries, calls_made, stage", [
+    (2, 5, 5, "model:budget-exhausted"), (2, 0, 0, "model:budget-exhausted"),
+    (1, 5, 1, "model:star")])
+def test_model_kernel_failure_spends_the_budget(monkeypatch, k, retries, calls_made,
+                                                stage):
+    # a kernel that fails on every seed leaves each attempt without a trace:
+    # the star ends the first one at k = 1, else every retry runs a kernel
+    calls = stub_kernel(monkeypatch, KernelFailure("stub"))
+    bg = stub_kernel_graph()
+    cert = model_lopsided(bg, s=2, k=k, seed=5, params=PipelineParams(retries=retries))
+    assert len(calls) == calls_made == len(set(calls))
+    assert cert.stats["stage"] == stage
+    assert verify_certificate(bg.underlying, cert)
+
+
+def test_model_star_that_breaks_its_promise_raises(monkeypatch):
+    # {a0} with its neighbourhood induces a star, C4-free with average
+    # degree 2r/(r+1) >= 1; flags that deny it are a broken invariant
+    monkeypatch.setattr(pipeline, "_keeps_promise", lambda cert: False)
+    with pytest.raises(InvariantError, match="star"):
+        model_lopsided(star_side_graph(1, 3), s=2, k=1, seed=1)
 
 
 def test_model_nonuniform_degrees_rejected():
