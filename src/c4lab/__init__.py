@@ -10,16 +10,13 @@ clique-subdivision finders.
 
 from .errors import (
     C4LabError,
-    CertificateFormatError,
     DomainError,
     ExtractionFailure,
     GenerationFailure,
     InvariantError,
     KernelFailure,
     OracleLimitError,
-    ParameterError,
     StaleCertificateError,
-    UnsupportedParameterError,
 )
 from .graphs import (
     BipartiteGraph,

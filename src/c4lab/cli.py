@@ -57,12 +57,12 @@ def _env_int(name: str, default: int) -> int:
 
 
 # every PipelineParams field is a budget: flag --name-with-dashes, default
-# from DEGB_NAME, least value 0
+# from DEGB_NAME
 _BUDGETS = tuple(f.name for f in fields(PipelineParams))
 
 # the DEGB_* variable and built-in default behind each budget flag's dest,
 # and oracle --limit's own row; they are read on every call, so a changed
-# variable takes effect at once
+# variable takes effect at once, and each flag's least value is 0
 _ENV_DEFAULTS = (*((f.name, f.name.upper(), f.default) for f in fields(PipelineParams)),
                  ("limit", "ORACLE_LIMIT", DEFAULT_ORACLE_LIMIT))
 
@@ -121,6 +121,14 @@ _KINDS = {
                                                  2 if args.s is None else args.s, seed)),
 }
 _KIND_FLAGS = {flag for needs, reads, _ in _KINDS.values() for flag in needs + reads}
+
+
+def _refuse_unread(args, flags, owner: str) -> None:
+    """Refuse each of `flags` that was given (is not None): `owner` would
+    leave it unread."""
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise C4LabError(f"{owner} takes no {', '.join(given)}")
 
 
 def _params_from(args) -> PipelineParams:
@@ -199,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--trials", type=int, help="default 100")
     lb.add_argument("--seed", type=int)
     lb.add_argument("--check-only", action="store_true", dest="check_only")
-    lb.add_argument("--csv", action="store_true")
+    lb.add_argument("--csv", action="store_true", default=None)
 
     sd = sub.add_parser("subdivide", help="induced clique-subdivision search")
     sd.set_defaults(handler=_cmd_subdivide)
@@ -227,10 +235,8 @@ def _cmd_gen(args) -> int:
     if any(getattr(args, flag) is None for flag in needs):
         raise C4LabError(f"{args.kind} needs {', '.join('--' + flag for flag in needs)}")
     # vars keeps the parser's order
-    unread = [f"--{flag}" for flag, value in vars(args).items()
-              if flag in _KIND_FLAGS and flag not in needs + reads and value is not None]
-    if unread:
-        raise C4LabError(f"{args.kind} takes no {', '.join(unread)}")
+    _refuse_unread(args, [flag for flag in vars(args)
+                          if flag in _KIND_FLAGS and flag not in needs + reads], args.kind)
     built = build(args, seed)
     graph = built.underlying if isinstance(built, BipartiteGraph) else built
     _write_text(args.out, _WRITERS[args.gen_format](graph))
@@ -299,13 +305,8 @@ def _cmd_ftable(args) -> int:
 
 def _cmd_lowerbound(args) -> int:
     if args.check_only:
-        # --check-only runs no trials, so a trial flag would go unread
-        given = [flag for flag, passed in (("--csv", args.csv),
-                                           ("--trials", args.trials is not None),
-                                           ("--seed", args.seed is not None))
-                 if passed]
-        if given:
-            raise C4LabError(f"--check-only takes no {', '.join(given)}")
+        # --check-only runs no trials
+        _refuse_unread(args, ("csv", "trials", "seed"), "--check-only")
         rep = check_lb_conditions(args.n, args.p, args.s, args.k)
         print(json.dumps(asdict(rep), sort_keys=True))
         return 0
@@ -361,10 +362,10 @@ def main(argv=None) -> int:
         for dest, value in defaults.items():
             if getattr(args, dest, value) is None:
                 setattr(args, dest, value)
-        for name in _BUDGETS:
-            value = getattr(args, name, 0)
+        for dest, name, _ in _ENV_DEFAULTS:
+            value = getattr(args, dest, 0)
             if value < 0:
-                raise C4LabError(f"--{name.replace('_', '-')} (DEGB_{name.upper()}) "
+                raise C4LabError(f"--{dest.replace('_', '-')} (DEGB_{name}) "
                                  f"must be at least 0, got {value}")
         return args.handler(args)
     except SystemExit as exc:

@@ -6,15 +6,12 @@ class C4LabError(Exception):
 
 
 class DomainError(C4LabError, ValueError):
-    """Input violates a documented precondition (bad vertex id, empty graph, ...)."""
-
-
-class UnsupportedParameterError(C4LabError, ValueError):
-    """Parameter outside the supported desk-scale range (non-prime q, scale caps)."""
-
-
-class ParameterError(C4LabError, ValueError):
-    """Parameter is structurally too demanding for the given input (e.g. r too large)."""
+    """A refused input: it violates a documented precondition (bad vertex
+    id, s or k below its least value), lies outside the supported desk-scale
+    range (non-prime q, the exhaustive search caps), asks more than the graph
+    offers (no independent r-subset to regularize on), or is a malformed
+    record (a certificate, witness or sidecar that is not JSON, lacks a
+    field or has one of the wrong type)."""
 
 
 class OracleLimitError(C4LabError):
@@ -52,7 +49,3 @@ class InvariantError(C4LabError):
 
 class StaleCertificateError(C4LabError):
     """Certificate digest does not match the graph it is being verified against."""
-
-
-class CertificateFormatError(C4LabError, ValueError):
-    """Certificate JSON lacks a field, or a field has the wrong type."""

@@ -22,7 +22,7 @@ import binascii
 import json
 from typing import Iterable
 
-from .errors import CertificateFormatError, DomainError
+from .errors import DomainError
 from .graphs import BipartiteGraph, Graph, edge_digest
 
 _G6_HEADER = ">>graph6<<"
@@ -267,15 +267,16 @@ def read_edgelist(text: str) -> Graph:
 
 # -- strict JSON records -------------------------------------------------------
 
-def load_json(text: str, name: str, error: type = CertificateFormatError):
-    """Decode a JSON record; a repeated key or nesting deeper than the
-    decoder can follow raises `error`, naming the record."""
+def load_json(text: str, name: str):
+    """Decode a JSON record; text that is not JSON, a repeated key or
+    nesting deeper than the decoder can follow raises DomainError, naming
+    the record."""
     def unique_keys(pairs: list) -> dict:
         # the decoder's own dict would keep the last copy of a repeated key
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise error(f"{name} repeats the key {key!r}")
+                raise DomainError(f"{name} repeats the key {key!r}")
             obj[key] = value
         return obj
 
@@ -284,13 +285,18 @@ def load_json(text: str, name: str, error: type = CertificateFormatError):
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
-        raise error(f"{name} nests too deeply") from None
+        raise DomainError(f"{name} nests too deeply") from None
+    except DomainError:
+        raise
+    except ValueError:
+        # a JSONDecodeError, or an integer past the interpreter's digit limit
+        raise DomainError(f"{name} is not JSON") from None
 
 
 def vertex_list(value, name: str) -> tuple[int, ...]:
     # JSON decodes a number without a fraction or exponent to exactly int
     if not isinstance(value, list) or not all(type(v) is int for v in value):
-        raise CertificateFormatError(f"{name} must be a list of vertex ids")
+        raise DomainError(f"{name} must be a list of vertex ids")
     return tuple(value)
 
 
@@ -302,12 +308,7 @@ def bipartite_sidecar(bg: BipartiteGraph) -> str:
 
 def apply_sidecar(g: Graph, sidecar_text: str) -> BipartiteGraph:
     """g with the sides a sidecar names; a malformed sidecar raises DomainError."""
-    try:
-        obj = load_json(sidecar_text, "sidecar", DomainError)
-    except DomainError:
-        raise
-    except ValueError:
-        raise DomainError("sidecar is not JSON") from None
+    obj = load_json(sidecar_text, "sidecar")
     sides = [obj.get(key) if isinstance(obj, dict) else None for key in ("side_a", "side_b")]
     if not all(isinstance(side, list) and all(type(v) is int for v in side) for side in sides):
         raise DomainError("sidecar must hold side_a and side_b as lists of vertex ids")

@@ -20,7 +20,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, GenerationFailure, UnsupportedParameterError
+from .errors import DomainError, GenerationFailure
 
 _MASK64 = (1 << 64) - 1
 
@@ -407,7 +407,7 @@ def projective_plane_incidence(q: int) -> BipartiteGraph:
     incidence is a zero dot product mod q.
     """
     if not _is_prime(q):
-        raise UnsupportedParameterError(f"q={q} is not prime (prime powers unsupported)")
+        raise DomainError(f"q={q} is not prime (prime powers unsupported)")
     points: list[tuple[int, int, int]] = []
     for y in range(q):
         for z in range(q):

@@ -19,13 +19,7 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import (
-    DomainError,
-    InvariantError,
-    KernelFailure,
-    OracleLimitError,
-    UnsupportedParameterError,
-)
+from .errors import DomainError, InvariantError, KernelFailure, OracleLimitError
 from .graphs import bits, mask_of, mix_seed, rand_below
 from .oracles import independence_number
 
@@ -481,15 +475,14 @@ def f_search(ell: int, k: int, n_max: int) -> FSearchResult:
     itself scanned exhaustively, else None.
     """
     if not 1 <= ell <= 3:
-        raise UnsupportedParameterError("ell must be in 1..3")
+        raise DomainError("ell must be in 1..3")
     if not 1 <= k <= 5:
-        raise UnsupportedParameterError("k must be in 1..5")
+        raise DomainError("k must be in 1..5")
     cap = _F_SEARCH_N_CAP[ell]
     if not 1 <= n_max <= 8:
-        raise UnsupportedParameterError("n_max must be in 1..8")
+        raise DomainError("n_max must be in 1..8")
     if n_max > cap:
-        raise UnsupportedParameterError(
-            f"n_max={n_max} exceeds the exhaustive cap {cap} for ell={ell}")
+        raise DomainError(f"n_max={n_max} exceeds the exhaustive cap {cap} for ell={ell}")
 
     worst_n = 0
     worst_example: tuple[int, tuple[frozenset[int], ...]] | None = None

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    CertificateFormatError,
     DomainError,
     ExtractionFailure,
     InvariantError,
@@ -136,42 +135,40 @@ class ExtractionCertificate:
     @staticmethod
     def from_json(text: str) -> "ExtractionCertificate":
         """Parse a certificate, checking the type of every field that
-        `verify_certificate` reads; a malformed one raises
-        CertificateFormatError."""
+        `verify_certificate` reads; a malformed one raises DomainError."""
         obj = load_json(text, "certificate")
         if not isinstance(obj, dict):
-            raise CertificateFormatError("certificate must be a JSON object")
+            raise DomainError("certificate must be a JSON object")
         for key, kind in _CERT_FIELDS:
             if key not in obj:
-                raise CertificateFormatError(f"certificate lacks the key {key!r}")
+                raise DomainError(f"certificate lacks the key {key!r}")
             if not _is_a(obj[key], kind):
-                raise CertificateFormatError(
-                    f"certificate key {key!r} must be {_JSON_TYPE[kind]}")
+                raise DomainError(f"certificate key {key!r} must be {_JSON_TYPE[kind]}")
         # the params verify_certificate reads
         for key, kind in (("s", int), ("k", int), ("delta", float)):
             if key not in obj["params"]:
-                raise CertificateFormatError(f"certificate params lack the key {key!r}")
+                raise DomainError(f"certificate params lack the key {key!r}")
             if not _is_a(obj["params"][key], kind):
-                raise CertificateFormatError(f"params {key!r} must be {_JSON_TYPE[kind]}")
+                raise DomainError(f"params {key!r} must be {_JSON_TYPE[kind]}")
             if kind is int and obj["params"][key] < 1:
-                raise CertificateFormatError(f"params {key!r} must be at least 1")
+                raise DomainError(f"params {key!r} must be at least 1")
         # compared, not converted: float() of a huge integer overflows, and a
         # NaN fails every comparison
         if not 0 <= obj["params"]["delta"] <= 1:
-            raise CertificateFormatError("params 'delta' must be a finite number in [0, 1]")
+            raise DomainError("params 'delta' must be a finite number in [0, 1]")
         version = obj.get("version", CERT_VERSION)
         if not _is_a(version, str):
-            raise CertificateFormatError("certificate key 'version' must be a string")
+            raise DomainError("certificate key 'version' must be a string")
         if version != CERT_VERSION:
-            raise CertificateFormatError(f"certificate version {version!r} is not "
-                                         f"supported (only {CERT_VERSION!r})")
+            raise DomainError(f"certificate version {version!r} is not "
+                              f"supported (only {CERT_VERSION!r})")
         # exact types, so that 1 does not pass for true nor 14.0 for 14
         for key, value in obj["verified"].items():
             if type(value) is not bool:
-                raise CertificateFormatError(f"verified {key!r} must be a boolean")
+                raise DomainError(f"verified {key!r} must be a boolean")
         for key, kind in _STATS_TYPES:
             if key in obj["stats"] and type(obj["stats"][key]) is not kind:
-                raise CertificateFormatError(f"stats {key!r} must be {_JSON_TYPE[kind]}")
+                raise DomainError(f"stats {key!r} must be {_JSON_TYPE[kind]}")
         wit = obj.get("witness")
         biclique = None
         witness = None

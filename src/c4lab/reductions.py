@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ExtractionFailure, InvariantError, ParameterError
+from .errors import DomainError, ExtractionFailure, InvariantError
 from .graphs import (
     Graph,
     bits,
@@ -408,7 +408,7 @@ def bipartite_regularize(g: Graph, a0, b, r: int, seed: int,
     vertices with no sampled out-neighbor, which makes B' independent.
     Each a in A greedily fixes an independent r-subset I of its
     neighborhood (min-degree-first; a neighborhood with no such subset is a
-    ParameterError) and joins A' when its sampled neighborhood is exactly I.
+    DomainError) and joins A' when its sampled neighborhood is exactly I.
     Retries until A' is nonempty and |A'| >= |B'|.
 
     The biclique-freeness of g is the caller's responsibility; it only
@@ -464,7 +464,7 @@ def bipartite_regularize(g: Graph, a0, b, r: int, seed: int,
             if len(chosen) == r:
                 break
         if len(chosen) < r:
-            raise ParameterError(
+            raise DomainError(
                 f"A-vertex {a} has no independent {r}-subset in its neighborhood")
         fixed_i[a] = frozenset(chosen)
 

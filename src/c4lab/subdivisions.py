@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CertificateFormatError, DomainError, InvariantError
+from .errors import DomainError, InvariantError
 from .graphio import load_json, vertex_list
 from .graphs import (
     Graph,
@@ -29,6 +29,8 @@ from .graphs import (
 from .pipeline import PipelineParams, extract_induced_c4free
 
 DEFAULT_EXHAUSTIVE_LIMIT = 12
+# the connector sampler's attempts in one induced_subdivision call
+SAMPLE_RETRIES = 400
 
 
 @dataclass
@@ -49,25 +51,25 @@ class SubdivisionWitness:
     @staticmethod
     def from_json(text: str) -> "SubdivisionWitness":
         """Parse a witness, checking the type of every field; a malformed one
-        raises CertificateFormatError."""
+        raises DomainError."""
         obj = load_json(text, "subdivision witness")
         if not isinstance(obj, dict):
-            raise CertificateFormatError("subdivision witness must be a JSON object")
+            raise DomainError("subdivision witness must be a JSON object")
         for key in ("branch", "paths", "induced"):
             if key not in obj:
-                raise CertificateFormatError(f"subdivision witness lacks the key {key!r}")
+                raise DomainError(f"subdivision witness lacks the key {key!r}")
         branch = vertex_list(obj["branch"], "branch")
         if not isinstance(obj["paths"], dict):
-            raise CertificateFormatError("paths must be an object of 'u-v' keys")
+            raise DomainError("paths must be an object of 'u-v' keys")
         paths = {}
         for key, path in obj["paths"].items():
             # no leading zero: one spelling per pair, so two keys cannot name one
             ends = re.fullmatch(r"(0|[1-9]\d*)-(0|[1-9]\d*)", key, re.ASCII)
             if ends is None:
-                raise CertificateFormatError(f"path key {key!r} must be 'u-v'")
+                raise DomainError(f"path key {key!r} must be 'u-v'")
             paths[(int(ends[1]), int(ends[2]))] = vertex_list(path, f"path {key!r}")
         if not isinstance(obj["induced"], bool):
-            raise CertificateFormatError("induced must be true or false")
+            raise DomainError("induced must be true or false")
         return SubdivisionWitness(branch, paths, obj["induced"])
 
 
@@ -256,8 +258,7 @@ def _build_aux_graph(w_set: list[int], u_map: dict[int, tuple[int, int]]
 
 
 def induced_subdivision(g: Graph, s: int, k: int, seed: int,
-                        params: PipelineParams | None = None,
-                        retries: int = 400) -> SubdivisionWitness | None:
+                        params: PipelineParams | None = None) -> SubdivisionWitness | None:
     """An induced K_k subdivision, or None when every route fails.
 
     Route: extract an induced C4-free subgraph of average degree >= k; peel
@@ -279,10 +280,11 @@ def induced_subdivision(g: Graph, s: int, k: int, seed: int,
         params = PipelineParams()
     cert = extract_induced_c4free(g, s, k, params, seed=mix_seed(seed, 1))
     sample = None
-    if cert.mode not in ("failure", "biclique_found") and cert.witness:
+    # only the failure and biclique_found modes leave the witness None
+    if cert.witness:
         sample = _sampler(g.masks, half_degree_core(g.masks, mask_of(cert.witness)))
     if sample is not None:
-        for attempt in range(retries):
+        for attempt in range(SAMPLE_RETRIES):
             found = sample(random.Random(mix_seed(seed, 100 + attempt)))
             if found is None:
                 continue

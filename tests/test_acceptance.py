@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+from c4lab import subdivisions
 from c4lab.errors import ExtractionFailure, KernelFailure
 from c4lab.graphs import (
     Graph,
@@ -225,7 +226,7 @@ def test_acceptance_7_lower_bound_calibration():
     _announce(7, "lower-bound-calibration")
 
 
-def test_acceptance_8_subdivision_soundness():
+def test_acceptance_8_subdivision_soundness(monkeypatch):
     corpus = [
         Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),  # K4
         petersen_graph(),
@@ -243,10 +244,11 @@ def test_acceptance_8_subdivision_soundness():
             assert verify_subdivision(g, w)
         runs += 1
     fast = PipelineParams(retries=10, attempts=2)
+    monkeypatch.setattr(subdivisions, "SAMPLE_RETRIES", 40)
     for trial in range(80):
         g = corpus[trial % len(corpus)] if trial % 2 == 0 else \
             gen_gnp(6 + rng.randrange(8), 0.4, rng.randrange(2 ** 32))
-        w = induced_subdivision(g, 2, 3, seed=trial, params=fast, retries=40)
+        w = induced_subdivision(g, 2, 3, seed=trial, params=fast)
         if w is not None:
             assert w.induced_flag
             assert verify_subdivision(g, w)
@@ -254,10 +256,10 @@ def test_acceptance_8_subdivision_soundness():
     assert runs == 200
     # the bipartite route must land an induced witness within 50 seeds
     heawood = heawood_graph()
+    monkeypatch.setattr(subdivisions, "SAMPLE_RETRIES", 200)
     hit = None
     for seed in range(50):
-        w = induced_subdivision(heawood, 2, 3, seed=seed, params=fast,
-                                retries=200)
+        w = induced_subdivision(heawood, 2, 3, seed=seed, params=fast)
         if w is not None:
             hit = w
             break

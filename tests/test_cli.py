@@ -186,6 +186,8 @@ def test_gen_lopsided_refuses_s_below_2(tmp_path, capsys):
      "gnp takes no --q, --s"),
     (["--kind", "gnp", "--n", "5", "--p", "0.5", "--sidecar", "side.json"],
      "gnp takes no --sidecar"),
+    # a flag counts as given when it is not None, so 0 is given
+    (["--kind", "plane", "--q", "2", "--n", "0"], "plane takes no --n"),
 ])
 def test_gen_refuses_a_flag_its_kind_does_not_read(tmp_path, capsys, monkeypatch,
                                                   argv, unread):
@@ -236,6 +238,19 @@ def test_lowerbound_check_only(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["satisfied"] is False and obj["q_biclique"] == 25.0
+
+
+def test_lowerbound_check_only_states_the_claim_when_satisfied(capsys):
+    # n^2 p^5 = 0.306, n (1 - p^4)^{(k^2 - 3k - 2)/4} = 0.475 and
+    # exp(-C(n, 2) p / 4) are all at most 1/2
+    code, out, _ = run_cli(capsys, "lowerbound", "--n", "50", "--p", "0.165",
+                           "--s", "5", "--k", "160", "--check-only")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["satisfied"] is True and obj["min_avg_degree"] == 49 * 0.165 / 2
+    assert obj["claim"] == ("an 50-vertex K_{5,5}-free graph with average degree >= 4.043 "
+                            "exists in which every C4-free induced subgraph has average "
+                            "degree < 160")
 
 
 @pytest.mark.parametrize("k", ["2", "3"])
@@ -359,6 +374,17 @@ def test_out_of_range_budget_flags_exit_1(tmp_path, capsys, flag, value):
         _assert_one_line_error(code, out, err)
         assert flag in err
     assert not cert_path.exists()
+
+
+@pytest.mark.parametrize("tail, env", [(["--limit", "-1"], None), ([], "-1")],
+                         ids=["flag", "variable"])
+def test_oracle_limit_has_the_budgets_least_value(capsys, monkeypatch, tail, env):
+    # DEGB_ORACLE_LIMIT also feeds --oracle-limit, which must be at least 0
+    if env is not None:
+        monkeypatch.setenv("DEGB_ORACLE_LIMIT", env)
+    code, out, err = run_cli(capsys, "oracle", "--input", str(GOLDEN / "heawood.g6"), *tail)
+    _assert_one_line_error(code, out, err)
+    assert err == "error: --limit (DEGB_ORACLE_LIMIT) must be at least 0, got -1\n"
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):
@@ -596,19 +622,23 @@ def test_verify_subdivision_with_path_ids_out_of_range_exits_2(tmp_path, capsys)
         assert (code, out, err) == (2, "REJECTED\n", "")
 
 
+@pytest.mark.parametrize("text, problem", [("not json\n", "is not JSON"),
+                                           ("[" * 100000, "nests too deeply")],
+                         ids=["not-json", "deep"])
 @pytest.mark.parametrize("flags, name", [([], "certificate"),
                                          (["--subdivision"], "subdivision witness")],
                          ids=["certificate", "subdivision"])
-def test_verify_deeply_nested_json_exits_1(tmp_path, capsys, flags, name):
+def test_verify_text_the_json_decoder_refuses_exits_1(tmp_path, capsys, flags, name,
+                                                      text, problem):
     # the JSON decoder recurses per nesting level; past the interpreter's
     # limit that must still be a malformed file, not a RecursionError
     g6 = tmp_path / "g.g6"
     g6.write_text(write_graph6(heawood_graph()) + "\n")
-    cert = tmp_path / "deep.json"
-    cert.write_text("[" * 100000)
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
     code, out, err = run_cli(capsys, "verify", "--input", str(g6), "--cert", str(cert),
                              *flags)
-    assert (code, out, err) == (1, "", f"error: {name} nests too deeply\n")
+    assert (code, out, err) == (1, "", f"error: {name} {problem}\n")
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -253,8 +253,10 @@ def test_bipartite_sidecar_roundtrip():
     # the certificate's decoder: a repeated side must not pass as its last copy
     ('{"side_a": [2, 3], "side_a": [0, 1], "side_b": [2, 3]}',
      "sidecar repeats the key 'side_a'"),
+    # the decoder refuses an integer past the interpreter's digit limit
+    ('{"side_a": [' + "1" * 5000 + '], "side_b": []}', "sidecar is not JSON"),
 ], ids=["list", "int-side", "missing-side", "string-id", "not-json", "not-a-partition",
-        "repeated-key"])
+        "repeated-key", "long-integer"])
 def test_apply_sidecar_refuses_a_malformed_sidecar(text, message):
     g = complete_bipartite(3, 4).underlying
     with pytest.raises(DomainError, match=message):

@@ -5,7 +5,7 @@ from math import ceil
 import pytest
 
 from c4lab import graphs
-from c4lab.errors import DomainError, GenerationFailure, UnsupportedParameterError
+from c4lab.errors import DomainError, GenerationFailure
 from c4lab.graphs import (
     Graph,
     bipartition,
@@ -301,7 +301,7 @@ def test_projective_plane_examples():
         assert bg.underlying.edge_count == (q + 1) * n1
         assert all(bg.underlying.degree(v) == q + 1 for v in range(bg.n))
         assert girth(bg.underlying) == 6
-    with pytest.raises(UnsupportedParameterError):
+    with pytest.raises(DomainError, match=r"^q=4 is not prime \(prime powers unsupported\)$"):
         projective_plane_incidence(4)
 
 

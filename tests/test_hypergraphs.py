@@ -10,7 +10,6 @@ from c4lab.errors import (
     InvariantError,
     KernelFailure,
     OracleLimitError,
-    UnsupportedParameterError,
 )
 from c4lab.graphs import mask_of
 from c4lab.hypergraphs import (
@@ -429,13 +428,13 @@ def test_f_search_open_upper():
 
 
 def test_f_search_scale_guards():
-    with pytest.raises(UnsupportedParameterError):
+    with pytest.raises(DomainError, match=r"^ell must be in 1\.\.3$"):
         f_search(4, 2, 4)
-    with pytest.raises(UnsupportedParameterError):
+    with pytest.raises(DomainError, match=r"^k must be in 1\.\.5$"):
         f_search(2, 6, 4)
-    with pytest.raises(UnsupportedParameterError):
+    with pytest.raises(DomainError, match="^n_max=7 exceeds the exhaustive cap 6 for ell=2$"):
         f_search(2, 2, 7)
-    with pytest.raises(UnsupportedParameterError):
+    with pytest.raises(DomainError, match="^n_max=6 exceeds the exhaustive cap 5 for ell=3$"):
         f_search(3, 2, 6)
 
 

@@ -114,13 +114,14 @@ def stub_kernel_graph() -> BipartiteGraph:
     return BipartiteGraph(g, range(4), range(4, 10))
 
 
-def stub_kernel(monkeypatch, kernel) -> list:
-    # model_lopsided runs the stubbed kernel, or raises its exception, on
-    # every attempt; one entry per call
+def stub_kernel(monkeypatch, *kernels) -> list:
+    # model_lopsided's attempts run the stubbed kernels in turn, cycling, and
+    # raise any that is an exception; one entry per call
     calls = []
 
     def stub(*args, **kwargs):
         calls.append(kwargs["seed"])
+        kernel = kernels[(len(calls) - 1) % len(kernels)]
         if isinstance(kernel, Exception):
             raise kernel
         return kernel
@@ -161,6 +162,27 @@ def test_model_kernel_failure_spends_the_budget(monkeypatch, k, retries, calls_m
     assert verify_certificate(bg.underlying, cert)
 
 
+def test_model_pair_route_keeps_the_densest_missed_promise(monkeypatch):
+    # singleton trace edges have no s = 2 edge, and their pair (X, Y) =
+    # ({}, {0, 1}) takes every A-vertex of the surviving edges and their
+    # colour-0/1 B-vertices, where 0 and 1 share {4, 5}: a 4-cycle, so each
+    # witness misses its promise.  Edges 0..2 give density 12/7 on 7
+    # vertices, all four edges 2 on 8, edges 0..1 the same 2 on 4; the
+    # record keeps the first strictly densest
+    trace = Hypergraph(3, [frozenset({0}), frozenset({1}), frozenset({2})])
+    kernels = [PartiteKernel(surviving_edges=edges, coloring=STUB_COLORING, trace=trace,
+                             multiplicity=2, s_bound=2)
+               for edges in ((0, 1, 2), (0, 1, 2, 3), (0, 1))]
+    calls = stub_kernel(monkeypatch, *kernels)
+    bg = stub_kernel_graph()
+    cert = model_lopsided(bg, s=2, k=2, seed=5, params=PipelineParams(retries=3))
+    assert len(calls) == 3
+    assert cert.mode == "failure"
+    assert cert.stats["stage"] == "model:budget-exhausted"
+    assert (cert.stats["best_avg_degree"], cert.stats["best_size"]) == ("2", 8)
+    assert verify_certificate(bg.underlying, cert)
+
+
 def test_model_star_that_breaks_its_promise_raises(monkeypatch):
     # {a0} with its neighbourhood induces a star, C4-free with average
     # degree 2r/(r+1) >= 1; flags that deny it are a broken invariant
@@ -174,6 +196,23 @@ def test_model_nonuniform_degrees_rejected():
     bg = BipartiteGraph(g, [0, 1], [2, 3])
     with pytest.raises(DomainError):
         model_lopsided(bg, s=2, k=1, seed=1)
+
+
+def test_model_left_degree_below_s_rejected():
+    # every neighbourhood has r = 1 < s = 2 members, so no s of them can
+    # share s B-vertices
+    with pytest.raises(DomainError, match="^left degree 1 must be at least s=2$"):
+        model_lopsided(star_side_graph(2, 1), s=2, k=1, seed=1)
+
+
+@pytest.mark.parametrize("a_side", [[], [0, 1, 2]], ids=["no-a", "no-b"])
+def test_model_empty_side_is_a_failure_record(a_side):
+    g = Graph(3)
+    bg = BipartiteGraph(g, a_side, sorted({0, 1, 2} - set(a_side)))
+    cert = model_lopsided(bg, s=2, k=1, seed=1)
+    assert cert.mode == "failure"
+    assert cert.stats["stage"] == "model:empty-side"
+    assert verify_certificate(g, cert)
 
 
 @pytest.mark.parametrize("s, k, message", [

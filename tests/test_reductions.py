@@ -9,7 +9,6 @@ from c4lab.errors import (
     DomainError,
     ExtractionFailure,
     InvariantError,
-    ParameterError,
 )
 from c4lab.graphs import (
     BipartiteGraph,
@@ -266,6 +265,57 @@ def test_extreme_split_deterministic():
     assert a == b
 
 
+def test_split_prefix_refuses_an_edgeless_rest():
+    # K_6 among 9 isolated vertices: d = 2, every clique vertex's degree 5
+    # clears d 2^{d^0.1} < 4.3, the cut spans no edge, and the isolated
+    # rest has no core
+    g = Graph(15, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    with pytest.raises(ExtractionFailure,
+                       match="^nothing remains outside the high-degree set$"):
+        split_prefix(g.masks, (1 << g.n) - 1, 0.1)
+
+
+def test_heaviest_dyadic_bucket_of_no_pairs_is_empty():
+    assert reductions._heaviest_dyadic_bucket((), 1.0) == 0
+
+
+def test_near_regular_attempt_is_0_when_the_reduction_runs_out(monkeypatch):
+    # on the Heawood graph the attempt of seed 1 reaches the reduction, which
+    # succeeds within the module's budget and gives up with none
+    g = heawood_graph()
+    prefix = split_prefix(g.masks, (1 << g.n) - 1, 0.1)
+    assert reductions._near_regular_attempt(prefix, random.Random(1), 1)
+    monkeypatch.setattr(reductions, "DEFAULT_RETRIES", 0)
+    assert reductions._near_regular_attempt(prefix, random.Random(1), 1) == 0
+
+
+def test_near_regular_attempt_is_0_when_the_rebucketed_side_is_empty(monkeypatch):
+    # K_30 among 187 isolated vertices: d = 870/217 < 4.01, and at delta =
+    # 0.9 no clique vertex clears d 2^{d^0.9} > 44, so the bucket is the
+    # clique.  In each of seed 2's first six attempts the quarter sample
+    # keeps every sampled vertex, and the rest of the clique, re-bucketed by
+    # its degree into them, has 4d or more neighbours within itself, so no
+    # vertex of it stays
+    g = Graph(217, [(u, v) for u in range(30) for v in range(u + 1, 30)])
+    prefix = split_prefix(g.masks, (1 << g.n) - 1, 0.9)
+    assert prefix.bucket == (1 << 30) - 1
+    buckets = []
+    real = reductions._heaviest_dyadic_bucket
+
+    def recording(degrees, d):
+        buckets.append(real(degrees, d))
+        return buckets[-1]
+
+    def unreachable(*args):
+        raise AssertionError("the reduction ran")
+
+    monkeypatch.setattr(reductions, "_heaviest_dyadic_bucket", recording)
+    monkeypatch.setattr(reductions, "almost_biregular_reduce", unreachable)
+    with pytest.raises(ExtractionFailure, match="^near-regular extraction failed in 6 attempts$"):
+        split_from_prefix(prefix, seed=2, retries=6)
+    assert len(buckets) == 6 and all(buckets)
+
+
 # -- bipartite_regularize --------------------------------------------------------
 
 def test_regularize_perfect_matching():
@@ -306,13 +356,14 @@ def test_regularize_exact_degree_r_on_lopsided():
         assert not any(w in b_out for w in g.neighbors(u))
 
 
-def test_regularize_r_too_large_is_parameter_error():
+def test_regularize_r_too_large_is_domain_error():
     # neighborhoods are cliques: no independent pair inside any of them
     # A-vertices 0..2 each adjacent to the triangle {3,4,5}
     edges = [(a, v) for a in range(3) for v in (3, 4, 5)]
     edges += [(3, 4), (4, 5), (3, 5)]
     g = Graph(6, edges)
-    with pytest.raises(ParameterError):
+    with pytest.raises(DomainError, match="^A-vertex 0 has no independent 2-subset "
+                                          "in its neighborhood$"):
         bipartite_regularize(g, range(3), [3, 4, 5], r=2, seed=1)
 
 

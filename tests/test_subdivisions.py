@@ -129,11 +129,12 @@ def test_witness_json_roundtrip():
     assert verify_subdivision(g, back)
 
 
-def test_induced_subdivision_heawood_k3():
+def test_induced_subdivision_heawood_k3(monkeypatch):
+    monkeypatch.setattr(subdivisions, "SAMPLE_RETRIES", 200)
     g = heawood_graph()
     found = None
     for seed in range(50):
-        w = induced_subdivision(g, 2, 3, seed=seed, params=FAST, retries=200)
+        w = induced_subdivision(g, 2, 3, seed=seed, params=FAST)
         if w is not None:
             found = w
             break
@@ -171,18 +172,20 @@ def test_induced_subdivision_samples_the_peeled_witness(monkeypatch):
         return draws.append
 
     monkeypatch.setattr(subdivisions, "_sampler", record)
-    assert induced_subdivision(g, 2, 3, seed=1, params=FAST, retries=3) is None
+    monkeypatch.setattr(subdivisions, "SAMPLE_RETRIES", 3)
+    assert induced_subdivision(g, 2, 3, seed=1, params=FAST) is None
     assert cores == [(1 << 26) - 1] and len(draws) == 3
 
 
-def test_induced_subdivision_fuzz_soundness():
+def test_induced_subdivision_fuzz_soundness(monkeypatch):
+    monkeypatch.setattr(subdivisions, "SAMPLE_RETRIES", 30)
     rng = random.Random(101)
     found = 0
     for trial in range(40):
         n = 4 + rng.randrange(10)
         g = gen_gnp(n, rng.choice([0.2, 0.4]), rng.randrange(2 ** 32))
         k = rng.choice([2, 3])
-        w = induced_subdivision(g, 2, k, seed=trial, params=FAST, retries=30)
+        w = induced_subdivision(g, 2, k, seed=trial, params=FAST)
         if w is not None:
             found += 1
             assert w.induced_flag
@@ -190,14 +193,15 @@ def test_induced_subdivision_fuzz_soundness():
     assert found > 0
 
 
-def test_subdivision_determinism():
+def test_subdivision_determinism(monkeypatch):
     g = petersen_graph()
     w1 = find_subdivision(g, 4, seed=3)
     w2 = find_subdivision(g, 4, seed=3)
     assert w1.to_json() == w2.to_json()
     h = heawood_graph()
-    a = induced_subdivision(h, 2, 3, seed=11, params=FAST, retries=100)
-    b = induced_subdivision(h, 2, 3, seed=11, params=FAST, retries=100)
+    monkeypatch.setattr(subdivisions, "SAMPLE_RETRIES", 100)
+    a = induced_subdivision(h, 2, 3, seed=11, params=FAST)
+    b = induced_subdivision(h, 2, 3, seed=11, params=FAST)
     assert (a is None) == (b is None)
     if a is not None:
         assert a.to_json() == b.to_json()
