@@ -68,6 +68,7 @@ from .oracles import (
     contains_biclique,
     find_c3,
     find_c4,
+    graph_c4_free,
     is_c4_free,
     max_independent_set,
 )

@@ -9,11 +9,14 @@ format carries it.
 A body's 6-bit groups are base64 digits under another alphabet, so both
 formats cross between body and bit stream in C, through one
 `bytes.translate` and `binascii`.  No bit goes through a Python list: a
-graph6 read takes each column as one integer slice of the stream (and
-hashes the input digest from the edges it fills in) and a write ORs each
-vertex's lower-neighbour mask in at its column's offset within a chunk,
-then joins the chunks pairwise; sparse6 reads one slice per (1 + k)-bit
-record and writes each record as one base-2 field.
+graph6 read takes each column as one integer slice of the stream (and, in
+the same walk over the edges it fills in, hashes the input digest and
+decides whether the graph is C4-free) and a write ORs each vertex's
+lower-neighbour mask in at its column's offset within a chunk, then joins
+the chunks pairwise; sparse6 reads one slice per (1 + k)-bit record and
+writes each record as one base-2 field.  The reader's C4 test and
+`oracles.is_c4_free` are two spellings of one predicate and must agree on
+every graph.
 """
 
 from __future__ import annotations
@@ -124,9 +127,17 @@ def write_graph6(g: Graph) -> str:
 
 def read_graph6(text: str) -> Graph:
     """The graph of one graph6 line (an optional ">>graph6<<" header is
-    dropped), with its `edge_digest` already set: the loop that fills the
-    masks visits each edge (i, j), i < j, once, column j by column j, so it
-    also appends j's id to row i, and the rows come out ascending."""
+    dropped), with its `edge_digest` and its C4-freeness already set.
+
+    The loop that fills the masks visits each edge (i, j), i < j, once,
+    column j by column j, so it also appends j's id to row i, and the rows
+    come out ascending.  When column j's lower neighbours i are met, each
+    nbr[i] holds exactly i's neighbours below j, so two of them meeting at
+    some x is the 4-cycle j-i-x-i' whose top vertex is j: `closes_c4` asked
+    of j against the vertices below it.  Every 4-cycle has one top vertex,
+    so the walk decides what `oracles.is_c4_free` decides over the whole
+    vertex set (from the bottom up, each vertex against those above it),
+    at one AND and one OR per edge until the first 4-cycle."""
     line = text.strip()
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
@@ -146,6 +157,7 @@ def read_graph6(text: str) -> Graph:
     rows: list[list[str]] = [[] for _ in range(n)]
     m = 0
     start = 0
+    c4_free = True
     for j in range(1, n):
         end = start + j
         col = (int.from_bytes(stream[start >> 3:(end + 7) >> 3], "little")
@@ -156,13 +168,19 @@ def read_graph6(text: str) -> Graph:
             m += col.bit_count()
             bit_j = 1 << j
             id_j = str(j)
+            seen = 0
             while col:
                 low = col & -col
                 i = low.bit_length() - 1
-                nbr[i] |= bit_j
+                below = nbr[i]
+                if c4_free:
+                    if seen & below:
+                        c4_free = False
+                    seen |= below
+                nbr[i] = below | bit_j
                 rows[i].append(id_j)
                 col ^= low
-    return Graph._from_masks(nbr, m, edge_digest(n, m, rows))
+    return Graph._from_masks(nbr, m, edge_digest(n, m, rows), c4_free)
 
 
 def write_sparse6(g: Graph) -> str:

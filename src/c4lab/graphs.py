@@ -85,10 +85,12 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     `_digest` holds the `edge_digest` of the graph once a reader or
-    `pipeline.graph_digest` has computed it, else None.
+    `pipeline.graph_digest` has computed it, else None.  `_c4_free` holds
+    whether the graph has no 4-cycle once `graphio.read_graph6` or
+    `oracles.graph_c4_free` has decided it, else None.
     """
 
-    __slots__ = ("n", "_nbr", "_m", "_digest")
+    __slots__ = ("n", "_nbr", "_m", "_digest", "_c4_free")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -108,20 +110,23 @@ class Graph:
         self._nbr = tuple(nbr)
         self._m = m
         self._digest = None
+        self._c4_free = None
 
     @classmethod
-    def _from_masks(cls, nbr: Sequence[int], m: int, digest: str | None = None
-                    ) -> "Graph":
+    def _from_masks(cls, nbr: Sequence[int], m: int, digest: str | None = None,
+                    c4_free: bool | None = None) -> "Graph":
         """Trusted constructor for callers that already hold valid masks.
 
-        `nbr` must be symmetric and loopless with m edges, and `digest`, if
-        given, its `edge_digest`; nothing is re-checked.
+        `nbr` must be symmetric and loopless with m edges, `digest`, if
+        given, its `edge_digest`, and `c4_free`, if given, whether it has no
+        4-cycle; nothing is re-checked.
         """
         g = cls.__new__(cls)
         g.n = len(nbr)
         g._nbr = tuple(nbr)
         g._m = m
         g._digest = digest
+        g._c4_free = c4_free
         return g
 
     # -- basic queries ----------------------------------------------------

@@ -79,7 +79,7 @@ def check_lb_conditions(n: int, p: float, s: int, k: int) -> ConditionReport:
     ok = max(q1, q2, q3) <= 0.5
     claim = ""
     if ok:
-        claim = (f"an {n}-vertex K_{{{s},{s}}}-free graph with average degree "
+        claim = (f"a K_{{{s},{s}}}-free graph on {n} vertices with average degree "
                  f">= {(n - 1) * p / 2:.4g} exists in which every C4-free "
                  f"induced subgraph has average degree < {k}")
     return ConditionReport(n=n, p=p, s=s, k=k, q_biclique=q1, q_c4free_sets=q2,

@@ -66,7 +66,10 @@ def is_c4_free(nbr: Sequence[int], alive: int) -> bool:
     u-w-x-w' there when the masks `reach` of two of its neighbours w, w' in
     `above` meet at x.  A u with fewer than two neighbours above it is the
     least vertex of no cycle.  This is `closes_c4` asked of every u against
-    the vertices above it, in one loop.
+    the vertices above it, in one loop.  `graphio.read_graph6` asks the
+    same of every vertex against the vertices below it while it parses;
+    the two must agree on every graph, and `graph_c4_free` reads whichever
+    answer a graph already holds.
     """
     above = alive
     while above:
@@ -85,10 +88,19 @@ def is_c4_free(nbr: Sequence[int], alive: int) -> bool:
     return True
 
 
+def graph_c4_free(g: Graph) -> bool:
+    """Whether g has no 4-cycle.  It is kept in g, so it is decided once per
+    graph: `read_graph6` decides it while parsing, and any other graph gets
+    `is_c4_free` over its whole vertex set here on first use."""
+    if g._c4_free is None:
+        g._c4_free = is_c4_free(g.masks, (1 << g.n) - 1)
+    return g._c4_free
+
+
 def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]] | None:
     """A (not necessarily induced) K_{s,s}: disjoint s-sets S,T with all cross edges.
 
-    s=2 returns None at once when `is_c4_free` holds (K_{2,2} is C4);
+    s=2 returns None at once when `graph_c4_free` holds (K_{2,2} is C4);
     otherwise the common-pair scan (every wedge u-w-v records the pair
     (u,v); a pair seen from two centers closes a K_{2,2}) finds the
     witness, or raises `InvariantError`.  General s likewise returns None
@@ -103,7 +115,7 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
     if 2 * s > g.n:
         return None
     if s == 2:
-        if is_c4_free(g.masks, (1 << g.n) - 1):
+        if graph_c4_free(g):
             return None
         seen: dict[tuple[int, int], int] = {}
         for w in range(g.n):
@@ -113,7 +125,7 @@ def contains_biclique(g: Graph, s: int) -> tuple[frozenset[int], frozenset[int]]
                 if prev is not None:
                     return frozenset([u, v]), frozenset([prev, w])
                 seen[(u, v)] = w
-        # the 4-cycle a-b-c-d that is_c4_free found records (a, c) at b and at d
+        # the 4-cycle a-b-c-d that graph_c4_free found records (a, c) at b and at d
         raise InvariantError("a graph with a 4-cycle must have a K_{2,2}")
 
     if not _has_biclique(g.masks, s):
@@ -261,7 +273,8 @@ def closes_c4(masks: Sequence[int], v: int, smask: int) -> bool:
     meets `seen` exposes x.  Given g[S] C4-free, g[S + v] is C4-free iff
     this is False, so the lower-bound experiments grow C4-free sets by it;
     `is_c4_free` runs the same test inline for each vertex against the
-    vertices above it.
+    vertices above it, and `graphio.read_graph6` for each vertex against
+    the vertices below it, so the three must agree.
     """
     nbrs = masks[v] & smask
     if nbrs.bit_count() < 2:   # a 4-cycle through v needs two of them

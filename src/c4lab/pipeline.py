@@ -35,7 +35,7 @@ from .graphs import (
 )
 from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel, kernel_can_trace
 from .oracles import (DEFAULT_ORACLE_LIMIT, best_c4free_induced, contains_biclique,
-                      is_c4_free)
+                      graph_c4_free, is_c4_free)
 from .reductions import (DEFAULT_RETRIES, sparsify_short_cycles, split_from_prefix,
                          split_prefix)
 
@@ -217,15 +217,17 @@ _NO_FLAGS = {"induced_c4free": False, "avg_degree_ok": False,
 def _flags_and_stats(g: Graph, witness: tuple[int, ...], k: int,
                      delta: float) -> tuple[dict, dict]:
     """Recompute the verified flags and stats for a witness, a nonempty
-    tuple of distinct vertex ids of g, on g's own masks."""
+    tuple of distinct vertex ids of g, on g's own masks.  The whole vertex
+    set's C4-freeness is the one g keeps (`graph_c4_free`)."""
     nbr = g.masks
-    alive = (1 << g.n) - 1 if len(witness) == g.n else mask_of(witness)
+    whole = len(witness) == g.n
+    alive = (1 << g.n) - 1 if whole else mask_of(witness)
     # only the witness's degrees: a small witness costs no pass over g
     deg = [(nbr[v] & alive).bit_count() for v in witness]
     avg = Fraction(sum(deg), len(witness))
     mx = max(deg)
     flags = {
-        "induced_c4free": is_c4_free(nbr, alive),
+        "induced_c4free": graph_c4_free(g) if whole else is_c4_free(nbr, alive),
         "avg_degree_ok": avg >= k,
         "bipartite": bipartition(nbr, alive) is not None,
         "max_degree_bound_ok": mx <= 1 or float(avg) >= mx ** (1 - delta),

@@ -276,7 +276,13 @@ class SplitPrefix:
 def _heaviest_dyadic_bucket(degrees, d: float) -> int:
     """Bucket the (vertex, degree >= 1) pairs by floor(log2(degree / d)) and
     return the mask of the bucket with the greatest degree mass; ties go to
-    the lower bucket, and no pairs give 0."""
+    the lower bucket.
+
+    Both callers pass at least one pair: `split_prefix` a core that spans
+    an edge, and `_near_regular_attempt` the outside neighbours of a
+    sampled set each of whose vertices kept a neighbour outside it.  No
+    pairs is a broken invariant and raises `InvariantError`.
+    """
     buckets: dict[int, int] = {}
     mass: dict[int, int] = {}
     for v, dv in degrees:
@@ -284,7 +290,7 @@ def _heaviest_dyadic_bucket(degrees, d: float) -> int:
         buckets[j] = buckets.get(j, 0) | 1 << v
         mass[j] = mass.get(j, 0) + dv
     if not buckets:
-        return 0
+        raise InvariantError("a dyadic bucketing needs at least one vertex")
     return buckets[max(buckets, key=lambda j: (mass[j], -j))]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from c4lab.cli import main
 from c4lab.errors import C4LabError
-from c4lab.graphio import read_graph6, write_graph6, write_hypergraph
+from c4lab.graphio import read_graph6, write_edgelist, write_graph6, write_hypergraph
 from c4lab.graphs import Graph
 from c4lab.named import complete_bipartite, heawood_graph
 from c4lab.pipeline import ExtractionCertificate
@@ -248,9 +248,9 @@ def test_lowerbound_check_only_states_the_claim_when_satisfied(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["satisfied"] is True and obj["min_avg_degree"] == 49 * 0.165 / 2
-    assert obj["claim"] == ("an 50-vertex K_{5,5}-free graph with average degree >= 4.043 "
-                            "exists in which every C4-free induced subgraph has average "
-                            "degree < 160")
+    assert obj["claim"] == ("a K_{5,5}-free graph on 50 vertices with average degree "
+                            ">= 4.043 exists in which every C4-free induced subgraph has "
+                            "average degree < 160")
 
 
 @pytest.mark.parametrize("k", ["2", "3"])
@@ -651,6 +651,23 @@ GOLDEN_CERTS = [("gnm15.g6", "gnm15_fallback_cert.json"),
                 ("lopsided200.g6", "lopsided200_failure_cert.json")]
 def _golden_cert(name: str) -> dict:
     return json.loads((GOLDEN / name).read_text())
+
+
+@pytest.mark.parametrize("fmt, passes", [("graph6", 0), ("edgelist", 1)])
+def test_extract_at_s_2_decides_c4_freeness_once(tmp_path, capsys, c4_passes, fmt, passes):
+    # the trivial certificate's flag and contains_biclique's fast reject read
+    # the one answer the graph keeps: the graph6 reader decides it while
+    # parsing, and an edge list's graph pays one is_c4_free on first use
+    graph = GOLDEN / "gnp24.g6"
+    if fmt == "edgelist":
+        graph = tmp_path / "gnp24.txt"
+        graph.write_text(write_edgelist(read_graph6((GOLDEN / "gnp24.g6").read_text())))
+    out = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "extract", "--input", str(graph), "--format", fmt,
+                         "--s", "2", "--k", "2", "--seed", "42", "--retries", "10",
+                         "--attempts", "4", "--out", str(out))
+    assert code == 0 and len(c4_passes) == passes
+    assert out.read_bytes() == (GOLDEN / "gnp24_cert.json").read_bytes()
 
 
 def test_verify_unknown_version_exits_1(tmp_path, capsys):

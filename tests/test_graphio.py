@@ -1,11 +1,13 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 import networkx as nx
 
 from c4lab.errors import DomainError
-from c4lab.graphs import Graph, gen_gnp, gen_lopsided, projective_plane_incidence
+from c4lab.graphs import Graph, gen_gnp, gen_lopsided, induced, projective_plane_incidence
 from c4lab.graphio import (
     _encode_n,
     apply_sidecar,
@@ -19,7 +21,8 @@ from c4lab.graphio import (
     write_hypergraph,
     write_sparse6,
 )
-from c4lab.named import complete_bipartite, cycle_graph, petersen_graph
+from c4lab.named import complete_bipartite, complete_graph, cycle_graph, petersen_graph
+from c4lab.oracles import find_c4, graph_c4_free, is_c4_free
 from c4lab.pipeline import graph_digest
 from helpers import (
     graph_digest_reference,
@@ -189,6 +192,66 @@ def test_graph6_reader_sets_the_input_digest():
         assert graph_digest(built) == want
         for h in (read_sparse6(write_sparse6(g)), read_edgelist(write_edgelist(g))):
             assert graph_digest(h) == want and graph_digest(h) == want
+
+
+def _c4_sweep():
+    """Seeded graphs on both sides of C4-freeness: every labelled graph on
+    at most 4 vertices, the named small cases, a lone 4-cycle whose top
+    vertex is n - 1, and random graphs, some of them induced subgraphs of
+    projective planes (C4-free and dense) with one edge added."""
+    for n in range(5):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield Graph(n, [e for b, e in enumerate(pairs) if chosen >> b & 1])
+    yield cycle_graph(5)
+    yield petersen_graph()
+    yield complete_graph(4)
+    yield complete_bipartite(2, 3).underlying
+    for n in range(4, 40):
+        # the reader meets this cycle only at its last column
+        yield Graph(n, [(0, 2), (1, 2), (0, n - 1), (1, n - 1)])
+    rng = random.Random(36)
+    planes = [projective_plane_incidence(q).underlying for q in (3, 5, 7)]
+    for _ in range(1000):
+        n = rng.randrange(5, 48)
+        yield gen_gnp(n, rng.choice((1, 2, 3, 5)) / n, rng.getrandbits(32))
+        plane = rng.choice(planes)
+        sub = induced(plane, [v for v in range(plane.n) if rng.random() < 0.7])
+        if sub.n >= 2 and rng.random() < 0.5:
+            u, v = rng.sample(range(sub.n), 2)
+            sub = Graph(sub.n, [*sub.edges(), (u, v)])
+        yield sub
+
+
+def test_graph6_reader_decides_c4_freeness_as_is_c4_free_does():
+    outcomes = Counter()
+    for g in _c4_sweep():
+        want = is_c4_free(g.masks, (1 << g.n) - 1)
+        assert want == (find_c4(g) is None)
+        h = read_graph6(write_graph6(g))
+        assert h == g and h._c4_free is want
+        outcomes[want] += 1
+    assert sum(outcomes.values()) >= 2000
+    assert min(outcomes.values()) >= 500
+
+
+def test_graph_c4_free_decides_once_per_graph(c4_passes):
+    # a graph that no graph6 read built starts with no answer; the accessor
+    # runs is_c4_free once and keeps the result.  sparse6 and edge lists
+    # take that fallback, graph6 never does
+    for g in (petersen_graph(), complete_graph(4), Graph(0), cycle_graph(4)):
+        want = find_c4(g) is None
+        for fresh in (Graph(g.n, g.edges()), Graph._from_masks(g.masks, g.edge_count),
+                      read_sparse6(write_sparse6(g)), read_edgelist(write_edgelist(g))):
+            assert fresh._c4_free is None
+            c4_passes.clear()
+            assert graph_c4_free(fresh) is want and fresh._c4_free is want
+            assert graph_c4_free(fresh) is want
+            assert c4_passes == [(1 << g.n) - 1]
+        parsed = read_graph6(write_graph6(g))
+        c4_passes.clear()
+        assert parsed._c4_free is want and graph_c4_free(parsed) is want
+        assert c4_passes == []
 
 
 def test_graph6_error_messages():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from c4lab import oracles, pipeline
+from c4lab import pipeline
 from c4lab.errors import (
     DomainError,
     ExtractionFailure,
@@ -14,7 +14,7 @@ from c4lab.errors import (
     KernelFailure,
     StaleCertificateError,
 )
-from c4lab.graphio import read_graph6
+from c4lab.graphio import read_graph6, write_graph6
 from c4lab.hypergraphs import Hypergraph, PartiteKernel
 from c4lab.graphs import (
     BipartiteGraph,
@@ -26,7 +26,7 @@ from c4lab.graphs import (
     projective_plane_incidence,
 )
 from c4lab.named import complete_bipartite, heawood_graph, petersen_graph
-from c4lab.oracles import best_c4free_induced, contains_biclique, find_c4, is_c4_free
+from c4lab.oracles import best_c4free_induced, contains_biclique, find_c4
 from c4lab.pipeline import (
     ExtractionCertificate,
     PipelineParams,
@@ -357,30 +357,30 @@ def test_extract_scans_for_a_biclique_only_on_an_input_with_a_4_cycle(monkeypatc
     assert calls == [2, 3]
 
 
-def test_one_whole_graph_c4_pass_per_request(monkeypatch):
+def test_one_whole_graph_c4_pass_per_request(c4_passes):
     # extract, verify and the extraction nested in induced_subdivision each
-    # decide the input's C4-freeness once
-    g = projective_plane_incidence(13).underlying
-    passes = []
-
-    def counted(nbr, alive):
-        passes.append(alive.bit_count())
-        return is_c4_free(nbr, alive)
-
-    monkeypatch.setattr(pipeline, "is_c4_free", counted)
-    monkeypatch.setattr(oracles, "is_c4_free", counted)
+    # decide the input's C4-freeness at most once, and the graph keeps the
+    # answer: a graph built from its edges pays one pass on its first
+    # request and none after, and a graph read from graph6 none at all,
+    # since the reader decided it while parsing
+    plane = projective_plane_incidence(13).underlying
 
     def whole_passes(call):
-        passes.clear()
+        c4_passes.clear()
         out = call()
-        return out, passes.count(g.n)
+        return out, c4_passes.count((1 << plane.n) - 1)
 
-    cert, count = whole_passes(lambda: extract_induced_c4free(g, 2, 3, seed=1))
-    assert cert.mode == "trivial_already_c4free" and count == 1
-    ok, count = whole_passes(lambda: verify_certificate(g, cert))
-    assert ok and count == 1
-    _, count = whole_passes(lambda: induced_subdivision(g, 2, 3, seed=1))
-    assert count == 1
+    cert = extract_induced_c4free(plane, 2, 3, seed=1)
+    assert cert.mode == "trivial_already_c4free"
+    requests = (lambda g: extract_induced_c4free(g, 2, 3, seed=1) == cert,
+                lambda g: verify_certificate(g, cert),
+                lambda g: induced_subdivision(g, 2, 3, seed=1) is not None)
+    for request in requests:
+        built = Graph(plane.n, plane.edges())
+        assert whole_passes(lambda: request(built)) == (True, 1)
+        assert whole_passes(lambda: request(built)) == (True, 0)
+        parsed = read_graph6(write_graph6(plane))
+        assert whole_passes(lambda: request(parsed)) == (True, 0)
 
 
 def test_extract_petersen_trivial():

@@ -275,8 +275,19 @@ def test_split_prefix_refuses_an_edgeless_rest():
         split_prefix(g.masks, (1 << g.n) - 1, 0.1)
 
 
-def test_heaviest_dyadic_bucket_of_no_pairs_is_empty():
-    assert reductions._heaviest_dyadic_bucket((), 1.0) == 0
+def test_heaviest_dyadic_bucket_of_no_pairs_raises():
+    # neither caller can pass an empty bucketing (see the docstring), so one
+    # is a broken invariant, refused also under python -O
+    with pytest.raises(InvariantError, match="at least one vertex"):
+        reductions._heaviest_dyadic_bucket((), 1.0)
+    out = run_optimized(
+        "from c4lab import reductions\n"
+        "from c4lab.errors import InvariantError\n"
+        "try:\n"
+        "    reductions._heaviest_dyadic_bucket((), 1.0)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised', exc)\n")
+    assert out == "raised a dyadic bucketing needs at least one vertex\n"
 
 
 def test_near_regular_attempt_is_0_when_the_reduction_runs_out(monkeypatch):
