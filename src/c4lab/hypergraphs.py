@@ -195,8 +195,15 @@ def _kernel_shape(f: Hypergraph, s: int, t: int) -> tuple[int, int]:
     return r, sum(comb(r, j) for j in range(s + 1))
 
 
+def trace_bound(r: int, s: int, t: int) -> int:
+    """2tT with T = sum_{j<=s} C(r, j): a kernel of multiplicity t and
+    trace rank s on an r-uniform family has an empty trace unless some
+    vertex lies in at least this many edges (`kernel_can_trace`)."""
+    return 2 * t * sum(comb(r, j) for j in range(s + 1))
+
+
 def kernel_can_trace(f: Hypergraph, s: int, t: int) -> bool:
-    """Whether some vertex of f lies in at least 2tT edges.
+    """Whether some vertex of f lies in at least 2tT edges (`trace_bound`).
 
     Unless it does, every kernel `furedi_kernel(f, s, t, ...)` returns has an
     empty trace, whatever the seed and the retries.  Let D be the most edges
@@ -211,10 +218,14 @@ def kernel_can_trace(f: Hypergraph, s: int, t: int) -> bool:
     2tT * b_size <= |E_i| then forces D >= 2tT.  The bound is tight: seeded
     families with D = 2tT exactly do yield traces.
 
+    The test reads only D, r, s and t, so a caller that knows D without
+    building f, as `model_lopsided` does from its neighbour masks, compares
+    D with `trace_bound(r, s, t)` itself.
+
     Raises DomainError on the requests furedi_kernel refuses.
     """
-    _, big_t = _kernel_shape(f, s, t)
-    return max(m.bit_count() for m in f.incidence) >= 2 * t * big_t
+    r, _ = _kernel_shape(f, s, t)
+    return max(m.bit_count() for m in f.incidence) >= trace_bound(r, s, t)
 
 
 def furedi_kernel(f: Hypergraph, s: int, t: int, seed: int,

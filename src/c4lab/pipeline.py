@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     DomainError,
@@ -33,7 +34,7 @@ from .graphs import (
     mask_of,
     mix_seed,
 )
-from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel, kernel_can_trace
+from .hypergraphs import Hypergraph, find_induced_pair, furedi_kernel, trace_bound
 from .oracles import (DEFAULT_ORACLE_LIMIT, best_c4free_induced, contains_biclique,
                       graph_c4_free, is_c4_free)
 from .reductions import (DEFAULT_RETRIES, sparsify_short_cycles, split_from_prefix,
@@ -288,6 +289,13 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
     adjacent to all of S, B' = c^{-1}(Y) cap N(A'), and g[A' u B'] is
     C4-free with average degree >= k.  The claim is verified mechanically;
     kernel seeds retry until verification passes or the budget ends.
+
+    The neighbourhoods are read from the A-vertices' masks.  Whether any
+    kernel can trace is decided before the family exists: D, the most
+    distinct neighbourhoods one B-vertex lies in, is a popcount against the
+    mask of their least owners, and it is held to `trace_bound(r, s, t)`
+    as `kernel_can_trace` would hold the family.  The family and its
+    least-owner map are built only when a kernel can trace.
     """
     if params is None:
         params = PipelineParams()
@@ -299,28 +307,37 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
     b_list = g.b_list()
     if not a_list or not b_list:
         return _certificate(under, digest, pdict, seed, "failure", "model:empty-side")
-    degrees = {under.degree(a) for a in a_list}
+    nbr = under.masks
+    degrees = {nbr[a].bit_count() for a in a_list}
     if len(degrees) != 1:
         raise DomainError("every A-side vertex must have the same degree")
     r_deg = degrees.pop()
     if r_deg < s:
         raise DomainError(f"left degree {r_deg} must be at least s={s}")
 
-    b_index = {b: i for i, b in enumerate(b_list)}
-    hood_owners: dict[frozenset[int], list[int]] = {}
+    # each distinct neighbourhood, keyed by its mask, with its owners; a_list
+    # ascends, so each owner list ascends and the entries come in order of
+    # their least owner
+    hood_owners: dict[int, list[int]] = {}
     for a in a_list:
-        hood = frozenset(b_index[w] for w in under.neighbors(a))
-        hood_owners.setdefault(hood, []).append(a)
-    # a_list ascends, so each owner list ascends and the entries come in
-    # order of their least owner
+        hood_owners.setdefault(nbr[a], []).append(a)
     for hood, owners in hood_owners.items():
         if len(owners) >= s:
-            t_side = [b_list[i] for i in sorted(hood)[:s]]
+            t_side = list(islice(bits(hood), s))
             return _certificate(under, digest, pdict, seed, "biclique_found",
                                 "model:duplicates", biclique=(owners[:s], t_side))
-    edges = sorted(hood_owners, key=lambda e: sorted(e))
-    phi = {e: owners[0] for e, owners in hood_owners.items()}
-    family = Hypergraph(len(b_list), edges)
+    # a B-vertex lies in as many family edges as it has neighbours among
+    # the least owners, so the most any vertex lies in, D, needs no family
+    first = mask_of(owners[0] for owners in hood_owners.values())
+    most = max((nbr[b] & first).bit_count() for b in b_list)
+    can_trace = most >= trace_bound(r_deg, s, t)
+    if can_trace:
+        # the family on B's indices, its edges in sorted order, and phi, the
+        # least owner of each edge
+        b_index = {b: i for i, b in enumerate(b_list)}
+        phi = {frozenset(b_index[w] for w in bits(hood)): owners[0]
+               for hood, owners in hood_owners.items()}
+        family = Hypergraph(len(b_list), sorted(phi, key=sorted))
 
     # a single neighborhood is an induced star: C4-free, average degree
     # 2r/(r+1) >= 4/3 >= 1, enough for k = 1; an attempt that ends without
@@ -334,9 +351,9 @@ def model_lopsided(g: BipartiteGraph, s: int, k: int, seed: int,
             raise InvariantError("a neighbourhood and its centre must induce a star "
                                  "of average degree >= 1")
     # an attempt reads its kernel only through the trace, so when every
-    # kernel's trace would be empty one attempt without a kernel ends where
-    # each would: at the star, or on to the next, leaving no best
-    can_trace = kernel_can_trace(family, s, t)
+    # kernel's trace would be empty (`kernel_can_trace`) one attempt without
+    # a kernel ends where each would: at the star, or on to the next,
+    # leaving no best
     best: tuple[Fraction, int] | None = None
     for attempt in range(params.retries if can_trace else min(params.retries, 1)):
         trace_edges = []
@@ -411,12 +428,14 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
                            seed: int = 0) -> ExtractionCertificate:
     """Full extraction driver with a verified certificate for every outcome.
 
-    Route: (0) the whole vertex set's certificate comes first; a C4-free
-    input holds no K_{s,s}, so only when its flags find a 4-cycle does an
-    exhaustive biclique scan run, and a hit ends in biclique_found (the
-    extraction hypothesis fails); (1) the whole vertex set is its own witness
-    when that certificate keeps the trivial mode's promise (C4-free,
-    average degree >= k), by the rule `verify_certificate` applies; (2)
+    Route: (0) the whole graph's C4-freeness (`graph_c4_free`) comes
+    first; a C4-free input holds no K_{s,s}, so only an input with a
+    4-cycle runs the exhaustive biclique scan, and a hit ends in
+    biclique_found (the extraction hypothesis fails); (1) only a C4-free
+    input gets the whole vertex set's certificate, since a 4-cycle breaks
+    the trivial mode's promise, and that certificate is returned when it
+    keeps the promise (average degree >= k too), by the rule
+    `verify_certificate` applies; (2)
     otherwise peel to the min-degree core at half the average degree,
     iterated to a fixed point; (3) split into the near-regular or the
     lopsided case and run short-cycle sparsification; a lopsided cut runs
@@ -432,16 +451,19 @@ def extract_induced_c4free(g: Graph, s: int, k: int,
     if g.n == 0:
         return _certificate(g, digest, pdict, seed, "failure", "empty-input")
 
-    trivial = _certificate(g, digest, pdict, seed, "trivial_already_c4free", "trivial",
-                           witness=range(g.n))
-    # C4 = K_{2,2} sits in every K_{s,s}, so only a 4-cycle needs the scan
-    if not trivial.verified["induced_c4free"]:
+    # C4 = K_{2,2} sits in every K_{s,s}, so only a 4-cycle needs the scan;
+    # and a graph with a 4-cycle can never keep the trivial mode's promise,
+    # so only a C4-free one gets the whole vertex set's certificate
+    if graph_c4_free(g):
+        trivial = _certificate(g, digest, pdict, seed, "trivial_already_c4free",
+                               "trivial", witness=range(g.n))
+        if _keeps_promise(trivial):
+            return trivial
+    else:
         wit = contains_biclique(g, s)
         if wit is not None:
             return _certificate(g, digest, pdict, seed, "biclique_found", "scan",
                                 biclique=wit)
-    if _keeps_promise(trivial):
-        return trivial
 
     # peel to a fixed point and take the seed-free half of the split, which
     # every attempt shares, all in g's ids.  If the split raises, every

@@ -895,6 +895,44 @@ def graph_digest_reference(g: Graph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def model_front_half_by_frozensets(bg, s: int, k: int, seed: int, params=None):
+    """`pipeline.model_lopsided` up to its first kernel, as it stood with
+    every neighbourhood a frozenset of B-indices: the family, its edges in
+    order of their sorted index lists, and the certificate the front half
+    decides, which is None when `kernel_can_trace` holds for the family.
+    Raises InvariantError on a request that model_lopsided refuses."""
+    from c4lab.hypergraphs import Hypergraph, kernel_can_trace
+    from c4lab.pipeline import PipelineParams, _certificate
+
+    params = params or PipelineParams()
+    g = bg.underlying
+    pdict = params.as_dict(s, k)
+    a_list, b_list = bg.a_list(), bg.b_list()
+    if len({g.degree(a) for a in a_list}) != 1 or g.degree(a_list[0]) < s:
+        raise InvariantError("the model refuses this request")
+    b_index = {b: i for i, b in enumerate(b_list)}
+    hood_owners: dict[frozenset[int], list[int]] = {}
+    for a in a_list:
+        hood_owners.setdefault(frozenset(b_index[w] for w in g.neighbors(a)), []).append(a)
+    family = Hypergraph(len(b_list), sorted(hood_owners, key=sorted))
+
+    def certificate(mode, stage, **witness):
+        return _certificate(g, graph_digest(g), pdict, seed, mode, stage, **witness)
+
+    for hood, owners in hood_owners.items():
+        if len(owners) >= s:
+            t_side = [b_list[i] for i in sorted(hood)[:s]]
+            return family, certificate("biclique_found", "model:duplicates",
+                                       biclique=(owners[:s], t_side))
+    if kernel_can_trace(family, s, pdict["t"]):
+        return family, None
+    if k == 1:
+        a0 = a_list[0]
+        return family, certificate("case2_lopsided", "model:star",
+                                   witness=[a0, *g.neighbors(a0)])
+    return family, certificate("failure", "model:budget-exhausted")
+
+
 def sampler_by_set_scans(g: Graph, mask: int, rng):
     """One draw of `subdivisions._sampler(g.masks, mask)`: the set-scan case
     on the Graph that `mask` induces, with its ids lifted back to g's."""

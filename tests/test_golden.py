@@ -250,8 +250,15 @@ def test_attempts_build_no_graph_of_their_own(tmp_path, capsys, monkeypatch):
         assert modes["1"] == "failure"
         found = modes["8"] == "case1_near_regular"
         assert found == (graph_file == "gnp100.g6")
-        # the whole vertex set's flags, and a witness's that an attempt finds
-        assert flags == {"1": 1, "8": 1 + found}
+        # a 4-cycle breaks the trivial mode's promise, so the whole vertex
+        # set gets no flags; only a witness that an attempt finds does
+        assert flags == {"1": 0, "8": found}
+    # a C4-free input still gets the whole vertex set's flags, once
+    graph_file, _, trivial_flags = SCENARIOS[0]
+    out = tmp_path / "heawood.json"
+    run(["extract", "--input", str(GOLDEN / graph_file), *trivial_flags, "--out", str(out)])
+    assert json.loads(out.read_text())["mode"] == "trivial_already_c4free"
+    assert calls["flags"] == 1
     certificates = [scenario[:2] for scenario in SCENARIOS]
     certificates += [scenario[:2] for scenario in (FAILURE_SCENARIO, CASE1_SCENARIO,
                                                    BICLIQUE_SCENARIO, LOPSIDED_SCENARIO)]
@@ -630,7 +637,8 @@ def test_subdivide_corpus_reproduces_line_by_line(monkeypatch):
 # `verify_induced_pair` on three seeded edits: a vertex added to B, one
 # dropped from B and one moved from B to A (null when B is empty).  A model
 # line holds the bipartite graph's recipe, s, k, the seed, retries, whether
-# `kernel_can_trace` is forced true, the stage and the sha256 of the
+# every kernel is forced to run (the trace bound patched to 0, so that
+# every family can trace), the stage and the sha256 of the
 # certificate's JSON.  The recipes are ["lopsided", a, b, r, s, seed] for
 # gen_lopsided(a, b, r, s, seed) and ["shared-pair", a]: every A-vertex i
 # sees b0, b1 and a private B-vertex, the planted family whose kernel trace
@@ -721,7 +729,7 @@ def _model_line(case: dict, monkeypatch) -> str:
 
     with monkeypatch.context() as patch:
         if case["forced"]:
-            patch.setattr(pipeline, "kernel_can_trace", lambda *args: True)
+            patch.setattr(pipeline, "trace_bound", lambda *args: 0)
         cert = pipeline.model_lopsided(
             _model_graph(case["model"]), case["s"], case["k"], seed=case["seed"],
             params=pipeline.PipelineParams(retries=case["retries"]))

@@ -11,6 +11,7 @@ from c4lab.graphs import (
     bipartition,
     bits,
     degeneracy,
+    degrees_within,
     gen_gnp,
     gen_lopsided,
     greedy_coloring,
@@ -153,6 +154,22 @@ def test_peeling_lemma_nonempty_core():
                     f"empty {t}-core with d={d}"
                 checked += 1
     assert checked > 500
+
+
+def test_degrees_within_matches_a_per_vertex_count():
+    # every vertex's count into the set, and 2e summed over its members
+    # only, against a plain count on each vertex, from the empty set to all
+    rng = random.Random(43)
+    for n in (1, 2, 7, 40, 121):
+        for p in (0.05, 0.3, 0.8):
+            g = gen_gnp(n, p, rng.randrange(2 ** 32))
+            members = rng.sample(range(n), n)
+            masks = [0, 1 << members[0], mask_of(members[:n // 2]),
+                     mask_of(members[:n // 2 + 1]), mask_of(members[1:]), everything(g)]
+            for alive in masks:
+                want = [(g.masks[v] & alive).bit_count() for v in range(n)]
+                two_e = sum(want[v] for v in range(n) if alive >> v & 1)
+                assert degrees_within(g.masks, alive) == (want, two_e), (n, p, alive)
 
 
 def test_mask_peels_match_the_graph_references():

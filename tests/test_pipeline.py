@@ -15,7 +15,7 @@ from c4lab.errors import (
     StaleCertificateError,
 )
 from c4lab.graphio import read_graph6, write_graph6
-from c4lab.hypergraphs import Hypergraph, PartiteKernel
+from c4lab.hypergraphs import Hypergraph, PartiteKernel, kernel_can_trace
 from c4lab.graphs import (
     BipartiteGraph,
     Graph,
@@ -37,7 +37,8 @@ from c4lab.pipeline import (
 )
 from c4lab.subdivisions import induced_subdivision
 
-from helpers import average_degree, graph_digest_reference, run_optimized
+from helpers import (average_degree, graph_digest_reference,
+                     model_front_half_by_frozensets, run_optimized)
 
 FAST = PipelineParams(retries=20, attempts=4)
 GOLDEN = Path(__file__).parent / "golden"
@@ -89,17 +90,19 @@ def test_model_trace_biclique_route(monkeypatch):
     # in all 300 edges, far above 2tT = 16, so the kernel runs
     calls = count_kernel_calls(monkeypatch)
     a = 300
-    edges = []
-    for i in range(a):
-        edges += [(i, a), (i, a + 1), (i, a + 2 + i)]
-    g = Graph(2 * a + 2, edges)
-    bg = BipartiteGraph(g, range(a), range(a, 2 * a + 2))
+    bg = shared_pair_graph(a)
     cert = model_lopsided(bg, s=2, k=2, seed=3, params=PipelineParams(retries=20))
     assert calls
     assert cert.mode == "biclique_found"
     assert cert.stats.get("stage") == "model:trace-biclique"
     assert cert.biclique[1] == (a, a + 1)
-    assert verify_certificate(g, cert)
+    assert verify_certificate(bg.underlying, cert)
+
+
+def shared_pair_graph(a: int) -> BipartiteGraph:
+    # A-vertex i sees b0 = a, b1 = a + 1 and its private a + 2 + i
+    edges = [(i, w) for i in range(a) for w in (a, a + 1, a + 2 + i)]
+    return BipartiteGraph(Graph(2 * a + 2, edges), range(a), range(a, 2 * a + 2))
 
 
 # four A-vertices 0..3 on B-vertices 4..9 (B-indices 0..5); the least
@@ -126,7 +129,7 @@ def stub_kernel(monkeypatch, *kernels) -> list:
             raise kernel
         return kernel
 
-    monkeypatch.setattr(pipeline, "kernel_can_trace", lambda *args: True)
+    monkeypatch.setattr(pipeline, "trace_bound", lambda *args: 0)
     monkeypatch.setattr(pipeline, "furedi_kernel", stub)
     return calls
 
@@ -181,6 +184,23 @@ def test_model_pair_route_keeps_the_densest_missed_promise(monkeypatch):
     assert cert.stats["stage"] == "model:budget-exhausted"
     assert (cert.stats["best_avg_degree"], cert.stats["best_size"]) == ("2", 8)
     assert verify_certificate(bg.underlying, cert)
+
+
+def test_model_pair_route_takes_each_edge_least_owner(monkeypatch):
+    # A-vertices 0 and 1 share the neighbourhood {5, 6, 7}, B-indices
+    # {0, 1, 2}, which s = 3 allows; the family's least edge survives alone,
+    # and its pair witness at k = 1 holds the edge's least owner, 0
+    hoods = ((0, 1, 2), *STUB_HOODS)
+    g = Graph(11, [(a, 5 + b) for a, hood in enumerate(hoods) for b in hood])
+    bg = BipartiteGraph(g, range(5), range(5, 11))
+    trace = Hypergraph(3, [frozenset({0}), frozenset({1}), frozenset({2})])
+    kernel = PartiteKernel(surviving_edges=(0,), coloring=STUB_COLORING, trace=trace,
+                           multiplicity=3, s_bound=3)
+    stub_kernel(monkeypatch, kernel)
+    cert = model_lopsided(bg, s=3, k=1, seed=5, params=PipelineParams(retries=1))
+    assert cert.stats["stage"] == "model:pair"
+    assert 0 in cert.witness and 1 not in cert.witness
+    assert verify_certificate(g, cert)
 
 
 def test_model_star_that_breaks_its_promise_raises(monkeypatch):
@@ -272,9 +292,9 @@ SKIP_SHAPES = {(2, 2): ((60, 12, 1), (250, 25, 2)), (3, 2): ((30, 30, 1), (60, 5
 
 
 def test_model_skip_matches_the_full_loop(monkeypatch):
-    # with kernel_can_trace forced true every attempt runs its kernel; the
+    # with the trace bound forced to 0 every attempt runs its kernel; the
     # certificates must not change
-    real = pipeline.kernel_can_trace
+    real = pipeline.trace_bound
     calls = count_kernel_calls(monkeypatch)
     stages = Counter()
     kernel_runs = 0
@@ -284,12 +304,11 @@ def test_model_skip_matches_the_full_loop(monkeypatch):
             for k in (1, 2, 3):
                 for retries in (0, 1, 5, 20):
                     params = PipelineParams(retries=retries)
-                    monkeypatch.setattr(pipeline, "kernel_can_trace", real)
+                    monkeypatch.setattr(pipeline, "trace_bound", real)
                     before = len(calls)
                     guarded = model_lopsided(bg, s, k, seed=seed, params=params)
                     kernel_runs += len(calls) > before
-                    monkeypatch.setattr(pipeline, "kernel_can_trace",
-                                        lambda *args: True)
+                    monkeypatch.setattr(pipeline, "trace_bound", lambda *args: 0)
                     full = model_lopsided(bg, s, k, seed=seed, params=params)
                     assert guarded.to_json() == full.to_json(), (r, s, a, b, k, retries)
                     stages[guarded.stats["stage"]] += 1
@@ -309,6 +328,108 @@ def test_model_runs_no_kernel_on_the_benchmark_shapes(a, b, monkeypatch):
         assert cert.stats["stage"] == "model:budget-exhausted"
         assert "best_avg_degree" not in cert.stats
     assert calls == []
+
+
+def model_draws():
+    # (graph, s): the skip shapes, the benchmark's two shapes and the
+    # shared-pair graph, whose b0 lies in all 300 neighbourhoods
+    for (r, s), shapes in SKIP_SHAPES.items():
+        for a, b, seed in shapes:
+            yield gen_lopsided(a, b, r, s, seed), s
+    for seed in (1, 2, 3):
+        yield gen_lopsided(200, 25, 3, 3, seed), 3
+        yield gen_lopsided(300, 30, 3, 3, seed), 3
+    yield shared_pair_graph(300), 2
+
+
+def refuse_kernels(monkeypatch) -> list:
+    # furedi_kernel raises at once; one entry per call, its family
+    families = []
+
+    def refuse(family, **kwargs):
+        families.append(family)
+        raise KernelFailure("stub")
+
+    monkeypatch.setattr(pipeline, "furedi_kernel", refuse)
+    return families
+
+
+def test_model_decides_from_masks_as_the_family_would(monkeypatch):
+    # D, read from the masks, is the most edges of the reference family
+    # that one vertex lies in: a kernel runs at the bound D and not at
+    # D + 1, and the family it gets is the reference's, edge for edge
+    families = refuse_kernels(monkeypatch)
+    real = pipeline.trace_bound
+    traced = 0
+    for bg, s in model_draws():
+        family, _ = model_front_half_by_frozensets(bg, s, 2, seed=1)
+        most = max(m.bit_count() for m in family.incidence)
+        for bound in (most + 1, most):
+            monkeypatch.setattr(pipeline, "trace_bound", lambda *args, bound=bound: bound)
+            families.clear()
+            model_lopsided(bg, s, 2, seed=1, params=PipelineParams(retries=1))
+            assert len(families) == (bound == most)
+        assert families[0].edges == family.edges
+        # at the real bound a kernel runs just when the family can trace
+        monkeypatch.setattr(pipeline, "trace_bound", real)
+        families.clear()
+        model_lopsided(bg, s, 2, seed=1, params=PipelineParams(retries=1))
+        assert len(families) == kernel_can_trace(family, s, max(2, s))
+        traced += len(families)
+    # the (250, 25) skip shape at t = 2 and the shared-pair graph
+    assert traced == 2
+
+
+def test_model_builds_its_family_only_when_a_kernel_can_trace(monkeypatch):
+    built = []
+    init = Hypergraph.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Hypergraph, "__init__", counted_init)
+    families = refuse_kernels(monkeypatch)
+    traced = 0
+    for bg, s in model_draws():
+        for k in (1, 3):
+            built.clear()
+            families.clear()
+            model_lopsided(bg, s, k, seed=1, params=PipelineParams(retries=4))
+            # no hypergraph at all without a kernel, else the one family
+            # that every attempt's kernel reads
+            assert built == ([len(bg.b_list())] if families else [])
+            assert all(f is families[0] for f in families)
+            traced += bool(families)
+    # the (250, 25) skip shape at k = 1 (t = 2), and the shared-pair graph
+    # at both
+    assert traced == 3
+
+
+def interleaved_graph(hoods) -> BipartiteGraph:
+    # A-vertex i is 2i and B-vertex j is 2j + 1, with as many of each
+    # as there are neighbourhoods
+    m = len(hoods)
+    g = Graph(2 * m, [(2 * i, 2 * j + 1) for i, hood in enumerate(hoods) for j in hood])
+    return BipartiteGraph(g, range(0, 2 * m, 2), range(1, 2 * m, 2))
+
+
+def test_model_on_interleaved_sides_matches_the_reference_front_half():
+    rng = random.Random(47)
+    m, r, s = 30, 4, 3
+    hoods = [rng.sample(range(m), r) for _ in range(m)]
+    repeated = list(hoods)
+    for i in (4, 9, 17):
+        repeated[i] = hoods[2]
+    for family, k, stage in ((hoods, 1, "model:star"), (hoods, 3, "model:budget-exhausted"),
+                             (repeated, 3, "model:duplicates")):
+        bg = interleaved_graph(family)
+        _, want = model_front_half_by_frozensets(bg, s, k, seed=5)
+        got = model_lopsided(bg, s, k, seed=5)
+        assert got.stats["stage"] == stage
+        assert got.to_json() == want.to_json()
+        assert verify_certificate(bg.underlying, got)
+    assert got.biclique[0] == (4, 8, 18)
 
 
 def test_extract_heawood_trivial():

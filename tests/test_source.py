@@ -157,6 +157,9 @@ _ENTRY_POINTS = {
     "bipartite_regularize": "the benchmark's tracer wraps it until ROADMAP item 5",
     "find_c4": "the benchmark calls it",
     "model_lopsided": "the benchmark calls it",
+    "kernel_can_trace": "kept only as the tests' reference for the trace test and "
+                        "as the home of its proof; model_lopsided compares its D "
+                        "with trace_bound and reads this function nowhere",
     "apply_sidecar": "the library half of the sidecar format the CLI writes",
     "write_hypergraph": "the library half of the hypergraph format the CLI reads",
     "reiman_max_edges": "ROADMAP item 3's branch and bound bounds by it",
